@@ -57,7 +57,7 @@ class MetricsRecord:
 
 
 def _fmt(x: float) -> str:
-    return repr(float(x)) if _is_finite(x) else ("nan" if math.isnan(float(x)) else repr(float(x)))
+    return repr(float(x))
 
 
 def _is_finite(x) -> bool:

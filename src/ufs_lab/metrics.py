@@ -192,7 +192,7 @@ def random_feature_embed(images: Array, seed: int) -> Array:
     k1 = rng.normal((_EMBED_MID, cin, 3, 3), 0.0, math.sqrt(2.0 / (cin * 9)))
     k2 = rng.normal((EMBED_DIM, _EMBED_MID, 3, 3), 0.0, math.sqrt(2.0 / (_EMBED_MID * 9)))
     h = conv2d_forward(x, k1, 2)
-    h = np.where(h > 0.0, h, 0.2 * h)
+    np.multiply(h, 0.2, out=h, where=h <= 0.0)
     h = conv2d_forward(h, k2, 2)
-    h = np.where(h > 0.0, h, 0.2 * h)
+    np.multiply(h, 0.2, out=h, where=h <= 0.0)
     return global_sum_pool(h)

@@ -7,7 +7,10 @@ second-order helper differentiates through the input-gradient computation
 
 Convolution forward and global sum pooling accumulate in a fixed loop
 order (channel, then kernel row, then kernel column / row-major spatial)
-so they agree bit-for-bit with a naive Python loop.
+so they agree bit-for-bit with a naive Python loop. The convolution
+gradients are one im2col GEMM each; they sum in BLAS order, so they are
+checked against reference oracles to rounding and against finite
+differences, not bitwise.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ContractError,
@@ -146,57 +150,101 @@ def matmul(a: Array, b: Array) -> Array:
     return a @ b
 
 
+def _conv_output_hw(x_shape, kernel_shape, stride: int, op: str):
+    """Validate a valid-correlation geometry and return its output (ho, wo)."""
+    if len(x_shape) != 4 or len(kernel_shape) != 4:
+        raise DimensionError(f"{op}: need 4-d input and kernel, got {tuple(x_shape)} and {tuple(kernel_shape)}")
+    n, c, h, w = x_shape
+    o, kc, kh, kw = kernel_shape
+    if kc != c:
+        raise DimensionError(f"{op}: input {tuple(x_shape)} has {c} channels but kernel {tuple(kernel_shape)} expects {kc}")
+    if kh > h or kw > w:
+        raise DimensionError(f"{op}: kernel {kh}x{kw} larger than input {h}x{w}")
+    if stride < 1:
+        raise ContractError(f"stride must be >= 1, got {stride}")
+    return (h - kh) // stride + 1, (w - kw) // stride + 1
+
+
+def _check_dy(dy: Array, want, x_shape, kernel_shape, op: str) -> None:
+    if dy.shape != tuple(want):
+        raise DimensionError(f"{op}: dy {dy.shape} does not fit input {tuple(x_shape)} and kernel "
+                             f"{tuple(kernel_shape)}, expected {tuple(want)}")
+
+
+# Elements of the channels-last accumulator per sample block (256 KiB of
+# float64): large enough to amortise the per-tap call, small enough that the
+# accumulator and its product buffer stay in cache.
+_CONV_BLOCK_ELEMS = 1 << 15
+
+
 def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     """Valid (no padding) cross-correlation; the kernel is not flipped.
 
-    Accumulates over (in-channel, kernel row, kernel col) in that order so
-    the result is bitwise equal to a naive six-loop implementation.
+    Each output element starts from 0.0 and adds its taps one at a time in
+    (in-channel, kernel row, kernel col) order, so the result is bitwise equal
+    to a naive six-loop implementation. The accumulator is channels-last,
+    (samples, ho, wo, out-channels), so every tap's multiply and add run over
+    a contiguous out-channel axis, one block of samples at a time.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise DimensionError(f"conv2d: need 4-d input and kernel, got {x.shape} and {kernel.shape}")
-    n, c, h, w = x.shape
-    o, kc, kh, kw = kernel.shape
-    if kc != c:
-        raise DimensionError(f"conv2d: input has {c} channels but kernel expects {kc}")
-    if kh > h or kw > w:
-        raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    if stride < 1:
-        raise ContractError(f"stride must be >= 1, got {stride}")
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    y = np.zeros((n, o, ho, wo))
-    for ci in range(c):
-        for p in range(kh):
-            for q in range(kw):
-                xs = x[:, ci, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride]
-                y += xs[:, None, :, :] * kernel[:, ci, p, q][None, :, None, None]
+    ho, wo = _conv_output_hw(x.shape, kernel.shape, stride, "conv2d")
+    n, c = x.shape[:2]
+    o, _, kh, kw = kernel.shape
+    taps = np.ascontiguousarray(kernel.transpose(1, 2, 3, 0))  # (c, kh, kw, o)
+    y = np.empty((n, o, ho, wo))
+    block = max(1, _CONV_BLOCK_ELEMS // max(1, ho * wo * o))
+    acc_buf = np.empty((min(block, n), ho, wo, o))
+    term_buf = np.empty_like(acc_buf)
+    for lo in range(0, n, block):
+        xb = x[lo:lo + block, :, :, :, None]
+        acc = acc_buf[:len(xb)]
+        term = term_buf[:len(xb)]
+        acc.fill(0.0)
+        for ci in range(c):
+            for p in range(kh):
+                for q in range(kw):
+                    xs = xb[:, ci, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride]
+                    np.multiply(xs, taps[ci, p, q], out=term)
+                    acc += term
+        y[lo:lo + len(xb)] = acc.transpose(0, 3, 1, 2)
     return y
 
 
 def conv2d_weight_grad(x: Array, dy: Array, stride: int, kh: int, kw: int) -> Array:
-    """Gradient of a valid cross-correlation with respect to its kernel."""
-    n, c, h, w = x.shape
-    _, o, ho, wo = dy.shape
-    dk = np.empty((o, c, kh, kw))
-    for p in range(kh):
-        for q in range(kw):
-            xs = x[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride]
-            dk[:, :, p, q] = np.einsum("ncij,noij->oc", xs, dy)
-    return dk
+    """Gradient of a valid cross-correlation with respect to its kernel.
+
+    One im2col (a strided window view of x) contracted with dy in one GEMM.
+    """
+    x = as_f64(x)
+    dy = as_f64(dy)
+    if x.ndim != 4 or dy.ndim != 4:
+        raise DimensionError(f"conv2d_weight_grad: need 4-d x and dy, got {x.shape} and {dy.shape}")
+    kernel_shape = (dy.shape[1], x.shape[1], kh, kw)
+    ho, wo = _conv_output_hw(x.shape, kernel_shape, stride, "conv2d_weight_grad")
+    _check_dy(dy, (x.shape[0], dy.shape[1], ho, wo), x.shape, kernel_shape, "conv2d_weight_grad")
+    cols = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
+    return np.tensordot(dy, cols, axes=([0, 2, 3], [0, 2, 3]))
 
 
 def conv2d_input_grad(dy: Array, kernel: Array, x_shape, stride: int) -> Array:
-    """Gradient of a valid cross-correlation with respect to its input."""
-    n, c, h, w = x_shape
+    """Gradient of a valid cross-correlation with respect to its input.
+
+    One GEMM gives every tap's contribution; a kh x kw scatter-add then folds
+    them back onto the input grid.
+    """
+    dy = as_f64(dy)
+    kernel = as_f64(kernel)
+    x_shape = tuple(x_shape)
+    ho, wo = _conv_output_hw(x_shape, kernel.shape, stride, "conv2d_input_grad")
     o, _, kh, kw = kernel.shape
-    ho, wo = dy.shape[2], dy.shape[3]
+    _check_dy(dy, (x_shape[0], o, ho, wo), x_shape, kernel.shape, "conv2d_input_grad")
+    cols = np.tensordot(kernel, dy, axes=([0], [1]))  # (c, kh, kw, n, ho, wo)
     dx = np.zeros(x_shape)
     for p in range(kh):
         for q in range(kw):
-            piece = np.einsum("noij,oc->ncij", dy, kernel[:, :, p, q])
-            dx[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride] += piece
+            dx[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride] += \
+                cols[:, p, q].transpose(1, 0, 2, 3)
     return dx
 
 

@@ -1,7 +1,9 @@
 """Shared oracles and gradient-check utilities for the test suite.
 
 The oracles here are deliberately written as plain Python loops or textbook
-iterations, independent of the library's vectorized implementations.
+iterations, independent of the library's vectorized implementations. The
+conv gradient references contract one kernel tap at a time with einsum,
+independent of the library's im2col GEMMs.
 """
 
 import math
@@ -62,6 +64,30 @@ def conv2d_loop(x, kernel, stride):
                                 acc += x[b, ci, i * stride + p, j * stride + q] * kernel[oc, ci, p, q]
                     out[b, oc, i, j] = acc
     return out
+
+
+def conv2d_weight_grad_einsum(x, dy, stride, kh, kw):
+    """Kernel gradient of a valid cross-correlation, one einsum per kernel tap."""
+    n, c, h, w = x.shape
+    _, o, ho, wo = dy.shape
+    dk = np.empty((o, c, kh, kw))
+    for p in range(kh):
+        for q in range(kw):
+            xs = x[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride]
+            dk[:, :, p, q] = np.einsum("ncij,noij->oc", xs, dy)
+    return dk
+
+
+def conv2d_input_grad_einsum(dy, kernel, x_shape, stride):
+    """Input gradient of a valid cross-correlation, one einsum per kernel tap."""
+    o, _, kh, kw = kernel.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    dx = np.zeros(x_shape)
+    for p in range(kh):
+        for q in range(kw):
+            piece = np.einsum("noij,oc->ncij", dy, kernel[:, :, p, q])
+            dx[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride] += piece
+    return dx
 
 
 def sum_pool_loop(x):

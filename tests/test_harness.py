@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ufs_lab
 from ufs_lab import gan, harness
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ConfigError, ParseError
@@ -266,6 +270,30 @@ def test_image_run_smoke(tmp_path):
     assert (result.out_dir / "samples_000002.pgm").exists()
     assert all(math.isnan(r.covered_modes) for r in result.records)
     assert all(math.isfinite(r.frechet) for r in result.records)
+
+
+def test_image_run_identical_across_blas_thread_counts(tmp_path):
+    cfg = {
+        "dataset": {"kind": "synthetic_shapes", "num_shapes": 64, "image_size": 16},
+        "train": {"batch_size": 32, "n_critic": 1, "iterations": 2, "seed": 5,
+                  "loss": {"kind": "wgan_gp", "gp_lambda": 1.0},
+                  "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.0}},
+        "eval_every": 1,
+        "eval_samples": 32,
+    }
+    src_dir = str(Path(ufs_lab.__file__).resolve().parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        cfg["out_dir"] = str(tmp_path / f"threads{threads}")
+        cfg_path = tmp_path / f"threads{threads}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "ufs_lab.cli", "run", str(cfg_path)],
+                       env=env, check=True, timeout=300)
+        csvs.append(harness.read_csv_without_wall_seconds(Path(cfg["out_dir"]) / "metrics.csv"))
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 4  # header + init row + two iterations
 
 
 # --- presets -------------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frechet_oracle, prdc_loop, rel_err
+from helpers import conv2d_loop, frechet_oracle, prdc_loop, rel_err, sum_pool_loop
 from ufs_lab import metrics as mx
 from ufs_lab.errors import ContractError, NumericError
 from ufs_lab.numerics import SeededRng
@@ -225,6 +225,23 @@ def test_embed_deterministic_per_seed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (5, 64)
+
+
+def test_embed_bitwise_equals_loop_oracles():
+    rng = SeededRng(12)
+    images = rng.normal((3, 1, 8, 8))
+    images[0] = 0.0  # every conv output is +0.0 and must stay +0.0 through the slope
+    images[1, 0, ::2] = -0.0
+    k_rng = SeededRng(7)
+    k1 = k_rng.normal((mx._EMBED_MID, 1, 3, 3), 0.0, math.sqrt(2.0 / 9))
+    k2 = k_rng.normal((mx.EMBED_DIM, mx._EMBED_MID, 3, 3), 0.0,
+                      math.sqrt(2.0 / (mx._EMBED_MID * 9)))
+    h = conv2d_loop(images, k1, 2)
+    h = np.where(h > 0.0, h, 0.2 * h)
+    h = conv2d_loop(h, k2, 2)
+    h = np.where(h > 0.0, h, 0.2 * h)
+    want = sum_pool_loop(h)
+    assert mx.random_feature_embed(images, 7).tobytes() == want.tobytes()
 
 
 def test_embed_zero_images_zero_embeddings():

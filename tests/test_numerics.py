@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import conv2d_loop, fd_param_grads, matmul_loop, rel_err, sum_pool_loop
+from helpers import (conv2d_input_grad_einsum, conv2d_loop, conv2d_weight_grad_einsum,
+                     fd_param_grads, matmul_loop, rel_err, sum_pool_loop)
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, DimensionError, StateError
 
@@ -54,6 +57,96 @@ def test_conv_matches_loop_oracle_exactly():
     assert np.array_equal(got, conv2d_loop(x, k, 2))
 
 
+@st.composite
+def conv_cases(draw):
+    n, c, o = (draw(st.integers(1, 4)) for _ in range(3))
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 3))
+    h = draw(st.integers(kh, kh + 2 * stride + 1))
+    w = draw(st.integers(kw, kw + 2 * stride + 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = nm.SeededRng(seed)
+    x = rng.normal((n, c, h, w))
+    kernel = rng.normal((o, c, kh, kw))
+    kind = draw(st.sampled_from(["normal", "zero_input", "mixed_signs"]))
+    if kind == "zero_input":  # every product is -0.0; the 0.0 start must still give +0.0
+        x = np.zeros_like(x)
+        kernel = -np.abs(kernel)
+    elif kind == "mixed_signs":  # exact cancellations and huge/tiny magnitudes
+        x = np.round(x) * 10.0 ** rng.integers(7, size=x.shape) * 1e-3
+    return x, kernel, stride
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_cases())
+def test_conv_forward_bitwise_equals_loop_oracle(case):
+    x, kernel, stride = case
+    got = nm.conv2d_forward(x, kernel, stride)
+    want = conv2d_loop(x, kernel, stride)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_conv_zero_input_negative_kernel_gives_positive_zero():
+    got = nm.conv2d_forward(np.zeros((1, 2, 3, 3)), -np.ones((1, 2, 3, 3)), 1)
+    assert got.tobytes() == np.zeros((1, 1, 1, 1)).tobytes()
+
+
+def test_conv_forward_blocks_match_loop_oracle():
+    # enough samples that the forward pass runs over several sample blocks
+    rng = nm.SeededRng(3)
+    x = rng.normal((70, 1, 5, 5))
+    k = rng.normal((128, 1, 2, 2))
+    assert nm.conv2d_forward(x, k, 1).tobytes() == conv2d_loop(x, k, 1).tobytes()
+
+
+CRITIC_CONVS = [(1, 32, 16), (32, 64, 7), (64, 128, 3)]  # (in, out, input side), 3x3, stride 2
+
+
+@pytest.mark.parametrize("batch", [4, 64])
+@pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
+def test_conv_grads_match_einsum_oracles(batch, cin, cout, side):
+    rng = nm.SeededRng(1000 * cin + batch)
+    x = rng.normal((batch, cin, side, side))
+    kernel = rng.normal((cout, cin, 3, 3))
+    ho = (side - 3) // 2 + 1
+    dy = rng.normal((batch, cout, ho, ho))
+    assert rel_err(nm.conv2d_weight_grad(x, dy, 2, 3, 3),
+                   conv2d_weight_grad_einsum(x, dy, 2, 3, 3)) < 1e-12
+    assert rel_err(nm.conv2d_input_grad(dy, kernel, x.shape, 2),
+                   conv2d_input_grad_einsum(dy, kernel, x.shape, 2)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_conv_grads_match_einsum_oracles_any_geometry(case):
+    x, kernel, stride = case
+    o, _, kh, kw = kernel.shape
+    dy = nm.SeededRng(x.size).normal(nm.conv2d_forward(x, kernel, stride).shape)
+    assert rel_err(nm.conv2d_weight_grad(x, dy, stride, kh, kw),
+                   conv2d_weight_grad_einsum(x, dy, stride, kh, kw)) < 1e-12
+    assert rel_err(nm.conv2d_input_grad(dy, kernel, x.shape, stride),
+                   conv2d_input_grad_einsum(dy, kernel, x.shape, stride)) < 1e-12
+
+
+def test_conv_weight_grad_shape_error_names_both_shapes():
+    with pytest.raises(DimensionError, match=r"\(2, 4, 3, 3\).*\(2, 3, 8, 8\)"):
+        nm.conv2d_weight_grad(np.zeros((2, 3, 8, 8)), np.zeros((2, 4, 3, 3)), 1, 3, 3)
+    with pytest.raises(DimensionError, match=r"\(3, 4, 6, 6\)"):
+        nm.conv2d_weight_grad(np.zeros((2, 3, 8, 8)), np.zeros((3, 4, 6, 6)), 1, 3, 3)
+    with pytest.raises(DimensionError, match=r"\(2, 3, 8\).*\(2, 4, 6, 6\)"):
+        nm.conv2d_weight_grad(np.zeros((2, 3, 8)), np.zeros((2, 4, 6, 6)), 1, 3, 3)
+
+
+def test_conv_input_grad_shape_error_names_both_shapes():
+    with pytest.raises(DimensionError, match=r"\(2, 4, 3, 3\).*\(2, 3, 8, 8\)"):
+        nm.conv2d_input_grad(np.zeros((2, 4, 3, 3)), np.zeros((4, 3, 3, 3)), (2, 3, 8, 8), 1)
+    with pytest.raises(DimensionError, match=r"\(2, 5, 6, 6\)"):
+        nm.conv2d_input_grad(np.zeros((2, 5, 6, 6)), np.zeros((4, 3, 3, 3)), (2, 3, 8, 8), 1)
+    with pytest.raises(DimensionError, match=r"\(2, 2, 8, 8\).*\(4, 3, 3, 3\)"):
+        nm.conv2d_input_grad(np.zeros((2, 4, 6, 6)), np.zeros((4, 3, 3, 3)), (2, 2, 8, 8), 1)
+
+
 def test_conv_kernel_too_large():
     with pytest.raises(DimensionError):
         nm.conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)), 1)
@@ -62,6 +155,7 @@ def test_conv_kernel_too_large():
 def test_conv_output_shape():
     y = nm.conv2d_forward(np.zeros((2, 3, 9, 9)), np.zeros((4, 3, 3, 3)), 2)
     assert y.shape == (2, 4, 4, 4)
+    assert nm.conv2d_forward(np.zeros((2, 3, 9, 9)), np.zeros((0, 3, 3, 3)), 2).shape == (2, 0, 4, 4)
 
 
 # --- activations -------------------------------------------------------------- #
