@@ -11,7 +11,7 @@ import numpy as np
 
 from .attribution import compute_cam, save_attribution_maps
 from .datasets import load_idx_images, normalize_images
-from .errors import ConfigError
+from .errors import ConfigError, ContractError, DimensionError, NumericError, ParseError
 from .harness import (apply_overrides, config_from_dict, load_checkpoint,
                       models_from_arrays, run_experiment, save_embeddings)
 from .metrics import fit_gaussian, frechet_distance, manifold_metrics, random_feature_embed
@@ -26,12 +26,18 @@ def _load_samples(path: str, embed_seed: int) -> np.ndarray:
     if p.suffix.lower() == ".idx" or p.read_bytes()[:2] == b"\x00\x00":
         images = normalize_images(load_idx_images(p))
         return random_feature_embed(images, embed_seed)
-    return np.loadtxt(p, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(p, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a numeric point CSV: {exc}") from exc
 
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
     apply_overrides(obj, args.set or [])
     cfg = config_from_dict(obj)
     result = run_experiment(cfg)
@@ -130,13 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception, code: int) -> int:
+    """One line on stderr in place of a traceback; returns the exit code."""
+    message = " ".join(str(exc).split())
+    print(f"ufs-lab: {type(exc).__name__}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, ParseError, ContractError, DimensionError, OSError) as exc:
+        return _report(exc, 2)  # bad input, like argparse's usage errors
+    except NumericError as exc:
+        return _report(exc, 1)  # the computation itself broke down
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from . import gan as gan_mod
 from . import ufs as ufs_mod
 from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ParseError
-from .metrics import fit_gaussian, frechet_distance, manifold_metrics, mode_coverage, random_feature_embed
+from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics,
+                      mode_coverage, random_feature_embed)
 from .numerics import AdamState, Array, LayerSpec, Network, SeededRng
 from .selection import InstanceSelectionConfig, SelectionConfig
 
@@ -389,22 +390,24 @@ class RunResult:
 
 
 def _evaluate(cfg: ExperimentConfig, state: gan_mod.TrainerState, dataset,
-              real_pool: Array, real_embedded, rng_eval: SeededRng,
-              iteration: int, l_d: float, l_g: float, started: float,
-              out: Path) -> MetricsRecord:
+              real_side: tuple, rng_eval: SeededRng, iteration: int, l_d: float,
+              l_g: float, started: float, out: Path) -> MetricsRecord:
+    """One metrics row. `real_side` is the run's fixed real side: (points, Gaussian
+    fit, k-NN ball bounds), where the points are the real pool or, for image
+    runs, its embedding."""
+    real_points, real_fit, real_bounds = real_side
     z = rng_eval.normal((cfg.eval_samples, state.gen.latent_dim))
     fake_pool = state.gen.sample(z)
     if isinstance(dataset, PointMixture):
-        fr = frechet_distance(fit_gaussian(real_pool), fit_gaussian(fake_pool))
-        mm = manifold_metrics(real_pool, fake_pool, MANIFOLD_K)
+        fake_points = fake_pool
         covered, hq = mode_coverage(fake_pool, dataset.centers, dataset.sigma)
         _dump_points(fake_pool[:64], out / f"samples_{iteration:06d}.csv")
     else:
-        fake_embedded = random_feature_embed(fake_pool, EVAL_EMBED_SEED)
-        fr = frechet_distance(fit_gaussian(real_embedded), fit_gaussian(fake_embedded))
-        mm = manifold_metrics(real_embedded, fake_embedded, MANIFOLD_K)
+        fake_points = random_feature_embed(fake_pool, EVAL_EMBED_SEED)
         covered, hq = math.nan, math.nan
         _dump_image_grid(fake_pool[:64], out / f"samples_{iteration:06d}.pgm")
+    fr = frechet_distance(real_fit, fit_gaussian(fake_points))
+    mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
     save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl", trainer_to_arrays(state))
     return MetricsRecord(iteration, l_d, l_g, fr, mm.precision, mm.recall, mm.density,
                          mm.coverage, covered, hq, time.perf_counter() - started)
@@ -444,12 +447,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     state = gan_mod.init_trainer(cfg.train, gen, disc)
 
     real_pool = dataset.sample(cfg.eval_samples, rng_eval)
-    real_embedded = None
-    if not isinstance(dataset, PointMixture):
-        real_embedded = random_feature_embed(real_pool, EVAL_EMBED_SEED)
 
     started = time.perf_counter()
-    records = [_evaluate(cfg, state, dataset, real_pool, real_embedded, rng_eval,
+    # The real side is fixed for the run, so it is embedded, fitted and bounded
+    # once, inside the first evaluation window rather than in set-up.
+    real_points = real_pool
+    if not isinstance(dataset, PointMixture):
+        real_points = random_feature_embed(real_pool, EVAL_EMBED_SEED)
+    real_side = (real_points, fit_gaussian(real_points), ball_bounds(real_points, MANIFOLD_K))
+    records = [_evaluate(cfg, state, dataset, real_side, rng_eval,
                          0, math.nan, math.nan, started, out)]
     write_metrics_csv(records, metrics_path)
 
@@ -465,8 +471,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             if not (math.isfinite(l_d) and math.isfinite(l_g)):
                 diverged = True
             elif t % cfg.eval_every == 0 or t == cfg.train.iterations:
-                records.append(_evaluate(cfg, state, dataset, real_pool, real_embedded,
-                                         rng_eval, t, l_d, l_g, started, out))
+                records.append(_evaluate(cfg, state, dataset, real_side, rng_eval,
+                                         t, l_d, l_g, started, out))
                 write_metrics_csv(records, metrics_path)
         except (ArithmeticError, np.linalg.LinAlgError):
             diverged = True

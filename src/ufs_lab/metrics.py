@@ -46,13 +46,17 @@ def fit_gaussian(samples: Array) -> GaussianFit:
     return GaussianFit(mean, (cov + cov.T) / 2.0)
 
 
-def _psd_eigvals(mat: Array, tol: float = 1e-10) -> Array:
-    """Eigenvalues of a symmetric matrix, tiny negatives clipped, larger rejected."""
-    vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+def _clip_psd(vals: Array, what: str, tol: float = 1e-10) -> Array:
+    """Eigenvalues with tiny negatives clipped to zero; larger negatives rejected."""
     floor = -tol * max(1.0, float(np.abs(vals).max()))
     if float(vals.min()) < floor:
-        raise NumericError(f"matrix not PSD within tolerance: eigenvalue {vals.min():.3e}")
+        raise NumericError(f"{what} not PSD within tolerance: eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None)
+
+
+def _psd_eigvals(mat: Array) -> Array:
+    """Eigenvalues of a symmetric matrix, tiny negatives clipped, larger rejected."""
+    return _clip_psd(np.linalg.eigvalsh((mat + mat.T) / 2.0), "matrix")
 
 
 def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
@@ -68,11 +72,8 @@ def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
     cov_a = (a.covariance + a.covariance.T) / 2.0
     cov_b = (b.covariance + b.covariance.T) / 2.0
     vals_a, vecs_a = np.linalg.eigh(cov_a)
-    floor = -1e-10 * max(1.0, float(np.abs(vals_a).max()))
-    if float(vals_a.min()) < floor:
-        raise NumericError(f"covariance not PSD: eigenvalue {vals_a.min():.3e}")
+    root_a = (vecs_a * np.sqrt(_clip_psd(vals_a, "covariance"))) @ vecs_a.T
     _psd_eigvals(cov_b)
-    root_a = (vecs_a * np.sqrt(np.clip(vals_a, 0.0, None))) @ vecs_a.T
     inner = root_a @ cov_b @ root_a
     trace_sqrt = float(np.sqrt(_psd_eigvals(inner)).sum())
     diff = a.mean - b.mean
@@ -80,70 +81,125 @@ def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
     return max(dist, 0.0)
 
 
-def _distance_block(a_block: Array, b: Array) -> Array:
-    diff = a_block[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+# Row blocks hold at most this many point pairs (512 KiB of float64 per
+# buffer), which keeps each block's passes in cache.
+_BLOCK_PAIRS = 2 ** 16
 
 
-def _block_rows(m: int, n: int, d: int) -> int:
-    return max(1, int(2 ** 22 / max(1, n * d)))
+def _check_point_sets(a: Array, b: Array, what: str) -> None:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or a.shape[1] < 1:
+        raise DimensionError(f"{what}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def _sq_distance_blocks(a: Array, b: Array):
+    """Yield (lo, squared distances from a[lo:lo + rows] to every point of b),
+    one row block at a time.
+
+    The squares of the coordinate differences are summed one coordinate at a
+    time, in coordinate order: the enumeration oracle's order. Each block is
+    written into the same two buffers, so a yielded block is only valid until
+    the next one is requested; callers may overwrite it.
+    """
+    n, d = b.shape
+    b_cols = np.ascontiguousarray(b.T)
+    rows = max(1, min(len(a), _BLOCK_PAIRS // max(1, n)))
+    out_buf = np.empty((rows, n))
+    term_buf = np.empty((rows, n)) if d > 1 else None
+    for lo in range(0, len(a), rows):
+        a_block = a[lo:lo + rows]
+        out = out_buf[:len(a_block)]
+        # a fill plus a subtraction along contiguous rows outruns subtract.outer
+        np.copyto(out, a_block[:, :1])
+        out -= b_cols[0]
+        out *= out
+        for j in range(1, d):
+            term = term_buf[:len(a_block)]
+            np.copyto(term, a_block[:, j:j + 1])
+            term -= b_cols[j]
+            term *= term
+            out += term
+        yield lo, out
 
 
 def pairwise_distances(a: Array, b: Array) -> Array:
     """Euclidean distance matrix, row blocks kept small to bound memory."""
     a = as_f64(a)
     b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"pairwise_distances: incompatible shapes {a.shape} and {b.shape}")
-    m, d = a.shape
-    n = b.shape[0]
-    out = np.empty((m, n))
-    block = _block_rows(m, n, d)
-    for lo in range(0, m, block):
-        out[lo:lo + block] = _distance_block(a[lo:lo + block], b)
+    _check_point_sets(a, b, "pairwise_distances")
+    out = np.empty((len(a), len(b)))
+    for lo, sq in _sq_distance_blocks(a, b):
+        np.sqrt(sq, out=out[lo:lo + len(sq)])
     return out
 
 
-def _knn_radii(points: Array, k: int) -> Array:
-    """Distance to the k-th nearest neighbour within the set, self excluded."""
-    n, d = points.shape
-    radii = np.empty(n)
-    block = _block_rows(n, n, d)
-    for lo in range(0, n, block):
-        dist = _distance_block(points[lo:lo + block], points)
-        dist[np.arange(dist.shape[0]), np.arange(lo, lo + dist.shape[0])] = np.inf
-        radii[lo:lo + dist.shape[0]] = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    return radii
+def ball_bounds(points: Array, k: int) -> Array:
+    """Squared k-NN ball bounds that decide membership exactly as sqrt would.
+
+    For each point, r2 is the squared distance to its k-th nearest neighbour
+    within the set, itself excluded. The bound is the largest double s with
+    sqrt(s) <= sqrt(r2): r2 raised by a few ulps where sqrt rounds larger
+    squares onto the same radius. sqrt is monotone, so `sq <= bound` holds
+    exactly when `sqrt(sq) <= sqrt(r2)`, with no sqrt taken per pair.
+    """
+    points = as_f64(points)
+    _check_point_sets(points, points, "ball_bounds")
+    n = len(points)
+    if not 1 <= k < n:
+        raise ContractError(f"ball_bounds needs 1 <= k < {n} points, got k={k}")
+    bound = np.empty(n)
+    for lo, sq in _sq_distance_blocks(points, points):
+        rows = np.arange(len(sq))
+        sq[rows, lo + rows] = np.inf
+        bound[lo:lo + len(sq)] = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    radius = np.sqrt(bound)
+    while True:
+        up = np.nextafter(bound, np.inf)
+        grow = (np.sqrt(up) <= radius) & (up > bound)
+        if not grow.any():
+            return bound
+        bound[grow] = up[grow]
 
 
-def manifold_metrics(real: Array, fake: Array, k: int = 3) -> ManifoldMetrics:
+def manifold_metrics(real: Array, fake: Array, k: int = 3,
+                     real_bounds: Array | None = None) -> ManifoldMetrics:
     """k-NN overlap metrics between two point sets (brute-force distances).
 
     Each point's ball radius is the distance to its k-th nearest neighbour
     within its own set, itself excluded; membership is inclusive (<=).
-    Distances stream through row blocks so no full matrix is materialized.
+    Pairs are compared by squared distance against `ball_bounds`, squared
+    radii raised to the largest value whose sqrt is still the radius, so every
+    decision, ties included, is exactly the one sqrt distances would give; no
+    sqrt is taken per pair. Distances stream through row blocks so no full
+    matrix is materialized. A caller that scores many fake sets against one
+    real set passes `real_bounds = ball_bounds(real, k)`, computed once (the
+    experiment loop does so once per run), so the real set's own k-NN pass is
+    not repeated.
     """
     real = as_f64(real)
     fake = as_f64(fake)
+    _check_point_sets(real, fake, "manifold_metrics")
     m, n = len(real), len(fake)
     if k < 1 or m <= k or n <= k:
         raise ContractError(f"need sample counts above k: M={m}, N={n}, k={k}")
     if m > 10_000 or n > 10_000:
         raise ContractError(f"brute-force metrics cap at 10000 samples per set, got {m}/{n}")
-    radius_real = _knn_radii(real, k)
-    radius_fake = _knn_radii(fake, k)
+    if real_bounds is None:
+        real_bounds = ball_bounds(real, k)
+    else:
+        real_bounds = as_f64(real_bounds)
+        if real_bounds.shape != (m,):
+            raise ContractError(f"real_bounds must have shape ({m},), got {real_bounds.shape}")
+    fake_bounds = ball_bounds(fake, k)
     fake_inside_some_real = np.zeros(n, dtype=bool)
     real_ball_hits = 0
     real_covered = 0
     real_recalled = 0
-    block = _block_rows(m, n, real.shape[1])
-    for lo in range(0, m, block):
-        dist = _distance_block(real[lo:lo + block], fake)
-        inside_real = dist <= radius_real[lo:lo + dist.shape[0], None]
+    for lo, sq in _sq_distance_blocks(real, fake):
+        inside_real = sq <= real_bounds[lo:lo + len(sq), None]
         fake_inside_some_real |= inside_real.any(axis=0)
-        real_ball_hits += int(inside_real.sum())
-        real_covered += int(inside_real.any(axis=1).sum())
-        real_recalled += int((dist <= radius_fake[None, :]).any(axis=1).sum())
+        real_ball_hits += int(np.count_nonzero(inside_real))
+        real_covered += int(np.count_nonzero(inside_real.any(axis=1)))
+        real_recalled += int(np.count_nonzero((sq <= fake_bounds).any(axis=1)))
     return ManifoldMetrics(
         precision=float(fake_inside_some_real.mean()),
         recall=real_recalled / m,

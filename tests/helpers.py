@@ -3,7 +3,9 @@
 The oracles here are deliberately written as plain Python loops or textbook
 iterations, independent of the library's vectorized implementations. The
 conv gradient references contract one kernel tap at a time with einsum,
-independent of the library's im2col GEMMs.
+independent of the library's im2col GEMMs. The sqrt-distance manifold
+metrics take a square root per pair and compare it with sqrt radii,
+independent of the library's squared distances and ball bounds.
 """
 
 import math
@@ -125,6 +127,29 @@ def prdc_loop(real, fake, k):
     coverage = sum(
         1 for i in range(m) if any(dist(real[i], fake[j]) <= r_real[i] for j in range(n))) / m
     return precision, recall, density, coverage
+
+
+def distance_block_sqrt(a, b):
+    """Euclidean distances through a (rows, n, d) difference tensor."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def knn_radii_sqrt(points, k):
+    """Distance to the k-th nearest neighbour within the set, self excluded."""
+    dist = distance_block_sqrt(points, points)
+    dist[np.arange(len(points)), np.arange(len(points))] = np.inf
+    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+
+
+def manifold_metrics_sqrt(real, fake, k):
+    """(precision, recall, density, coverage) from sqrt distances and sqrt radii."""
+    dist = distance_block_sqrt(real, fake)
+    m, n = dist.shape
+    inside_real = dist <= knn_radii_sqrt(real, k)[:, None]
+    recalled = (dist <= knn_radii_sqrt(fake, k)[None, :]).any(axis=1)
+    return (float(inside_real.any(axis=0).mean()), int(recalled.sum()) / m,
+            int(inside_real.sum()) / (k * n), int(inside_real.any(axis=1).sum()) / m)
 
 
 def denman_beavers_sqrt(mat, iters=60):

@@ -94,3 +94,44 @@ def test_eval_dump_embeddings(tmp_path, capsys):
     assert rc == 0
     emb = load_embeddings(dump / "real_embeddings.ufsl")
     assert emb.shape == (12, 64)
+
+
+def assert_one_line_error(capsys, name):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"ufs-lab: {name}: ")
+    return err
+
+
+def write_points(path, count, seed):
+    pts = SeededRng(seed).normal((count, 2))
+    path.write_text("".join(f"{x},{y}\n" for x, y in pts))
+    return str(path)
+
+
+def test_eval_malformed_csv_one_line_error(tmp_path, capsys):
+    real = write_points(tmp_path / "real.csv", 20, 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.1,0.2\n0.3,oops\n")
+    assert cli.main(["eval", "--real", real, "--fake", str(bad)]) == 2
+    assert "bad.csv" in assert_one_line_error(capsys, "ParseError")
+
+
+def test_eval_missing_file_one_line_error(tmp_path, capsys):
+    real = write_points(tmp_path / "real.csv", 20, 1)
+    assert cli.main(["eval", "--real", real, "--fake", str(tmp_path / "absent.csv")]) == 2
+    assert "absent.csv" in assert_one_line_error(capsys, "FileNotFoundError")
+
+
+def test_eval_fewer_samples_than_k_one_line_error(tmp_path, capsys):
+    real = write_points(tmp_path / "real.csv", 20, 1)
+    fake = write_points(tmp_path / "fake.csv", 3, 2)
+    assert cli.main(["eval", "--real", real, "--fake", fake, "-k", "3"]) == 2
+    assert "k=3" in assert_one_line_error(capsys, "ContractError")
+
+
+def test_run_invalid_json_one_line_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"dataset": {"kind": "ring8"},')
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert_one_line_error(capsys, "ConfigError")

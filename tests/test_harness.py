@@ -256,6 +256,22 @@ def test_exactly_n_critic_steps_per_generator_step(tmp_path, monkeypatch):
     assert counts == {"d": 12, "g": 3}
 
 
+def test_real_side_bounded_once_per_run(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, **{"train.iterations": 3, "eval_every": 1})
+    calls = []
+    orig = harness.ball_bounds
+
+    def count_bounds(points, k):
+        calls.append(points.shape)
+        return orig(points, k)
+
+    monkeypatch.setattr(harness, "ball_bounds", count_bounds)
+    result = harness.run_experiment(cfg)
+    assert result.status == "ok"
+    assert len(result.records) == 4
+    assert calls == [(64, 2)]
+
+
 def test_image_run_smoke(tmp_path):
     obj = {
         "dataset": {"kind": "synthetic_shapes", "num_shapes": 32, "image_size": 16},

@@ -1,13 +1,15 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import conv2d_loop, frechet_oracle, prdc_loop, rel_err, sum_pool_loop
+from helpers import (conv2d_loop, distance_block_sqrt, frechet_oracle, knn_radii_sqrt,
+                     manifold_metrics_sqrt, prdc_loop, rel_err, sum_pool_loop)
 from ufs_lab import metrics as mx
-from ufs_lab.errors import ContractError, NumericError
+from ufs_lab.errors import ContractError, DimensionError, NumericError
 from ufs_lab.numerics import SeededRng
 
 
@@ -134,12 +136,130 @@ def test_manifold_matches_enumeration_property(seed):
     k = 1 + int(rng.integers(3))
     real = rng.normal((m, 2))
     fake = rng.normal((n, 2), 0.3, 0.8)
-    mm = mx.manifold_metrics(real, fake, k)
-    p, r, d, c = prdc_loop(real.tolist(), fake.tolist(), k)
-    assert abs(mm.precision - p) < 1e-12
-    assert abs(mm.recall - r) < 1e-12
-    assert abs(mm.density - d) < 1e-12
-    assert abs(mm.coverage - c) < 1e-12
+    assert astuple(mx.manifold_metrics(real, fake, k)) == prdc_loop(real.tolist(), fake.tolist(), k)
+
+
+@st.composite
+def grid_point_sets(draw):
+    """Integer-grid points scaled by 1, 0.5 or 0.1: many equal distances,
+    duplicate points, and squares that sqrt rounds onto the same radius."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    point = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    real = draw(st.lists(point, min_size=k + 1, max_size=10))
+    fake = draw(st.lists(point, min_size=k + 1, max_size=10))
+    if draw(st.booleans()):
+        fake += real[:2]
+    return np.array(real, float) * scale, np.array(fake, float) * scale, k
+
+
+# sqrt rounds some real-fake squares onto a real ball's radius from above
+TIE_CASE = (np.array([[-3, 0], [-2, 1], [-1, 2], [3, 0], [-1, 3], [-2, 1]]) * 0.1,
+            np.array([[-3, 0], [0, -2], [-3, 2]]) * 0.1, 2)
+
+
+@given(grid_point_sets())
+@example(TIE_CASE)
+@settings(max_examples=200, deadline=None)
+def test_manifold_ties_match_enumeration_and_sqrt_oracle(sets):
+    real, fake, k = sets
+    got = astuple(mx.manifold_metrics(real, fake, k))
+    assert got == prdc_loop(real.tolist(), fake.tolist(), k)
+    assert got == manifold_metrics_sqrt(real, fake, k)
+
+
+def test_manifold_64d_matches_sqrt_oracle():
+    rng = SeededRng(13)
+    for _ in range(10):
+        m = 20 + int(rng.integers(61))
+        n = 20 + int(rng.integers(61))
+        k = 1 + int(rng.integers(5))
+        real = rng.normal((m, 64))
+        fake = rng.normal((n, 64), 0.1, 1.1)
+        assert astuple(mx.manifold_metrics(real, fake, k)) == manifold_metrics_sqrt(real, fake, k)
+
+
+@given(st.one_of(st.floats(0.0, 1e150), st.integers(0, 2 ** 20).map(lambda i: i * 0.1)))
+@settings(max_examples=300, deadline=None)
+def test_ball_bounds_decide_like_sqrt_near_the_bound(x):
+    # two points x apart: each one's nearest neighbour is at squared distance x*x
+    bound = mx.ball_bounds(np.array([[0.0], [x]]), 1)
+    radius = math.sqrt(x * x)
+    assert bound[0] == bound[1] >= x * x
+    s = bound[0]
+    for _ in range(3):
+        s = np.nextafter(s, -np.inf)
+    for _ in range(7):
+        if s >= 0.0:  # squared distances are never negative
+            assert (s <= bound[0]) == (math.sqrt(s) <= radius)
+        s = np.nextafter(s, np.inf)
+
+
+@given(grid_point_sets())
+@settings(max_examples=100, deadline=None)
+def test_ball_bounds_decide_like_sqrt_radii(sets):
+    points, _, k = sets
+    bounds = mx.ball_bounds(points, k)
+    radii = knn_radii_sqrt(points, k)
+    for bound, radius in zip(bounds, radii):
+        for step in range(-3, 4):
+            s = bound
+            for _ in range(abs(step)):
+                s = np.nextafter(s, math.copysign(np.inf, step))
+            if s >= 0.0:
+                assert (s <= bound) == (math.sqrt(s) <= radius)
+
+
+def test_ball_bounds_contract():
+    with pytest.raises(ContractError):
+        mx.ball_bounds(np.zeros((3, 2)), 3)
+    with pytest.raises(ContractError):
+        mx.ball_bounds(np.zeros((3, 2)), 0)
+    with pytest.raises(DimensionError):
+        mx.ball_bounds(np.zeros(3), 1)
+
+
+@given(st.integers(1, 7), st.integers(1, 9), st.integers(1, 9), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_pairwise_distances_bitwise_equal_sqrt_oracle(d, m, n, seed):
+    rng = SeededRng(seed)
+    # coordinates of very different magnitudes make the summation order visible
+    a = rng.normal((m, d)) * 10.0 ** rng.integers(13, (m, d)) * 1e-6
+    b = rng.normal((n, d)) * 10.0 ** rng.integers(13, (n, d)) * 1e-6
+    assert mx.pairwise_distances(a, b).tobytes() == distance_block_sqrt(a, b).tobytes()
+
+
+def test_pairwise_distances_across_row_blocks():
+    rng = SeededRng(14)
+    a = rng.normal((300, 3))
+    b = rng.normal((400, 3))
+    assert 300 * 400 > mx._BLOCK_PAIRS
+    assert mx.pairwise_distances(a, b).tobytes() == distance_block_sqrt(a, b).tobytes()
+    assert astuple(mx.manifold_metrics(a, b, 3)) == manifold_metrics_sqrt(a, b, 3)
+
+
+def test_manifold_cached_real_bounds_same_result():
+    rng = SeededRng(15)
+    real = rng.normal((30, 2))
+    fake = rng.normal((25, 2), 0.3)
+    cached = mx.manifold_metrics(real, fake, 3, mx.ball_bounds(real, 3))
+    assert cached == mx.manifold_metrics(real, fake, 3)
+
+
+def test_manifold_real_bounds_shape_checked():
+    rng = SeededRng(16)
+    real = rng.normal((10, 2))
+    fake = rng.normal((12, 2))
+    bounds = mx.ball_bounds(real, 2)
+    for bad in (bounds[:-1], bounds[:, None], mx.ball_bounds(fake, 2)):
+        with pytest.raises(ContractError, match="real_bounds"):
+            mx.manifold_metrics(real, fake, 2, bad)
+
+
+def test_manifold_dimension_mismatch():
+    with pytest.raises(DimensionError):
+        mx.manifold_metrics(np.zeros((5, 2)), np.zeros((5, 3)), 1)
 
 
 def test_precision_recall_swap_exactly():
