@@ -1,66 +1,8 @@
-"""Desk-scale GAN laboratory: feature suppression, gradient selection, metrics."""
+"""Desk-scale GAN laboratory: feature suppression, gradient selection, metrics.
 
-from .numerics import (
-    AdamState,
-    LayerSpec,
-    Network,
-    SeededRng,
-    adam_step,
-    activation_forward,
-    backward_pass,
-    conv2d_forward,
-    finite_diff_grad,
-    forward_pass,
-    gaussian_sample,
-    global_sum_pool,
-    matmul,
-)
-from .ufs import (
-    BetaAnneal,
-    FeatureStats,
-    SuppressionMatrix,
-    UfsConfig,
-    anneal_beta,
-    apply_suppression,
-    classify_mode,
-    compute_ratio,
-    compute_suppression,
-    update_stats,
-    weighted_features,
-)
-from .gan import (
-    DiscriminatorNet,
-    GeneratorNet,
-    LossKind,
-    TrainConfig,
-    TrainerState,
-    default_models,
-    discriminator_forward_split,
-    gradient_penalty,
-    hinge_d_loss,
-    init_trainer,
-    train_discriminator_step,
-    train_generator_step,
-    wgan_d_loss,
-)
-from .selection import (
-    InstanceSelectionConfig,
-    SelectionConfig,
-    anneal_k,
-    instance_select,
-    select_indices,
-)
-from .metrics import (
-    GaussianFit,
-    ManifoldMetrics,
-    fit_gaussian,
-    frechet_distance,
-    manifold_metrics,
-    mode_coverage,
-    random_feature_embed,
-)
-from .attribution import AttributionMap, compute_cam, heatmap_to_pgm
-from .datasets import DatasetConfig, make_dataset
-from .harness import ExperimentConfig, MetricsRecord, load_config, run_experiment
+Import the submodules (`ufs_lab.gan`, `ufs_lab.harness`, ...) for the API.
+"""
+
+from .numerics import SeededRng
 
 __version__ = "0.1.0"

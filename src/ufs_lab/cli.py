@@ -11,12 +11,13 @@ import numpy as np
 
 from .attribution import compute_cam, save_attribution_maps
 from .datasets import load_idx_images, normalize_images
-from .errors import ConfigError, ContractError, DimensionError, NumericError, ParseError
+from .errors import (ConfigError, ContractError, DimensionError, NumericError, ParseError,
+                     UnsupportedArchitectureError)
 from .harness import (apply_overrides, config_from_dict, load_checkpoint,
                       models_from_arrays, run_experiment, save_embeddings)
 from .metrics import fit_gaussian, frechet_distance, manifold_metrics, random_feature_embed
 from .selection import InstanceSelectionConfig, instance_select, write_index_file
-from .ufs import compute_ratio, compute_suppression, weighted_features
+from .ufs import suppression_mask
 from .numerics import forward_pass
 
 
@@ -72,8 +73,7 @@ def _cmd_cam(args) -> int:
     maps = [compute_cam(disc, images)]
     if stats.initialized and ufs_cfg is not None:
         features, _ = forward_pass(disc.body.specs, disc.body.params, images)
-        ratios = compute_ratio(stats, weighted_features(disc.w, features), ufs_cfg)
-        s = compute_suppression(ratios, ufs_cfg)
+        s = suppression_mask(stats, disc.w, features, ufs_cfg)
         maps.append(compute_cam(disc, images, s, "cam_ufs"))
         maps.append(compute_cam(disc, images, s, "cam_sup"))
     else:
@@ -147,7 +147,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, ContractError, DimensionError, OSError) as exc:
+    except (ConfigError, ParseError, ContractError, DimensionError,
+            UnsupportedArchitectureError, OSError) as exc:
         return _report(exc, 2)  # bad input, like argparse's usage errors
     except NumericError as exc:
         return _report(exc, 1)  # the computation itself broke down

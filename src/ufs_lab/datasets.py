@@ -156,13 +156,8 @@ def make_dataset(cfg: DatasetConfig, rng: SeededRng):
         return PointMixture(grid_centers(cfg.spacing), cfg.sigma if cfg.sigma is not None else 0.05)
     if cfg.kind == "idx_images":
         images = normalize_images(load_idx_images(cfg.path))
-        if cfg.instance_selection is not None:
-            kept = instance_select(images, cfg.instance_selection)
-            images = images[kept]
-        return ImageBank(images)
-    # synthetic_shapes
-    images = synthetic_shapes(cfg.num_shapes, cfg.image_size, rng)
+    else:  # synthetic_shapes
+        images = synthetic_shapes(cfg.num_shapes, cfg.image_size, rng)
     if cfg.instance_selection is not None:
-        kept = instance_select(images, cfg.instance_selection)
-        images = images[kept]
+        images = images[instance_select(images, cfg.instance_selection)]
     return ImageBank(images)

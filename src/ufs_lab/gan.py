@@ -104,26 +104,13 @@ class DiscriminatorNet:
     def feature_dim(self) -> int:
         return len(self.w)
 
-    def full_specs(self):
-        return self.body.specs + [dense(self.feature_dim, 1)]
-
-    def full_params(self):
-        # reshape views share memory with self.w / self.b
-        return self.body.params + [{"W": self.w.reshape(1, -1), "b": self.b}]
-
     def param_list(self):
         return self.body.param_list() + [self.w, self.b]
 
 
 def score_from_features(d: DiscriminatorNet, features: Array) -> Array:
-    """Linear head applied per sample; matches the stacked-network path bitwise."""
+    """Linear head applied per sample; bitwise equal to a dense layer stacked on the body."""
     return (features @ d.w.reshape(-1, 1) + d.b)[:, 0]
-
-
-def discriminator_forward_split(d: DiscriminatorNet, x: Array):
-    """Pooled feature matrix and scalar scores for a batch."""
-    features, _ = forward_pass(d.body.specs, d.body.params, x)
-    return features, score_from_features(d, features)
 
 
 # --- losses ----------------------------------------------------------------- #
@@ -166,33 +153,26 @@ def interpolate_batches(real: Array, fake: Array, rng: SeededRng) -> Array:
 
 
 def penalty_with_grads(d: DiscriminatorNet, x_hat: Array, gp_lambda: float):
-    """Two-sided gradient-norm penalty and its parameter gradients.
+    """Two-sided gradient-norm penalty and its gradients: (value, body grads, dw).
 
-    The parameter gradients differentiate through the input-gradient
-    computation (second-order backward); biases receive none, since the
-    input gradient of a piecewise-linear critic does not depend on them.
+    The gradients differentiate through the input-gradient computation
+    (second-order backward); biases receive none, since the input gradient of
+    a piecewise-linear critic does not depend on them. The head is linear, so
+    the score's gradient at the pooled features is w in every row, and dw is
+    ones.T @ q, where q is the second-order term carried up to the features.
     """
-    specs = d.full_specs()
-    params = d.full_params()
-    y, cache = forward_pass(specs, params, x_hat)
-    ones = np.ones_like(y)
-    _, gx, tape = backward_pass(specs, params, cache, ones, want_tape=True)
+    specs, params = d.body.specs, d.body.params
+    _, cache = forward_pass(specs, params, x_hat)
+    ones = np.ones((len(x_hat), 1))
+    _, gx, tape = backward_pass(specs, params, cache, ones @ d.w.reshape(1, -1), want_tape=True)
     axes = tuple(range(1, gx.ndim))
     norms = np.sqrt((gx * gx).sum(axis=axes))
     n = len(x_hat)
     value = gp_lambda * float(((norms - 1.0) ** 2).mean())
     coef = gp_lambda * 2.0 * (norms - 1.0) / (n * np.maximum(norms, 1e-12))
     v = gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1))
-    pgrads = input_grad_param_grads(specs, params, cache, tape, v)
-    return value, pgrads
-
-
-def gradient_penalty(d: DiscriminatorNet, real_batch: Array, fake_batch: Array,
-                     rng: SeededRng, gp_lambda: float = 10.0) -> float:
-    """Penalty value on a freshly interpolated batch (no parameter gradients)."""
-    x_hat = interpolate_batches(real_batch, fake_batch, rng)
-    value, _ = penalty_with_grads(d, x_hat, gp_lambda)
-    return value
+    pgrads, q = input_grad_param_grads(specs, params, cache, tape, v)
+    return value, pgrads, (ones.T @ q)[0]
 
 
 # --- objective gradients ------------------------------------------------------ #
@@ -223,9 +203,9 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     if loss.kind == "wgan_gp":
         if x_hat is None:
             raise ContractError("wgan_gp needs interpolated points")
-        penalty, pgrads = penalty_with_grads(d, x_hat, loss.gp_lambda)
-        body_grads = add_grads(body_grads, pgrads[:-1])
-        dw = dw + pgrads[-1]["W"][0]
+        penalty, pgrads, pw = penalty_with_grads(d, x_hat, loss.gp_lambda)
+        body_grads = add_grads(body_grads, pgrads)
+        dw = dw + pw
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
             "y_real": y_r, "y_fake": y_f}
     return value + penalty, body_grads, dw, db, diag
@@ -239,30 +219,13 @@ def generator_feature_grad(w: Array, s: ufs_mod.SuppressionMatrix | None,
     return dscores[:, None] * (w[None, :] * s.values)
 
 
-def generator_objective_grads(gen: GeneratorNet, d: DiscriminatorNet, z: Array,
-                              s: ufs_mod.SuppressionMatrix | None = None,
-                              sample_weights: Array | None = None):
-    """Loss -sum(weights * scores) on masked scores, and generator gradients.
-
-    The mask is treated as a constant: it selects gradients, it is not
-    differentiated through.
-    """
-    fake, gcache = gen.sample(z, want_cache=True)
-    y_f, dcache = forward_pass(d.body.specs, d.body.params, fake)
-    if s is not None:
-        scores = ufs_mod.apply_suppression(y_f, s, d.w, d.b)
-    else:
-        scores = score_from_features(d, y_f)
-    n = len(scores)
-    weights = np.full(n, 1.0 / n) if sample_weights is None else sample_weights
-    loss = -float(scores @ weights)
-    d_y = generator_feature_grad(d.w, s, -weights)
-    _, dx = backward_pass(d.body.specs, d.body.params, dcache, d_y)
-    ggrads = gen.backward(gcache, dx)
-    return loss, ggrads, scores, y_f
-
-
 # --- training state and steps -------------------------------------------------- #
+
+ADAM_LR = 5e-4
+ADAM_B1 = 0.5
+ADAM_B2 = 0.9
+LR_TAPER_START = 0.7  # fraction of the run after which the rate ramps down
+LR_TAPER_FLOOR = 0.05
 
 
 @dataclass
@@ -273,35 +236,21 @@ class TrainerState:
     adam_g: AdamState
     adam_d: AdamState
     stats: ufs_mod.FeatureStats
-    base_lr: float = 5e-4
-    lr_decay: bool = True
     t: int = 0
     diag: dict = field(default_factory=dict)
 
 
-def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet,
-                 lr: float = 5e-4, b1: float = 0.5, b2: float = 0.9,
-                 lr_decay: bool = True) -> TrainerState:
-    """Adam with a linear learning-rate ramp to zero across the run.
-
-    The decayed schedule is what makes the short desk-scale budgets converge
-    to tight modes; pass lr_decay=False for a constant rate.
-    """
+def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
+    """Adam (ADAM_LR, ADAM_B1, ADAM_B2) on both networks, with empty feature stats."""
     momentum = cfg.ufs.stats_momentum if cfg.ufs is not None else 0.0
     return TrainerState(
         cfg=cfg,
         gen=gen,
         disc=disc,
-        adam_g=AdamState.for_params(gen.net.param_list(), lr, b1, b2),
-        adam_d=AdamState.for_params(disc.param_list(), lr, b1, b2),
+        adam_g=AdamState.for_params(gen.net.param_list(), ADAM_LR, ADAM_B1, ADAM_B2),
+        adam_d=AdamState.for_params(disc.param_list(), ADAM_LR, ADAM_B1, ADAM_B2),
         stats=ufs_mod.FeatureStats.empty(disc.feature_dim, momentum),
-        base_lr=lr,
-        lr_decay=lr_decay,
     )
-
-
-LR_TAPER_START = 0.7  # fraction of the run after which the rate ramps down
-LR_TAPER_FLOOR = 0.05
 
 
 def _current_lr(state: TrainerState) -> float:
@@ -310,13 +259,11 @@ def _current_lr(state: TrainerState) -> float:
     The endgame taper is what shrinks the generator's equilibrium jitter
     around the data modes; tapering earlier starves the adversarial game.
     """
-    if not state.lr_decay:
-        return state.base_lr
     progress = min(1.0, state.t / state.cfg.iterations)
     if progress <= LR_TAPER_START:
-        return state.base_lr
+        return ADAM_LR
     ramp = (progress - LR_TAPER_START) / (1.0 - LR_TAPER_START)
-    return state.base_lr * max(LR_TAPER_FLOOR, 1.0 - (1.0 - LR_TAPER_FLOOR) * ramp)
+    return ADAM_LR * max(LR_TAPER_FLOOR, 1.0 - (1.0 - LR_TAPER_FLOOR) * ramp)
 
 
 def train_discriminator_step(state: TrainerState, real_batch: Array, rng: SeededRng) -> float:
@@ -342,42 +289,47 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
     return loss
 
 
-def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
-    """One generator update: optional channel mask, optional sample selection.
+def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
+    """The generator loss -sum(weights * scores) on z and its gradients.
 
-    The mask is computed from the current feature statistics and held
-    constant during differentiation; selection filters the per-sample scores
-    after the masked forward pass, before averaging.
+    With a UFS config and populated feature statistics, the scores are the
+    masked ones; the mask is held constant, so it selects gradients and is
+    not differentiated through. With a selection config, the weights are 1/k
+    on the k samples the (annealed) selection picks from those scores, else
+    uniform. Returns (loss, generator grads, scores, mask or None, weights).
     """
     cfg = state.cfg
     d = state.disc
-    z = rng.normal((cfg.batch_size, state.gen.latent_dim))
     fake, gcache = state.gen.sample(z, want_cache=True)
     y_f, dcache = forward_pass(d.body.specs, d.body.params, fake)
     s = None
     if cfg.ufs is not None:
         if state.stats.initialized:
             ucfg = ufs_mod.effective_config(cfg.ufs, state.t, cfg.iterations)
-            y_hat = ufs_mod.weighted_features(d.w, y_f)
-            ratios = ufs_mod.compute_ratio(state.stats, y_hat, ucfg)
-            s = ufs_mod.compute_suppression(ratios, ucfg)
+            s = ufs_mod.suppression_mask(state.stats, d.w, y_f, ucfg)
         elif cfg.ufs.strict_stats:
             raise StateError("generator step with empty feature statistics (strict mode)")
     if s is not None:
         scores = ufs_mod.apply_suppression(y_f, s, d.w, d.b)
     else:
         scores = score_from_features(d, y_f)
-    if cfg.selection is not None and cfg.selection.mode != "none":
+    n = len(scores)
+    if cfg.selection is not None:
         k = selection_mod.anneal_k(cfg.selection, state.t, cfg.iterations)
-        idx = selection_mod.select_indices(scores, k, cfg.selection.mode, rng)
-        weights = np.zeros(cfg.batch_size)
-        weights[idx] = 1.0 / k
+        weights = np.zeros(n)
+        weights[selection_mod.select_indices(scores, k, cfg.selection.mode, rng)] = 1.0 / k
     else:
-        weights = np.full(cfg.batch_size, 1.0 / cfg.batch_size)
+        weights = np.full(n, 1.0 / n)
     loss = -float(scores @ weights)
     d_y = generator_feature_grad(d.w, s, -weights)
     _, dx = backward_pass(d.body.specs, d.body.params, dcache, d_y)
-    ggrads = state.gen.backward(gcache, dx)
+    return loss, state.gen.backward(gcache, dx), scores, s, weights
+
+
+def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
+    """One generator update: draw z, take the objective's gradients, step Adam."""
+    z = rng.normal((state.cfg.batch_size, state.gen.latent_dim))
+    loss, ggrads, scores, _, _ = generator_objective_grads(state, z, rng)
     state.adam_g.lr = _current_lr(state)
     adam_step(state.adam_g, state.gen.net.param_list(), flatten_grads(ggrads))
     state.t += 1

@@ -327,8 +327,20 @@ def trainer_to_arrays(state: gan_mod.TrainerState) -> dict:
     return arrays
 
 
+# Arrays every trainer checkpoint carries, whatever the architecture.
+TRAINER_ARRAYS = ("run.iteration", "gen.latent_dim", "gen.data_shape", "disc.head.w",
+                  "disc.head.b", "stats.mu_real", "stats.mu_fake", "stats.momentum",
+                  "stats.initialized")
+
+
 def models_from_arrays(arrays: dict):
-    """Rebuild (generator, discriminator, stats, ufs config or None, iteration)."""
+    """Rebuild (generator, discriminator, stats, ufs config or None, iteration).
+
+    Raises ParseError naming the first missing array when the arrays are not
+    a trainer checkpoint (an embeddings file, say)."""
+    missing = [name for name in TRAINER_ARRAYS if name not in arrays]
+    if missing:
+        raise ParseError(f"not a trainer checkpoint: no array {missing[0]!r}")
     gen = gan_mod.GeneratorNet(
         int(arrays["gen.latent_dim"][0]),
         _network_from_arrays("gen", arrays),
@@ -359,15 +371,6 @@ def models_from_arrays(arrays: dict):
 def write_metrics_csv(records, path) -> None:
     lines = [CSV_HEADER] + [r.csv_row() for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def log_metrics_csv(record: MetricsRecord, path) -> None:
-    """Append one row, writing the header first if the file does not exist."""
-    path = Path(path)
-    if not path.exists():
-        path.write_text(CSV_HEADER + "\n")
-    with open(path, "a") as fh:
-        fh.write(record.csv_row() + "\n")
 
 
 def read_csv_without_wall_seconds(path) -> str:

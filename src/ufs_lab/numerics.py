@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ContractError,
-    DimensionError,
-    StateError,
-    UnsupportedArchitectureError,
-)
+from .errors import ContractError, DimensionError, UnsupportedArchitectureError
 
 Array = np.ndarray
 
@@ -61,11 +56,6 @@ class SeededRng:
 
     def choice_no_replace(self, n: int, k: int) -> Array:
         return self._gen.choice(n, size=k, replace=False)
-
-
-def gaussian_sample(rng: SeededRng, shape, mean: float = 0.0, std: float = 1.0) -> Array:
-    """I.i.d. normal draws, deterministic per rng state."""
-    return rng.normal(shape, mean, std)
 
 
 # --- layer specs --------------------------------------------------------- #
@@ -140,14 +130,6 @@ def check_specs(specs) -> None:
 
 
 # --- primitive operations ------------------------------------------------ #
-
-
-def matmul(a: Array, b: Array) -> Array:
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def _conv_output_hw(x_shape, kernel_shape, stride: int, op: str):
@@ -246,22 +228,6 @@ def conv2d_input_grad(dy: Array, kernel: Array, x_shape, stride: int) -> Array:
             dx[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride] += \
                 cols[:, p, q].transpose(1, 0, 2, 3)
     return dx
-
-
-def activation_forward(x: Array, kind: str, slope: float = 0.2) -> Array:
-    """Elementwise relu / leaky_relu / tanh; rejects non-finite input."""
-    x = as_f64(x)
-    if not np.isfinite(x).all():
-        raise ContractError("activation_forward: input contains NaN or Inf")
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "leaky_relu":
-        if not 0.0 < slope < 1.0:
-            raise ContractError(f"leaky slope must be in (0, 1), got {slope}")
-        return np.where(x > 0.0, x, slope * x)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ContractError(f"unknown activation {kind!r}")
 
 
 def global_sum_pool(x: Array) -> Array:
@@ -373,7 +339,9 @@ def input_grad_param_grads(specs, params, cache, tape, v):
 
     Backprop through the backward pass. Only valid for piecewise-linear
     activations (relu / leaky_relu), whose masks have zero derivative almost
-    everywhere; tanh would add curvature terms and is rejected.
+    everywhere; tanh would add curvature terms and is rejected. Returns
+    (grads, q): q is v carried forward to the stack's output, the term that a
+    linear layer on top of the stack contracts with its own upstream.
     """
     q = as_f64(v)
     out = [{} for _ in specs]
@@ -393,11 +361,12 @@ def input_grad_param_grads(specs, params, cache, tape, v):
                 "second-order backward supports piecewise-linear activations only")
         else:  # global_sum_pool
             q = global_sum_pool(q)
-    return out
+    return out, q
 
 
 class Network:
-    """A sequential layer stack with explicit parameters and a retained cache."""
+    """A sequential layer stack with explicit parameters; forward_pass and
+    backward_pass run it."""
 
     def __init__(self, specs, params):
         check_specs(specs)
@@ -405,24 +374,10 @@ class Network:
             raise ContractError("specs and params length mismatch")
         self.specs = list(specs)
         self.params = list(params)
-        self._cache = None
 
     @classmethod
     def init(cls, specs, rng: SeededRng, weight_std: float = 0.02) -> "Network":
         return cls(specs, init_params(specs, rng, weight_std))
-
-    def forward(self, x, keep: bool = True) -> Array:
-        y, cache = forward_pass(self.specs, self.params, x)
-        if keep:
-            self._cache = cache
-        return y
-
-    def backward(self, upstream, cache=None, want_tape: bool = False):
-        if cache is None:
-            cache = self._cache
-        if cache is None:
-            raise StateError("backward_pass called before any forward pass")
-        return backward_pass(self.specs, self.params, cache, upstream, want_tape)
 
     def param_list(self):
         return [arr for p in self.params for arr in p.values()]

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .numerics import Array, SeededRng, as_f64
 
-SELECTION_MODES = ("top", "bottom", "random", "none")
+SELECTION_MODES = ("top", "bottom", "random")
 COVARIANCE_MODES = ("full_shrinkage", "diagonal")
 
 

@@ -169,6 +169,13 @@ def compute_suppression(ratios: Array, cfg: UfsConfig) -> SuppressionMatrix:
     return SuppressionMatrix(cfg.epsilon - np.clip(ratios, cfg.alpha, cfg.beta))
 
 
+def suppression_mask(stats: FeatureStats, w: Array, features: Array,
+                     cfg: UfsConfig) -> SuppressionMatrix:
+    """The mask for a batch of pooled critic features: weight them by the head,
+    measure each channel against the real mean, and clip into weights."""
+    return compute_suppression(compute_ratio(stats, weighted_features(w, features), cfg), cfg)
+
+
 def apply_suppression(y_fake: Array, s: SuppressionMatrix, w: Array, b: Array) -> Array:
     """Scores of masked features: <w, y * s> + b per sample."""
     y_fake = as_f64(y_fake)

@@ -5,15 +5,18 @@ iterations, independent of the library's vectorized implementations. The
 conv gradient references contract one kernel tap at a time with einsum,
 independent of the library's im2col GEMMs. The sqrt-distance manifold
 metrics take a square root per pair and compare it with sqrt radii,
-independent of the library's squared distances and ball bounds.
+independent of the library's squared distances and ball bounds. The
+stacked critic appends the linear head to the body as a dense layer, the
+form the library's split (body, w, b) head is checked against.
 """
 
 import math
 
 import numpy as np
 
-from ufs_lab import gan
+from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
+from ufs_lab.selection import SelectionConfig
 
 
 def rel_err(a, b) -> float:
@@ -188,6 +191,61 @@ def fd_param_grads(value_fn, arrays, h=1e-6):
             gflat[i] = (fp - fm) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# --- the critic as one stack ------------------------------------------------ #
+
+
+def stacked_critic(d):
+    """(specs, params) of the body with the head appended as a dense layer;
+    the head's parameters are views of d.w and d.b."""
+    return (d.body.specs + [nm.dense(d.feature_dim, 1)],
+            d.body.params + [{"W": d.w.reshape(1, -1), "b": d.b}])
+
+
+def split_scores(d, x):
+    """Pooled features and scores of the split (body, w, b) critic."""
+    features, _ = nm.forward_pass(d.body.specs, d.body.params, x)
+    return features, gan.score_from_features(d, features)
+
+
+def penalty_stacked(d, x_hat, gp_lambda):
+    """Gradient-norm penalty value and its parameter gradients (head last)
+    through the stacked critic."""
+    specs, params = stacked_critic(d)
+    y, cache = nm.forward_pass(specs, params, x_hat)
+    _, gx, tape = nm.backward_pass(specs, params, cache, np.ones_like(y), want_tape=True)
+    norms = np.sqrt((gx * gx).sum(axis=tuple(range(1, gx.ndim))))
+    value = gp_lambda * float(((norms - 1.0) ** 2).mean())
+    coef = gp_lambda * 2.0 * (norms - 1.0) / (len(x_hat) * np.maximum(norms, 1e-12))
+    grads, _ = nm.input_grad_param_grads(specs, params, cache, tape,
+                                         gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1)))
+    return value, grads
+
+
+# --- the generator objective ------------------------------------------------- #
+
+
+def objective_state(rng, gen, d, mode, ufs_cfg, batch=5):
+    """Trainer state whose feature stats come from one seeded real/fake batch
+    pair, selecting 3 of `batch` samples by `mode` (None: uniform weights)."""
+    selection = None if mode is None else SelectionConfig(mode, 3, 2)
+    cfg = gan.TrainConfig(batch_size=batch, iterations=10, loss=gan.LossKind("wgan"),
+                          ufs=ufs_cfg, selection=selection)
+    state = gan.init_trainer(cfg, gen, d)
+    y_real, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2)))
+    y_fake, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2), 0.5, 1.5))
+    ufs.update_stats(state.stats, d.w, y_real, y_fake)
+    return state
+
+
+def frozen_generator_loss(state, z, s, weights):
+    """-sum(weights * scores) with the mask s and the weights held fixed."""
+    d = state.disc
+    features, _ = nm.forward_pass(d.body.specs, d.body.params, state.gen.sample(z))
+    scores = (gan.score_from_features(d, features) if s is None
+              else ufs.apply_suppression(features, s, d.w, d.b))
+    return -float(scores @ weights)
 
 
 # --- tiny model builders ---------------------------------------------------- #

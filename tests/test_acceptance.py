@@ -15,11 +15,15 @@ import pytest
 from helpers import (
     denman_beavers_sqrt,
     fd_param_grads,
+    frozen_generator_loss,
     grad_close,
+    objective_state,
+    penalty_stacked,
     prdc_loop,
     small_conv_disc,
     small_gen,
     small_mlp_disc,
+    split_scores,
 )
 from ufs_lab import gan, harness, metrics as mx, selection as sel, ufs
 from ufs_lab import numerics as nm
@@ -40,8 +44,9 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_acceptance_gradient_suite():
-    """Layers, both losses, the gradient penalty, and the masked generator
-    objective all match central finite differences, rel err < 1e-5, 20 seeds."""
+    """Layers, both losses, the gradient penalty, and the live generator
+    objective (mask from feature stats, top-k and random-k weights) all match
+    central finite differences, rel err < 1e-5, 20 seeds."""
     started = time.perf_counter()
     worst = 0.0
 
@@ -70,8 +75,8 @@ def test_acceptance_gradient_suite():
             y, _ = nm.forward_pass(net.specs, net.params, x)
             return float(y.sum())
 
-        y = net.forward(x)
-        grads, _ = net.backward(np.ones_like(y))
+        y, cache = nm.forward_pass(net.specs, net.params, x)
+        grads, _ = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
         check(nm.flatten_grads(grads), fd_param_grads(net_loss, net.param_list()))
 
         # both adversarial losses through a full critic
@@ -92,32 +97,21 @@ def test_acceptance_gradient_suite():
             check(nm.flatten_grads(body_grads) + [dw, db],
                   fd_param_grads(d_loss, d.body.param_list() + [d.w, d.b]))
 
-        # gradient penalty parameter gradients
+        # gradient penalty parameter gradients (biases, the head's too, get none)
         x_hat = rng.normal((4, 2))
-        _, pgrads = gan.penalty_with_grads(d, x_hat, 10.0)
-        specs, params = d.full_specs(), d.full_params()
+        _, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+        check(nm.flatten_grads(pgrads) + [pw, np.zeros(1)],
+              fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list()))
 
-        def penalty():
-            out, cache = nm.forward_pass(specs, params, x_hat)
-            _, gx = nm.backward_pass(specs, params, cache, np.ones_like(out))
-            norms = np.sqrt((gx * gx).sum(axis=1))
-            return 10.0 * float(((norms - 1.0) ** 2).mean())
-
-        check([a for g in pgrads for a in g.values()],
-              fd_param_grads(penalty, [a for p in params for a in p.values()]))
-
-        # masked generator objective (suppression held constant)
-        gen = small_gen(rng)
-        z = rng.normal((5, 4))
-        s = SuppressionMatrix(rng.uniform((5, 6)))
-        _, ggrads, _, _ = gan.generator_objective_grads(gen, d, z, s)
-
-        def g_loss():
-            fake_pts = gen.sample(z)
-            y_f, _ = nm.forward_pass(d.body.specs, d.body.params, fake_pts)
-            return -float(ufs.apply_suppression(y_f, s, d.w, d.b).mean())
-
-        check(nm.flatten_grads(ggrads), fd_param_grads(g_loss, gen.net.param_list()))
+        # the generator objective training runs: mask from seeded feature
+        # stats, weights from top-k and random-k selection, both held fixed
+        for mode in ("top", "random"):
+            state = objective_state(rng, small_gen(rng), d, mode, UfsConfig(0.5, 1.0, 1.5))
+            z = rng.normal((5, 4))
+            _, ggrads, _, s, weights = gan.generator_objective_grads(state, z, rng)
+            check(nm.flatten_grads(ggrads),
+                  fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
+                                 state.gen.net.param_list()))
 
     elapsed = time.perf_counter() - started
     report("gradient suite (20 seeds)", worst < 1e-5 and elapsed < 60.0,
@@ -205,7 +199,7 @@ def test_acceptance_masking_identities():
     dropped = compute_cam(dc, x, s_img, "cam_sup").values
     decomp_err = float(np.abs(kept + dropped - cam).max())
 
-    _, scores = gan.discriminator_forward_split(dc, x)
+    _, scores = split_scores(dc, x)
     score_err = float(np.abs(cam.sum(axis=(1, 2)) + dc.b[0] - scores).max())
 
     report("masked-score channel gradient = w * S exactly", exact)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import small_conv_disc, small_mlp_disc
+from helpers import small_conv_disc, small_mlp_disc, split_scores
 from ufs_lab import attribution as attr
 from ufs_lab import gan
 from ufs_lab import numerics as nm
@@ -51,7 +51,7 @@ def test_cam_sums_to_score_minus_bias():
     d = small_conv_disc(rng)
     x = rng.normal((4, 1, 9, 9))
     cam = attr.compute_cam(d, x).values
-    _, scores = gan.discriminator_forward_split(d, x)
+    _, scores = split_scores(d, x)
     assert np.abs(cam.sum(axis=(1, 2)) + d.b[0] - scores).max() < 1e-9
 
 

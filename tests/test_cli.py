@@ -135,3 +135,29 @@ def test_run_invalid_json_one_line_error(tmp_path, capsys):
     cfg_path.write_text('{"dataset": {"kind": "ring8"},')
     assert cli.main(["run", str(cfg_path)]) == 2
     assert_one_line_error(capsys, "ConfigError")
+
+
+def test_cam_on_embeddings_file_one_line_error(tmp_path, capsys):
+    # a valid UFSL container that is not a trainer checkpoint
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=8, seed=1)
+    dump = tmp_path / "emb"
+    assert cli.main(["eval", "--real", str(idx_path), "--fake", str(idx_path),
+                     "-k", "2", "--dump-embeddings", str(dump)]) == 0
+    capsys.readouterr()
+    assert cli.main(["cam", "--checkpoint", str(dump / "real_embeddings.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    assert "'run.iteration'" in assert_one_line_error(capsys, "ParseError")
+
+
+def test_cam_on_point_checkpoint_one_line_error(tmp_path, capsys):
+    cfg = {"dataset": {"kind": "ring8"},
+           "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "wgan"}},
+           "eval_every": 1, "eval_samples": 16, "out_dir": str(tmp_path / "run")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    capsys.readouterr()
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "run" / "checkpoint_000001.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    assert "convolutional" in assert_one_line_error(capsys, "UnsupportedArchitectureError")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import fd_param_grads, grad_close, small_conv_disc, small_gen, small_mlp_disc
+from helpers import (fd_param_grads, frozen_generator_loss, grad_close, objective_state,
+                     penalty_stacked, small_conv_disc, small_gen, small_mlp_disc,
+                     split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, StateError
@@ -16,7 +18,7 @@ def test_forward_split_ones_head_sums_features():
     d.w[:] = 1.0
     d.b[:] = 0.0
     x = rng.normal((5, 2))
-    features, scores = gan.discriminator_forward_split(d, x)
+    features, scores = split_scores(d, x)
     assert np.allclose(scores, features.sum(axis=1))
 
 
@@ -24,7 +26,7 @@ def test_forward_split_zero_input_linear_body():
     rng = nm.SeededRng(2)
     body = nm.Network.init([nm.dense(2, 4), nm.dense(4, 3)], rng, 0.5)
     d = gan.DiscriminatorNet(body, rng.normal((3,)), np.array([1.25]))
-    features, scores = gan.discriminator_forward_split(d, np.zeros((4, 2)))
+    features, scores = split_scores(d, np.zeros((4, 2)))
     assert np.array_equal(features, np.zeros((4, 3)))
     assert np.allclose(scores, 1.25)
 
@@ -33,8 +35,8 @@ def test_forward_split_matches_stacked_network_exactly():
     rng = nm.SeededRng(3)
     d = small_mlp_disc(rng)
     x = rng.normal((6, 2))
-    _, scores = gan.discriminator_forward_split(d, x)
-    stacked, _ = nm.forward_pass(d.full_specs(), d.full_params(), x)
+    _, scores = split_scores(d, x)
+    stacked, _ = nm.forward_pass(*stacked_critic(d), x)
     assert np.array_equal(scores, stacked[:, 0])
 
 
@@ -98,7 +100,8 @@ def test_penalty_linear_discriminator_closed_form():
     d = gan.DiscriminatorNet(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
     a = body.params[0]["W"].T @ d.w
     expected = 10.0 * (np.linalg.norm(a) - 1.0) ** 2
-    got = gan.gradient_penalty(d, rng.normal((8, 2)), rng.normal((8, 2)), rng, 10.0)
+    x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
+    got, _, _ = gan.penalty_with_grads(d, x_hat, 10.0)
     assert abs(got - expected) < 1e-12
 
 
@@ -108,15 +111,17 @@ def test_penalty_unit_gradient_is_zero():
     d = gan.DiscriminatorNet(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
     a = body.params[0]["W"].T @ d.w
     d.w /= np.linalg.norm(a)  # rescale so the input gradient has unit norm
-    got = gan.gradient_penalty(d, rng.normal((8, 2)), rng.normal((8, 2)), rng, 10.0)
+    x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
+    got, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
     assert got < 1e-20
+    assert np.abs(pw).max() < 1e-9 and np.abs(pgrads[0]["W"]).max() < 1e-9
 
 
 def test_penalty_input_gradient_matches_finite_differences():
     rng = nm.SeededRng(9)
     d = small_mlp_disc(rng)
     x = rng.normal((4, 2))
-    specs, params = d.full_specs(), d.full_params()
+    specs, params = stacked_critic(d)
     y, cache = nm.forward_pass(specs, params, x)
     _, gx = nm.backward_pass(specs, params, cache, np.ones_like(y))
 
@@ -133,20 +138,25 @@ def test_penalty_param_grads_match_finite_differences(make_disc):
     d = make_disc(rng)
     shape = (4, 2) if make_disc is small_mlp_disc else (3, 1, 9, 9)
     x_hat = rng.normal(shape)
-    _, pgrads = gan.penalty_with_grads(d, x_hat, 10.0)
-    specs, params = d.full_specs(), d.full_params()
+    _, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+    # biases get no penalty gradient, the head's included
+    got = nm.flatten_grads(pgrads) + [pw, np.zeros(1)]
+    fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list())
+    for g, want in zip(got, fd):
+        assert grad_close(g, want)
 
-    def penalty_value():
-        y, cache = nm.forward_pass(specs, params, x_hat)
-        _, gx = nm.backward_pass(specs, params, cache, np.ones_like(y))
-        norms = np.sqrt((gx * gx).sum(axis=tuple(range(1, gx.ndim))))
-        return 10.0 * float(((norms - 1.0) ** 2).mean())
 
-    for layer_params, layer_grads in zip(params, pgrads):
-        arrays = list(layer_params.values())
-        fd = fd_param_grads(penalty_value, arrays)
-        for key, want in zip(layer_params, fd):
-            assert grad_close(layer_grads[key], want)
+@pytest.mark.parametrize("make_disc", [small_mlp_disc, small_conv_disc])
+def test_penalty_split_head_matches_stacked_oracle_bitwise(make_disc):
+    rng = nm.SeededRng(16)
+    d = make_disc(rng)
+    x_hat = rng.normal((4, 2) if make_disc is small_mlp_disc else (3, 1, 9, 9))
+    value, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+    want_value, want = penalty_stacked(d, x_hat, 10.0)
+    assert value == want_value
+    got = nm.flatten_grads(pgrads) + [pw]
+    for g, w in zip(got, nm.flatten_grads(want[:-1]) + [want[-1]["W"][0]]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # --- full critic objective ------------------------------------------------------------ #
@@ -169,10 +179,7 @@ def test_discriminator_objective_grads_match_finite_differences(kind):
         s_f = gan.score_from_features(d, y_f)
         base = gan.wgan_d_loss(s_r, s_f) if kind != "hinge" else gan.hinge_d_loss(s_r, s_f)
         if kind == "wgan_gp":
-            y, cache = nm.forward_pass(d.full_specs(), d.full_params(), x_hat)
-            _, gx = nm.backward_pass(d.full_specs(), d.full_params(), cache, np.ones_like(y))
-            norms = np.sqrt((gx * gx).sum(axis=1))
-            base += loss_cfg.gp_lambda * float(((norms - 1.0) ** 2).mean())
+            base += penalty_stacked(d, x_hat, loss_cfg.gp_lambda)[0]
         return base
 
     assert abs(loss_value() - value) < 1e-12
@@ -197,42 +204,36 @@ def test_generator_feature_grad_is_w_times_mask_exactly():
 
 def test_generator_grads_match_finite_differences_masked():
     rng = nm.SeededRng(13)
-    gen = small_gen(rng)
-    d = small_mlp_disc(rng)
-    z = rng.normal((5, 4))
-    s = ufs.SuppressionMatrix(rng.uniform((5, 6)))  # frozen mask
-    _, ggrads, _, _ = gan.generator_objective_grads(gen, d, z, s)
+    for mode in ("top", "random"):
+        state = objective_state(rng, small_gen(rng), small_mlp_disc(rng), mode,
+                                ufs.UfsConfig(0.5, 1.0, 1.5))
+        z = rng.normal((5, 4))
+        _, ggrads, _, s, weights = gan.generator_objective_grads(state, z, rng)
+        assert s is not None and np.ptp(s.values) > 0.0  # a mask that varies
 
-    def loss_value():
-        fake = gen.sample(z)
-        y_f, _ = nm.forward_pass(d.body.specs, d.body.params, fake)
-        scores = ufs.apply_suppression(y_f, s, d.w, d.b)
-        return -float(scores.mean())
-
-    fd = fd_param_grads(loss_value, gen.net.param_list())
-    for got, want in zip(nm.flatten_grads(ggrads), fd):
-        assert grad_close(got, want)
+        fd = fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
+                            state.gen.net.param_list())
+        for got, want in zip(nm.flatten_grads(ggrads), fd):
+            assert grad_close(got, want)
 
 
 def test_generator_grads_respect_sample_weights():
     rng = nm.SeededRng(14)
-    gen = small_gen(rng)
-    d = small_mlp_disc(rng)
-    z = rng.normal((6, 4))
-    weights = np.zeros(6)
-    weights[[1, 4]] = 0.5
-    loss, ggrads, scores, _ = gan.generator_objective_grads(gen, d, z, None, weights)
-    assert abs(loss + 0.5 * (scores[1] + scores[4])) < 1e-12
+    for mode in ("top", "random"):
+        state = objective_state(rng, small_gen(rng), small_mlp_disc(rng), mode,
+                                ufs.UfsConfig(0.0, 1.0, 1.0), batch=6)
+        z = rng.normal((6, 4))
+        loss, ggrads, scores, s, weights = gan.generator_objective_grads(state, z, rng)
+        kept = np.flatnonzero(weights)
+        assert len(kept) == 3 and np.all(weights[kept] == 1.0 / 3)
+        if mode == "top":
+            assert set(kept) == set(np.argsort(-scores)[:3])
+        assert abs(loss + scores[kept].sum() / 3) < 1e-12
 
-    def loss_value():
-        fake = gen.sample(z)
-        y_f, _ = nm.forward_pass(d.body.specs, d.body.params, fake)
-        s = gan.score_from_features(d, y_f)
-        return -0.5 * float(s[1] + s[4])
-
-    fd = fd_param_grads(loss_value, gen.net.param_list())
-    for got, want in zip(nm.flatten_grads(ggrads), fd):
-        assert grad_close(got, want)
+        fd = fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
+                            state.gen.net.param_list())
+        for got, want in zip(nm.flatten_grads(ggrads), fd):
+            assert grad_close(got, want)
 
 
 # --- training steps -------------------------------------------------------------------------- #
@@ -297,9 +298,7 @@ def test_generator_step_score_linearity_identity():
     z = nm.SeededRng(77).normal((8, state.gen.latent_dim))
     fake = state.gen.sample(z)
     y_f, _ = nm.forward_pass(state.disc.body.specs, state.disc.body.params, fake)
-    ucfg = state.cfg.ufs
-    y_hat = ufs.weighted_features(state.disc.w, y_f)
-    s = ufs.compute_suppression(ufs.compute_ratio(state.stats, y_hat, ucfg), ucfg)
+    s = ufs.suppression_mask(state.stats, state.disc.w, y_f, state.cfg.ufs)
     scores = ufs.apply_suppression(y_f, s, state.disc.w, state.disc.b)
     manual = (state.disc.w[None, :] * s.values * y_f).sum(axis=1) + state.disc.b[0]
     assert np.abs(scores - manual).max() < 1e-10
@@ -323,6 +322,6 @@ def test_image_generator_shape_and_tanh_range():
     x = gen.sample(z)
     assert x.shape == (3, 1, 16, 16)
     assert np.abs(x).max() <= 1.0
-    features, scores = gan.discriminator_forward_split(disc, x)
+    features, scores = split_scores(disc, x)
     assert features.shape == (3, 128)
     assert scores.shape == (3,)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import split_scores
+
 import ufs_lab
 from ufs_lab import gan, harness
 from ufs_lab import numerics as nm
@@ -93,11 +95,10 @@ def test_csv_header_contract():
                                   "coverage,covered_modes,hq_fraction,wall_seconds")
 
 
-def test_log_metrics_csv_appends(tmp_path):
+def test_write_metrics_csv_header_and_rows(tmp_path):
     path = tmp_path / "m.csv"
     row = harness.MetricsRecord(1, 0.5, -0.25, 2.0, 0.1, 0.2, 0.3, 0.4, 5, 0.6, 1.25)
-    harness.log_metrics_csv(row, path)
-    harness.log_metrics_csv(row, path)
+    harness.write_metrics_csv([row, row], path)
     lines = path.read_text().splitlines()
     assert lines[0] == harness.CSV_HEADER
     assert lines[1] == lines[2] == "1,0.5,-0.25,2.0,0.1,0.2,0.3,0.4,5,0.6,1.25"
@@ -175,8 +176,8 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert ufs_cfg2 is not None and ufs_cfg2.alpha == 0.0
     z = nm.SeededRng(3).normal((4, gen.latent_dim))
     assert np.array_equal(gen.sample(z), gen2.sample(z))
-    _, s_a = gan.discriminator_forward_split(disc, gen.sample(z))
-    _, s_b = gan.discriminator_forward_split(disc2, gen2.sample(z))
+    _, s_a = split_scores(disc, gen.sample(z))
+    _, s_b = split_scores(disc2, gen2.sample(z))
     assert np.array_equal(s_a, s_b)
 
 

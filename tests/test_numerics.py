@@ -6,31 +6,38 @@ from hypothesis import strategies as st
 from helpers import (conv2d_input_grad_einsum, conv2d_loop, conv2d_weight_grad_einsum,
                      fd_param_grads, matmul_loop, rel_err, sum_pool_loop)
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ContractError, DimensionError, StateError
+from ufs_lab.errors import ContractError, DimensionError
 
 
-# --- matmul ---------------------------------------------------------------- #
+# --- matmul: a dense layer's product ------------------------------------------ #
+
+
+def dense_product(a, b):
+    """a @ b through forward_pass, as one bias-free dense layer with W = b.T."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    y, _ = nm.forward_pass([nm.dense(*b.shape)], [{"W": b.T, "b": np.zeros(b.shape[1])}], a)
+    return y
 
 
 def test_matmul_identity():
     b = np.array([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(nm.matmul(np.eye(2), b), b)
+    assert np.array_equal(dense_product(np.eye(2), b), b)
 
 
 def test_matmul_hand():
-    assert nm.matmul([[1.0, 2.0]], [[3.0], [4.0]]) == np.array([[11.0]])
+    assert dense_product([[1.0, 2.0]], [[3.0], [4.0]]) == np.array([[11.0]])
 
 
 def test_matmul_against_loop_oracle():
     rng = nm.SeededRng(11)
     a = rng.normal((4, 5))
     b = rng.normal((5, 3))
-    assert rel_err(nm.matmul(a, b), matmul_loop(a, b)) < 1e-12
+    assert rel_err(dense_product(a, b), matmul_loop(a, b)) < 1e-12
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        nm.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match=r"\(n, 2\).*\(2, 3\)"):
+        dense_product(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 # --- conv2d ----------------------------------------------------------------- #
@@ -161,22 +168,22 @@ def test_conv_output_shape():
 # --- activations -------------------------------------------------------------- #
 
 
+def activate(spec, x):
+    y, _ = nm.forward_pass([spec], [{}], np.asarray(x, float))
+    return y
+
+
 def test_leaky_relu_values():
-    got = nm.activation_forward(np.array([-1.0, 0.0, 2.0]), "leaky_relu", 0.2)
-    assert np.allclose(got, [-0.2, 0.0, 2.0])
+    got = activate(nm.leaky_relu(0.2), [[-1.0, 0.0, 2.0]])
+    assert np.allclose(got, [[-0.2, 0.0, 2.0]])
 
 
 def test_relu_all_negative():
-    assert np.array_equal(nm.activation_forward(np.full(5, -3.0), "relu"), np.zeros(5))
+    assert np.array_equal(activate(nm.relu(), np.full((1, 5), -3.0)), np.zeros((1, 5)))
 
 
 def test_tanh_zero():
-    assert nm.activation_forward(np.zeros(3), "tanh").sum() == 0.0
-
-
-def test_activation_rejects_nonfinite():
-    with pytest.raises(ContractError):
-        nm.activation_forward(np.array([np.nan]), "relu")
+    assert activate(nm.tanh(), np.zeros((1, 3))).sum() == 0.0
 
 
 # --- global sum pool ------------------------------------------------------------ #
@@ -209,24 +216,18 @@ def test_dense_backward_trivial():
     # y = Wx + b with a single output, upstream 1: dW = x^T, db = 1
     net = nm.Network([nm.dense(3, 1)], [{"W": np.array([[2.0, -1.0, 0.5]]), "b": np.zeros(1)}])
     x = np.array([[1.0, 2.0, 3.0]])
-    net.forward(x)
-    grads, dx = net.backward(np.ones((1, 1)))
+    _, cache = nm.forward_pass(net.specs, net.params, x)
+    grads, dx = nm.backward_pass(net.specs, net.params, cache, np.ones((1, 1)))
     assert np.array_equal(grads[0]["W"], x)
     assert np.array_equal(grads[0]["b"], [1.0])
     assert np.array_equal(dx, [[2.0, -1.0, 0.5]])
 
 
-def test_backward_without_forward_is_state_error():
-    net = nm.Network.init([nm.dense(2, 2)], nm.SeededRng(0))
-    with pytest.raises(StateError):
-        net.backward(np.ones((1, 2)))
-
-
 def test_zero_upstream_gives_zero_grads():
     rng = nm.SeededRng(5)
     net = nm.Network.init([nm.dense(2, 4), nm.leaky_relu(0.2), nm.dense(4, 3)], rng, 0.5)
-    net.forward(rng.normal((6, 2)))
-    grads, dx = net.backward(np.zeros((6, 3)))
+    _, cache = nm.forward_pass(net.specs, net.params, rng.normal((6, 2)))
+    grads, dx = nm.backward_pass(net.specs, net.params, cache, np.zeros((6, 3)))
     assert all(np.all(arr == 0.0) for g in grads for arr in g.values())
     assert np.all(dx == 0.0)
 
@@ -243,8 +244,8 @@ def test_mlp_param_grads_match_finite_differences(seed):
         y, _ = nm.forward_pass(net.specs, net.params, x)
         return float(y.sum())
 
-    y = net.forward(x)
-    grads, _ = net.backward(np.ones_like(y))
+    y, cache = nm.forward_pass(net.specs, net.params, x)
+    grads, _ = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
     fd = fd_param_grads(loss, net.param_list())
     for got, want in zip(nm.flatten_grads(grads), fd):
         assert rel_err(got, want) < 1e-5
@@ -262,8 +263,8 @@ def test_conv_net_grads_match_finite_differences(seed):
         y, _ = nm.forward_pass(net.specs, net.params, x)
         return float(y.sum())
 
-    y = net.forward(x)
-    grads, dx = net.backward(np.ones_like(y))
+    y, cache = nm.forward_pass(net.specs, net.params, x)
+    grads, dx = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
     fd = fd_param_grads(loss, net.param_list())
     for got, want in zip(nm.flatten_grads(grads), fd):
         assert rel_err(got, want) < 1e-5
@@ -278,10 +279,10 @@ def test_forward_backward_deterministic():
     rng = nm.SeededRng(6)
     net = nm.Network.init([nm.dense(3, 8), nm.leaky_relu(0.2), nm.dense(8, 2)], rng, 0.5)
     x = rng.normal((5, 3))
-    y1 = net.forward(x)
-    g1, dx1 = net.backward(np.ones_like(y1))
-    y2 = net.forward(x)
-    g2, dx2 = net.backward(np.ones_like(y2))
+    y1, c1 = nm.forward_pass(net.specs, net.params, x)
+    g1, dx1 = nm.backward_pass(net.specs, net.params, c1, np.ones_like(y1))
+    y2, c2 = nm.forward_pass(net.specs, net.params, x)
+    g2, dx2 = nm.backward_pass(net.specs, net.params, c2, np.ones_like(y2))
     assert np.array_equal(y1, y2)
     assert np.array_equal(dx1, dx2)
     for a, b in zip(nm.flatten_grads(g1), nm.flatten_grads(g2)):
@@ -294,8 +295,8 @@ def test_no_nan_from_finite_inputs():
         [nm.dense(4, 16), nm.leaky_relu(0.2), nm.dense(16, 16), nm.tanh(), nm.dense(16, 3)],
         rng, 0.5)
     x = rng.normal((10, 4), 0.0, 100.0)
-    y = net.forward(x)
-    grads, dx = net.backward(rng.normal(y.shape))
+    y, cache = nm.forward_pass(net.specs, net.params, x)
+    grads, dx = nm.backward_pass(net.specs, net.params, cache, rng.normal(y.shape))
     assert np.isfinite(y).all() and np.isfinite(dx).all()
     assert all(np.isfinite(arr).all() for g in grads for arr in g.values())
 
@@ -365,30 +366,29 @@ def test_adam_shape_mismatch():
         nm.adam_step(state, [p], [np.zeros(4)])
 
 
-# --- rng -------------------------------------------------------------------------------- #
+# --- rng: Gaussian samples come from SeededRng.normal ------------------------------------ #
 
 
 def test_gaussian_sample_zero_std_is_constant():
-    rng = nm.SeededRng(9)
-    x = nm.gaussian_sample(rng, (4, 4), mean=2.5, std=0.0)
+    x = nm.SeededRng(9).normal((4, 4), mean=2.5, std=0.0)
     assert np.all(x == 2.5)
 
 
 def test_gaussian_sample_same_seed_identical():
-    a = nm.gaussian_sample(nm.SeededRng(42), (100,))
-    b = nm.gaussian_sample(nm.SeededRng(42), (100,))
+    a = nm.SeededRng(42).normal((100,))
+    b = nm.SeededRng(42).normal((100,))
     assert np.array_equal(a, b)
 
 
 def test_gaussian_sample_law_of_large_numbers():
-    x = nm.gaussian_sample(nm.SeededRng(10), (100_000,))
+    x = nm.SeededRng(10).normal((100_000,))
     assert abs(x.mean()) < 0.02
     assert abs(x.std() - 1.0) < 0.02
 
 
 def test_gaussian_sample_negative_std():
     with pytest.raises(ContractError):
-        nm.gaussian_sample(nm.SeededRng(0), (2,), std=-1.0)
+        nm.SeededRng(0).normal((2,), std=-1.0)
 
 
 def test_rng_derive_is_deterministic_and_distinct():

@@ -85,6 +85,12 @@ def make_cfg(**kw):
     return sel.SelectionConfig(**defaults)
 
 
+def test_selection_config_rejects_none_mode():
+    # selection is switched off with `"selection": null`, not with a mode
+    with pytest.raises(ContractError, match="'none'"):
+        sel.SelectionConfig("none")
+
+
 def test_anneal_k_start():
     assert sel.anneal_k(make_cfg(), 0, 1000) == 64
 

@@ -139,6 +139,16 @@ def test_suppression_dismission_config_zeroes_far_features():
     assert s.values[0, 0] == 0.0
 
 
+def test_suppression_mask_is_the_three_step_recipe():
+    rng = SeededRng(12)
+    stats = make_stats(rng.normal((5,)), rng.normal((5,)))
+    w, features = rng.normal((5,)), rng.normal((4, 5))
+    cfg = ufs.UfsConfig(alpha=0.5, beta=1.0, epsilon=1.5)
+    want = ufs.compute_suppression(
+        ufs.compute_ratio(stats, ufs.weighted_features(w, features), cfg), cfg)
+    assert ufs.suppression_mask(stats, w, features, cfg).values.tobytes() == want.values.tobytes()
+
+
 # --- apply_suppression ------------------------------------------------------------------ #
 
 
