@@ -2,10 +2,9 @@
 """Run the four ring8 presets (baseline, +UFS, +Top-k, +Top-k+UFS) in sequence."""
 
 import argparse
-import json
 from pathlib import Path
 
-from ufs_lab.harness import apply_overrides, config_from_dict, run_experiment
+from ufs_lab.harness import load_config, run_experiment
 
 PRESETS = ("ring8_baseline", "ring8_ufs", "ring8_topk", "ring8_topk_ufs")
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -19,12 +18,10 @@ def main():
     args = parser.parse_args()
 
     for name in PRESETS:
-        obj = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         overrides = [f"out_dir={args.out_root}/{name}"]
         if args.iterations is not None:
             overrides.append(f"train.iterations={args.iterations}")
-        apply_overrides(obj, overrides)
-        result = run_experiment(config_from_dict(obj))
+        result = run_experiment(load_config(CONFIG_DIR / f"{name}.json", overrides))
         final = result.records[-1]
         print(f"{name}: status={result.status} final_frechet={final.frechet:.4f} "
               f"covered_modes={final.covered_modes}")

@@ -13,8 +13,8 @@ from .attribution import compute_cam, save_attribution_maps
 from .datasets import load_idx_images, normalize_images
 from .errors import (ConfigError, ContractError, DimensionError, NumericError, ParseError,
                      UnsupportedArchitectureError)
-from .harness import (apply_overrides, config_from_dict, load_checkpoint,
-                      models_from_arrays, run_experiment, save_embeddings)
+from .harness import (load_checkpoint, load_config, models_from_arrays, run_experiment,
+                      save_embeddings)
 from .metrics import fit_gaussian, frechet_distance, manifold_metrics, random_feature_embed
 from .selection import InstanceSelectionConfig, instance_select, write_index_file
 from .ufs import suppression_mask
@@ -34,14 +34,7 @@ def _load_samples(path: str, embed_seed: int) -> np.ndarray:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
-    apply_overrides(obj, args.set or [])
-    cfg = config_from_dict(obj)
-    result = run_experiment(cfg)
+    result = run_experiment(load_config(args.config, args.set or ()))
     return 0 if result.status == "ok" else 1
 
 

@@ -116,28 +116,20 @@ def score_from_features(d: DiscriminatorNet, features: Array) -> Array:
 # --- losses ----------------------------------------------------------------- #
 
 
-def wgan_d_loss(real_scores: Array, fake_scores: Array) -> float:
+def critic_loss(kind: str, real_scores: Array, fake_scores: Array):
+    """The critic's loss on one real/fake score batch and its derivatives with
+    respect to each score: (value, d_real, d_fake). wgan_gp scores like wgan;
+    its penalty is added by the caller."""
     r, f = as_f64(real_scores), as_f64(fake_scores)
     if r.size == 0 or f.size == 0:
-        raise ContractError("wgan_d_loss: empty score batch")
-    return float(f.mean() - r.mean())
-
-
-def hinge_d_loss(real_scores: Array, fake_scores: Array) -> float:
-    r, f = as_f64(real_scores), as_f64(fake_scores)
-    if r.size == 0 or f.size == 0:
-        raise ContractError("hinge_d_loss: empty score batch")
-    return float(np.maximum(0.0, 1.0 - r).mean() + np.maximum(0.0, 1.0 + f).mean())
-
-
-def d_loss_score_grads(kind: str, real_scores: Array, fake_scores: Array):
-    """d(loss)/d(score) for both branches of the critic loss."""
-    r, f = as_f64(real_scores), as_f64(fake_scores)
+        raise ContractError("critic_loss: empty score batch")
     if kind in ("wgan", "wgan_gp"):
-        return np.full(r.shape, -1.0 / r.size), np.full(f.shape, 1.0 / f.size)
+        return (float(f.mean() - r.mean()), np.full(r.shape, -1.0 / r.size),
+                np.full(f.shape, 1.0 / f.size))
     if kind == "hinge":
-        return (-(1.0 - r > 0.0).astype(float) / r.size,
-                (1.0 + f > 0.0).astype(float) / f.size)
+        margin_r, margin_f = 1.0 - r, 1.0 + f
+        return (float(np.maximum(0.0, margin_r).mean() + np.maximum(0.0, margin_f).mean()),
+                -(margin_r > 0.0).astype(float) / r.size, (margin_f > 0.0).astype(float) / f.size)
     raise ContractError(f"unknown loss kind {kind!r}")
 
 
@@ -189,11 +181,7 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     y_f, cache_f = forward_pass(d.body.specs, d.body.params, fake_batch)
     s_r = score_from_features(d, y_r)
     s_f = score_from_features(d, y_f)
-    if loss.kind in ("wgan", "wgan_gp"):
-        value = wgan_d_loss(s_r, s_f)
-    else:
-        value = hinge_d_loss(s_r, s_f)
-    dr, df = d_loss_score_grads(loss.kind, s_r, s_f)
+    value, dr, df = critic_loss(loss.kind, s_r, s_f)
     dw = dr @ y_r + df @ y_f
     db = np.array([dr.sum() + df.sum()])
     grads_r, _ = backward_pass(d.body.specs, d.body.params, cache_r, np.outer(dr, d.w))

@@ -11,7 +11,8 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,7 @@ from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ParseError
 from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics,
                       mode_coverage, random_feature_embed)
-from .numerics import AdamState, Array, LayerSpec, Network, SeededRng
-from .selection import InstanceSelectionConfig, SelectionConfig
+from .numerics import LAYER_KINDS, AdamState, Array, LayerSpec, Network, SeededRng
 
 CSV_HEADER = ("iteration,L_D,L_G,frechet,precision,recall,density,coverage,"
               "covered_modes,hq_fraction,wall_seconds")
@@ -88,83 +88,54 @@ class ExperimentConfig:
 # --- strict JSON config -------------------------------------------------------- #
 
 
-def _check_keys(obj: dict, allowed, ctx: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
+def _decode(cls, obj, where: str):
+    """Build dataclass `cls` from a JSON object, checking each value against its
+    field's type hint; nested dataclass fields recurse. Values pass unconverted,
+    so the dataclasses' own checks see exactly what the JSON held."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {json.dumps(obj, default=repr)}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(declared))
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {ctx}")
+        raise ConfigError(f"unknown key {where}.{unknown[0]}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in declared.items():
+        if name in obj:
+            kwargs[name] = _decode_value(hints[name], obj[name], f"{where}.{name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {where}.{name}")
+    return cls(**kwargs)
 
 
-def _instance_selection_from_dict(obj) -> InstanceSelectionConfig | None:
-    if obj is None:
-        return None
-    _check_keys(obj, ("retention_ratio", "embedder_seed", "covariance_mode"), "instance_selection")
-    return InstanceSelectionConfig(**obj)
+def _decode_value(hint, value, where: str):
+    """bool is not int, int is accepted for float, None only for `| None` hints."""
+    options = typing.get_args(hint) or (hint,)
+    for option in options:
+        if is_dataclass(option) and isinstance(value, dict):
+            return _decode(option, value, where)
+        if type(value) is option or (option is float and type(value) is int):
+            return value
+    expected = " or ".join("an object" if is_dataclass(t) else
+                           "null" if t is type(None) else t.__name__ for t in options)
+    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value, default=repr)}")
 
 
-def _dataset_from_dict(obj: dict) -> DatasetConfig:
-    _check_keys(obj, ("kind", "radius", "sigma", "spacing", "path", "image_size",
-                      "num_shapes", "instance_selection"), "dataset")
-    if "kind" not in obj:
-        raise ConfigError("dataset block needs a 'kind'")
-    kwargs = dict(obj)
-    kwargs["instance_selection"] = _instance_selection_from_dict(obj.get("instance_selection"))
-    cfg = DatasetConfig(**kwargs)
-    if cfg.kind == "idx_images" and not Path(cfg.path).exists():
-        raise ConfigError(f"dataset file not found: {cfg.path}")
+def config_from_dict(obj) -> ExperimentConfig:
+    cfg = _decode(ExperimentConfig, obj, "config")
+    if cfg.dataset.kind == "idx_images" and not Path(cfg.dataset.path).exists():
+        raise ConfigError(f"dataset file not found: {cfg.dataset.path}")
     return cfg
 
 
-def _ufs_from_dict(obj) -> ufs_mod.UfsConfig | None:
-    if obj is None:
-        return None
-    _check_keys(obj, ("alpha", "beta", "epsilon", "gamma", "denom_floor", "near_real_ratio",
-                      "beta_anneal", "stats_momentum", "strict_stats"), "ufs")
-    kwargs = dict(obj)
-    anneal = obj.get("beta_anneal")
-    if anneal is not None:
-        _check_keys(anneal, ("beta_start", "beta_end", "anneal_fraction"), "ufs.beta_anneal")
-        kwargs["beta_anneal"] = ufs_mod.BetaAnneal(**anneal)
-    return ufs_mod.UfsConfig(**kwargs)
-
-
-def _selection_from_dict(obj) -> SelectionConfig | None:
-    if obj is None:
-        return None
-    _check_keys(obj, ("mode", "k_start", "k_end", "anneal_fraction"), "selection")
-    return SelectionConfig(**obj)
-
-
-def _train_from_dict(obj: dict) -> gan_mod.TrainConfig:
-    _check_keys(obj, ("batch_size", "n_critic", "iterations", "seed", "loss",
-                      "ufs", "selection"), "train")
-    kwargs = dict(obj)
-    loss = obj.get("loss")
-    if loss is not None:
-        _check_keys(loss, ("kind", "gp_lambda"), "train.loss")
-        kwargs["loss"] = gan_mod.LossKind(**loss)
-    kwargs["ufs"] = _ufs_from_dict(obj.get("ufs"))
-    kwargs["selection"] = _selection_from_dict(obj.get("selection"))
-    return gan_mod.TrainConfig(**kwargs)
-
-
-def config_from_dict(obj: dict) -> ExperimentConfig:
-    _check_keys(obj, ("dataset", "train", "eval_every", "eval_samples", "out_dir"), "config")
-    for required in ("dataset", "train"):
-        if required not in obj:
-            raise ConfigError(f"config needs a {required!r} block")
-    kwargs = dict(obj)
-    kwargs["dataset"] = _dataset_from_dict(obj["dataset"])
-    kwargs["train"] = _train_from_dict(obj["train"])
-    return ExperimentConfig(**kwargs)
-
-
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=()) -> ExperimentConfig:
+    """Read a JSON config file, apply 'dotted.key=json_value' overrides, decode it."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(apply_overrides(obj, overrides))
 
 
 def apply_overrides(obj: dict, assignments) -> dict:
@@ -177,13 +148,15 @@ def apply_overrides(obj: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        *parents, leaf = key.split(".")
         node = obj
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        for part in parents:
             if not isinstance(node, dict):
-                raise ConfigError(f"override {key!r} descends through a non-object")
-        node[parts[-1]] = value
+                break
+            node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {key!r} descends through a non-object")
+        node[leaf] = value
     return obj
 
 
@@ -191,9 +164,6 @@ def apply_overrides(obj: dict, assignments) -> dict:
 
 CHECKPOINT_MAGIC = b"UFSL"
 CHECKPOINT_VERSION = 1
-
-_KIND_IDS = {"dense": 0, "conv2d": 1, "leaky_relu": 2, "relu": 3, "tanh": 4, "global_sum_pool": 5}
-_KIND_NAMES = {v: k for k, v in _KIND_IDS.items()}
 
 
 def save_checkpoint(path, arrays: dict) -> None:
@@ -246,21 +216,23 @@ def save_embeddings(embeddings: Array, path) -> None:
     save_checkpoint(path, {"embeddings": np.asarray(embeddings, dtype=np.float64)})
 
 
-def load_embeddings(path) -> Array:
-    return load_checkpoint(path)["embeddings"]
-
-
 def _encode_spec(spec: LayerSpec) -> Array:
-    return np.array([_KIND_IDS[spec.kind], spec.in_features, spec.out_features,
+    """The layer kind is stored as its index in LAYER_KINDS."""
+    return np.array([LAYER_KINDS.index(spec.kind), spec.in_features, spec.out_features,
                      spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
                      spec.slope], dtype=np.float64)
 
 
-def _decode_spec(values: Array) -> LayerSpec:
-    kind = _KIND_NAMES[int(values[0])]
-    return LayerSpec(kind, in_features=int(values[1]), out_features=int(values[2]),
-                     in_channels=int(values[3]), out_channels=int(values[4]),
-                     kernel=int(values[5]), stride=int(values[6]), slope=float(values[7]))
+def _decode_spec(name: str, values: Array) -> LayerSpec:
+    if values.shape != (8,):
+        raise ParseError(f"{name}: a layer spec holds 8 values, got shape {values.shape}")
+    kind_id = float(values[0])
+    if not (kind_id.is_integer() and 0 <= kind_id < len(LAYER_KINDS)):
+        raise ParseError(f"{name}: unknown layer kind id {kind_id!r}")
+    return LayerSpec(LAYER_KINDS[int(kind_id)], in_features=int(values[1]),
+                     out_features=int(values[2]), in_channels=int(values[3]),
+                     out_channels=int(values[4]), kernel=int(values[5]),
+                     stride=int(values[6]), slope=float(values[7]))
 
 
 def _network_arrays(prefix: str, net: Network, arrays: dict) -> None:
@@ -274,8 +246,8 @@ def _network_from_arrays(prefix: str, arrays: dict) -> Network:
     specs = []
     params = []
     i = 0
-    while f"{prefix}.spec.{i:02d}" in arrays:
-        spec = _decode_spec(arrays[f"{prefix}.spec.{i:02d}"])
+    while (spec_name := f"{prefix}.spec.{i:02d}") in arrays:
+        spec = _decode_spec(spec_name, arrays[spec_name])
         layer_params = {}
         for key in ("W", "b"):
             name = f"{prefix}.param.{i:02d}.{key}"
@@ -293,16 +265,6 @@ def _adam_arrays(prefix: str, state: AdamState, arrays: dict) -> None:
     for i, (m, v) in enumerate(zip(state.m, state.v)):
         arrays[f"{prefix}.m.{i:02d}"] = m
         arrays[f"{prefix}.v.{i:02d}"] = v
-
-
-def _adam_from_arrays(prefix: str, arrays: dict, params) -> AdamState:
-    lr, b1, b2, eps = arrays[f"{prefix}.hyper"]
-    state = AdamState.for_params(params, float(lr), float(b1), float(b2), float(eps))
-    state.step = int(arrays[f"{prefix}.step"][0])
-    for i in range(len(params)):
-        state.m[i] = arrays[f"{prefix}.m.{i:02d}"]
-        state.v[i] = arrays[f"{prefix}.v.{i:02d}"]
-    return state
 
 
 def trainer_to_arrays(state: gan_mod.TrainerState) -> dict:

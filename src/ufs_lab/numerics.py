@@ -428,25 +428,3 @@ def adam_step(state: AdamState, params, grads) -> None:
         v *= state.b2
         v += (1.0 - state.b2) * (g * g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
-# --- finite differences ---------------------------------------------------- #
-
-
-def finite_diff_grad(f, x: Array, h: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar function, coordinate by coordinate."""
-    if h <= 0:
-        raise ContractError(f"step size must be positive, got {h}")
-    x = as_f64(x)
-    g = np.zeros_like(x)
-    flat_g = g.ravel()
-    for i in range(x.size):
-        xp = x.copy()
-        xp.ravel()[i] += h
-        xm = x.copy()
-        xm.ravel()[i] -= h
-        fp, fm = f(xp), f(xm)
-        if np.ndim(fp) != 0 or np.ndim(fm) != 0:
-            raise ContractError("finite_diff_grad needs a scalar-valued function")
-        flat_g[i] = (float(fp) - float(fm)) / (2.0 * h)
-    return g

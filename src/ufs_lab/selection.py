@@ -131,8 +131,3 @@ def instance_select(dataset: Array, cfg: InstanceSelectionConfig) -> Array:
 def write_index_file(indices, path) -> None:
     """Newline-delimited integer indices, one per line."""
     Path(path).write_text("".join(f"{int(i)}\n" for i in indices))
-
-
-def read_index_file(path) -> Array:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    return np.array([int(ln) for ln in lines], dtype=np.int64)

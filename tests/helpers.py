@@ -16,6 +16,7 @@ import numpy as np
 
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
+from ufs_lab.errors import ContractError
 from ufs_lab.selection import SelectionConfig
 
 
@@ -191,6 +192,26 @@ def fd_param_grads(value_fn, arrays, h=1e-6):
             gflat[i] = (fp - fm) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def finite_diff_grad(f, x, h: float = 1e-5):
+    """Central-difference gradient of a scalar function of one array, coordinate
+    by coordinate."""
+    if h <= 0:
+        raise ContractError(f"step size must be positive, got {h}")
+    x = nm.as_f64(x)
+    g = np.zeros_like(x)
+    flat_g = g.ravel()
+    for i in range(x.size):
+        xp = x.copy()
+        xp.ravel()[i] += h
+        xm = x.copy()
+        xm.ravel()[i] -= h
+        fp, fm = f(xp), f(xm)
+        if np.ndim(fp) != 0 or np.ndim(fm) != 0:
+            raise ContractError("finite_diff_grad needs a scalar-valued function")
+        flat_g[i] = (float(fp) - float(fm)) / (2.0 * h)
+    return g
 
 
 # --- the critic as one stack ------------------------------------------------ #

@@ -91,8 +91,7 @@ def test_acceptance_gradient_suite():
                 y_r, _ = nm.forward_pass(d.body.specs, d.body.params, real)
                 y_f, _ = nm.forward_pass(d.body.specs, d.body.params, fake)
                 s_r, s_f = gan.score_from_features(d, y_r), gan.score_from_features(d, y_f)
-                return (gan.wgan_d_loss(s_r, s_f) if kind == "wgan"
-                        else gan.hinge_d_loss(s_r, s_f))
+                return gan.critic_loss(kind, s_r, s_f)[0]
 
             check(nm.flatten_grads(body_grads) + [dw, db],
                   fd_param_grads(d_loss, d.body.param_list() + [d.w, d.b]))

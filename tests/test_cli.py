@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from ufs_lab import cli
 from ufs_lab import datasets as ds
+from ufs_lab import gan
+from ufs_lab.harness import load_checkpoint, save_checkpoint, trainer_to_arrays
 from ufs_lab.numerics import SeededRng
 
 
@@ -28,12 +31,6 @@ def test_run_subcommand_with_overrides(tmp_path, capsys):
     rc = cli.main(["run", str(cfg_path), "--set", f"out_dir={json.dumps(str(out_dir))}"])
     assert rc == 0
     assert (out_dir / "metrics.csv").exists()
-
-
-def test_run_subcommand_rejects_unknown_key(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"dataset": {"kind": "ring8"}, "train": {}, "nope": 1}))
-    assert cli.main(["run", str(cfg_path)]) == 2
 
 
 def test_eval_subcommand_on_point_csvs(tmp_path, capsys):
@@ -84,15 +81,13 @@ def test_select_and_cam_subcommands(tmp_path, capsys):
 
 
 def test_eval_dump_embeddings(tmp_path, capsys):
-    from ufs_lab.harness import load_embeddings
-
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=12, seed=1)
     idx_path_b = write_shapes_idx(tmp_path / "b.idx", count=12, seed=2)
     dump = tmp_path / "emb"
     rc = cli.main(["eval", "--real", str(idx_path), "--fake", str(idx_path_b),
                    "-k", "2", "--dump-embeddings", str(dump)])
     assert rc == 0
-    emb = load_embeddings(dump / "real_embeddings.ufsl")
+    emb = load_checkpoint(dump / "real_embeddings.ufsl")["embeddings"]
     assert emb.shape == (12, 64)
 
 
@@ -135,6 +130,41 @@ def test_run_invalid_json_one_line_error(tmp_path, capsys):
     cfg_path.write_text('{"dataset": {"kind": "ring8"},')
     assert cli.main(["run", str(cfg_path)]) == 2
     assert_one_line_error(capsys, "ConfigError")
+
+
+RING8_RUN = {"dataset": {"kind": "ring8"},
+             "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "wgan"}},
+             "eval_every": 1, "eval_samples": 16}
+
+
+@pytest.mark.parametrize("edit, args, key", [
+    ({"nope": 1}, [], "unknown key config.nope"),
+    ({"train": {"ufs": {"beta": 1.0, "epsilon": 1.0}}}, [], "config.train.ufs.alpha"),
+    ({"train": {"batch_size": "64"}}, [], "config.train.batch_size"),
+    ({"train": {"ufs": 5}}, [], "config.train.ufs"),
+    ({"dataset": "ring8"}, [], "config.dataset"),
+    ({}, ["--set", 'eval_every="5"'], "config.eval_every"),
+], ids=["unknown-key", "missing-ufs-alpha", "batch-size-string", "ufs-int", "dataset-string",
+        "override-eval-every-string"])
+def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
+    cfg = dict(RING8_RUN, out_dir=str(tmp_path / "run"), **edit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)] + args) == 2
+    assert key in assert_one_line_error(capsys, "ConfigError")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind_id", [9.0, -1.0, 2.5])
+def test_cam_bad_layer_kind_id_one_line_error(tmp_path, capsys, kind_id):
+    gen, disc = gan.default_models((2,), SeededRng(0))
+    arrays = trainer_to_arrays(gan.init_trainer(gan.TrainConfig(), gen, disc))
+    arrays["disc.body.spec.00"][0] = kind_id
+    save_checkpoint(tmp_path / "bad.ufsl", arrays)
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "bad.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    assert "unknown layer kind id" in assert_one_line_error(capsys, "ParseError")
 
 
 def test_cam_on_embeddings_file_one_line_error(tmp_path, capsys):

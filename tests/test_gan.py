@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import (fd_param_grads, frozen_generator_loss, grad_close, objective_state,
-                     penalty_stacked, small_conv_disc, small_gen, small_mlp_disc,
-                     split_scores, stacked_critic)
+from helpers import (fd_param_grads, finite_diff_grad, frozen_generator_loss, grad_close,
+                     objective_state, penalty_stacked, small_conv_disc, small_gen,
+                     small_mlp_disc, split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, StateError
@@ -43,52 +43,64 @@ def test_forward_split_matches_stacked_network_exactly():
 # --- losses --------------------------------------------------------------------- #
 
 
+def critic_value(kind, r, f):
+    return gan.critic_loss(kind, r, f)[0]
+
+
 def test_wgan_d_loss_hand():
-    assert gan.wgan_d_loss([1.0, 3.0], [0.0, 2.0]) == -1.0
+    assert critic_value("wgan", [1.0, 3.0], [0.0, 2.0]) == -1.0
 
 
 def test_wgan_d_loss_equal_batches():
-    assert gan.wgan_d_loss([0.5, -0.5], [0.5, -0.5]) == 0.0
+    assert critic_value("wgan", [0.5, -0.5], [0.5, -0.5]) == 0.0
 
 
 def test_wgan_d_loss_loop_oracle():
     rng = nm.SeededRng(4)
     r, f = rng.normal((9,)), rng.normal((11,))
     expect = sum(f) / 11 - sum(r) / 9
-    assert abs(gan.wgan_d_loss(r, f) - expect) < 1e-12
+    assert abs(critic_value("wgan", r, f) - expect) < 1e-12
+    assert critic_value("wgan_gp", r, f) == critic_value("wgan", r, f)
 
 
 def test_wgan_d_loss_empty_batch():
-    with pytest.raises(ContractError):
-        gan.wgan_d_loss([], [1.0])
+    for kind in gan.LOSS_KINDS:
+        with pytest.raises(ContractError, match="empty"):
+            gan.critic_loss(kind, [], [1.0])
+        with pytest.raises(ContractError, match="empty"):
+            gan.critic_loss(kind, [1.0], [])
 
 
 def test_hinge_d_loss_hand():
-    assert gan.hinge_d_loss([2.0, 0.0], [-2.0, 0.0]) == 1.0
+    assert critic_value("hinge", [2.0, 0.0], [-2.0, 0.0]) == 1.0
 
 
 def test_hinge_d_loss_saturated_is_zero():
-    assert gan.hinge_d_loss([1.0, 2.5], [-1.0, -3.0]) == 0.0
+    assert critic_value("hinge", [1.0, 2.5], [-1.0, -3.0]) == 0.0
 
 
 def test_hinge_d_loss_loop_oracle():
     rng = nm.SeededRng(5)
     r, f = rng.normal((7,)), rng.normal((7,))
     expect = sum(max(0.0, 1.0 - v) for v in r) / 7 + sum(max(0.0, 1.0 + v) for v in f) / 7
-    assert abs(gan.hinge_d_loss(r, f) - expect) < 1e-12
+    assert abs(critic_value("hinge", r, f) - expect) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["wgan", "hinge"])
 def test_loss_score_grads_match_finite_differences(kind):
     rng = nm.SeededRng(6)
     r, f = rng.normal((5,)), rng.normal((5,))
-    dr, df = gan.d_loss_score_grads(kind, r, f)
-    loss = gan.wgan_d_loss if kind == "wgan" else gan.hinge_d_loss
+    _, dr, df = gan.critic_loss(kind, r, f)
 
-    fd_r = nm.finite_diff_grad(lambda v: loss(v, f), r)
-    fd_f = nm.finite_diff_grad(lambda v: loss(r, v), f)
+    fd_r = finite_diff_grad(lambda v: critic_value(kind, v, f), r)
+    fd_f = finite_diff_grad(lambda v: critic_value(kind, r, v), f)
     assert grad_close(dr, fd_r, 1e-6)
     assert grad_close(df, fd_f, 1e-6)
+
+
+def test_critic_loss_rejects_unknown_kind():
+    with pytest.raises(ContractError, match="unknown loss kind"):
+        gan.critic_loss("lsgan", [1.0], [1.0])
 
 
 # --- gradient penalty -------------------------------------------------------------- #
@@ -129,7 +141,7 @@ def test_penalty_input_gradient_matches_finite_differences():
         out, _ = nm.forward_pass(specs, params, xv)
         return float(out.sum())
 
-    assert grad_close(gx, nm.finite_diff_grad(score_sum, x))
+    assert grad_close(gx, finite_diff_grad(score_sum, x))
 
 
 @pytest.mark.parametrize("make_disc", [small_mlp_disc, small_conv_disc])
@@ -177,7 +189,7 @@ def test_discriminator_objective_grads_match_finite_differences(kind):
         y_f, _ = nm.forward_pass(d.body.specs, d.body.params, fake)
         s_r = gan.score_from_features(d, y_r)
         s_f = gan.score_from_features(d, y_f)
-        base = gan.wgan_d_loss(s_r, s_f) if kind != "hinge" else gan.hinge_d_loss(s_r, s_f)
+        base = critic_value(kind, s_r, s_f)
         if kind == "wgan_gp":
             base += penalty_stacked(d, x_hat, loss_cfg.gp_lambda)[0]
         return base
@@ -268,7 +280,7 @@ def test_discriminator_step_loss_recomputes_from_logged_scores():
     state, rng = make_trainer(loss=gan.LossKind("wgan_gp"))
     loss = gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
     diag = state.diag
-    recomputed = gan.wgan_d_loss(diag["real_scores"], diag["fake_scores"]) + diag["penalty"]
+    recomputed = critic_value("wgan_gp", diag["real_scores"], diag["fake_scores"]) + diag["penalty"]
     assert loss == recomputed
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from helpers import split_scores
 
 import ufs_lab
-from ufs_lab import gan, harness
+from ufs_lab import gan, harness, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ConfigError, ParseError
 
@@ -34,22 +35,66 @@ def tiny_config(tmp_path, **overrides):
 # --- config parsing -------------------------------------------------------------- #
 
 
-def test_unknown_top_level_key_rejected():
-    with pytest.raises(ConfigError, match="bogus"):
-        harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}, "bogus": 1})
+RING8 = {"kind": "ring8"}
 
 
-def test_unknown_nested_key_rejected():
-    with pytest.raises(ConfigError, match="momentum_typo"):
-        harness.config_from_dict({
-            "dataset": {"kind": "ring8"},
-            "train": {"ufs": {"alpha": 0, "beta": 1, "epsilon": 1, "momentum_typo": 2}},
-        })
+@pytest.mark.parametrize("obj, message", [
+    ({"dataset": RING8, "train": {}, "bogus": 1}, "unknown key config.bogus"),
+    ({"dataset": RING8, "train": {"ufs": {"alpha": 0, "beta": 1, "epsilon": 1,
+                                          "momentum_typo": 2}}},
+     "unknown key config.train.ufs.momentum_typo"),
+    ({"dataset": RING8}, "missing key config.train"),
+    ({"dataset": RING8, "train": {"ufs": {"beta": 1.0, "epsilon": 1.0}}},
+     "missing key config.train.ufs.alpha"),
+    ({"dataset": RING8, "train": {"batch_size": "64"}},
+     'config.train.batch_size must be int, got "64"'),
+    ({"dataset": RING8, "train": {"iterations": True}},
+     "config.train.iterations must be int, got true"),
+    ({"dataset": RING8, "train": {"seed": 1.5}}, "config.train.seed must be int, got 1.5"),
+    ({"dataset": RING8, "train": {"ufs": 5}},
+     "config.train.ufs must be an object or null, got 5"),
+    ({"dataset": "ring8", "train": {}}, 'config.dataset must be an object, got "ring8"'),
+    ({"dataset": RING8, "train": {"loss": None}},
+     "config.train.loss must be an object, got null"),
+    ([], "config must be an object, got []"),
+], ids=["unknown-top-level-key", "unknown-nested-key", "missing-block", "missing-ufs-alpha",
+        "batch-size-string", "iterations-bool", "seed-float", "ufs-int", "dataset-string",
+        "loss-null", "not-an-object"])
+def test_config_error_names_dotted_key(obj, message):
+    with pytest.raises(ConfigError) as info:
+        harness.config_from_dict(obj)
+    assert str(info.value) == message
 
 
-def test_missing_required_block_rejected():
-    with pytest.raises(ConfigError, match="train"):
-        harness.config_from_dict({"dataset": {"kind": "ring8"}})
+def test_decoder_accepts_int_for_float_and_null_for_optional():
+    cfg = harness.config_from_dict({
+        "dataset": {"kind": "ring8", "radius": 3, "sigma": None},
+        "train": {"n_critic": None, "ufs": {"alpha": 0, "beta": 1, "epsilon": 1},
+                  "selection": None},
+    })
+    assert cfg.dataset.radius == 3 and cfg.dataset.sigma is None
+    assert cfg.train.n_critic == 5  # wgan_gp default
+    assert cfg.train.ufs == ufs.UfsConfig(0.0, 1.0, 1.0) and cfg.train.selection is None
+
+
+FULL_CONFIG = {
+    "dataset": {"kind": "synthetic_shapes", "image_size": 16, "num_shapes": 64,
+                "instance_selection": {"retention_ratio": 0.5}},
+    "train": {"batch_size": 8, "loss": {"kind": "hinge"},
+              "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.5,
+                      "beta_anneal": {"beta_start": 1.5, "beta_end": 1.0}},
+              "selection": {"mode": "random", "k_start": 8, "k_end": 4}},
+}
+
+
+@pytest.mark.parametrize("name", ["ring8_baseline", "ring8_ufs", "ring8_topk",
+                                  "ring8_topk_ufs", "every_block"])
+def test_config_round_trips_through_asdict(name):
+    if name == "every_block":
+        cfg = harness.config_from_dict(json.loads(json.dumps(FULL_CONFIG)))
+    else:
+        cfg = harness.load_config(CONFIG_DIR / f"{name}.json")
+    assert harness.config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_load_config_round_trips_fields(tmp_path):
@@ -85,6 +130,9 @@ def test_apply_overrides_dotted_paths():
     assert obj["train"]["seed"] == 9
     assert obj["eval_every"] == 10
     assert obj["train"]["loss"]["kind"] == "hinge"
+    for root, item in (([], "eval_every=5"), ({"eval_every": 5}, "eval_every.x=1")):
+        with pytest.raises(ConfigError, match="non-object"):
+            harness.apply_overrides(root, [item])
 
 
 # --- CSV ---------------------------------------------------------------------------- #
@@ -179,6 +227,36 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     _, s_a = split_scores(disc, gen.sample(z))
     _, s_b = split_scores(disc2, gen2.sample(z))
     assert np.array_equal(s_a, s_b)
+
+
+def ring8_trainer_arrays():
+    gen, disc = gan.default_models((2,), nm.SeededRng(0))
+    return harness.trainer_to_arrays(gan.init_trainer(gan.TrainConfig(), gen, disc))
+
+
+def test_layer_kind_ids_are_stable():
+    # a layer kind is stored as its index in LAYER_KINDS; saved checkpoints rely on it
+    arrays = ring8_trainer_arrays()
+    ids = [arrays[f"gen.spec.{i:02d}"][0] for i in range(5)]
+    assert ids == [0, 2, 0, 2, 0]  # dense, leaky_relu, dense, leaky_relu, dense
+    assert nm.LAYER_KINDS.index("global_sum_pool") == 5
+
+
+@pytest.mark.parametrize("kind_id", [9.0, -1.0, 2.5])
+def test_models_from_arrays_rejects_bad_layer_kind_id(tmp_path, kind_id):
+    path = tmp_path / "t.ufsl"
+    arrays = ring8_trainer_arrays()
+    arrays["disc.body.spec.00"][0] = kind_id
+    harness.save_checkpoint(path, arrays)
+    with pytest.raises(ParseError, match="disc.body.spec.00: unknown layer kind id"):
+        harness.models_from_arrays(harness.load_checkpoint(path))
+
+
+def test_models_from_arrays_rejects_short_layer_spec():
+    arrays = ring8_trainer_arrays()
+    arrays["gen.spec.01"] = arrays["gen.spec.01"][:3]
+    with pytest.raises(ParseError, match=r"gen.spec.01: a layer spec holds 8 values"):
+        harness.models_from_arrays(arrays)
 
 
 # --- run_experiment ------------------------------------------------------------------------ #
