@@ -5,6 +5,11 @@ feature vector, and the head is a single linear map from features to the
 scalar score. Keeping the split explicit is what lets generator training
 reweight individual feature channels before the score is formed, and lets
 attribution read the pre-pool feature map.
+
+A critic step runs the body forward once over the stacked [real; fake; x_hat]
+rows and backward once per group: one weight-gradient GEMM over all the rows
+would sum in a different order. A conv body's row slices are bitwise each
+group's own forward; dense BLAS rows can differ at some row counts (8, 16).
 """
 
 from __future__ import annotations
@@ -144,22 +149,22 @@ def interpolate_batches(real: Array, fake: Array, rng: SeededRng) -> Array:
     return u * real + (1.0 - u) * fake
 
 
-def penalty_with_grads(d: DiscriminatorNet, x_hat: Array, gp_lambda: float):
+def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
     """Two-sided gradient-norm penalty and its gradients: (value, body grads, dw).
 
-    The gradients differentiate through the input-gradient computation
+    `cache` is the body's forward cache at the interpolated points x_hat. The
+    gradients differentiate through the input-gradient computation
     (second-order backward); biases receive none, since the input gradient of
     a piecewise-linear critic does not depend on them. The head is linear, so
     the score's gradient at the pooled features is w in every row, and dw is
     ones.T @ q, where q is the second-order term carried up to the features.
     """
     specs, params = d.body.specs, d.body.params
-    _, cache = forward_pass(specs, params, x_hat)
-    ones = np.ones((len(x_hat), 1))
+    n = cache[0][0] if isinstance(cache[0], tuple) else len(cache[0])
+    ones = np.ones((n, 1))
     _, gx, tape = backward_pass(specs, params, cache, ones @ d.w.reshape(1, -1), want_tape=True)
     axes = tuple(range(1, gx.ndim))
     norms = np.sqrt((gx * gx).sum(axis=axes))
-    n = len(x_hat)
     value = gp_lambda * float(((norms - 1.0) ** 2).mean())
     coef = gp_lambda * 2.0 * (norms - 1.0) / (n * np.maximum(norms, 1e-12))
     v = gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1))
@@ -170,6 +175,14 @@ def penalty_with_grads(d: DiscriminatorNet, x_hat: Array, gp_lambda: float):
 # --- objective gradients ------------------------------------------------------ #
 
 
+def _split_groups(y: Array, cache, lengths):
+    """(features, cache) per group of one forward pass over row-stacked groups;
+    a pooling layer's saved input shape gets the group's own leading dim."""
+    bounds = np.cumsum([0] + lengths).tolist()
+    return [(y[lo:hi], [(hi - lo,) + c[1:] if isinstance(c, tuple) else c[lo:hi] for c in cache])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_batch: Array,
                                   loss: LossKind, x_hat: Array | None = None):
     """Critic loss, its gradients, and diagnostics for one real/fake batch pair.
@@ -177,8 +190,15 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     x_hat must be supplied when the loss carries a gradient penalty so the
     interpolation points are fixed by the caller (and by tests).
     """
-    y_r, cache_r = forward_pass(d.body.specs, d.body.params, real_batch)
-    y_f, cache_f = forward_pass(d.body.specs, d.body.params, fake_batch)
+    batches = [as_f64(real_batch), as_f64(fake_batch)]
+    if loss.kind == "wgan_gp":
+        if x_hat is None:
+            raise ContractError("wgan_gp needs interpolated points")
+        batches.append(as_f64(x_hat))
+    if len({b.shape[1:] for b in batches}) > 1:
+        raise DimensionError(f"critic batches differ in sample shape: {[b.shape for b in batches]}")
+    y, cache = forward_pass(d.body.specs, d.body.params, np.concatenate(batches))
+    (y_r, cache_r), (y_f, cache_f), *x_hat_group = _split_groups(y, cache, [len(b) for b in batches])
     s_r = score_from_features(d, y_r)
     s_f = score_from_features(d, y_f)
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
@@ -188,10 +208,8 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     grads_f, _ = backward_pass(d.body.specs, d.body.params, cache_f, np.outer(df, d.w))
     body_grads = add_grads(grads_r, grads_f)
     penalty = 0.0
-    if loss.kind == "wgan_gp":
-        if x_hat is None:
-            raise ContractError("wgan_gp needs interpolated points")
-        penalty, pgrads, pw = penalty_with_grads(d, x_hat, loss.gp_lambda)
+    if x_hat_group:
+        penalty, pgrads, pw = penalty_with_grads(d, x_hat_group[0][1], loss.gp_lambda)
         body_grads = add_grads(body_grads, pgrads)
         dw = dw + pw
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,

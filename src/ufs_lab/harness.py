@@ -20,7 +20,7 @@ import numpy as np
 from . import gan as gan_mod
 from . import ufs as ufs_mod
 from .datasets import DatasetConfig, PointMixture, make_dataset
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ContractError, ParseError
 from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics,
                       mode_coverage, random_feature_embed)
 from .numerics import LAYER_KINDS, AdamState, Array, LayerSpec, Network, SeededRng
@@ -91,7 +91,8 @@ class ExperimentConfig:
 def _decode(cls, obj, where: str):
     """Build dataclass `cls` from a JSON object, checking each value against its
     field's type hint; nested dataclass fields recurse. Values pass unconverted,
-    so the dataclasses' own checks see exactly what the JSON held."""
+    so the dataclasses' own checks see exactly what the JSON held; an error
+    they raise is re-raised as a ConfigError prefixed with the block's key."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {json.dumps(obj, default=repr)}")
     declared = {f.name: f for f in fields(cls)}
@@ -105,7 +106,10 @@ def _decode(cls, obj, where: str):
             kwargs[name] = _decode_value(hints[name], obj[name], f"{where}.{name}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing key {where}.{name}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ContractError) as exc:  # a range check in __post_init__
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _decode_value(hint, value, where: str):
@@ -452,11 +456,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     finite = [(r.frechet, r.iteration) for r in records if _is_finite(r.frechet)]
     best_frechet, best_iteration = min(finite) if finite else (math.nan, -1)
-    # image runs measure in random-feature space: call the number rf-frechet there
-    label = "frechet" if isinstance(dataset, PointMixture) else "rf_frechet"
-    summary = {"status": status, f"best_{label}": best_frechet,
+    # image runs measure in random-feature space, point runs in the data itself
+    space = "data" if isinstance(dataset, PointMixture) else "random_features"
+    summary = {"status": status, "best_frechet": best_frechet, "space": space,
                "best_iteration": best_iteration, "iterations_run": records[-1].iteration}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"[ufs-lab] {cfg.out_dir}: status={status} best_{label}={best_frechet:.6g} "
-          f"at iteration {best_iteration}")
+    print(f"[ufs-lab] {cfg.out_dir}: status={status} best_frechet={best_frechet:.6g} "
+          f"space={space} at iteration {best_iteration}")
     return RunResult(status, out, metrics_path, records, best_frechet, best_iteration)

@@ -7,7 +7,9 @@ independent of the library's im2col GEMMs. The sqrt-distance manifold
 metrics take a square root per pair and compare it with sqrt radii,
 independent of the library's squared distances and ball bounds. The
 stacked critic appends the linear head to the body as a dense layer, the
-form the library's split (body, w, b) head is checked against.
+form the library's split (body, w, b) head is checked against, and the
+per-group critic objective runs the body forward once per batch, the form
+the library's single forward over stacked batches is checked against.
 """
 
 import math
@@ -228,6 +230,36 @@ def split_scores(d, x):
     """Pooled features and scores of the split (body, w, b) critic."""
     features, _ = nm.forward_pass(d.body.specs, d.body.params, x)
     return features, gan.score_from_features(d, features)
+
+
+def penalty_at(d, x_hat, gp_lambda):
+    """gan.penalty_with_grads on the body's own forward cache at x_hat."""
+    _, cache = nm.forward_pass(d.body.specs, d.body.params, x_hat)
+    return gan.penalty_with_grads(d, cache, gp_lambda)
+
+
+def critic_objective_per_group(d, real, fake, loss, x_hat=None):
+    """The critic objective with one body forward per group (real, fake, x_hat):
+    the form the library's single forward over the stacked groups is checked
+    against bitwise. Returns what gan.discriminator_objective_grads does."""
+    specs, params = d.body.specs, d.body.params
+    y_r, cache_r = nm.forward_pass(specs, params, real)
+    y_f, cache_f = nm.forward_pass(specs, params, fake)
+    s_r, s_f = gan.score_from_features(d, y_r), gan.score_from_features(d, y_f)
+    value, dr, df = gan.critic_loss(loss.kind, s_r, s_f)
+    dw = dr @ y_r + df @ y_f
+    db = np.array([dr.sum() + df.sum()])
+    grads_r, _ = nm.backward_pass(specs, params, cache_r, np.outer(dr, d.w))
+    grads_f, _ = nm.backward_pass(specs, params, cache_f, np.outer(df, d.w))
+    body_grads = nm.add_grads(grads_r, grads_f)
+    penalty = 0.0
+    if loss.kind == "wgan_gp":
+        penalty, pgrads, pw = penalty_at(d, x_hat, loss.gp_lambda)
+        body_grads = nm.add_grads(body_grads, pgrads)
+        dw = dw + pw
+    diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
+            "y_real": y_r, "y_fake": y_f}
+    return value + penalty, body_grads, dw, db, diag
 
 
 def penalty_stacked(d, x_hat, gp_lambda):

@@ -18,6 +18,7 @@ from helpers import (
     frozen_generator_loss,
     grad_close,
     objective_state,
+    penalty_at,
     penalty_stacked,
     prdc_loop,
     small_conv_disc,
@@ -98,7 +99,7 @@ def test_acceptance_gradient_suite():
 
         # gradient penalty parameter gradients (biases, the head's too, get none)
         x_hat = rng.normal((4, 2))
-        _, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+        _, pgrads, pw = penalty_at(d, x_hat, 10.0)
         check(nm.flatten_grads(pgrads) + [pw, np.zeros(1)],
               fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list()))
 

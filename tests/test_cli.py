@@ -144,8 +144,22 @@ RING8_RUN = {"dataset": {"kind": "ring8"},
     ({"train": {"ufs": 5}}, [], "config.train.ufs"),
     ({"dataset": "ring8"}, [], "config.dataset"),
     ({}, ["--set", 'eval_every="5"'], "config.eval_every"),
+    ({}, ["--set", "train.selection.anneal_fraction=0.0"], "config.train.selection: "),
+    ({"dataset": {"kind": "synthetic_shapes", "instance_selection": {"retention_ratio": 0.0}}},
+     [], "config.dataset.instance_selection: "),
+    ({}, ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1, "beta_anneal": '
+          '{"beta_start": 1, "beta_end": 1, "anneal_fraction": 0.0}}'],
+     "config.train.ufs.beta_anneal: "),
+    ({}, ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1, "gamma": -1}'],
+     "config.train.ufs: "),
+    ({}, ["--set", 'train.loss.kind="lsgan"'], "config.train.loss: "),
+    ({}, ["--set", "train.batch_size=1"], "config.train: "),
+    ({"dataset": {"kind": "ring9"}}, [], "config.dataset: "),
+    ({}, ["--set", "eval_every=0"], "config: "),
 ], ids=["unknown-key", "missing-ufs-alpha", "batch-size-string", "ufs-int", "dataset-string",
-        "override-eval-every-string"])
+        "override-eval-every-string", "range-SelectionConfig", "range-InstanceSelectionConfig",
+        "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "range-TrainConfig",
+        "range-DatasetConfig", "range-ExperimentConfig"])
 def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
     cfg = dict(RING8_RUN, out_dir=str(tmp_path / "run"), **edit)
     cfg_path = tmp_path / "cfg.json"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import (fd_param_grads, finite_diff_grad, frozen_generator_loss, grad_close,
-                     objective_state, penalty_stacked, small_conv_disc, small_gen,
-                     small_mlp_disc, split_scores, stacked_critic)
+from helpers import (critic_objective_per_group, fd_param_grads, finite_diff_grad,
+                     frozen_generator_loss, grad_close, objective_state, penalty_at,
+                     penalty_stacked, small_conv_disc, small_gen, small_mlp_disc, split_scores,
+                     stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ContractError, StateError
+from ufs_lab.errors import ContractError, DimensionError, StateError
 
 
 # --- forward split ------------------------------------------------------------ #
@@ -113,7 +114,7 @@ def test_penalty_linear_discriminator_closed_form():
     a = body.params[0]["W"].T @ d.w
     expected = 10.0 * (np.linalg.norm(a) - 1.0) ** 2
     x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
-    got, _, _ = gan.penalty_with_grads(d, x_hat, 10.0)
+    got, _, _ = penalty_at(d, x_hat, 10.0)
     assert abs(got - expected) < 1e-12
 
 
@@ -124,7 +125,7 @@ def test_penalty_unit_gradient_is_zero():
     a = body.params[0]["W"].T @ d.w
     d.w /= np.linalg.norm(a)  # rescale so the input gradient has unit norm
     x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
-    got, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+    got, pgrads, pw = penalty_at(d, x_hat, 10.0)
     assert got < 1e-20
     assert np.abs(pw).max() < 1e-9 and np.abs(pgrads[0]["W"]).max() < 1e-9
 
@@ -150,7 +151,7 @@ def test_penalty_param_grads_match_finite_differences(make_disc):
     d = make_disc(rng)
     shape = (4, 2) if make_disc is small_mlp_disc else (3, 1, 9, 9)
     x_hat = rng.normal(shape)
-    _, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+    _, pgrads, pw = penalty_at(d, x_hat, 10.0)
     # biases get no penalty gradient, the head's included
     got = nm.flatten_grads(pgrads) + [pw, np.zeros(1)]
     fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list())
@@ -163,7 +164,7 @@ def test_penalty_split_head_matches_stacked_oracle_bitwise(make_disc):
     rng = nm.SeededRng(16)
     d = make_disc(rng)
     x_hat = rng.normal((4, 2) if make_disc is small_mlp_disc else (3, 1, 9, 9))
-    value, pgrads, pw = gan.penalty_with_grads(d, x_hat, 10.0)
+    value, pgrads, pw = penalty_at(d, x_hat, 10.0)
     want_value, want = penalty_stacked(d, x_hat, 10.0)
     assert value == want_value
     got = nm.flatten_grads(pgrads) + [pw]
@@ -199,6 +200,94 @@ def test_discriminator_objective_grads_match_finite_differences(kind):
     fd = fd_param_grads(loss_value, d.body.param_list() + [d.w, d.b])
     for got, want in zip(flat, fd):
         assert grad_close(got, want)
+
+
+def assert_objective_matches_per_group(d, real, fake, loss_cfg, x_hat):
+    got = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
+    want = critic_objective_per_group(d, real, fake, loss_cfg, x_hat)
+    assert got[0] == want[0]
+    got_arrays = nm.flatten_grads(got[1]) + [got[2], got[3]]
+    want_arrays = nm.flatten_grads(want[1]) + [want[2], want[3]]
+    assert got[4].keys() == want[4].keys() and got[4]["penalty"] == want[4]["penalty"]
+    for key in ("real_scores", "fake_scores", "y_real", "y_fake"):
+        got_arrays.append(got[4][key])
+        want_arrays.append(want[4][key])
+    for g, w in zip(got_arrays, want_arrays, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["wgan", "wgan_gp", "hinge"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_stacked_forward_matches_per_group_oracle_bitwise_conv(n, kind):
+    rng = nm.SeededRng(100 + n)
+    d = small_conv_disc(rng)
+    real, fake = rng.normal((n, 1, 9, 9)), rng.normal((n, 1, 9, 9))
+    x_hat = gan.interpolate_batches(real, fake, rng) if kind == "wgan_gp" else None
+    assert_objective_matches_per_group(d, real, fake, gan.LossKind(kind), x_hat)
+
+
+@pytest.mark.parametrize("kind", ["wgan", "wgan_gp", "hinge"])
+def test_stacked_forward_matches_per_group_oracle_bitwise_ring8_body(kind):
+    # the ring8 critic at the presets' batch size; BLAS row results of the
+    # dense layers depend on the row count at some other sizes
+    rng = nm.SeededRng(17)
+    _, d = gan.default_models((2,), rng)
+    real, fake = rng.normal((64, 2)), rng.normal((64, 2), 0.5, 1.5)
+    x_hat = gan.interpolate_batches(real, fake, rng) if kind == "wgan_gp" else None
+    assert_objective_matches_per_group(d, real, fake, gan.LossKind(kind), x_hat)
+
+
+def test_stacked_forward_slices_each_group_by_its_own_length():
+    rng = nm.SeededRng(18)
+    d = small_conv_disc(rng)
+    real, fake = rng.normal((3, 1, 9, 9)), rng.normal((5, 1, 9, 9))
+    x_hat = rng.normal((2, 1, 9, 9))
+    got = gan.discriminator_objective_grads(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
+    assert got[4]["y_real"].shape == (3, 4) and got[4]["y_fake"].shape == (5, 4)
+    assert_objective_matches_per_group(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
+
+
+def test_split_groups_gives_each_group_its_own_forward_cache():
+    rng = nm.SeededRng(21)
+    d = small_conv_disc(rng)
+    specs, params = d.body.specs, d.body.params
+    batches = [rng.normal((n, 1, 9, 9)) for n in (3, 5, 2)]
+    y, cache = nm.forward_pass(specs, params, np.concatenate(batches))
+    for (y_g, cache_g), batch in zip(gan._split_groups(y, cache, [3, 5, 2]), batches, strict=True):
+        want_y, want_cache = nm.forward_pass(specs, params, batch)
+        assert y_g.tobytes() == want_y.tobytes()
+        for got, want in zip(cache_g, want_cache, strict=True):
+            if isinstance(want, tuple):  # the pooling layer's input shape
+                assert got == want
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def forbid_forward(monkeypatch):
+    def forward(*args, **kwargs):
+        raise AssertionError("forward pass ran before the batches were checked")
+    monkeypatch.setattr(gan, "forward_pass", forward)
+
+
+def test_objective_rejects_mismatched_sample_shapes_before_forward(monkeypatch):
+    rng = nm.SeededRng(19)
+    d = small_conv_disc(rng)
+    forbid_forward(monkeypatch)
+    real, fake = rng.normal((2, 1, 9, 9)), rng.normal((2, 1, 9, 9))
+    with pytest.raises(DimensionError) as info:
+        gan.discriminator_objective_grads(d, real, fake, gan.LossKind("wgan_gp"),
+                                          rng.normal((2, 1, 8, 8)))
+    assert str(info.value) == ("critic batches differ in sample shape: "
+                               "[(2, 1, 9, 9), (2, 1, 9, 9), (2, 1, 8, 8)]")
+
+
+def test_objective_requires_interpolated_points_before_forward(monkeypatch):
+    rng = nm.SeededRng(20)
+    d = small_mlp_disc(rng)
+    forbid_forward(monkeypatch)
+    with pytest.raises(ContractError, match="wgan_gp needs interpolated points"):
+        gan.discriminator_objective_grads(d, rng.normal((4, 2)), rng.normal((4, 2)),
+                                          gan.LossKind("wgan_gp"))
 
 
 # --- generator objective ----------------------------------------------------------------- #

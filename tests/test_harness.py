@@ -36,6 +36,7 @@ def tiny_config(tmp_path, **overrides):
 
 
 RING8 = {"kind": "ring8"}
+UFS = {"alpha": 0, "beta": 1, "epsilon": 1}
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -57,9 +58,28 @@ RING8 = {"kind": "ring8"}
     ({"dataset": RING8, "train": {"loss": None}},
      "config.train.loss must be an object, got null"),
     ([], "config must be an object, got []"),
+    # range checks in the dataclasses' __post_init__, one case per dataclass
+    ({"dataset": RING8, "train": {"selection": {"anneal_fraction": 0.0}}},
+     "config.train.selection: anneal_fraction must be in (0, 1], got 0.0"),
+    ({"dataset": {"kind": "synthetic_shapes", "instance_selection": {"retention_ratio": 0.0}},
+      "train": {}},
+     "config.dataset.instance_selection: retention_ratio must be in (0, 1], got 0.0"),
+    ({"dataset": RING8, "train": {"ufs": dict(UFS, beta_anneal={
+        "beta_start": 1, "beta_end": 1, "anneal_fraction": 0.0})}},
+     "config.train.ufs.beta_anneal: anneal_fraction must be in (0, 1], got 0.0"),
+    ({"dataset": RING8, "train": {"ufs": dict(UFS, gamma=-1)}},
+     "config.train.ufs: gamma must be >= 0, got -1"),
+    ({"dataset": RING8, "train": {"loss": {"kind": "lsgan"}}},
+     "config.train.loss: unknown loss kind 'lsgan'"),
+    ({"dataset": RING8, "train": {"batch_size": 1}},
+     "config.train: batch_size must be >= 2, got 1"),
+    ({"dataset": {"kind": "ring9"}, "train": {}}, "config.dataset: unknown dataset kind 'ring9'"),
+    ({"dataset": RING8, "train": {}, "eval_every": 0}, "config: eval_every must be >= 1, got 0"),
 ], ids=["unknown-top-level-key", "unknown-nested-key", "missing-block", "missing-ufs-alpha",
         "batch-size-string", "iterations-bool", "seed-float", "ufs-int", "dataset-string",
-        "loss-null", "not-an-object"])
+        "loss-null", "not-an-object", "range-SelectionConfig", "range-InstanceSelectionConfig",
+        "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "range-TrainConfig",
+        "range-DatasetConfig", "range-ExperimentConfig"])
 def test_config_error_names_dotted_key(obj, message):
     with pytest.raises(ConfigError) as info:
         harness.config_from_dict(obj)
@@ -291,6 +311,7 @@ def test_run_writes_summary_and_checkpoints(tmp_path):
     summary = json.loads((result.out_dir / "summary.json").read_text())
     assert summary["status"] == "ok"
     assert summary["best_iteration"] in [r.iteration for r in result.records]
+    assert summary["best_frechet"] == result.best_frechet and summary["space"] == "data"
     assert (result.out_dir / "checkpoint_000000.ufsl").exists()
     assert (result.out_dir / "checkpoint_000004.ufsl").exists()
 
@@ -365,6 +386,9 @@ def test_image_run_smoke(tmp_path):
     assert (result.out_dir / "samples_000002.pgm").exists()
     assert all(math.isnan(r.covered_modes) for r in result.records)
     assert all(math.isfinite(r.frechet) for r in result.records)
+    summary = json.loads((result.out_dir / "summary.json").read_text())
+    assert summary["best_frechet"] == result.best_frechet
+    assert summary["space"] == "random_features"
 
 
 def test_image_run_identical_across_blas_thread_counts(tmp_path):
