@@ -13,22 +13,23 @@ from .attribution import compute_cam, save_attribution_maps
 from .datasets import load_idx_images, normalize_images
 from .errors import (ConfigError, ContractError, DimensionError, NumericError, ParseError,
                      UnsupportedArchitectureError)
-from .harness import (load_checkpoint, load_config, models_from_arrays, run_experiment,
-                      save_embeddings)
+from .gan import generator_mask
+from .harness import (load_checkpoint, load_config, run_experiment, save_embeddings,
+                      trainer_from_arrays)
 from .metrics import fit_gaussian, frechet_distance, manifold_metrics, random_feature_embed
 from .selection import InstanceSelectionConfig, instance_select, write_index_file
-from .ufs import suppression_mask
 from .numerics import forward_pass
 
 
-def _load_samples(path: str, embed_seed: int) -> np.ndarray:
-    """Point CSVs load directly; IDX images go through the fixed embedder."""
+def _load_samples(path: str, embed_seed: int) -> tuple[np.ndarray, bool]:
+    """(samples, embedded): point CSVs load directly; IDX images go through the
+    fixed embedder."""
     p = Path(path)
     if p.suffix.lower() == ".idx" or p.read_bytes()[:2] == b"\x00\x00":
         images = normalize_images(load_idx_images(p))
-        return random_feature_embed(images, embed_seed)
+        return random_feature_embed(images, embed_seed), True
     try:
-        return np.loadtxt(p, delimiter=",", ndmin=2)
+        return np.loadtxt(p, delimiter=",", ndmin=2), False
     except ValueError as exc:
         raise ParseError(f"{path}: not a numeric point CSV: {exc}") from exc
 
@@ -39,12 +40,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    real = _load_samples(args.real, args.embed_seed)
-    fake = _load_samples(args.fake, args.embed_seed)
-    embedded = real.shape[1] != 2 or Path(args.real).suffix.lower() == ".idx"
+    real, embedded = _load_samples(args.real, args.embed_seed)
+    fake, _ = _load_samples(args.fake, args.embed_seed)
     out = {
-        # image inputs were embedded, so the number is an rf-space distance
-        "space": "random_feature" if embedded else "data",
+        # the same labels as summary.json's "space"
+        "space": "random_features" if embedded else "data",
         "frechet": frechet_distance(fit_gaussian(real), fit_gaussian(fake)),
     }
     mm = manifold_metrics(real, fake, args.k)
@@ -60,18 +60,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cam(args) -> int:
-    arrays = load_checkpoint(args.checkpoint)
-    _, disc, stats, ufs_cfg, _ = models_from_arrays(arrays)
+    _, state = trainer_from_arrays(load_checkpoint(args.checkpoint))
+    disc = state.disc
     images = normalize_images(load_idx_images(args.input))[:args.limit]
     maps = [compute_cam(disc, images)]
-    if stats.initialized and ufs_cfg is not None:
-        features, _ = forward_pass(disc.body.specs, disc.body.params, images)
-        s = suppression_mask(stats, disc.w, features, ufs_cfg)
+    features, _ = forward_pass(disc.body.specs, disc.body.params, images)
+    s = generator_mask(state, features)
+    if s is not None:
         maps.append(compute_cam(disc, images, s, "cam_ufs"))
         maps.append(compute_cam(disc, images, s, "cam_sup"))
     else:
-        print("note: checkpoint has no usable feature statistics; writing plain maps only",
-              file=sys.stderr)
+        print("note: checkpoint has no UFS mask (UFS off or feature statistics empty); "
+              "writing plain maps only", file=sys.stderr)
     run_id = args.run_id or Path(args.checkpoint).stem
     written = save_attribution_maps(maps, args.out, run_id, args.upsample)
     print(f"wrote {len(written)} heatmaps to {args.out}")

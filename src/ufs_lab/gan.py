@@ -295,6 +295,17 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
     return loss
 
 
+def generator_mask(state: TrainerState, features: Array) -> ufs_mod.SuppressionMatrix | None:
+    """The suppression mask the generator objective applies to these pooled
+    critic features at the state's iteration (beta annealed), or None when
+    UFS is off or the feature statistics are still empty."""
+    cfg = state.cfg
+    if cfg.ufs is None or not state.stats.initialized:
+        return None
+    return ufs_mod.suppression_mask(state.stats, state.disc.w, features,
+                                    ufs_mod.effective_config(cfg.ufs, state.t, cfg.iterations))
+
+
 def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     """The generator loss -sum(weights * scores) on z and its gradients.
 
@@ -308,13 +319,9 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     d = state.disc
     fake, gcache = state.gen.sample(z, want_cache=True)
     y_f, dcache = forward_pass(d.body.specs, d.body.params, fake)
-    s = None
-    if cfg.ufs is not None:
-        if state.stats.initialized:
-            ucfg = ufs_mod.effective_config(cfg.ufs, state.t, cfg.iterations)
-            s = ufs_mod.suppression_mask(state.stats, d.w, y_f, ucfg)
-        elif cfg.ufs.strict_stats:
-            raise StateError("generator step with empty feature statistics (strict mode)")
+    s = generator_mask(state, y_f)
+    if s is None and cfg.ufs is not None and cfg.ufs.strict_stats:
+        raise StateError("generator step with empty feature statistics (strict mode)")
     if s is not None:
         scores = ufs_mod.apply_suppression(y_f, s, d.w, d.b)
     else:

@@ -2,28 +2,31 @@
 
 Everything written to disk is a deterministic function of (config, seed),
 except the wall_seconds column, which is deliberately kept last in the CSV
-so determinism checks can slice it off.
+so determinism checks can slice it off. A trainer checkpoint is the run's
+config plus the trainer's counters and state arrays; the reader rebuilds the
+models from the config. Checkpoints, the CSV and the summary are written
+atomically.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import gan as gan_mod
-from . import ufs as ufs_mod
 from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
 from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics,
                       mode_coverage, random_feature_embed)
-from .numerics import LAYER_KINDS, AdamState, Array, LayerSpec, Network, SeededRng
+from .numerics import Array, SeededRng
 
 CSV_HEADER = ("iteration,L_D,L_G,frechet,precision,recall,density,coverage,"
               "covered_modes,hq_fraction,wall_seconds")
@@ -167,7 +170,18 @@ def apply_overrides(obj: dict, assignments) -> dict:
 # --- checkpoint format ------------------------------------------------------------ #
 
 CHECKPOINT_MAGIC = b"UFSL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write a temp file beside `path`, then os.replace it into place: a killed
+    process leaves the old file or the new one, never part of one (no fsync)."""
+    tmp = Path(path).with_name(f".{Path(path).name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, arrays: dict) -> None:
@@ -182,7 +196,7 @@ def save_checkpoint(path, arrays: dict) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> dict:
@@ -220,115 +234,69 @@ def save_embeddings(embeddings: Array, path) -> None:
     save_checkpoint(path, {"embeddings": np.asarray(embeddings, dtype=np.float64)})
 
 
-def _encode_spec(spec: LayerSpec) -> Array:
-    """The layer kind is stored as its index in LAYER_KINDS."""
-    return np.array([LAYER_KINDS.index(spec.kind), spec.in_features, spec.out_features,
-                     spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
-                     spec.slope], dtype=np.float64)
+def encode_config(cfg: ExperimentConfig) -> Array:
+    """The config as JSON, one byte per float64. out_dir is left out, so a
+    run's checkpoints do not depend on where the run was written."""
+    obj = asdict(cfg)
+    del obj["out_dir"]
+    return np.frombuffer(json.dumps(obj).encode(), np.uint8).astype(np.float64)
 
 
-def _decode_spec(name: str, values: Array) -> LayerSpec:
-    if values.shape != (8,):
-        raise ParseError(f"{name}: a layer spec holds 8 values, got shape {values.shape}")
-    kind_id = float(values[0])
-    if not (kind_id.is_integer() and 0 <= kind_id < len(LAYER_KINDS)):
-        raise ParseError(f"{name}: unknown layer kind id {kind_id!r}")
-    return LayerSpec(LAYER_KINDS[int(kind_id)], in_features=int(values[1]),
-                     out_features=int(values[2]), in_channels=int(values[3]),
-                     out_channels=int(values[4]), kernel=int(values[5]),
-                     stride=int(values[6]), slope=float(values[7]))
+def _state_arrays(state: gan_mod.TrainerState) -> dict:
+    """Every array of a trainer state under its checkpoint name. These are the
+    live arrays, so the reader fills a fresh state through them in place."""
+    groups = {"gen": state.gen.net.param_list(), "disc": state.disc.param_list(),
+              "adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
+              "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v}
+    named = {f"{prefix}.{i:02d}": arr for prefix, arrs in groups.items()
+             for i, arr in enumerate(arrs)}
+    named["stats.mu_real"] = state.stats.mu_real
+    named["stats.mu_fake"] = state.stats.mu_fake
+    return named
 
 
-def _network_arrays(prefix: str, net: Network, arrays: dict) -> None:
-    for i, (spec, params) in enumerate(zip(net.specs, net.params)):
-        arrays[f"{prefix}.spec.{i:02d}"] = _encode_spec(spec)
-        for key, val in params.items():
-            arrays[f"{prefix}.param.{i:02d}.{key}"] = val
+COUNTERS = ("run.iteration", "adam_g.step", "adam_d.step", "stats.initialized")
 
 
-def _network_from_arrays(prefix: str, arrays: dict) -> Network:
-    specs = []
-    params = []
-    i = 0
-    while (spec_name := f"{prefix}.spec.{i:02d}") in arrays:
-        spec = _decode_spec(spec_name, arrays[spec_name])
-        layer_params = {}
-        for key in ("W", "b"):
-            name = f"{prefix}.param.{i:02d}.{key}"
-            if name in arrays:
-                layer_params[key] = arrays[name]
-        specs.append(spec)
-        params.append(layer_params)
-        i += 1
-    return Network(specs, params)
-
-
-def _adam_arrays(prefix: str, state: AdamState, arrays: dict) -> None:
-    arrays[f"{prefix}.hyper"] = np.array([state.lr, state.b1, state.b2, state.eps])
-    arrays[f"{prefix}.step"] = np.array([float(state.step)])
-    for i, (m, v) in enumerate(zip(state.m, state.v)):
-        arrays[f"{prefix}.m.{i:02d}"] = m
-        arrays[f"{prefix}.v.{i:02d}"] = v
-
-
-def trainer_to_arrays(state: gan_mod.TrainerState) -> dict:
-    arrays: dict = {}
-    arrays["run.iteration"] = np.array([float(state.t)])
-    arrays["gen.latent_dim"] = np.array([float(state.gen.latent_dim)])
-    arrays["gen.data_shape"] = np.array([float(v) for v in state.gen.data_shape])
-    _network_arrays("gen", state.gen.net, arrays)
-    _network_arrays("disc.body", state.disc.body, arrays)
-    arrays["disc.head.w"] = state.disc.w
-    arrays["disc.head.b"] = state.disc.b
-    _adam_arrays("adam_g", state.adam_g, arrays)
-    _adam_arrays("adam_d", state.adam_d, arrays)
-    arrays["stats.mu_real"] = state.stats.mu_real
-    arrays["stats.mu_fake"] = state.stats.mu_fake
-    arrays["stats.momentum"] = np.array([state.stats.momentum])
-    arrays["stats.initialized"] = np.array([1.0 if state.stats.initialized else 0.0])
-    if state.cfg.ufs is not None:
-        cfg = ufs_mod.effective_config(state.cfg.ufs, state.t, state.cfg.iterations)
-        arrays["ufs.cfg"] = np.array([cfg.alpha, cfg.beta, cfg.epsilon, cfg.gamma,
-                                      cfg.denom_floor, cfg.near_real_ratio])
+def trainer_to_arrays(state: gan_mod.TrainerState, encoded_cfg: Array) -> dict:
+    """A trainer checkpoint: the run's config (from encode_config), the data
+    shape, the counters and the state arrays."""
+    counts = (state.t, state.adam_g.step, state.adam_d.step, state.stats.initialized)
+    arrays = {name: np.array([float(v)]) for name, v in zip(COUNTERS, counts)}
+    arrays["run.config"] = encoded_cfg
+    arrays["run.data_shape"] = np.array(state.gen.data_shape, dtype=np.float64)
+    arrays.update(_state_arrays(state))
     return arrays
 
 
-# Arrays every trainer checkpoint carries, whatever the architecture.
-TRAINER_ARRAYS = ("run.iteration", "gen.latent_dim", "gen.data_shape", "disc.head.w",
-                  "disc.head.b", "stats.mu_real", "stats.mu_fake", "stats.momentum",
-                  "stats.initialized")
-
-
-def models_from_arrays(arrays: dict):
-    """Rebuild (generator, discriminator, stats, ufs config or None, iteration).
-
-    Raises ParseError naming the first missing array when the arrays are not
-    a trainer checkpoint (an embeddings file, say)."""
-    missing = [name for name in TRAINER_ARRAYS if name not in arrays]
+def trainer_from_arrays(arrays: dict):
+    """(ExperimentConfig, TrainerState) of a trainer checkpoint: gan.default_models
+    for the stored data shape, filled with the stored arrays. Raises ParseError
+    naming the first missing or misshapen array. The config is decoded without
+    looking for an idx_images file, since nothing here reads the dataset."""
+    missing = [n for n in COUNTERS + ("run.config", "run.data_shape") if n not in arrays]
     if missing:
         raise ParseError(f"not a trainer checkpoint: no array {missing[0]!r}")
-    gen = gan_mod.GeneratorNet(
-        int(arrays["gen.latent_dim"][0]),
-        _network_from_arrays("gen", arrays),
-        tuple(int(v) for v in arrays["gen.data_shape"]),
-    )
-    disc = gan_mod.DiscriminatorNet(
-        _network_from_arrays("disc.body", arrays),
-        arrays["disc.head.w"],
-        arrays["disc.head.b"],
-    )
-    stats = ufs_mod.FeatureStats(
-        arrays["stats.mu_real"],
-        arrays["stats.mu_fake"],
-        float(arrays["stats.momentum"][0]),
-        bool(arrays["stats.initialized"][0]),
-    )
-    ufs_cfg = None
-    if "ufs.cfg" in arrays:
-        a, b, e, g, floor, near = arrays["ufs.cfg"]
-        ufs_cfg = ufs_mod.UfsConfig(float(a), float(b), float(e), float(g),
-                                    float(floor), float(near))
-    return gen, disc, stats, ufs_cfg, int(arrays["run.iteration"][0])
+    for name in COUNTERS:
+        if arrays[name].shape != (1,):
+            raise ParseError(f"{name}: expected shape (1,), got {arrays[name].shape}")
+    try:
+        obj = json.loads(bytes(int(v) for v in arrays["run.config"].ravel()))
+    except (ValueError, OverflowError) as exc:  # not bytes, not UTF-8 or not JSON
+        raise ParseError(f"run.config: not a JSON config: {exc}") from exc
+    cfg = _decode(ExperimentConfig, obj, "run.config")
+    data_shape = tuple(int(v) for v in arrays["run.data_shape"])
+    state = gan_mod.init_trainer(cfg.train, *gan_mod.default_models(data_shape, SeededRng(0)))
+    for name, live in _state_arrays(state).items():
+        if name not in arrays:
+            raise ParseError(f"trainer checkpoint has no array {name!r}")
+        if arrays[name].shape != live.shape:
+            raise ParseError(f"{name}: expected shape {live.shape}, got {arrays[name].shape}")
+        live[...] = arrays[name]
+    state.t, state.adam_g.step, state.adam_d.step, initialized = (
+        int(arrays[name][0]) for name in COUNTERS)
+    state.stats.initialized = bool(initialized)
+    return cfg, state
 
 
 # --- metrics CSV -------------------------------------------------------------------- #
@@ -336,7 +304,7 @@ def models_from_arrays(arrays: dict):
 
 def write_metrics_csv(records, path) -> None:
     lines = [CSV_HEADER] + [r.csv_row() for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_csv_without_wall_seconds(path) -> str:
@@ -358,12 +326,13 @@ class RunResult:
     best_iteration: int = -1
 
 
-def _evaluate(cfg: ExperimentConfig, state: gan_mod.TrainerState, dataset,
+def _evaluate(cfg: ExperimentConfig, encoded_cfg: Array, state: gan_mod.TrainerState, dataset,
               real_side: tuple, rng_eval: SeededRng, iteration: int, l_d: float,
               l_g: float, started: float, out: Path) -> MetricsRecord:
-    """One metrics row. `real_side` is the run's fixed real side: (points, Gaussian
-    fit, k-NN ball bounds), where the points are the real pool or, for image
-    runs, its embedding."""
+    """One metrics row and its checkpoint. `encoded_cfg` is encode_config(cfg);
+    `real_side` is the run's fixed real side: (points, Gaussian fit, k-NN ball
+    bounds), where the points are the real pool or, for image runs, its
+    embedding."""
     real_points, real_fit, real_bounds = real_side
     z = rng_eval.normal((cfg.eval_samples, state.gen.latent_dim))
     fake_pool = state.gen.sample(z)
@@ -377,7 +346,7 @@ def _evaluate(cfg: ExperimentConfig, state: gan_mod.TrainerState, dataset,
         _dump_image_grid(fake_pool[:64], out / f"samples_{iteration:06d}.pgm")
     fr = frechet_distance(real_fit, fit_gaussian(fake_points))
     mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
-    save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl", trainer_to_arrays(state))
+    save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl", trainer_to_arrays(state, encoded_cfg))
     return MetricsRecord(iteration, l_d, l_g, fr, mm.precision, mm.recall, mm.density,
                          mm.coverage, covered, hq, time.perf_counter() - started)
 
@@ -418,13 +387,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     real_pool = dataset.sample(cfg.eval_samples, rng_eval)
 
     started = time.perf_counter()
-    # The real side is fixed for the run, so it is embedded, fitted and bounded
-    # once, inside the first evaluation window rather than in set-up.
+    # The real side and the encoded config are fixed for the run, so they are
+    # computed once, inside the first evaluation window rather than in set-up.
     real_points = real_pool
     if not isinstance(dataset, PointMixture):
         real_points = random_feature_embed(real_pool, EVAL_EMBED_SEED)
     real_side = (real_points, fit_gaussian(real_points), ball_bounds(real_points, MANIFOLD_K))
-    records = [_evaluate(cfg, state, dataset, real_side, rng_eval,
+    encoded_cfg = encode_config(cfg)
+    records = [_evaluate(cfg, encoded_cfg, state, dataset, real_side, rng_eval,
                          0, math.nan, math.nan, started, out)]
     write_metrics_csv(records, metrics_path)
 
@@ -440,7 +410,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             if not (math.isfinite(l_d) and math.isfinite(l_g)):
                 diverged = True
             elif t % cfg.eval_every == 0 or t == cfg.train.iterations:
-                records.append(_evaluate(cfg, state, dataset, real_side, rng_eval,
+                records.append(_evaluate(cfg, encoded_cfg, state, dataset, real_side, rng_eval,
                                          t, l_d, l_g, started, out))
                 write_metrics_csv(records, metrics_path)
         except (ArithmeticError, np.linalg.LinAlgError):
@@ -460,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     space = "data" if isinstance(dataset, PointMixture) else "random_features"
     summary = {"status": status, "best_frechet": best_frechet, "space": space,
                "best_iteration": best_iteration, "iterations_run": records[-1].iteration}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_atomic(out / "summary.json", (json.dumps(summary, indent=2) + "\n").encode())
     print(f"[ufs-lab] {cfg.out_dir}: status={status} best_frechet={best_frechet:.6g} "
           f"space={space} at iteration {best_iteration}")
     return RunResult(status, out, metrics_path, records, best_frechet, best_iteration)

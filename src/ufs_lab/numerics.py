@@ -24,7 +24,7 @@ from .errors import ContractError, DimensionError, UnsupportedArchitectureError
 
 Array = np.ndarray
 
-LAYER_KINDS = ("dense", "conv2d", "leaky_relu", "relu", "tanh", "global_sum_pool")
+LAYER_KINDS = ("dense", "conv2d", "leaky_relu", "tanh", "global_sum_pool")
 
 
 def as_f64(x) -> Array:
@@ -95,10 +95,6 @@ def conv2d(in_channels: int, out_channels: int, kernel: int, stride: int = 1) ->
 
 def leaky_relu(slope: float = 0.2) -> LayerSpec:
     return LayerSpec("leaky_relu", slope=slope)
-
-
-def relu() -> LayerSpec:
-    return LayerSpec("relu")
 
 
 def tanh() -> LayerSpec:
@@ -249,19 +245,22 @@ def global_sum_pool(x: Array) -> Array:
 # --- sequential networks -------------------------------------------------- #
 
 
-def init_params(specs, rng: SeededRng, weight_std: float = 0.02):
-    """N(0, weight_std^2) weights, zero biases; draw order follows the spec list."""
+WEIGHT_STD = 0.02
+
+
+def init_params(specs, rng: SeededRng):
+    """N(0, WEIGHT_STD^2) weights, zero biases; draw order follows the spec list."""
     check_specs(specs)
     params = []
     for s in specs:
         if s.kind == "dense":
             params.append({
-                "W": rng.normal((s.out_features, s.in_features), 0.0, weight_std),
+                "W": rng.normal((s.out_features, s.in_features), 0.0, WEIGHT_STD),
                 "b": np.zeros(s.out_features),
             })
         elif s.kind == "conv2d":
             params.append({
-                "W": rng.normal((s.out_channels, s.in_channels, s.kernel, s.kernel), 0.0, weight_std),
+                "W": rng.normal((s.out_channels, s.in_channels, s.kernel, s.kernel), 0.0, WEIGHT_STD),
                 "b": np.zeros(s.out_channels),
             })
         else:
@@ -284,10 +283,6 @@ def forward_pass(specs, params, x):
             h = conv2d_forward(h, p["W"], s.stride) + p["b"][None, :, None, None]
         elif s.kind == "leaky_relu":
             m = np.where(h > 0.0, 1.0, s.slope)
-            cache.append(m)
-            h = h * m
-        elif s.kind == "relu":
-            m = (h > 0.0).astype(np.float64)
             cache.append(m)
             h = h * m
         elif s.kind == "tanh":
@@ -322,7 +317,7 @@ def backward_pass(specs, params, cache, upstream, want_tape: bool = False):
             grads[i]["W"] = conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel)
             grads[i]["b"] = g.sum(axis=(0, 2, 3))
             g = conv2d_input_grad(g, p["W"], c.shape, s.stride)
-        elif s.kind in ("leaky_relu", "relu"):
+        elif s.kind == "leaky_relu":
             g = g * c
         elif s.kind == "tanh":
             g = g * (1.0 - c * c)
@@ -338,7 +333,7 @@ def input_grad_param_grads(specs, params, cache, tape, v):
     """Parameter gradients of sum(input_grad * v), holding v constant.
 
     Backprop through the backward pass. Only valid for piecewise-linear
-    activations (relu / leaky_relu), whose masks have zero derivative almost
+    activations (leaky_relu), whose masks have zero derivative almost
     everywhere; tanh would add curvature terms and is rejected. Returns
     (grads, q): q is v carried forward to the stack's output, the term that a
     linear layer on top of the stack contracts with its own upstream.
@@ -354,7 +349,7 @@ def input_grad_param_grads(specs, params, cache, tape, v):
             out[i]["W"] = conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel)
             out[i]["b"] = np.zeros_like(p["b"])
             q = conv2d_forward(q, p["W"], s.stride)
-        elif s.kind in ("leaky_relu", "relu"):
+        elif s.kind == "leaky_relu":
             q = q * c
         elif s.kind == "tanh":
             raise UnsupportedArchitectureError(
@@ -376,8 +371,8 @@ class Network:
         self.params = list(params)
 
     @classmethod
-    def init(cls, specs, rng: SeededRng, weight_std: float = 0.02) -> "Network":
-        return cls(specs, init_params(specs, rng, weight_std))
+    def init(cls, specs, rng: SeededRng) -> "Network":
+        return cls(specs, init_params(specs, rng))
 
     def param_list(self):
         return [arr for p in self.params for arr in p.values()]

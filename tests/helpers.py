@@ -304,8 +304,18 @@ def frozen_generator_loss(state, z, s, weights):
 # --- tiny model builders ---------------------------------------------------- #
 
 
+def init_network(specs, rng, scale):
+    """nm.Network.init with N(0, scale^2) weights in place of N(0, WEIGHT_STD^2):
+    the same draws in the same order, so gradient checks see weights large
+    enough to matter."""
+    shapes = nm.init_params(specs, nm.SeededRng(0))
+    return nm.Network(specs, [{k: rng.normal(v.shape, 0.0, scale) if k == "W" else v
+                               for k, v in p.items()} for p in shapes])
+
+
+
 def small_mlp_disc(rng, in_dim=2, hidden=8, channels=6, scale=0.4):
-    body = nm.Network.init(
+    body = init_network(
         [nm.dense(in_dim, hidden), nm.leaky_relu(0.2), nm.dense(hidden, channels),
          nm.leaky_relu(0.2)], rng, scale)
     return gan.DiscriminatorNet(body, rng.normal((channels,), 0.0, scale),
@@ -313,7 +323,7 @@ def small_mlp_disc(rng, in_dim=2, hidden=8, channels=6, scale=0.4):
 
 
 def small_conv_disc(rng, channels=4, scale=0.4):
-    body = nm.Network.init(
+    body = init_network(
         [nm.conv2d(1, 3, 3, 2), nm.leaky_relu(0.2), nm.conv2d(3, channels, 3, 1),
          nm.leaky_relu(0.2), nm.sum_pool()], rng, scale)
     return gan.DiscriminatorNet(body, rng.normal((channels,), 0.0, scale),
@@ -321,6 +331,6 @@ def small_conv_disc(rng, channels=4, scale=0.4):
 
 
 def small_gen(rng, latent=4, out_dim=2, scale=0.4):
-    net = nm.Network.init(
+    net = init_network(
         [nm.dense(latent, 8), nm.leaky_relu(0.2), nm.dense(8, out_dim)], rng, scale)
     return gan.GeneratorNet(latent, net, (out_dim,))

@@ -17,6 +17,7 @@ from helpers import (
     fd_param_grads,
     frozen_generator_loss,
     grad_close,
+    init_network,
     objective_state,
     penalty_at,
     penalty_stacked,
@@ -67,9 +68,10 @@ def test_acceptance_gradient_suite():
         rng = nm.SeededRng(1000 + seed)
 
         # every layer kind in one stack
-        net = nm.Network.init(
-            [nm.conv2d(1, 3, 3, 2), nm.leaky_relu(0.2), nm.conv2d(3, 4, 2, 1), nm.relu(),
-             nm.sum_pool(), nm.dense(4, 5), nm.tanh(), nm.dense(5, 1)], rng, 0.5)
+        net = init_network(
+            [nm.conv2d(1, 3, 3, 2), nm.leaky_relu(0.2), nm.conv2d(3, 4, 2, 1),
+             nm.leaky_relu(0.1), nm.sum_pool(), nm.dense(4, 5), nm.tanh(), nm.dense(5, 1)],
+            rng, 0.5)
         x = rng.normal((2, 1, 8, 8))
 
         def net_loss():

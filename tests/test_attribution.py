@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import small_conv_disc, small_mlp_disc, split_scores
+from helpers import init_network, small_conv_disc, small_mlp_disc, split_scores
 from ufs_lab import attribution as attr
 from ufs_lab import gan
 from ufs_lab import numerics as nm
@@ -57,7 +57,7 @@ def test_cam_sums_to_score_minus_bias():
 
 def test_cam_translation_equivariance_interior():
     rng = nm.SeededRng(4)
-    body = nm.Network.init([nm.conv2d(1, 3, 3, 1), nm.leaky_relu(0.2), nm.sum_pool()], rng, 0.5)
+    body = init_network([nm.conv2d(1, 3, 3, 1), nm.leaky_relu(0.2), nm.sum_pool()], rng, 0.5)
     d = gan.DiscriminatorNet(body, rng.normal((3,)), np.zeros(1))
     base = rng.normal((1, 1, 10, 10))
     shifted = np.roll(base, 1, axis=3)

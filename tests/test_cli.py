@@ -6,7 +6,8 @@ import pytest
 from ufs_lab import cli
 from ufs_lab import datasets as ds
 from ufs_lab import gan
-from ufs_lab.harness import load_checkpoint, save_checkpoint, trainer_to_arrays
+from ufs_lab.harness import (config_from_dict, encode_config, load_checkpoint, save_checkpoint,
+                             trainer_to_arrays)
 from ufs_lab.numerics import SeededRng
 
 
@@ -35,16 +36,17 @@ def test_run_subcommand_with_overrides(tmp_path, capsys):
 
 def test_eval_subcommand_on_point_csvs(tmp_path, capsys):
     rng = SeededRng(1)
-    for name in ("real", "fake"):
-        pts = rng.normal((40, 2))
-        (tmp_path / f"{name}.csv").write_text(
-            "".join(f"{x},{y}\n" for x, y in pts))
-    rc = cli.main(["eval", "--real", str(tmp_path / "real.csv"),
-                   "--fake", str(tmp_path / "fake.csv"), "-k", "2"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"space", "frechet", "precision", "recall", "density", "coverage"}
-    assert out["space"] == "data"
+    for columns in (2, 3):
+        for name in ("real", "fake"):
+            pts = rng.normal((40, columns))
+            (tmp_path / f"{name}.csv").write_text(
+                "".join(",".join(map(str, p)) + "\n" for p in pts))
+        rc = cli.main(["eval", "--real", str(tmp_path / "real.csv"),
+                       "--fake", str(tmp_path / "fake.csv"), "-k", "2"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"space", "frechet", "precision", "recall", "density", "coverage"}
+        assert out["space"] == "data", columns
 
 
 def test_select_and_cam_subcommands(tmp_path, capsys):
@@ -87,6 +89,7 @@ def test_eval_dump_embeddings(tmp_path, capsys):
     rc = cli.main(["eval", "--real", str(idx_path), "--fake", str(idx_path_b),
                    "-k", "2", "--dump-embeddings", str(dump)])
     assert rc == 0
+    assert json.loads(capsys.readouterr().out)["space"] == "random_features"
     emb = load_checkpoint(dump / "real_embeddings.ufsl")["embeddings"]
     assert emb.shape == (12, 64)
 
@@ -169,16 +172,16 @@ def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("kind_id", [9.0, -1.0, 2.5])
-def test_cam_bad_layer_kind_id_one_line_error(tmp_path, capsys, kind_id):
-    gen, disc = gan.default_models((2,), SeededRng(0))
-    arrays = trainer_to_arrays(gan.init_trainer(gan.TrainConfig(), gen, disc))
-    arrays["disc.body.spec.00"][0] = kind_id
+def test_cam_misshapen_checkpoint_one_line_error(tmp_path, capsys):
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    arrays = trainer_to_arrays(state, encode_config(cfg))
+    arrays["disc.00"] = arrays["disc.00"][:16]
     save_checkpoint(tmp_path / "bad.ufsl", arrays)
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "bad.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
-    assert "unknown layer kind id" in assert_one_line_error(capsys, "ParseError")
+    assert "disc.00: expected shape (32, 1, 3, 3)" in assert_one_line_error(capsys, "ParseError")
 
 
 def test_cam_on_embeddings_file_one_line_error(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import (critic_objective_per_group, fd_param_grads, finite_diff_grad,
-                     frozen_generator_loss, grad_close, objective_state, penalty_at,
-                     penalty_stacked, small_conv_disc, small_gen, small_mlp_disc, split_scores,
-                     stacked_critic)
+                     frozen_generator_loss, grad_close, init_network, objective_state,
+                     penalty_at, penalty_stacked, small_conv_disc, small_gen, small_mlp_disc,
+                     split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, DimensionError, StateError
@@ -25,7 +25,7 @@ def test_forward_split_ones_head_sums_features():
 
 def test_forward_split_zero_input_linear_body():
     rng = nm.SeededRng(2)
-    body = nm.Network.init([nm.dense(2, 4), nm.dense(4, 3)], rng, 0.5)
+    body = init_network([nm.dense(2, 4), nm.dense(4, 3)], rng, 0.5)
     d = gan.DiscriminatorNet(body, rng.normal((3,)), np.array([1.25]))
     features, scores = split_scores(d, np.zeros((4, 2)))
     assert np.array_equal(features, np.zeros((4, 3)))
@@ -109,7 +109,7 @@ def test_critic_loss_rejects_unknown_kind():
 
 def test_penalty_linear_discriminator_closed_form():
     rng = nm.SeededRng(7)
-    body = nm.Network.init([nm.dense(2, 4)], rng, 0.5)
+    body = init_network([nm.dense(2, 4)], rng, 0.5)
     d = gan.DiscriminatorNet(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
     a = body.params[0]["W"].T @ d.w
     expected = 10.0 * (np.linalg.norm(a) - 1.0) ** 2
@@ -120,7 +120,7 @@ def test_penalty_linear_discriminator_closed_form():
 
 def test_penalty_unit_gradient_is_zero():
     rng = nm.SeededRng(8)
-    body = nm.Network.init([nm.dense(2, 4)], rng, 0.5)
+    body = init_network([nm.dense(2, 4)], rng, 0.5)
     d = gan.DiscriminatorNet(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
     a = body.params[0]["W"].T @ d.w
     d.w /= np.linalg.norm(a)  # rescale so the input gradient has unit norm
@@ -390,6 +390,21 @@ def test_generator_step_strict_mode_needs_stats():
                               ufs=ufs.UfsConfig(0.0, 1.0, 1.0, strict_stats=True))
     with pytest.raises(StateError):
         gan.train_generator_step(state, rng)
+
+
+def test_generator_mask_clips_at_the_annealed_beta():
+    rng = nm.SeededRng(12)
+    d = small_mlp_disc(rng)
+    cfg = ufs.UfsConfig(0.0, 1.0, 1.0, beta_anneal=ufs.BetaAnneal(0.25, 1.0, 1.0))
+    state = objective_state(rng, small_gen(rng), d, None, cfg)
+    state.t = 5  # halfway through the 10-iteration window: beta = 0.625
+    features, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((6, 2), 0.5, 1.5))
+    s = gan.generator_mask(state, features)
+    at_beta = ufs.suppression_mask(state.stats, d.w, features, ufs.UfsConfig(0.0, 0.625, 1.0))
+    assert s.values.tobytes() == at_beta.values.tobytes()
+    assert s.values.min() == 1.0 - 0.625
+    state.stats.initialized = False
+    assert gan.generator_mask(state, features) is None
 
 
 def test_generator_step_score_linearity_identity():

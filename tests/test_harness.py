@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import split_scores
-
 import ufs_lab
-from ufs_lab import gan, harness, ufs
+from ufs_lab import attribution, gan, harness, ufs
+from ufs_lab import datasets as ds
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ConfigError, ParseError
 
@@ -217,66 +216,149 @@ def test_checkpoint_rejects_garbage(tmp_path):
         harness.load_checkpoint(path)
 
 
+def trained_state(data_shape, train: gan.TrainConfig, steps: int = 2):
+    """A trainer state a few critic and generator steps into a run."""
+    state = gan.init_trainer(train, *gan.default_models(data_shape, nm.SeededRng(1)))
+    rng = nm.SeededRng(2)
+    for _ in range(steps):
+        real = rng.normal((train.batch_size,) + tuple(data_shape))
+        gan.train_discriminator_step(state, real, rng)
+        gan.train_generator_step(state, rng)
+    return state
+
+
+def restore(state, cfg, path):
+    harness.save_checkpoint(path, harness.trainer_to_arrays(state, harness.encode_config(cfg)))
+    return harness.trainer_from_arrays(harness.load_checkpoint(path))
+
+
 def test_trainer_checkpoint_round_trip(tmp_path):
-    cfg = gan.TrainConfig(batch_size=8, iterations=6, seed=1,
-                          loss=gan.LossKind("wgan_gp"),
-                          ufs=__import__("ufs_lab.ufs", fromlist=["UfsConfig"]).UfsConfig(0.0, 1.0, 1.0))
-    rng = nm.SeededRng(1)
-    gen, disc = gan.default_models((2,), rng)
-    state = gan.init_trainer(cfg, gen, disc)
-    step_rng = nm.SeededRng(2)
-    for _ in range(2):
-        gan.train_discriminator_step(state, np.asarray(step_rng.normal((8, 2))), step_rng)
-    gan.train_generator_step(state, step_rng)
+    cfg = tiny_config(tmp_path, **{"train.iterations": 6, "train.ufs": dict(
+        UFS, stats_momentum=0.5, beta_anneal={"beta_start": 1.0, "beta_end": 0.5}),
+        "train.selection": {"mode": "top", "k_start": 8, "k_end": 4}})
+    state = trained_state((2,), cfg.train)
+    _, restored = restore(state, cfg, tmp_path / "t.ufsl")
 
-    path = tmp_path / "t.ufsl"
-    arrays = harness.trainer_to_arrays(state)
-    harness.save_checkpoint(path, arrays)
-    loaded = harness.load_checkpoint(path)
-    assert set(loaded) == set(arrays)
-    for k in arrays:
-        assert np.array_equal(np.asarray(arrays[k], float).ravel(), loaded[k].ravel()), k
+    live_arrays, restored_arrays = harness._state_arrays(state), harness._state_arrays(restored)
+    assert list(live_arrays) == list(restored_arrays)
+    for name, arr in live_arrays.items():
+        assert arr.tobytes() == restored_arrays[name].tobytes(), name
+    counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats.initialized, s.stats.momentum)
+                for s in (state, restored)]
+    assert counters == [(2, 2, 2, True, 0.5)] * 2
+    _, fresh = restore(trained_state((2,), cfg.train, steps=0), cfg, tmp_path / "f.ufsl")
+    assert (fresh.t, fresh.adam_d.step, fresh.stats.initialized) == (0, 0, False)
 
-    gen2, disc2, stats2, ufs_cfg2, t2 = harness.models_from_arrays(loaded)
-    assert t2 == state.t
-    assert stats2.initialized
-    assert np.array_equal(stats2.mu_real, state.stats.mu_real)
-    assert ufs_cfg2 is not None and ufs_cfg2.alpha == 0.0
-    z = nm.SeededRng(3).normal((4, gen.latent_dim))
-    assert np.array_equal(gen.sample(z), gen2.sample(z))
-    _, s_a = split_scores(disc, gen.sample(z))
-    _, s_b = split_scores(disc2, gen2.sample(z))
-    assert np.array_equal(s_a, s_b)
+    # the next critic and generator steps are the same steps
+    params = []
+    for s in (state, restored):
+        rng = nm.SeededRng(5)
+        gan.train_discriminator_step(s, rng.normal((8, 2)), rng)
+        gan.train_generator_step(s, rng)
+        params.append([a.tobytes() for a in s.gen.net.param_list() + s.disc.param_list()])
+    assert params[0] == params[1]
 
 
-def ring8_trainer_arrays():
-    gen, disc = gan.default_models((2,), nm.SeededRng(0))
-    return harness.trainer_to_arrays(gan.init_trainer(gan.TrainConfig(), gen, disc))
+def test_checkpoint_stores_the_run_config_without_out_dir(tmp_path):
+    cfg = tiny_config(tmp_path, **{"train.ufs": dict(UFS, beta_anneal={
+        "beta_start": 1.0, "beta_end": 0.5}), "train.selection": {"k_start": 8, "k_end": 4}})
+    result = harness.run_experiment(cfg)
+    path = result.out_dir / "checkpoint_000004.ufsl"
+    stored, state = harness.trainer_from_arrays(harness.load_checkpoint(path))
+    assert stored.out_dir == harness.ExperimentConfig.out_dir
+    assert dataclasses.replace(stored, out_dir=cfg.out_dir) == cfg
+    assert state.t == 4 and state.cfg == cfg.train
+    assert str(tmp_path).encode() not in path.read_bytes()
 
 
-def test_layer_kind_ids_are_stable():
-    # a layer kind is stored as its index in LAYER_KINDS; saved checkpoints rely on it
-    arrays = ring8_trainer_arrays()
-    ids = [arrays[f"gen.spec.{i:02d}"][0] for i in range(5)]
-    assert ids == [0, 2, 0, 2, 0]  # dense, leaky_relu, dense, leaky_relu, dense
-    assert nm.LAYER_KINDS.index("global_sum_pool") == 5
+def test_trainer_from_arrays_does_not_need_the_dataset_file(tmp_path):
+    idx = tmp_path / "images.idx"
+    ds.write_idx_images(np.zeros((4, 16, 16), np.uint8), idx)
+    cfg = harness.config_from_dict({"dataset": {"kind": "idx_images", "path": str(idx)},
+                                    "train": {"batch_size": 4}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), nm.SeededRng(0)))
+    arrays = harness.trainer_to_arrays(state, harness.encode_config(cfg))
+    idx.unlink()
+    stored, _ = harness.trainer_from_arrays(arrays)
+    assert stored.dataset.path == str(idx)
 
 
-@pytest.mark.parametrize("kind_id", [9.0, -1.0, 2.5])
-def test_models_from_arrays_rejects_bad_layer_kind_id(tmp_path, kind_id):
-    path = tmp_path / "t.ufsl"
-    arrays = ring8_trainer_arrays()
-    arrays["disc.body.spec.00"][0] = kind_id
-    harness.save_checkpoint(path, arrays)
-    with pytest.raises(ParseError, match="disc.body.spec.00: unknown layer kind id"):
-        harness.models_from_arrays(harness.load_checkpoint(path))
+@pytest.mark.parametrize("beta_anneal", [None, {"beta_start": 1.0, "beta_end": 0.5}])
+def test_cam_from_restored_state_is_bitwise_the_live_one(tmp_path, beta_anneal):
+    cfg = harness.config_from_dict({
+        "dataset": {"kind": "synthetic_shapes"},
+        "train": {"batch_size": 4, "n_critic": 1, "iterations": 6,
+                  "ufs": dict(UFS, beta_anneal=beta_anneal)}})
+    state = trained_state((1, 16, 16), cfg.train)
+    _, restored = restore(state, cfg, tmp_path / "t.ufsl")
+    images = nm.SeededRng(3).normal((3, 1, 16, 16))
+
+    def cams(s):
+        features, _ = nm.forward_pass(s.disc.body.specs, s.disc.body.params, images)
+        mask = gan.generator_mask(s, features)
+        return mask.values, [attribution.compute_cam(s.disc, images, mask, v).values
+                             for v in attribution.VARIANTS]
+
+    (mask_a, maps_a), (mask_b, maps_b) = cams(state), cams(restored)
+    assert mask_a.tobytes() == mask_b.tobytes()
+    assert [m.tobytes() for m in maps_a] == [m.tobytes() for m in maps_b]
 
 
-def test_models_from_arrays_rejects_short_layer_spec():
-    arrays = ring8_trainer_arrays()
-    arrays["gen.spec.01"] = arrays["gen.spec.01"][:3]
-    with pytest.raises(ParseError, match=r"gen.spec.01: a layer spec holds 8 values"):
-        harness.models_from_arrays(arrays)
+def ring8_checkpoint():
+    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((2,), nm.SeededRng(0)))
+    return harness.trainer_to_arrays(state, harness.encode_config(cfg))
+
+
+def config_bytes(text):
+    return np.frombuffer(text.encode(), np.uint8).astype(float)
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda a: a.pop("adam_d.m.03"), ParseError, "trainer checkpoint has no array 'adam_d.m.03'"),
+    (lambda a: a.update({"gen.00": a["gen.00"][:, :4]}), ParseError,
+     r"gen.00: expected shape \(64, 8\), got \(64, 4\)"),
+    (lambda a: a.update({"run.iteration": np.array([1.0, 2.0])}), ParseError,
+     r"run.iteration: expected shape \(1,\), got \(2,\)"),
+    (lambda a: a.update({"run.config": config_bytes("{not json")}), ParseError,
+     "run.config: not a JSON config"),
+    (lambda a: a.update({"run.config": a["run.config"] + 200.0}), ParseError,
+     "run.config: not a JSON config: bytes must be in range"),
+    (lambda a: a.update({"run.config": config_bytes('{"dataset": {}}')}), ConfigError,
+     "missing key run.config.dataset.kind"),
+], ids=["missing-array", "misshapen-array", "misshapen-counter", "config-not-json",
+        "config-not-bytes", "config-incomplete"])
+def test_trainer_from_arrays_names_the_bad_array(edit, error, message):
+    arrays = ring8_checkpoint()
+    edit(arrays)
+    with pytest.raises(error, match=message):
+        harness.trainer_from_arrays(arrays)
+
+
+def test_version_1_checkpoint_rejected(tmp_path):
+    path = tmp_path / "old.ufsl"
+    harness.save_checkpoint(path, ring8_checkpoint())
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="checkpoint version 1 is incompatible with reader "
+                                         "version 2"):
+        harness.load_checkpoint(path)
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "c.ufsl"
+    harness.save_checkpoint(path, {"a": np.zeros(3)})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        harness.save_checkpoint(path, {"a": np.ones(5)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ufsl"]
 
 
 # --- run_experiment ------------------------------------------------------------------------ #
