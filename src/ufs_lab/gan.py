@@ -28,15 +28,14 @@ from .numerics import (
     Network,
     SeededRng,
     adam_step,
-    add_grads,
     as_f64,
     backward_pass,
     conv2d,
     dense,
-    flatten_grads,
     forward_pass,
     input_grad_param_grads,
     leaky_relu,
+    param_grads,
     sum_pool,
     tanh,
 )
@@ -92,11 +91,11 @@ class GeneratorNet:
             y = y.reshape((len(y),) + tuple(self.data_shape))
         return (y, cache) if want_cache else y
 
-    def backward(self, cache, upstream: Array):
+    def backward(self, cache, upstream: Array) -> Array:
         if len(self.data_shape) > 1:
             upstream = upstream.reshape(len(upstream), -1)
-        grads, _ = backward_pass(self.net.specs, self.net.params, cache, upstream)
-        return grads
+        _, tape = backward_pass(self.net.specs, self.net.params, cache, upstream)
+        return param_grads(self.net.specs, cache, tape)
 
 
 @dataclass
@@ -150,11 +149,13 @@ def interpolate_batches(real: Array, fake: Array, rng: SeededRng) -> Array:
 
 
 def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
-    """Two-sided gradient-norm penalty and its gradients: (value, body grads, dw).
+    """Two-sided gradient-norm penalty and its gradients: (value, flat body
+    grads, dw).
 
     `cache` is the body's forward cache at the interpolated points x_hat. The
     gradients differentiate through the input-gradient computation
-    (second-order backward); biases receive none, since the input gradient of
+    (second-order backward, from the first pass's tape; that pass computes no
+    parameter gradients); biases receive none, since the input gradient of
     a piecewise-linear critic does not depend on them. The head is linear, so
     the score's gradient at the pooled features is w in every row, and dw is
     ones.T @ q, where q is the second-order term carried up to the features.
@@ -162,7 +163,7 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
     specs, params = d.body.specs, d.body.params
     n = cache[0][0] if isinstance(cache[0], tuple) else len(cache[0])
     ones = np.ones((n, 1))
-    _, gx, tape = backward_pass(specs, params, cache, ones @ d.w.reshape(1, -1), want_tape=True)
+    gx, tape = backward_pass(specs, params, cache, ones @ d.w.reshape(1, -1))
     axes = tuple(range(1, gx.ndim))
     norms = np.sqrt((gx * gx).sum(axis=axes))
     value = gp_lambda * float(((norms - 1.0) ** 2).mean())
@@ -185,7 +186,8 @@ def _split_groups(y: Array, cache, lengths):
 
 def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_batch: Array,
                                   loss: LossKind, x_hat: Array | None = None):
-    """Critic loss, its gradients, and diagnostics for one real/fake batch pair.
+    """(loss, grads, diag) for one real/fake batch pair: grads is flat in
+    param_list order, the real, fake and penalty terms summed in that order.
 
     x_hat must be supplied when the loss carries a gradient penalty so the
     interpolation points are fixed by the caller (and by tests).
@@ -197,24 +199,26 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
         batches.append(as_f64(x_hat))
     if len({b.shape[1:] for b in batches}) > 1:
         raise DimensionError(f"critic batches differ in sample shape: {[b.shape for b in batches]}")
-    y, cache = forward_pass(d.body.specs, d.body.params, np.concatenate(batches))
+    specs, params = d.body.specs, d.body.params
+    y, cache = forward_pass(specs, params, np.concatenate(batches))
     (y_r, cache_r), (y_f, cache_f), *x_hat_group = _split_groups(y, cache, [len(b) for b in batches])
     s_r = score_from_features(d, y_r)
     s_f = score_from_features(d, y_f)
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
     dw = dr @ y_r + df @ y_f
     db = np.array([dr.sum() + df.sum()])
-    grads_r, _ = backward_pass(d.body.specs, d.body.params, cache_r, np.outer(dr, d.w))
-    grads_f, _ = backward_pass(d.body.specs, d.body.params, cache_f, np.outer(df, d.w))
-    body_grads = add_grads(grads_r, grads_f)
+    _, tape_r = backward_pass(specs, params, cache_r, np.outer(dr, d.w))
+    _, tape_f = backward_pass(specs, params, cache_f, np.outer(df, d.w))
+    body_grads = param_grads(specs, cache_r, tape_r)
+    body_grads += param_grads(specs, cache_f, tape_f)
     penalty = 0.0
     if x_hat_group:
         penalty, pgrads, pw = penalty_with_grads(d, x_hat_group[0][1], loss.gp_lambda)
-        body_grads = add_grads(body_grads, pgrads)
+        body_grads += pgrads
         dw = dw + pw
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
             "y_real": y_r, "y_fake": y_f}
-    return value + penalty, body_grads, dw, db, diag
+    return value + penalty, np.concatenate([body_grads, dw, db]), diag
 
 
 def generator_feature_grad(w: Array, s: ufs_mod.SuppressionMatrix | None,
@@ -282,14 +286,14 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
     x_hat = None
     if cfg.loss.kind == "wgan_gp":
         x_hat = interpolate_batches(real_batch, fake, rng)
-    loss, body_grads, dw, db, diag = discriminator_objective_grads(
+    loss, grads, diag = discriminator_objective_grads(
         d, real_batch, fake, cfg.loss, x_hat)
     if not math.isfinite(loss):
         raise NumericError(f"critic loss diverged: {loss}")
     # statistics use the head weights as they were during this forward pass
     ufs_mod.update_stats(state.stats, d.w, diag["y_real"], diag["y_fake"])
     state.adam_d.lr = _current_lr(state)
-    adam_step(state.adam_d, d.param_list(), flatten_grads(body_grads) + [dw, db])
+    adam_step(state.adam_d, d.param_list(), grads)
     state.diag = {"real_scores": diag["real_scores"], "fake_scores": diag["fake_scores"],
                   "penalty": diag["penalty"]}
     return loss
@@ -313,7 +317,8 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     masked ones; the mask is held constant, so it selects gradients and is
     not differentiated through. With a selection config, the weights are 1/k
     on the k samples the (annealed) selection picks from those scores, else
-    uniform. Returns (loss, generator grads, scores, mask or None, weights).
+    uniform. The critic backward computes no parameter gradients. Returns
+    (loss, flat generator grads, scores, mask or None, weights).
     """
     cfg = state.cfg
     d = state.disc
@@ -335,7 +340,7 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
         weights = np.full(n, 1.0 / n)
     loss = -float(scores @ weights)
     d_y = generator_feature_grad(d.w, s, -weights)
-    _, dx = backward_pass(d.body.specs, d.body.params, dcache, d_y)
+    dx, _ = backward_pass(d.body.specs, d.body.params, dcache, d_y)
     return loss, state.gen.backward(gcache, dx), scores, s, weights
 
 
@@ -344,7 +349,7 @@ def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
     z = rng.normal((state.cfg.batch_size, state.gen.latent_dim))
     loss, ggrads, scores, _, _ = generator_objective_grads(state, z, rng)
     state.adam_g.lr = _current_lr(state)
-    adam_step(state.adam_g, state.gen.net.param_list(), flatten_grads(ggrads))
+    adam_step(state.adam_g, state.gen.net.param_list(), ggrads)
     state.t += 1
     state.diag["gen_scores"] = scores
     return loss

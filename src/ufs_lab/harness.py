@@ -26,7 +26,7 @@ from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
 from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics,
                       mode_coverage, random_feature_embed)
-from .numerics import Array, SeededRng
+from .numerics import Array, SeededRng, split_like
 
 CSV_HEADER = ("iteration,L_D,L_G,frechet,precision,recall,density,coverage,"
               "covered_modes,hq_fraction,wall_seconds")
@@ -244,10 +244,13 @@ def encode_config(cfg: ExperimentConfig) -> Array:
 
 def _state_arrays(state: gan_mod.TrainerState) -> dict:
     """Every array of a trainer state under its checkpoint name. These are the
-    live arrays, so the reader fills a fresh state through them in place."""
-    groups = {"gen": state.gen.net.param_list(), "disc": state.disc.param_list(),
-              "adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
-              "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v}
+    live arrays (the Adam moments as views of their flat vectors), so the
+    reader fills a fresh state through them in place."""
+    gen, disc = state.gen.net.param_list(), state.disc.param_list()
+    groups = {"gen": gen, "disc": disc}
+    for name, params, adam in (("adam_g", gen, state.adam_g), ("adam_d", disc, state.adam_d)):
+        groups[f"{name}.m"] = split_like(adam.m, params)
+        groups[f"{name}.v"] = split_like(adam.v, params)
     named = {f"{prefix}.{i:02d}": arr for prefix, arrs in groups.items()
              for i, arr in enumerate(arrs)}
     named["stats.mu_real"] = state.stats.mu_real

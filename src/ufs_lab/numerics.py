@@ -1,9 +1,12 @@
 """Dense float64 tensor math with handwritten layer gradients.
 
 Networks are flat lists of layer specs plus per-layer parameter dicts.
-A forward pass returns a cache, the backward pass consumes it, and a
-second-order helper differentiates through the input-gradient computation
-(needed when training against a gradient-norm penalty).
+A forward pass returns a cache. The backward pass runs only the
+input-gradient chain and returns a tape with it; param_grads turns (cache,
+tape) into the parameter gradients, flat in param_list order, the layout of
+Adam's moments. A second-order helper differentiates through the
+input-gradient computation (needed when training against a gradient-norm
+penalty).
 
 Convolution forward and global sum pooling accumulate in a fixed loop
 order (channel, then kernel row, then kernel column / row-major spatial)
@@ -282,7 +285,8 @@ def forward_pass(specs, params, x):
             cache.append(h)
             h = conv2d_forward(h, p["W"], s.stride) + p["b"][None, :, None, None]
         elif s.kind == "leaky_relu":
-            m = np.where(h > 0.0, 1.0, s.slope)
+            # bitwise np.where(h > 0.0, 1.0, slope) since 0 < slope < 1, without its branches
+            m = np.maximum(h > 0.0, s.slope)
             cache.append(m)
             h = h * m
         elif s.kind == "tanh":
@@ -294,14 +298,13 @@ def forward_pass(specs, params, x):
     return h, cache
 
 
-def backward_pass(specs, params, cache, upstream, want_tape: bool = False):
-    """Reverse-order chain rule; returns (param grads, input grad[, tape]).
+def backward_pass(specs, params, cache, upstream):
+    """Reverse-order chain rule for the input gradient; returns (dx, tape).
 
-    The tape records the upstream gradient reaching each parametric layer,
-    which the second-order helper below needs.
+    The tape records the upstream gradient reaching each parametric layer
+    (None elsewhere), for param_grads and input_grad_param_grads.
     """
     g = as_f64(upstream)
-    grads = [{} for _ in specs]
     tape = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
         s, p, c = specs[i], params[i], cache[i]
@@ -309,13 +312,9 @@ def backward_pass(specs, params, cache, upstream, want_tape: bool = False):
             if g.ndim != 2 or g.shape[1] != s.out_features:
                 raise DimensionError(f"layer {i}: upstream shape {g.shape} does not match dense output")
             tape[i] = g
-            grads[i]["W"] = g.T @ c
-            grads[i]["b"] = g.sum(axis=0)
             g = g @ p["W"]
         elif s.kind == "conv2d":
             tape[i] = g
-            grads[i]["W"] = conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel)
-            grads[i]["b"] = g.sum(axis=(0, 2, 3))
             g = conv2d_input_grad(g, p["W"], c.shape, s.stride)
         elif s.kind == "leaky_relu":
             g = g * c
@@ -324,9 +323,20 @@ def backward_pass(specs, params, cache, upstream, want_tape: bool = False):
         else:  # global_sum_pool
             n, ch = g.shape
             g = np.broadcast_to(g[:, :, None, None], (n, ch, c[2], c[3])).copy()
-    if want_tape:
-        return grads, g, tape
-    return grads, g
+    return g, tape
+
+
+def param_grads(specs, cache, tape) -> Array:
+    """Parameter gradients from a forward cache and its backward tape, as one
+    flat vector in param_list order."""
+    parts = []
+    for s, c, g in zip(specs, cache, tape):
+        if s.kind == "dense":
+            parts += [(g.T @ c).ravel(), g.sum(axis=0)]
+        elif s.kind == "conv2d":
+            parts += [conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel).ravel(),
+                      g.sum(axis=(0, 2, 3))]
+    return np.concatenate(parts)
 
 
 def input_grad_param_grads(specs, params, cache, tape, v):
@@ -335,19 +345,19 @@ def input_grad_param_grads(specs, params, cache, tape, v):
     Backprop through the backward pass. Only valid for piecewise-linear
     activations (leaky_relu), whose masks have zero derivative almost
     everywhere; tanh would add curvature terms and is rejected. Returns
-    (grads, q): q is v carried forward to the stack's output, the term that a
-    linear layer on top of the stack contracts with its own upstream.
+    (grads, q): grads is flat in param_list order (zero for biases), and q
+    is v carried forward to the stack's output, the term that a linear layer
+    on top of the stack contracts with its own upstream.
     """
     q = as_f64(v)
-    out = [{} for _ in specs]
+    parts = []
     for i, (s, p, c) in enumerate(zip(specs, params, cache)):
         if s.kind == "dense":
-            out[i]["W"] = tape[i].T @ q
-            out[i]["b"] = np.zeros_like(p["b"])
+            parts += [(tape[i].T @ q).ravel(), np.zeros_like(p["b"])]
             q = q @ p["W"].T
         elif s.kind == "conv2d":
-            out[i]["W"] = conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel)
-            out[i]["b"] = np.zeros_like(p["b"])
+            parts += [conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel).ravel(),
+                      np.zeros_like(p["b"])]
             q = conv2d_forward(q, p["W"], s.stride)
         elif s.kind == "leaky_relu":
             q = q * c
@@ -356,7 +366,7 @@ def input_grad_param_grads(specs, params, cache, tape, v):
                 "second-order backward supports piecewise-linear activations only")
         else:  # global_sum_pool
             q = global_sum_pool(q)
-    return out, q
+    return np.concatenate(parts), q
 
 
 class Network:
@@ -378,12 +388,13 @@ class Network:
         return [arr for p in self.params for arr in p.values()]
 
 
-def flatten_grads(grads) -> list:
-    return [arr for g in grads for arr in g.values()]
-
-
-def add_grads(a, b):
-    return [{k: ga[k] + gb[k] for k in ga} for ga, gb in zip(a, b)]
+def split_like(flat: Array, arrays) -> list:
+    """Views of the 1-d vector flat, shaped like each of arrays in turn."""
+    views, lo = [], 0
+    for a in arrays:
+        views.append(flat[lo:lo + a.size].reshape(a.shape))
+        lo += a.size
+    return views
 
 
 # --- optimizer ------------------------------------------------------------ #
@@ -395,31 +406,39 @@ class AdamState:
     b1: float
     b2: float
     eps: float
-    m: list
-    v: list
+    m: Array
+    v: Array
     step: int = 0
 
     @classmethod
     def for_params(cls, params, lr: float = 1e-3, b1: float = 0.9, b2: float = 0.999,
                    eps: float = 1e-8) -> "AdamState":
-        return cls(lr, b1, b2, eps,
-                   [np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params])
+        n = sum(p.size for p in params)
+        return cls(lr, b1, b2, eps, np.zeros(n), np.zeros(n))
 
 
-def adam_step(state: AdamState, params, grads) -> None:
-    """One bias-corrected Adam update, in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError("adam_step: parameter / gradient count mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise DimensionError(f"adam_step: gradient shape {g.shape} does not match parameter {p.shape}")
+def adam_step(state: AdamState, params, grad: Array) -> None:
+    """One bias-corrected Adam update of params, in place. grad is the flat
+    gradient over params and serves as scratch; each element gets the
+    per-array recipe's operations in its order (m, v flat in param order)."""
+    if grad.shape != state.m.shape or sum(p.size for p in params) != grad.size:
+        raise DimensionError(f"adam_step: {grad.shape} gradient for {state.m.size} parameters")
     state.step += 1
     c1 = 1.0 - state.b1 ** state.step
     c2 = 1.0 - state.b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.b1
-        m += (1.0 - state.b1) * g
-        v *= state.b2
-        v += (1.0 - state.b2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    t = grad * grad
+    t *= 1.0 - state.b2
+    v *= state.b2
+    v += t
+    grad *= 1.0 - state.b1
+    m *= state.b1
+    m += grad
+    np.divide(v, c2, out=grad)
+    np.sqrt(grad, out=grad)
+    grad += state.eps
+    np.divide(m, c1, out=t)
+    t *= state.lr
+    t /= grad
+    for p, u in zip(params, split_like(t, params)):
+        p -= u

@@ -10,9 +10,12 @@ stacked critic appends the linear head to the body as a dense layer, the
 form the library's split (body, w, b) head is checked against, and the
 per-group critic objective runs the body forward once per batch, the form
 the library's single forward over stacked batches is checked against.
+The one-sweep backward pass and the per-array Adam step are the forms the
+library's split backward and flat Adam are checked against bitwise.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,31 +252,96 @@ def critic_objective_per_group(d, real, fake, loss, x_hat=None):
     value, dr, df = gan.critic_loss(loss.kind, s_r, s_f)
     dw = dr @ y_r + df @ y_f
     db = np.array([dr.sum() + df.sum()])
-    grads_r, _ = nm.backward_pass(specs, params, cache_r, np.outer(dr, d.w))
-    grads_f, _ = nm.backward_pass(specs, params, cache_f, np.outer(df, d.w))
-    body_grads = nm.add_grads(grads_r, grads_f)
+    grads_r, _ = backward_pass_oracle(specs, params, cache_r, np.outer(dr, d.w))
+    grads_f, _ = backward_pass_oracle(specs, params, cache_f, np.outer(df, d.w))
+    body_grads = flat_grads([{k: ga[k] + gb[k] for k in ga} for ga, gb in zip(grads_r, grads_f)])
     penalty = 0.0
     if loss.kind == "wgan_gp":
         penalty, pgrads, pw = penalty_at(d, x_hat, loss.gp_lambda)
-        body_grads = nm.add_grads(body_grads, pgrads)
+        body_grads = body_grads + pgrads
         dw = dw + pw
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
             "y_real": y_r, "y_fake": y_f}
-    return value + penalty, body_grads, dw, db, diag
+    return value + penalty, np.concatenate([body_grads, dw, db]), diag
 
 
 def penalty_stacked(d, x_hat, gp_lambda):
-    """Gradient-norm penalty value and its parameter gradients (head last)
-    through the stacked critic."""
+    """Gradient-norm penalty value and its flat parameter gradients (head
+    last) through the stacked critic."""
     specs, params = stacked_critic(d)
     y, cache = nm.forward_pass(specs, params, x_hat)
-    _, gx, tape = nm.backward_pass(specs, params, cache, np.ones_like(y), want_tape=True)
+    gx, tape = nm.backward_pass(specs, params, cache, np.ones_like(y))
     norms = np.sqrt((gx * gx).sum(axis=tuple(range(1, gx.ndim))))
     value = gp_lambda * float(((norms - 1.0) ** 2).mean())
     coef = gp_lambda * 2.0 * (norms - 1.0) / (len(x_hat) * np.maximum(norms, 1e-12))
     grads, _ = nm.input_grad_param_grads(specs, params, cache, tape,
                                          gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1)))
     return value, grads
+
+
+# --- the per-array training step ---------------------------------------------- #
+
+
+def backward_pass_oracle(specs, params, cache, upstream):
+    """The backward pass in one sweep: (per-layer parameter gradient dicts,
+    input gradient), each parametric layer's gradients computed beside the
+    input-gradient chain."""
+    g = nm.as_f64(upstream)
+    grads = [{} for _ in specs]
+    for i in range(len(specs) - 1, -1, -1):
+        s, p, c = specs[i], params[i], cache[i]
+        if s.kind == "dense":
+            grads[i]["W"] = g.T @ c
+            grads[i]["b"] = g.sum(axis=0)
+            g = g @ p["W"]
+        elif s.kind == "conv2d":
+            grads[i]["W"] = nm.conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel)
+            grads[i]["b"] = g.sum(axis=(0, 2, 3))
+            g = nm.conv2d_input_grad(g, p["W"], c.shape, s.stride)
+        elif s.kind == "leaky_relu":
+            g = g * c
+        elif s.kind == "tanh":
+            g = g * (1.0 - c * c)
+        else:  # global_sum_pool
+            n, ch = g.shape
+            g = np.broadcast_to(g[:, :, None, None], (n, ch, c[2], c[3])).copy()
+    return grads, g
+
+
+def flat_grads(grads):
+    """Per-layer gradient dicts as one flat vector in param_list order."""
+    return np.concatenate([arr.ravel() for g in grads for arr in g.values()])
+
+
+@dataclass
+class AdamOracle:
+    """Adam state with one m and one v array per parameter."""
+
+    lr: float
+    b1: float
+    b2: float
+    eps: float
+    m: list
+    v: list
+    step: int = 0
+
+    @classmethod
+    def for_params(cls, params, lr, b1, b2, eps=1e-8):
+        return cls(lr, b1, b2, eps, [np.zeros_like(p) for p in params],
+                   [np.zeros_like(p) for p in params])
+
+
+def adam_step_oracle(state, params, grads):
+    """One bias-corrected Adam update, array by array, in place."""
+    state.step += 1
+    c1 = 1.0 - state.b1 ** state.step
+    c2 = 1.0 - state.b2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.b1
+        m += (1.0 - state.b1) * g
+        v *= state.b2
+        v += (1.0 - state.b2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 # --- the generator objective ------------------------------------------------- #

@@ -79,16 +79,16 @@ def test_acceptance_gradient_suite():
             return float(y.sum())
 
         y, cache = nm.forward_pass(net.specs, net.params, x)
-        grads, _ = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
-        check(nm.flatten_grads(grads), fd_param_grads(net_loss, net.param_list()))
+        _, tape = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
+        check(nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list()),
+              fd_param_grads(net_loss, net.param_list()))
 
         # both adversarial losses through a full critic
         d = small_mlp_disc(rng)
         real, fake = rng.normal((5, 2)), rng.normal((5, 2))
         for kind in ("wgan", "hinge"):
             loss_cfg = gan.LossKind(kind)
-            _, body_grads, dw, db, _ = gan.discriminator_objective_grads(
-                d, real, fake, loss_cfg)
+            _, grads, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg)
 
             def d_loss(kind=kind):
                 y_r, _ = nm.forward_pass(d.body.specs, d.body.params, real)
@@ -96,13 +96,13 @@ def test_acceptance_gradient_suite():
                 s_r, s_f = gan.score_from_features(d, y_r), gan.score_from_features(d, y_f)
                 return gan.critic_loss(kind, s_r, s_f)[0]
 
-            check(nm.flatten_grads(body_grads) + [dw, db],
+            check(nm.split_like(grads, d.param_list()),
                   fd_param_grads(d_loss, d.body.param_list() + [d.w, d.b]))
 
         # gradient penalty parameter gradients (biases, the head's too, get none)
         x_hat = rng.normal((4, 2))
         _, pgrads, pw = penalty_at(d, x_hat, 10.0)
-        check(nm.flatten_grads(pgrads) + [pw, np.zeros(1)],
+        check(nm.split_like(np.concatenate([pgrads, pw, np.zeros(1)]), d.param_list()),
               fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list()))
 
         # the generator objective training runs: mask from seeded feature
@@ -111,7 +111,7 @@ def test_acceptance_gradient_suite():
             state = objective_state(rng, small_gen(rng), d, mode, UfsConfig(0.5, 1.0, 1.5))
             z = rng.normal((5, 4))
             _, ggrads, _, s, weights = gan.generator_objective_grads(state, z, rng)
-            check(nm.flatten_grads(ggrads),
+            check(nm.split_like(ggrads, state.gen.net.param_list()),
                   fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
                                  state.gen.net.param_list()))
 
@@ -329,21 +329,19 @@ def reference_plain_loop(iterations: int, batch: int, seed: int):
             z = rng.normal((batch, gen.latent_dim))
             fake = gen.sample(z)
             x_hat = gan.interpolate_batches(real, fake, rng)
-            _, body_grads, dw, db, _ = gan.discriminator_objective_grads(
-                disc, real, fake, cfg.loss, x_hat)
+            _, grads, _ = gan.discriminator_objective_grads(disc, real, fake, cfg.loss, x_hat)
             state.adam_d.lr = gan._current_lr(state)
-            nm.adam_step(state.adam_d, disc.param_list(),
-                         nm.flatten_grads(body_grads) + [dw, db])
+            nm.adam_step(state.adam_d, disc.param_list(), grads)
         z = rng.normal((batch, gen.latent_dim))
         fake, gcache = gen.sample(z, want_cache=True)
         y_f, dcache = nm.forward_pass(disc.body.specs, disc.body.params, fake)
         scores = gan.score_from_features(disc, y_f)
         weights = np.full(batch, 1.0 / batch)
         d_y = gan.generator_feature_grad(disc.w, None, -weights)
-        _, dx = nm.backward_pass(disc.body.specs, disc.body.params, dcache, d_y)
+        dx, _ = nm.backward_pass(disc.body.specs, disc.body.params, dcache, d_y)
         ggrads = gen.backward(gcache, dx)
         state.adam_g.lr = gan._current_lr(state)
-        nm.adam_step(state.adam_g, gen.net.param_list(), nm.flatten_grads(ggrads))
+        nm.adam_step(state.adam_g, gen.net.param_list(), ggrads)
         state.t += 1
     return gen, disc
 

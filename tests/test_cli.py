@@ -208,3 +208,15 @@ def test_cam_on_point_checkpoint_one_line_error(tmp_path, capsys):
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "run" / "checkpoint_000001.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
     assert "convolutional" in assert_one_line_error(capsys, "UnsupportedArchitectureError")
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_cam_limit_below_one_one_line_error(tmp_path, capsys, limit):
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    save_checkpoint(tmp_path / "t.ufsl", trainer_to_arrays(state, encode_config(cfg)))
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"), "--input", str(idx_path),
+                     "--out", str(tmp_path / "cams"), "--limit", limit]) == 2
+    assert f"--limit must be >= 1, got {limit}" in assert_one_line_error(capsys, "ContractError")
+    assert not (tmp_path / "cams").exists()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (critic_objective_per_group, fd_param_grads, finite_diff_grad,
-                     frozen_generator_loss, grad_close, init_network, objective_state,
-                     penalty_at, penalty_stacked, small_conv_disc, small_gen, small_mlp_disc,
-                     split_scores, stacked_critic)
+from helpers import (AdamOracle, adam_step_oracle, critic_objective_per_group, fd_param_grads,
+                     finite_diff_grad, frozen_generator_loss, grad_close, init_network,
+                     objective_state, penalty_at, penalty_stacked, small_conv_disc, small_gen,
+                     small_mlp_disc, split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, DimensionError, StateError
@@ -127,7 +127,8 @@ def test_penalty_unit_gradient_is_zero():
     x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
     got, pgrads, pw = penalty_at(d, x_hat, 10.0)
     assert got < 1e-20
-    assert np.abs(pw).max() < 1e-9 and np.abs(pgrads[0]["W"]).max() < 1e-9
+    w_grad = nm.split_like(pgrads, body.param_list())[0]
+    assert np.abs(pw).max() < 1e-9 and np.abs(w_grad).max() < 1e-9
 
 
 def test_penalty_input_gradient_matches_finite_differences():
@@ -136,7 +137,7 @@ def test_penalty_input_gradient_matches_finite_differences():
     x = rng.normal((4, 2))
     specs, params = stacked_critic(d)
     y, cache = nm.forward_pass(specs, params, x)
-    _, gx = nm.backward_pass(specs, params, cache, np.ones_like(y))
+    gx, _ = nm.backward_pass(specs, params, cache, np.ones_like(y))
 
     def score_sum(xv):
         out, _ = nm.forward_pass(specs, params, xv)
@@ -153,7 +154,7 @@ def test_penalty_param_grads_match_finite_differences(make_disc):
     x_hat = rng.normal(shape)
     _, pgrads, pw = penalty_at(d, x_hat, 10.0)
     # biases get no penalty gradient, the head's included
-    got = nm.flatten_grads(pgrads) + [pw, np.zeros(1)]
+    got = nm.split_like(np.concatenate([pgrads, pw, np.zeros(1)]), d.param_list())
     fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list())
     for g, want in zip(got, fd):
         assert grad_close(g, want)
@@ -167,9 +168,8 @@ def test_penalty_split_head_matches_stacked_oracle_bitwise(make_disc):
     value, pgrads, pw = penalty_at(d, x_hat, 10.0)
     want_value, want = penalty_stacked(d, x_hat, 10.0)
     assert value == want_value
-    got = nm.flatten_grads(pgrads) + [pw]
-    for g, w in zip(got, nm.flatten_grads(want[:-1]) + [want[-1]["W"][0]]):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    # the stacked flat gradient ends with the head's bias, which gets none
+    assert np.concatenate([pgrads, pw]).tobytes() == want[:-1].tobytes()
 
 
 # --- full critic objective ------------------------------------------------------------ #
@@ -183,7 +183,7 @@ def test_discriminator_objective_grads_match_finite_differences(kind):
     fake = rng.normal((5, 2))
     loss_cfg = gan.LossKind(kind)
     x_hat = gan.interpolate_batches(real, fake, rng) if kind == "wgan_gp" else None
-    value, body_grads, dw, db, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
+    value, grads, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
 
     def loss_value():
         y_r, _ = nm.forward_pass(d.body.specs, d.body.params, real)
@@ -196,9 +196,8 @@ def test_discriminator_objective_grads_match_finite_differences(kind):
         return base
 
     assert abs(loss_value() - value) < 1e-12
-    flat = nm.flatten_grads(body_grads) + [dw, db]
     fd = fd_param_grads(loss_value, d.body.param_list() + [d.w, d.b])
-    for got, want in zip(flat, fd):
+    for got, want in zip(nm.split_like(grads, d.param_list()), fd, strict=True):
         assert grad_close(got, want)
 
 
@@ -206,12 +205,11 @@ def assert_objective_matches_per_group(d, real, fake, loss_cfg, x_hat):
     got = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
     want = critic_objective_per_group(d, real, fake, loss_cfg, x_hat)
     assert got[0] == want[0]
-    got_arrays = nm.flatten_grads(got[1]) + [got[2], got[3]]
-    want_arrays = nm.flatten_grads(want[1]) + [want[2], want[3]]
-    assert got[4].keys() == want[4].keys() and got[4]["penalty"] == want[4]["penalty"]
+    got_arrays, want_arrays = [got[1]], [want[1]]
+    assert got[2].keys() == want[2].keys() and got[2]["penalty"] == want[2]["penalty"]
     for key in ("real_scores", "fake_scores", "y_real", "y_fake"):
-        got_arrays.append(got[4][key])
-        want_arrays.append(want[4][key])
+        got_arrays.append(got[2][key])
+        want_arrays.append(want[2][key])
     for g, w in zip(got_arrays, want_arrays, strict=True):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -243,7 +241,7 @@ def test_stacked_forward_slices_each_group_by_its_own_length():
     real, fake = rng.normal((3, 1, 9, 9)), rng.normal((5, 1, 9, 9))
     x_hat = rng.normal((2, 1, 9, 9))
     got = gan.discriminator_objective_grads(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
-    assert got[4]["y_real"].shape == (3, 4) and got[4]["y_fake"].shape == (5, 4)
+    assert got[2]["y_real"].shape == (3, 4) and got[2]["y_fake"].shape == (5, 4)
     assert_objective_matches_per_group(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
 
 
@@ -314,7 +312,7 @@ def test_generator_grads_match_finite_differences_masked():
 
         fd = fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
                             state.gen.net.param_list())
-        for got, want in zip(nm.flatten_grads(ggrads), fd):
+        for got, want in zip(nm.split_like(ggrads, state.gen.net.param_list()), fd, strict=True):
             assert grad_close(got, want)
 
 
@@ -333,7 +331,7 @@ def test_generator_grads_respect_sample_weights():
 
         fd = fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
                             state.gen.net.param_list())
-        for got, want in zip(nm.flatten_grads(ggrads), fd):
+        for got, want in zip(nm.split_like(ggrads, state.gen.net.param_list()), fd, strict=True):
             assert grad_close(got, want)
 
 
@@ -345,6 +343,30 @@ def make_trainer(seed=0, **cfg_kwargs):
     rng = nm.SeededRng(seed)
     gen, disc = gan.default_models((2,), rng)
     return gan.init_trainer(cfg, gen, disc), nm.SeededRng(seed).derive(99)
+
+
+@pytest.mark.parametrize("data_shape", [(2,), (1, 16, 16)])
+def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
+    gen, disc = gan.default_models(data_shape, nm.SeededRng(22))
+    state = gan.init_trainer(gan.TrainConfig(iterations=24), gen, disc)
+    rng = nm.SeededRng(23)
+    for params, adam in ((gen.net.param_list(), state.adam_g), (disc.param_list(), state.adam_d)):
+        ref_params = [p.copy() for p in params]
+        oracle = AdamOracle.for_params(ref_params, gan.ADAM_LR, gan.ADAM_B1, gan.ADAM_B2)
+        rates = []
+        for t in range(24):
+            state.t = t
+            adam.lr = oracle.lr = gan._current_lr(state)
+            rates.append(adam.lr)
+            grads = [rng.normal(p.shape, 0.0, 10.0 ** -(t % 4)) for p in params]
+            nm.adam_step(adam, params, np.concatenate([g.ravel() for g in grads]))
+            adam_step_oracle(oracle, ref_params, grads)
+        assert rates[0] == gan.ADAM_LR and rates[-1] < rates[-2] < gan.ADAM_LR  # the taper ran
+        assert adam.step == oracle.step == 24
+        for got, want in zip(params, ref_params, strict=True):
+            assert got.tobytes() == want.tobytes()
+        for flat, want in ((adam.m, oracle.m), (adam.v, oracle.v)):
+            assert flat.tobytes() == b"".join(arr.tobytes() for arr in want)
 
 
 def test_discriminator_step_initializes_stats():

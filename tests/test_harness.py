@@ -246,6 +246,10 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats.initialized, s.stats.momentum)
                 for s in (state, restored)]
     assert counters == [(2, 2, 2, True, 0.5)] * 2
+    # the loader fills the flat Adam moments through their per-array views
+    for live, back in ((state.adam_g, restored.adam_g), (state.adam_d, restored.adam_d)):
+        assert np.any(live.m != 0.0) and np.any(live.v != 0.0)
+        assert live.m.tobytes() == back.m.tobytes() and live.v.tobytes() == back.v.tobytes()
     _, fresh = restore(trained_state((2,), cfg.train, steps=0), cfg, tmp_path / "f.ufsl")
     assert (fresh.t, fresh.adam_d.step, fresh.stats.initialized) == (0, 0, False)
 

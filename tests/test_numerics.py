@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import (conv2d_input_grad_einsum, conv2d_loop, conv2d_weight_grad_einsum,
-                     fd_param_grads, finite_diff_grad, init_network, matmul_loop, rel_err,
-                     sum_pool_loop)
+from helpers import (backward_pass_oracle, conv2d_input_grad_einsum, conv2d_loop,
+                     conv2d_weight_grad_einsum, fd_param_grads, finite_diff_grad, flat_grads,
+                     init_network, matmul_loop, rel_err, sum_pool_loop)
+from ufs_lab import gan
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, DimensionError
 
@@ -214,9 +216,10 @@ def test_dense_backward_trivial():
     net = nm.Network([nm.dense(3, 1)], [{"W": np.array([[2.0, -1.0, 0.5]]), "b": np.zeros(1)}])
     x = np.array([[1.0, 2.0, 3.0]])
     _, cache = nm.forward_pass(net.specs, net.params, x)
-    grads, dx = nm.backward_pass(net.specs, net.params, cache, np.ones((1, 1)))
-    assert np.array_equal(grads[0]["W"], x)
-    assert np.array_equal(grads[0]["b"], [1.0])
+    dx, tape = nm.backward_pass(net.specs, net.params, cache, np.ones((1, 1)))
+    w_grad, b_grad = nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list())
+    assert np.array_equal(w_grad, x)
+    assert np.array_equal(b_grad, [1.0])
     assert np.array_equal(dx, [[2.0, -1.0, 0.5]])
 
 
@@ -224,8 +227,8 @@ def test_zero_upstream_gives_zero_grads():
     rng = nm.SeededRng(5)
     net = init_network([nm.dense(2, 4), nm.leaky_relu(0.2), nm.dense(4, 3)], rng, 0.5)
     _, cache = nm.forward_pass(net.specs, net.params, rng.normal((6, 2)))
-    grads, dx = nm.backward_pass(net.specs, net.params, cache, np.zeros((6, 3)))
-    assert all(np.all(arr == 0.0) for g in grads for arr in g.values())
+    dx, tape = nm.backward_pass(net.specs, net.params, cache, np.zeros((6, 3)))
+    assert np.all(nm.param_grads(net.specs, cache, tape) == 0.0)
     assert np.all(dx == 0.0)
 
 
@@ -242,9 +245,10 @@ def test_mlp_param_grads_match_finite_differences(seed):
         return float(y.sum())
 
     y, cache = nm.forward_pass(net.specs, net.params, x)
-    grads, _ = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
+    _, tape = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
+    grads = nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list())
     fd = fd_param_grads(loss, net.param_list())
-    for got, want in zip(nm.flatten_grads(grads), fd):
+    for got, want in zip(grads, fd, strict=True):
         assert rel_err(got, want) < 1e-5
 
 
@@ -261,9 +265,10 @@ def test_conv_net_grads_match_finite_differences(seed):
         return float(y.sum())
 
     y, cache = nm.forward_pass(net.specs, net.params, x)
-    grads, dx = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
+    dx, tape = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
+    grads = nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list())
     fd = fd_param_grads(loss, net.param_list())
-    for got, want in zip(nm.flatten_grads(grads), fd):
+    for got, want in zip(grads, fd, strict=True):
         assert rel_err(got, want) < 1e-5
     # input gradient against the coordinate-wise finite-difference oracle
     def loss_of_x(xv):
@@ -277,13 +282,12 @@ def test_forward_backward_deterministic():
     net = init_network([nm.dense(3, 8), nm.leaky_relu(0.2), nm.dense(8, 2)], rng, 0.5)
     x = rng.normal((5, 3))
     y1, c1 = nm.forward_pass(net.specs, net.params, x)
-    g1, dx1 = nm.backward_pass(net.specs, net.params, c1, np.ones_like(y1))
+    dx1, t1 = nm.backward_pass(net.specs, net.params, c1, np.ones_like(y1))
     y2, c2 = nm.forward_pass(net.specs, net.params, x)
-    g2, dx2 = nm.backward_pass(net.specs, net.params, c2, np.ones_like(y2))
+    dx2, t2 = nm.backward_pass(net.specs, net.params, c2, np.ones_like(y2))
     assert np.array_equal(y1, y2)
     assert np.array_equal(dx1, dx2)
-    for a, b in zip(nm.flatten_grads(g1), nm.flatten_grads(g2)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(nm.param_grads(net.specs, c1, t1), nm.param_grads(net.specs, c2, t2))
 
 
 def test_no_nan_from_finite_inputs():
@@ -293,9 +297,37 @@ def test_no_nan_from_finite_inputs():
         rng, 0.5)
     x = rng.normal((10, 4), 0.0, 100.0)
     y, cache = nm.forward_pass(net.specs, net.params, x)
-    grads, dx = nm.backward_pass(net.specs, net.params, cache, rng.normal(y.shape))
+    dx, tape = nm.backward_pass(net.specs, net.params, cache, rng.normal(y.shape))
     assert np.isfinite(y).all() and np.isfinite(dx).all()
-    assert all(np.isfinite(arr).all() for g in grads for arr in g.values())
+    assert np.isfinite(nm.param_grads(net.specs, cache, tape)).all()
+
+
+@pytest.mark.parametrize("data_shape, batch", [((2,), 64), ((1, 16, 16), 4)])
+def test_split_backward_matches_one_sweep_oracle_bitwise(data_shape, batch):
+    rng = nm.SeededRng(11)
+    gen, disc = gan.default_models(data_shape, rng)
+    for net, x in ((disc.body, rng.normal((batch,) + data_shape)),
+                   (gen.net, rng.normal((batch, gen.latent_dim)))):
+        y, cache = nm.forward_pass(net.specs, net.params, x)
+        upstream = rng.normal(y.shape)
+        dx, tape = nm.backward_pass(net.specs, net.params, cache, upstream)
+        want_grads, want_dx = backward_pass_oracle(net.specs, net.params, cache, upstream)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert nm.param_grads(net.specs, cache, tape).tobytes() == flat_grads(want_grads).tobytes()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=6),
+                elements=st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_subnormal=True)),
+       slope=st.sampled_from([0.1, 0.2]))
+def test_leaky_mask_is_bitwise_the_where_mask(h, slope):
+    y, cache = nm.forward_pass([nm.leaky_relu(slope)], [{}], h)
+    want = np.where(h > 0.0, 1.0, slope)
+    assert cache[0].shape == want.shape and cache[0].tobytes() == want.tobytes()
+    assert y.tobytes() == (h * want).tobytes()
 
 
 def test_check_specs_rejects_mismatched_chain():
@@ -332,7 +364,7 @@ def test_finite_diff_rejects_bad_step():
 def test_adam_first_step_magnitude():
     p = np.array([1.0])
     state = nm.AdamState.for_params([p], lr=0.001)
-    nm.adam_step(state, [p], [np.array([0.7])])
+    nm.adam_step(state, [p], np.array([0.7]))
     assert abs(abs(1.0 - p[0]) - 0.001) < 1e-6
     assert state.step == 1
 
@@ -343,7 +375,7 @@ def test_adam_zero_gradient_keeps_params():
     before = p.copy()
     state = nm.AdamState.for_params([p])
     for _ in range(10):
-        nm.adam_step(state, [p], [np.zeros_like(p)])
+        nm.adam_step(state, [p], np.zeros(p.size))
     assert np.array_equal(p, before)
 
 
@@ -352,7 +384,7 @@ def test_adam_two_steps_decrease_quadratic():
     state = nm.AdamState.for_params([p], lr=0.1)
     f0 = p[0] ** 2
     for _ in range(2):
-        nm.adam_step(state, [p], [2.0 * p])
+        nm.adam_step(state, [p], 2.0 * p)
     assert p[0] ** 2 < f0
 
 
@@ -360,7 +392,10 @@ def test_adam_shape_mismatch():
     p = np.zeros(3)
     state = nm.AdamState.for_params([p])
     with pytest.raises(DimensionError):
-        nm.adam_step(state, [p], [np.zeros(4)])
+        nm.adam_step(state, [p], np.zeros(4))
+    with pytest.raises(DimensionError):
+        nm.adam_step(state, [p, p], np.zeros(3))
+    assert state.step == 0 and not state.m.any()
 
 
 # --- rng: Gaussian samples come from SeededRng.normal ------------------------------------ #
