@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ContractError, DimensionError, ParseError, UnsupportedArchitectureError
 from .gan import DiscriminatorNet
 from .numerics import Array, as_f64, forward_pass
-from .ufs import SuppressionMatrix
 
 VARIANTS = ("cam", "cam_ufs", "cam_sup")
 
@@ -28,7 +27,7 @@ class AttributionMap:
     values: Array  # (n, h, w)
 
 
-def compute_cam(d: DiscriminatorNet, x: Array, s: SuppressionMatrix | None = None,
+def compute_cam(d: DiscriminatorNet, x: Array, s: Array | None = None,
                 variant: str = "cam") -> AttributionMap:
     """Per-position inner product of the (optionally masked) pre-pool features
     with the head weights. The head bias is excluded."""
@@ -45,11 +44,11 @@ def compute_cam(d: DiscriminatorNet, x: Array, s: SuppressionMatrix | None = Non
     else:
         if s is None:
             raise ContractError(f"variant {variant!r} needs a suppression matrix")
-        if s.values.shape != feature_map.shape[:2]:
+        if s.shape != feature_map.shape[:2]:
             raise DimensionError(
-                f"suppression shape {s.values.shape} does not match features "
+                f"suppression shape {s.shape} does not match features "
                 f"{feature_map.shape[:2]}")
-        factor = s.values if variant == "cam_ufs" else 1.0 - s.values
+        factor = s if variant == "cam_ufs" else 1.0 - s
         masked = feature_map * factor[:, :, None, None]
     return AttributionMap(variant, np.einsum("nchw,c->nhw", masked, d.w))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import selection as selection_mod
 from . import ufs as ufs_mod
-from .errors import ContractError, DimensionError, NumericError, StateError
+from .errors import ContractError, DimensionError, NumericError
 from .numerics import (
     AdamState,
     Array,
@@ -161,7 +161,7 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
     ones.T @ q, where q is the second-order term carried up to the features.
     """
     specs, params = d.body.specs, d.body.params
-    n = cache[0][0] if isinstance(cache[0], tuple) else len(cache[0])
+    n = len(cache[0])
     ones = np.ones((n, 1))
     gx, tape = backward_pass(specs, params, cache, ones @ d.w.reshape(1, -1))
     axes = tuple(range(1, gx.ndim))
@@ -177,10 +177,9 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
 
 
 def _split_groups(y: Array, cache, lengths):
-    """(features, cache) per group of one forward pass over row-stacked groups;
-    a pooling layer's saved input shape gets the group's own leading dim."""
+    """(features, cache) per group of one forward pass over row-stacked groups."""
     bounds = np.cumsum([0] + lengths).tolist()
-    return [(y[lo:hi], [(hi - lo,) + c[1:] if isinstance(c, tuple) else c[lo:hi] for c in cache])
+    return [(y[lo:hi], [c[lo:hi] for c in cache])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -221,12 +220,11 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     return value + penalty, np.concatenate([body_grads, dw, db]), diag
 
 
-def generator_feature_grad(w: Array, s: ufs_mod.SuppressionMatrix | None,
-                           dscores: Array) -> Array:
+def generator_feature_grad(w: Array, s: Array | None, dscores: Array) -> Array:
     """Upstream gradient on the pooled features: per channel w_c (times the mask)."""
     if s is None:
         return dscores[:, None] * w[None, :]
-    return dscores[:, None] * (w[None, :] * s.values)
+    return dscores[:, None] * (w[None, :] * s)
 
 
 # --- training state and steps -------------------------------------------------- #
@@ -252,14 +250,13 @@ class TrainerState:
 
 def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
     """Adam (ADAM_LR, ADAM_B1, ADAM_B2) on both networks, with empty feature stats."""
-    momentum = cfg.ufs.stats_momentum if cfg.ufs is not None else 0.0
     return TrainerState(
         cfg=cfg,
         gen=gen,
         disc=disc,
         adam_g=AdamState.for_params(gen.net.param_list(), ADAM_LR, ADAM_B1, ADAM_B2),
         adam_d=AdamState.for_params(disc.param_list(), ADAM_LR, ADAM_B1, ADAM_B2),
-        stats=ufs_mod.FeatureStats.empty(disc.feature_dim, momentum),
+        stats=ufs_mod.FeatureStats.empty(disc.feature_dim),
     )
 
 
@@ -299,10 +296,10 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
     return loss
 
 
-def generator_mask(state: TrainerState, features: Array) -> ufs_mod.SuppressionMatrix | None:
-    """The suppression mask the generator objective applies to these pooled
-    critic features at the state's iteration (beta annealed), or None when
-    UFS is off or the feature statistics are still empty."""
+def generator_mask(state: TrainerState, features: Array) -> Array | None:
+    """The (n, C) suppression mask the generator objective applies to these
+    pooled critic features at the state's iteration (beta annealed), or None
+    when UFS is off or the feature statistics are still empty."""
     cfg = state.cfg
     if cfg.ufs is None or not state.stats.initialized:
         return None
@@ -325,8 +322,6 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     fake, gcache = state.gen.sample(z, want_cache=True)
     y_f, dcache = forward_pass(d.body.specs, d.body.params, fake)
     s = generator_mask(state, y_f)
-    if s is None and cfg.ufs is not None and cfg.ufs.strict_stats:
-        raise StateError("generator step with empty feature statistics (strict mode)")
     if s is not None:
         scores = ufs_mod.apply_suppression(y_f, s, d.w, d.b)
     else:

@@ -170,7 +170,7 @@ def apply_overrides(obj: dict, assignments) -> dict:
 # --- checkpoint format ------------------------------------------------------------ #
 
 CHECKPOINT_MAGIC = b"UFSL"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -179,7 +179,9 @@ def manifold_metrics(real: Array, fake: Array, k: int = 3,
     fake = as_f64(fake)
     _check_point_sets(real, fake, "manifold_metrics")
     m, n = len(real), len(fake)
-    if k < 1 or m <= k or n <= k:
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got k={k}")
+    if m <= k or n <= k:
         raise ContractError(f"need sample counts above k: M={m}, N={n}, k={k}")
     if m > 10_000 or n > 10_000:
         raise ContractError(f"brute-force metrics cap at 10000 samples per set, got {m}/{n}")

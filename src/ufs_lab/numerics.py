@@ -293,7 +293,7 @@ def forward_pass(specs, params, x):
             h = np.tanh(h)
             cache.append(h)
         else:  # global_sum_pool
-            cache.append(h.shape)
+            cache.append(h)
             h = global_sum_pool(h)
     return h, cache
 
@@ -321,8 +321,7 @@ def backward_pass(specs, params, cache, upstream):
         elif s.kind == "tanh":
             g = g * (1.0 - c * c)
         else:  # global_sum_pool
-            n, ch = g.shape
-            g = np.broadcast_to(g[:, :, None, None], (n, ch, c[2], c[3])).copy()
+            g = np.broadcast_to(g[:, :, None, None], c.shape).copy()
     return g, tape
 
 
@@ -442,3 +441,17 @@ def adam_step(state: AdamState, params, grad: Array) -> None:
     t /= grad
     for p, u in zip(params, split_like(t, params)):
         p -= u
+
+
+# --- schedules ------------------------------------------------------------ #
+
+
+def linear_anneal(start: float, end: float, fraction: float, t: int, total: int) -> float:
+    """Linear ramp from start to end over the first fraction of total
+    iterations, then flat at end."""
+    if t < 0 or t > total:
+        raise ContractError(f"iteration {t} outside [0, {total}]")
+    window = fraction * total
+    if window <= 0 or t >= window:
+        return end
+    return start + (end - start) * (t / window)

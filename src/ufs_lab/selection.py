@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .numerics import Array, SeededRng, as_f64
+from .numerics import Array, SeededRng, as_f64, linear_anneal
 
 SELECTION_MODES = ("top", "bottom", "random")
 COVARIANCE_MODES = ("full_shrinkage", "diagonal")
@@ -65,12 +65,7 @@ def select_indices(scores: Array, k: int, mode: str, rng: SeededRng | None = Non
 
 def anneal_k(cfg: SelectionConfig, t: int, total: int) -> int:
     """Linear k schedule over the first anneal_fraction of training, then flat."""
-    if t < 0 or t > total:
-        raise ContractError(f"iteration {t} outside [0, {total}]")
-    window = cfg.anneal_fraction * total
-    if window <= 0 or t >= window:
-        return cfg.k_end
-    return int(np.rint(cfg.k_start + (cfg.k_end - cfg.k_start) * (t / window)))
+    return int(np.rint(linear_anneal(cfg.k_start, cfg.k_end, cfg.anneal_fraction, t, total)))
 
 
 def gaussian_log_scores(embedded: Array, covariance_mode: str) -> Array:

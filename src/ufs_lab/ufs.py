@@ -26,23 +26,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError, StateError
-from .numerics import Array, as_f64
+from .numerics import Array, as_f64, linear_anneal
+
+DENOM_FLOOR = 1e-8  # smallest margin magnitude compute_ratio divides by
+NEAR_REAL_RATIO = 1.0  # ratio of a channel within gamma of the real mean
 
 
 @dataclass
 class FeatureStats:
-    """Running means of weighted real/fake features, one entry per channel."""
+    """Means of the latest critic batch's weighted real/fake features, one
+    entry per channel; each update replaces them."""
 
     mu_real: Array
     mu_fake: Array
-    momentum: float = 0.0
     initialized: bool = False
 
     @classmethod
-    def empty(cls, channels: int, momentum: float = 0.0) -> "FeatureStats":
-        if not 0.0 <= momentum <= 1.0:
-            raise ContractError(f"momentum must be in [0, 1], got {momentum}")
-        return cls(np.zeros(channels), np.zeros(channels), momentum, False)
+    def empty(cls, channels: int) -> "FeatureStats":
+        return cls(np.zeros(channels), np.zeros(channels), False)
 
     @property
     def channels(self) -> int:
@@ -65,29 +66,20 @@ class UfsConfig:
     """Suppression hyperparameters.
 
     alpha / beta clamp the distance ratio, epsilon shifts it into the final
-    weight; gamma is the near-real guard on the distance itself, and
-    denom_floor keeps the margin division finite. near_real_ratio is the
-    ratio assigned when |distance| < gamma. stats_momentum feeds the
-    FeatureStats EMA (0 keeps only the latest critic batch); strict_stats
-    makes generator steps fail instead of silently skipping the mask while
-    the stats are still empty.
+    weight; gamma is the near-real guard on the distance itself (a channel
+    closer than gamma to the real mean gets NEAR_REAL_RATIO). beta_anneal,
+    when set, replaces beta by a linear schedule over training.
     """
 
     alpha: float
     beta: float
     epsilon: float
     gamma: float = 1e-4
-    denom_floor: float = 1e-8
-    near_real_ratio: float = 1.0
     beta_anneal: BetaAnneal | None = None
-    stats_momentum: float = 0.0
-    strict_stats: bool = False
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ContractError(f"gamma must be >= 0, got {self.gamma}")
-        if self.denom_floor <= 0:
-            raise ContractError(f"denom_floor must be > 0, got {self.denom_floor}")
         betas = [self.beta]
         if self.beta_anneal is not None:
             betas += [self.beta_anneal.beta_start, self.beta_anneal.beta_end]
@@ -99,15 +91,8 @@ class UfsConfig:
                     f"epsilon - beta must be >= 0 (got epsilon={self.epsilon}, beta={b})")
 
 
-@dataclass(frozen=True)
-class SuppressionMatrix:
-    """Per-sample x per-channel suppression weights in [eps - beta, eps - alpha]."""
-
-    values: Array
-
-
 def update_stats(stats: FeatureStats, w: Array, y_real: Array, y_fake: Array) -> FeatureStats:
-    """Fold one critic batch into the real/fake weighted-feature means.
+    """Set the real/fake weighted-feature means to those of one critic batch.
 
     The weighting is an elementwise product with the head weight vector,
     not a weighted sum, so each channel keeps its own mean.
@@ -123,14 +108,8 @@ def update_stats(stats: FeatureStats, w: Array, y_real: Array, y_fake: Array) ->
             f"{y_real.shape[1]} / {y_fake.shape[1]}")
     if len(y_real) < 1 or len(y_fake) < 1:
         raise ContractError("update_stats needs at least one sample per batch")
-    m_real = (w[None, :] * y_real).mean(axis=0)
-    m_fake = (w[None, :] * y_fake).mean(axis=0)
-    if stats.momentum == 0.0 or not stats.initialized:
-        stats.mu_real = m_real
-        stats.mu_fake = m_fake
-    else:
-        stats.mu_real = stats.momentum * stats.mu_real + (1.0 - stats.momentum) * m_real
-        stats.mu_fake = stats.momentum * stats.mu_fake + (1.0 - stats.momentum) * m_fake
+    stats.mu_real = (w[None, :] * y_real).mean(axis=0)
+    stats.mu_fake = (w[None, :] * y_fake).mean(axis=0)
     stats.initialized = True
     return stats
 
@@ -147,9 +126,9 @@ def weighted_features(w: Array, y_fake: Array) -> Array:
 def compute_ratio(stats: FeatureStats, y_hat: Array, cfg: UfsConfig) -> Array:
     """Distance of each weighted feature from the real mean as a margin fraction.
 
-    Channels whose distance is under gamma get near_real_ratio instead of the
-    quotient; the margin magnitude is floored (sign preserved, +0 counts as
-    positive) so the division never blows up.
+    Channels whose distance is under gamma get NEAR_REAL_RATIO instead of the
+    quotient; the margin magnitude is floored at DENOM_FLOOR (sign preserved,
+    +0 counts as positive) so the division never blows up.
     """
     if not stats.initialized:
         raise StateError("compute_ratio called before feature statistics were populated")
@@ -158,33 +137,33 @@ def compute_ratio(stats: FeatureStats, y_hat: Array, cfg: UfsConfig) -> Array:
         raise DimensionError(f"y_hat shape {y_hat.shape} does not match {stats.channels} channels")
     margin = stats.mu_real - stats.mu_fake
     sign = np.where(margin >= 0.0, 1.0, -1.0)
-    floored = sign * np.maximum(np.abs(margin), cfg.denom_floor)
+    floored = sign * np.maximum(np.abs(margin), DENOM_FLOOR)
     dist = stats.mu_real[None, :] - y_hat
-    return np.where(np.abs(dist) >= cfg.gamma, dist / floored[None, :], cfg.near_real_ratio)
+    return np.where(np.abs(dist) >= cfg.gamma, dist / floored[None, :], NEAR_REAL_RATIO)
 
 
-def compute_suppression(ratios: Array, cfg: UfsConfig) -> SuppressionMatrix:
-    """Piecewise-linear suppression weights: epsilon - clip(ratio, alpha, beta)."""
-    ratios = as_f64(ratios)
-    return SuppressionMatrix(cfg.epsilon - np.clip(ratios, cfg.alpha, cfg.beta))
+def compute_suppression(ratios: Array, cfg: UfsConfig) -> Array:
+    """Piecewise-linear suppression weights: epsilon - clip(ratio, alpha, beta),
+    an (n, C) array in [epsilon - beta, epsilon - alpha]."""
+    return cfg.epsilon - np.clip(as_f64(ratios), cfg.alpha, cfg.beta)
 
 
 def suppression_mask(stats: FeatureStats, w: Array, features: Array,
-                     cfg: UfsConfig) -> SuppressionMatrix:
+                     cfg: UfsConfig) -> Array:
     """The mask for a batch of pooled critic features: weight them by the head,
     measure each channel against the real mean, and clip into weights."""
     return compute_suppression(compute_ratio(stats, weighted_features(w, features), cfg), cfg)
 
 
-def apply_suppression(y_fake: Array, s: SuppressionMatrix, w: Array, b: Array) -> Array:
+def apply_suppression(y_fake: Array, s: Array, w: Array, b: Array) -> Array:
     """Scores of masked features: <w, y * s> + b per sample."""
     y_fake = as_f64(y_fake)
     w = as_f64(w)
-    if y_fake.shape != s.values.shape:
-        raise DimensionError(f"suppression shape {s.values.shape} does not match features {y_fake.shape}")
+    if y_fake.shape != s.shape:
+        raise DimensionError(f"suppression shape {s.shape} does not match features {y_fake.shape}")
     if y_fake.ndim != 2 or y_fake.shape[1] != w.size:
         raise DimensionError(f"features {y_fake.shape} do not match head width {w.size}")
-    return ((y_fake * s.values) @ w.reshape(-1, 1) + np.asarray(b).reshape(1, 1))[:, 0]
+    return ((y_fake * s) @ w.reshape(-1, 1) + np.asarray(b).reshape(1, 1))[:, 0]
 
 
 def classify_mode(cfg: UfsConfig) -> str:
@@ -208,13 +187,8 @@ def anneal_beta(cfg: UfsConfig, t: int, total: int) -> float:
     """Linear beta schedule over the first anneal_fraction of training."""
     if cfg.beta_anneal is None:
         return cfg.beta
-    if t < 0 or t > total:
-        raise ContractError(f"iteration {t} outside [0, {total}]")
     sched = cfg.beta_anneal
-    window = sched.anneal_fraction * total
-    if window <= 0 or t >= window:
-        return sched.beta_end
-    return sched.beta_start + (sched.beta_end - sched.beta_start) * (t / window)
+    return linear_anneal(sched.beta_start, sched.beta_end, sched.anneal_fraction, t, total)
 
 
 def effective_config(cfg: UfsConfig, t: int, total: int) -> UfsConfig:

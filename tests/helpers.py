@@ -303,8 +303,7 @@ def backward_pass_oracle(specs, params, cache, upstream):
         elif s.kind == "tanh":
             g = g * (1.0 - c * c)
         else:  # global_sum_pool
-            n, ch = g.shape
-            g = np.broadcast_to(g[:, :, None, None], (n, ch, c[2], c[3])).copy()
+            g = np.broadcast_to(g[:, :, None, None], c.shape).copy()
     return grads, g
 
 

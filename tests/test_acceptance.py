@@ -31,7 +31,7 @@ from ufs_lab import gan, harness, metrics as mx, selection as sel, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.attribution import compute_cam
 from ufs_lab.datasets import DatasetConfig, make_dataset
-from ufs_lab.ufs import SuppressionMatrix, UfsConfig
+from ufs_lab.ufs import UfsConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 PRESETS = ("ring8_baseline", "ring8_ufs", "ring8_topk", "ring8_topk_ufs")
@@ -130,7 +130,7 @@ def test_acceptance_suppression_exactness():
     worst = 0.0
     for cfg in configs:
         grid = np.linspace(cfg.alpha - 1.0, cfg.beta + 1.0, 1000)
-        got = ufs.compute_suppression(grid[None, :], cfg).values[0]
+        got = ufs.compute_suppression(grid[None, :], cfg)[0]
         closed = np.where(grid < cfg.alpha, cfg.epsilon - cfg.alpha,
                           np.where(grid > cfg.beta, cfg.epsilon - cfg.beta,
                                    cfg.epsilon - grid))
@@ -146,7 +146,7 @@ def test_acceptance_suppression_exactness():
         eps = beta + float(rng.uniform((), 0.0, 2.0))
         cfg = UfsConfig(alpha, beta, eps)
         ratios = rng.normal((10, 16), 0.0, 5.0)
-        s = ufs.compute_suppression(ratios, cfg).values
+        s = ufs.compute_suppression(ratios, cfg)
         assert np.all(s >= eps - beta) and np.all(s <= eps - alpha)
         order = np.argsort(ratios, axis=1)
         s_sorted = np.take_along_axis(s, order, axis=1)
@@ -189,13 +189,13 @@ def test_acceptance_regime_classification():
 def test_acceptance_masking_identities():
     rng = nm.SeededRng(55)
     d = small_mlp_disc(rng)
-    s = SuppressionMatrix(rng.uniform((6, 6)))
+    s = rng.uniform((6, 6))
     upstream = gan.generator_feature_grad(d.w, s, np.ones(6))
-    exact = np.array_equal(upstream, d.w[None, :] * s.values)
+    exact = np.array_equal(upstream, d.w[None, :] * s)
 
     dc = small_conv_disc(rng)
     x = rng.normal((3, 1, 9, 9))
-    s_img = SuppressionMatrix(rng.uniform((3, dc.feature_dim)))
+    s_img = rng.uniform((3, dc.feature_dim))
     cam = compute_cam(dc, x).values
     kept = compute_cam(dc, x, s_img, "cam_ufs").values
     dropped = compute_cam(dc, x, s_img, "cam_sup").values

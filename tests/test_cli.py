@@ -128,6 +128,15 @@ def test_eval_fewer_samples_than_k_one_line_error(tmp_path, capsys):
     assert "k=3" in assert_one_line_error(capsys, "ContractError")
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_eval_k_below_one_one_line_error(tmp_path, capsys, k):
+    real = write_points(tmp_path / "real.csv", 20, 1)
+    fake = write_points(tmp_path / "fake.csv", 20, 2)
+    assert cli.main(["eval", "--real", real, "--fake", fake, "-k", str(k)]) == 2
+    err = assert_one_line_error(capsys, "ContractError")
+    assert f"k must be >= 1, got k={k}" in err and "sample counts" not in err
+
+
 def test_run_invalid_json_one_line_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"dataset": {"kind": "ring8"},')

@@ -36,6 +36,9 @@ def tiny_config(tmp_path, **overrides):
 
 RING8 = {"kind": "ring8"}
 UFS = {"alpha": 0, "beta": 1, "epsilon": 1}
+# knobs the ufs block once had, with the defaults they had
+RETIRED_UFS_KEYS = {"denom_floor": 1e-8, "near_real_ratio": 1.0, "stats_momentum": 0.0,
+                    "strict_stats": False}
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -74,11 +77,15 @@ UFS = {"alpha": 0, "beta": 1, "epsilon": 1}
      "config.train: batch_size must be >= 2, got 1"),
     ({"dataset": {"kind": "ring9"}, "train": {}}, "config.dataset: unknown dataset kind 'ring9'"),
     ({"dataset": RING8, "train": {}, "eval_every": 0}, "config: eval_every must be >= 1, got 0"),
+    *[({"dataset": RING8, "train": {"ufs": dict(UFS, **{key: value})}},
+       f"unknown key config.train.ufs.{key}")
+      for key, value in RETIRED_UFS_KEYS.items()],
 ], ids=["unknown-top-level-key", "unknown-nested-key", "missing-block", "missing-ufs-alpha",
         "batch-size-string", "iterations-bool", "seed-float", "ufs-int", "dataset-string",
         "loss-null", "not-an-object", "range-SelectionConfig", "range-InstanceSelectionConfig",
         "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "range-TrainConfig",
-        "range-DatasetConfig", "range-ExperimentConfig"])
+        "range-DatasetConfig", "range-ExperimentConfig",
+        *[f"retired-{key}" for key in RETIRED_UFS_KEYS]])
 def test_config_error_names_dotted_key(obj, message):
     with pytest.raises(ConfigError) as info:
         harness.config_from_dict(obj)
@@ -234,7 +241,7 @@ def restore(state, cfg, path):
 
 def test_trainer_checkpoint_round_trip(tmp_path):
     cfg = tiny_config(tmp_path, **{"train.iterations": 6, "train.ufs": dict(
-        UFS, stats_momentum=0.5, beta_anneal={"beta_start": 1.0, "beta_end": 0.5}),
+        UFS, beta_anneal={"beta_start": 1.0, "beta_end": 0.5}),
         "train.selection": {"mode": "top", "k_start": 8, "k_end": 4}})
     state = trained_state((2,), cfg.train)
     _, restored = restore(state, cfg, tmp_path / "t.ufsl")
@@ -243,9 +250,9 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert list(live_arrays) == list(restored_arrays)
     for name, arr in live_arrays.items():
         assert arr.tobytes() == restored_arrays[name].tobytes(), name
-    counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats.initialized, s.stats.momentum)
+    counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats.initialized)
                 for s in (state, restored)]
-    assert counters == [(2, 2, 2, True, 0.5)] * 2
+    assert counters == [(2, 2, 2, True)] * 2
     # the loader fills the flat Adam moments through their per-array views
     for live, back in ((state.adam_g, restored.adam_g), (state.adam_d, restored.adam_d)):
         assert np.any(live.m != 0.0) and np.any(live.v != 0.0)
@@ -300,8 +307,8 @@ def test_cam_from_restored_state_is_bitwise_the_live_one(tmp_path, beta_anneal):
     def cams(s):
         features, _ = nm.forward_pass(s.disc.body.specs, s.disc.body.params, images)
         mask = gan.generator_mask(s, features)
-        return mask.values, [attribution.compute_cam(s.disc, images, mask, v).values
-                             for v in attribution.VARIANTS]
+        return mask, [attribution.compute_cam(s.disc, images, mask, v).values
+                      for v in attribution.VARIANTS]
 
     (mask_a, maps_a), (mask_b, maps_b) = cams(state), cams(restored)
     assert mask_a.tobytes() == mask_b.tobytes()
@@ -340,14 +347,16 @@ def test_trainer_from_arrays_names_the_bad_array(edit, error, message):
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
+    # version 2 stored configs with ufs keys that are gone since version 3
     path = tmp_path / "old.ufsl"
     harness.save_checkpoint(path, ring8_checkpoint())
     raw = bytearray(path.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ParseError, match="checkpoint version 1 is incompatible with reader "
-                                         "version 2"):
-        harness.load_checkpoint(path)
+    for version in (1, 2):
+        raw[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=f"checkpoint version {version} is incompatible "
+                                             "with reader version 3"):
+            harness.load_checkpoint(path)
 
 
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
