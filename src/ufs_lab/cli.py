@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,14 @@ def _load_samples(path: str, embed_seed: int) -> tuple[np.ndarray, bool]:
         images = normalize_images(load_idx_images(p))
         return random_feature_embed(images, embed_seed), True
     try:
-        return np.loadtxt(p, delimiter=",", ndmin=2), False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data": raised below
+            samples = np.loadtxt(p, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: not a numeric point CSV: {exc}") from exc
+    if samples.size == 0:
+        raise ParseError(f"{path}: point CSV has no data rows")
+    return samples, False
 
 
 def _cmd_run(args) -> int:

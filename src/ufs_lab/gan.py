@@ -94,7 +94,7 @@ class GeneratorNet:
     def backward(self, cache, upstream: Array) -> Array:
         if len(self.data_shape) > 1:
             upstream = upstream.reshape(len(upstream), -1)
-        _, tape = backward_pass(self.net.specs, self.net.params, cache, upstream)
+        _, tape = backward_pass(self.net.specs, self.net.params, cache, upstream, input_grad=False)
         return param_grads(self.net.specs, cache, tape)
 
 
@@ -206,8 +206,8 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
     dw = dr @ y_r + df @ y_f
     db = np.array([dr.sum() + df.sum()])
-    _, tape_r = backward_pass(specs, params, cache_r, np.outer(dr, d.w))
-    _, tape_f = backward_pass(specs, params, cache_f, np.outer(df, d.w))
+    _, tape_r = backward_pass(specs, params, cache_r, np.outer(dr, d.w), input_grad=False)
+    _, tape_f = backward_pass(specs, params, cache_f, np.outer(df, d.w), input_grad=False)
     body_grads = param_grads(specs, cache_r, tape_r)
     body_grads += param_grads(specs, cache_f, tape_f)
     penalty = 0.0

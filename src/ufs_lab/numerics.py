@@ -10,10 +10,13 @@ penalty).
 
 Convolution forward and global sum pooling accumulate in a fixed loop
 order (channel, then kernel row, then kernel column / row-major spatial)
-so they agree bit-for-bit with a naive Python loop. The convolution
-gradients are one im2col GEMM each; they sum in BLAS order, so they are
-checked against reference oracles to rounding and against finite
-differences, not bitwise.
+so they agree bit-for-bit with a naive Python loop. The convolution forward
+costs three numpy calls per (sample block, input channel): one multiply
+writes all the channel's tap products, the running sum is added into the
+first tap's products, and one add.reduce folds the taps in order into an
+accumulator at least 2 wide. The convolution gradients are one im2col GEMM
+each; they sum in BLAS order, so they are checked against reference
+oracles to rounding and against finite differences, not bitwise.
 """
 
 from __future__ import annotations
@@ -152,10 +155,10 @@ def _check_dy(dy: Array, want, x_shape, kernel_shape, op: str) -> None:
                              f"{tuple(kernel_shape)}, expected {tuple(want)}")
 
 
-# Elements of the channels-last accumulator per sample block (256 KiB of
-# float64): large enough to amortise the per-tap call, small enough that the
-# accumulator and its product buffer stay in cache.
-_CONV_BLOCK_ELEMS = 1 << 15
+# Elements of one sample block's kh*kw tap products plus its accumulator
+# (1 MiB of float64): large enough to amortise the three calls per input
+# channel, small enough that the block stays in cache.
+_CONV_BLOCK_ELEMS = 1 << 17
 
 
 def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
@@ -163,32 +166,39 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
 
     Each output element starts from 0.0 and adds its taps one at a time in
     (in-channel, kernel row, kernel col) order, so the result is bitwise equal
-    to a naive six-loop implementation. The accumulator is channels-last,
-    (samples, ho, wo, out-channels), so every tap's multiply and add run over
-    a contiguous out-channel axis, one block of samples at a time.
+    to a naive six-loop implementation. Per block of samples and per input
+    channel, one broadcast multiply writes all kh*kw tap products,
+    channels-last (tap, sample, ho, wo, out-channel), from a window view of x;
+    the running sum is added into the first tap's products (IEEE addition
+    commutes), and one add.reduce over the tap axis folds the taps into the
+    accumulator in (row, col) order. The out-channel axis is padded to at
+    least 2: over a 1-wide accumulator numpy would sum the taps with its
+    pairwise routine, in another order.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
     ho, wo = _conv_output_hw(x.shape, kernel.shape, stride, "conv2d")
     n, c = x.shape[:2]
     o, _, kh, kw = kernel.shape
-    taps = np.ascontiguousarray(kernel.transpose(1, 2, 3, 0))  # (c, kh, kw, o)
+    op = max(o, 2)
+    taps = np.zeros((c, kh, kw, 1, 1, 1, op))
+    taps[..., :o] = kernel.transpose(1, 2, 3, 0)[:, :, :, None, None, None]
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = windows.transpose(1, 4, 5, 0, 2, 3)[..., None]  # (c, kh, kw, n, ho, wo, 1)
     y = np.empty((n, o, ho, wo))
-    block = max(1, _CONV_BLOCK_ELEMS // max(1, ho * wo * o))
-    acc_buf = np.empty((min(block, n), ho, wo, o))
-    term_buf = np.empty_like(acc_buf)
+    block = max(1, min(n, _CONV_BLOCK_ELEMS // ((kh * kw + 1) * ho * wo * op)))
+    prods_buf = np.empty((kh, kw, block, ho, wo, op))
+    flat_buf = prods_buf.reshape(kh * kw, block, ho, wo, op)  # the same memory, one tap axis
+    acc_buf = np.empty((block, ho, wo, op))
     for lo in range(0, n, block):
-        xb = x[lo:lo + block, :, :, :, None]
-        acc = acc_buf[:len(xb)]
-        term = term_buf[:len(xb)]
+        nb = min(block, n - lo)
+        prods, flat, acc = prods_buf[:, :, :nb], flat_buf[:, :nb], acc_buf[:nb]
         acc.fill(0.0)
         for ci in range(c):
-            for p in range(kh):
-                for q in range(kw):
-                    xs = xb[:, ci, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride]
-                    np.multiply(xs, taps[ci, p, q], out=term)
-                    acc += term
-        y[lo:lo + len(xb)] = acc.transpose(0, 3, 1, 2)
+            np.multiply(windows[ci, :, :, lo:lo + nb], taps[ci], out=prods)
+            flat[0] += acc
+            np.add.reduce(flat, axis=0, out=acc)
+        y[lo:lo + nb] = acc[..., :o].transpose(0, 3, 1, 2)
     return y
 
 
@@ -298,23 +308,31 @@ def forward_pass(specs, params, x):
     return h, cache
 
 
-def backward_pass(specs, params, cache, upstream):
+def backward_pass(specs, params, cache, upstream, input_grad: bool = True):
     """Reverse-order chain rule for the input gradient; returns (dx, tape).
 
     The tape records the upstream gradient reaching each parametric layer
-    (None elsewhere), for param_grads and input_grad_param_grads.
+    (None elsewhere), for param_grads and input_grad_param_grads. With
+    input_grad=False the chain stops at the lowest parametric layer's tape
+    entry and dx is None, for callers that need only parameter gradients.
     """
     g = as_f64(upstream)
     tape = [None] * len(specs)
+    lowest = -1 if input_grad else min(
+        (i for i, s in enumerate(specs) if s.kind in ("dense", "conv2d")), default=-1)
     for i in range(len(specs) - 1, -1, -1):
         s, p, c = specs[i], params[i], cache[i]
         if s.kind == "dense":
             if g.ndim != 2 or g.shape[1] != s.out_features:
                 raise DimensionError(f"layer {i}: upstream shape {g.shape} does not match dense output")
             tape[i] = g
+            if i == lowest:
+                break
             g = g @ p["W"]
         elif s.kind == "conv2d":
             tape[i] = g
+            if i == lowest:
+                break
             g = conv2d_input_grad(g, p["W"], c.shape, s.stride)
         elif s.kind == "leaky_relu":
             g = g * c
@@ -322,7 +340,7 @@ def backward_pass(specs, params, cache, upstream):
             g = g * (1.0 - c * c)
         else:  # global_sum_pool
             g = np.broadcast_to(g[:, :, None, None], c.shape).copy()
-    return g, tape
+    return (g if input_grad else None), tape
 
 
 def param_grads(specs, cache, tape) -> Array:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,19 @@ def test_eval_malformed_csv_one_line_error(tmp_path, capsys):
     bad.write_text("0.1,0.2\n0.3,oops\n")
     assert cli.main(["eval", "--real", real, "--fake", str(bad)]) == 2
     assert "bad.csv" in assert_one_line_error(capsys, "ParseError")
+
+
+def test_eval_empty_csv_one_line_error(tmp_path):
+    # a subprocess, so numpy's warnings reach stderr as a user would see them
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ufs_lab.cli", "eval", "--real", str(empty),
+                           "--fake", str(empty)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(f"ufs-lab: ParseError: {empty}: ")
 
 
 def test_eval_missing_file_one_line_error(tmp_path, capsys):

@@ -258,6 +258,25 @@ def test_split_groups_gives_each_group_its_own_forward_cache():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_critic_objective_skips_the_real_and_fake_input_grads(monkeypatch):
+    # only the penalty needs the gradient at the critic's input; the real and
+    # fake backward passes stop at the first conv layer's tape entry
+    calls = []
+    input_grad = nm.conv2d_input_grad
+
+    def counted(*args):
+        calls.append(args[2])
+        return input_grad(*args)
+
+    monkeypatch.setattr(nm, "conv2d_input_grad", counted)
+    rng = nm.SeededRng(22)
+    d = small_conv_disc(rng)
+    real, fake = rng.normal((2, 1, 9, 9)), rng.normal((2, 1, 9, 9))
+    x_hat = gan.interpolate_batches(real, fake, rng)
+    gan.discriminator_objective_grads(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
+    assert sorted(shape[1] for shape in calls) == [1, 3, 3, 3]  # penalty: both layers
+
+
 def forbid_forward(monkeypatch):
     def forward(*args, **kwargs):
         raise AssertionError("forward pass ran before the batches were checked")

@@ -113,6 +113,36 @@ def test_conv_forward_blocks_match_loop_oracle():
 CRITIC_CONVS = [(1, 32, 16), (32, 64, 7), (64, 128, 3)]  # (in, out, input side), 3x3, stride 2
 
 
+@pytest.mark.parametrize("x_shape", [(1, 1, 3, 3), (1, 3, 3, 3), (1, 64, 3, 3)])
+def test_conv_forward_one_wide_accumulator_keeps_tap_order(x_shape):
+    # one sample, one out channel, a 1x1 output: a 1-wide accumulator, where
+    # an unpadded tap reduce would sum pairwise
+    rng = nm.SeededRng(x_shape[1])
+    x = rng.normal(x_shape)
+    k = rng.normal((1,) + x_shape[1:])
+    assert nm.conv2d_forward(x, k, 1).tobytes() == conv2d_loop(x, k, 1).tobytes()
+
+
+@pytest.mark.parametrize("c,o,side", [(2, 1, 5), (3, 128, 7)])
+def test_conv_forward_partial_last_block_matches_loop_oracle(c, o, side):
+    # two full sample blocks and a one-sample remainder, as the forward sizes them
+    ho = (side - 3) // 2 + 1
+    block = max(1, nm._CONV_BLOCK_ELEMS // ((3 * 3 + 1) * ho * ho * max(o, 2)))
+    rng = nm.SeededRng(c * o)
+    x = rng.normal((2 * block + 1, c, side, side))
+    k = rng.normal((o, c, 3, 3))
+    assert nm.conv2d_forward(x, k, 2).tobytes() == conv2d_loop(x, k, 2).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 12])
+@pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
+def test_conv_forward_critic_layers_match_loop_oracle(rows, cin, cout, side):
+    rng = nm.SeededRng(100 * cin + rows)
+    x = rng.normal((rows, cin, side, side))
+    k = rng.normal((cout, cin, 3, 3))
+    assert nm.conv2d_forward(x, k, 2).tobytes() == conv2d_loop(x, k, 2).tobytes()
+
+
 @pytest.mark.parametrize("batch", [4, 64])
 @pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
 def test_conv_grads_match_einsum_oracles(batch, cin, cout, side):
@@ -313,6 +343,10 @@ def test_split_backward_matches_one_sweep_oracle_bitwise(data_shape, batch):
         dx, tape = nm.backward_pass(net.specs, net.params, cache, upstream)
         want_grads, want_dx = backward_pass_oracle(net.specs, net.params, cache, upstream)
         assert dx.tobytes() == want_dx.tobytes()
+        assert nm.param_grads(net.specs, cache, tape).tobytes() == flat_grads(want_grads).tobytes()
+        # a caller that discards the input gradient gets the same parameter gradients
+        no_dx, tape = nm.backward_pass(net.specs, net.params, cache, upstream, input_grad=False)
+        assert no_dx is None
         assert nm.param_grads(net.specs, cache, tape).tobytes() == flat_grads(want_grads).tobytes()
 
 
