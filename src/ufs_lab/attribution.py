@@ -53,14 +53,14 @@ def compute_cam(d: DiscriminatorNet, x: Array, s: Array | None = None,
     return AttributionMap(variant, np.einsum("nchw,c->nhw", masked, d.w))
 
 
-def heatmap_to_pgm(values: Array, path) -> None:
-    """Min-max normalize one 2-d map to [0, 255] and write it as binary PGM (P5).
+def encode_pgm(values: Array) -> bytes:
+    """One 2-d map, min-max normalized to [0, 255], as binary PGM (P5) bytes.
 
     Constant maps come out as uniform 128.
     """
     v = as_f64(values)
     if v.ndim != 2:
-        raise DimensionError(f"heatmap_to_pgm expects a 2-d map, got shape {v.shape}")
+        raise DimensionError(f"encode_pgm expects a 2-d map, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ContractError("heatmap contains NaN or Inf")
     lo, hi = float(v.min()), float(v.max())
@@ -68,11 +68,15 @@ def heatmap_to_pgm(values: Array, path) -> None:
         pixels = np.rint((v - lo) / (hi - lo) * 255.0)
     else:
         pixels = np.full(v.shape, 128.0)
-    data = pixels.astype(np.uint8)
     header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode()
+    return header + pixels.astype(np.uint8).tobytes()
+
+
+def heatmap_to_pgm(values: Array, path) -> None:
+    """Write one 2-d map as the PGM file encode_pgm gives."""
     path = Path(path)
     try:
-        path.write_bytes(header + data.tobytes())
+        path.write_bytes(encode_pgm(values))
     except OSError as exc:
         raise OSError(f"writing heatmap to {path}: {exc}") from exc
 

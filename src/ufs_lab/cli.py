@@ -17,18 +17,16 @@ from .errors import (ConfigError, ContractError, DimensionError, NumericError, P
 from .gan import generator_mask
 from .harness import (load_checkpoint, load_config, run_experiment, save_embeddings,
                       trainer_from_arrays)
-from .metrics import fit_gaussian, frechet_distance, manifold_metrics, random_feature_embed
+from .metrics import fit_gaussian, frechet_distance, manifold_metrics, measure
 from .selection import InstanceSelectionConfig, instance_select, write_index_file
 from .numerics import forward_pass
 
 
-def _load_samples(path: str, embed_seed: int) -> tuple[np.ndarray, bool]:
-    """(samples, embedded): point CSVs load directly; IDX images go through the
-    fixed embedder."""
+def _load_samples(path: str) -> np.ndarray:
+    """Point CSVs as (n, d) points, IDX files as normalized (n, 1, h, w) images."""
     p = Path(path)
     if p.suffix.lower() == ".idx" or p.read_bytes()[:2] == b"\x00\x00":
-        images = normalize_images(load_idx_images(p))
-        return random_feature_embed(images, embed_seed), True
+        return normalize_images(load_idx_images(p))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data": raised below
@@ -37,7 +35,7 @@ def _load_samples(path: str, embed_seed: int) -> tuple[np.ndarray, bool]:
         raise ParseError(f"{path}: not a numeric point CSV: {exc}") from exc
     if samples.size == 0:
         raise ParseError(f"{path}: point CSV has no data rows")
-    return samples, False
+    return samples
 
 
 def _cmd_run(args) -> int:
@@ -46,16 +44,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    real, embedded = _load_samples(args.real, args.embed_seed)
-    fake, _ = _load_samples(args.fake, args.embed_seed)
-    out = {
-        # the same labels as summary.json's "space"
-        "space": "random_features" if embedded else "data",
-        "frechet": frechet_distance(fit_gaussian(real), fit_gaussian(fake)),
-    }
-    mm = manifold_metrics(real, fake, args.k)
-    out.update(precision=mm.precision, recall=mm.recall, density=mm.density,
-               coverage=mm.coverage)
+    real, space = measure(_load_samples(args.real))
+    fake, _ = measure(_load_samples(args.fake))
+    out = {"space": space, "frechet": frechet_distance(fit_gaussian(real), fit_gaussian(fake))}
+    out.update(vars(manifold_metrics(real, fake, args.k)))  # precision, recall, density, coverage
     if args.dump_embeddings:
         target = Path(args.dump_embeddings)
         target.mkdir(parents=True, exist_ok=True)
@@ -112,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--real", required=True)
     p_eval.add_argument("--fake", required=True)
     p_eval.add_argument("-k", type=int, default=3)
-    p_eval.add_argument("--embed-seed", type=int, default=0)
     p_eval.add_argument("--dump-embeddings", default=None, metavar="DIR",
                         help="also write both sample sets as UFSL embedding files")
     p_eval.set_defaults(func=_cmd_eval)

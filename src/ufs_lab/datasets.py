@@ -55,9 +55,6 @@ class ImageBank:
             raise ContractError(f"image bank expects (n, c, h, w), got {self.data.shape}")
         self.data_shape = self.data.shape[1:]
 
-    def __len__(self):
-        return len(self.data)
-
     def sample(self, n: int, rng: SeededRng) -> Array:
         return self.data[rng.integers(len(self.data), size=n)]
 

@@ -245,7 +245,6 @@ class TrainerState:
     adam_d: AdamState
     stats: ufs_mod.FeatureStats
     t: int = 0
-    diag: dict = field(default_factory=dict)
 
 
 def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
@@ -275,7 +274,8 @@ def _current_lr(state: TrainerState) -> float:
 
 def train_discriminator_step(state: TrainerState, real_batch: Array, rng: SeededRng) -> float:
     """One critic update. The suppression mask is never applied here; the
-    step only refreshes the feature statistics the mask will later use."""
+    step only refreshes the feature statistics the mask will later use.
+    Raises NumericError on a non-finite loss, before anything is updated."""
     cfg = state.cfg
     d = state.disc
     z = rng.normal((cfg.batch_size, state.gen.latent_dim))
@@ -291,8 +291,6 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
     ufs_mod.update_stats(state.stats, d.w, diag["y_real"], diag["y_fake"])
     state.adam_d.lr = _current_lr(state)
     adam_step(state.adam_d, d.param_list(), grads)
-    state.diag = {"real_scores": diag["real_scores"], "fake_scores": diag["fake_scores"],
-                  "penalty": diag["penalty"]}
     return loss
 
 
@@ -340,13 +338,15 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
 
 
 def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
-    """One generator update: draw z, take the objective's gradients, step Adam."""
+    """One generator update: draw z, take the objective's gradients, step Adam.
+    Raises NumericError on a non-finite loss, before Adam runs."""
     z = rng.normal((state.cfg.batch_size, state.gen.latent_dim))
-    loss, ggrads, scores, _, _ = generator_objective_grads(state, z, rng)
+    loss, ggrads, _, _, _ = generator_objective_grads(state, z, rng)
+    if not math.isfinite(loss):
+        raise NumericError(f"generator loss diverged: {loss}")
     state.adam_g.lr = _current_lr(state)
     adam_step(state.adam_g, state.gen.net.param_list(), ggrads)
     state.t += 1
-    state.diag["gen_scores"] = scores
     return loss
 
 

@@ -4,8 +4,11 @@ Everything written to disk is a deterministic function of (config, seed),
 except the wall_seconds column, which is deliberately kept last in the CSV
 so determinism checks can slice it off. A trainer checkpoint is the run's
 config plus the trainer's counters and state arrays; the reader rebuilds the
-models from the config. Checkpoints, the CSV and the summary are written
-atomically.
+models from the config. Checkpoints, sample dumps, the CSV and the summary
+are written atomically. Both sides of an evaluation are measured in the
+space metrics.measure picks, which summary.json names. A step that raises
+on a non-finite loss, or another numeric breakdown, ends the run with one
+diagnostic row.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import gan as gan_mod
+from .attribution import encode_pgm
 from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
-from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics,
-                      mode_coverage, random_feature_embed)
+from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics, measure,
+                      mode_coverage)
 from .numerics import Array, SeededRng, split_like
 
 CSV_HEADER = ("iteration,L_D,L_G,frechet,precision,recall,density,coverage,"
               "covered_modes,hq_fraction,wall_seconds")
 
-EVAL_EMBED_SEED = 0  # feature space for image-run metrics stays fixed across runs
 MANIFOLD_K = 3
 
 
@@ -82,10 +85,6 @@ class ExperimentConfig:
         if not MANIFOLD_K < self.eval_samples <= 10_000:
             raise ConfigError(
                 f"eval_samples must be in ({MANIFOLD_K}, 10000], got {self.eval_samples}")
-
-    @property
-    def seed(self) -> int:
-        return self.train.seed
 
 
 # --- strict JSON config -------------------------------------------------------- #
@@ -329,46 +328,20 @@ class RunResult:
     best_iteration: int = -1
 
 
-def _evaluate(cfg: ExperimentConfig, encoded_cfg: Array, state: gan_mod.TrainerState, dataset,
-              real_side: tuple, rng_eval: SeededRng, iteration: int, l_d: float,
-              l_g: float, started: float, out: Path) -> MetricsRecord:
-    """One metrics row and its checkpoint. `encoded_cfg` is encode_config(cfg);
-    `real_side` is the run's fixed real side: (points, Gaussian fit, k-NN ball
-    bounds), where the points are the real pool or, for image runs, its
-    embedding."""
-    real_points, real_fit, real_bounds = real_side
-    z = rng_eval.normal((cfg.eval_samples, state.gen.latent_dim))
-    fake_pool = state.gen.sample(z)
-    if isinstance(dataset, PointMixture):
-        fake_points = fake_pool
-        covered, hq = mode_coverage(fake_pool, dataset.centers, dataset.sigma)
-        _dump_points(fake_pool[:64], out / f"samples_{iteration:06d}.csv")
-    else:
-        fake_points = random_feature_embed(fake_pool, EVAL_EMBED_SEED)
-        covered, hq = math.nan, math.nan
-        _dump_image_grid(fake_pool[:64], out / f"samples_{iteration:06d}.pgm")
-    fr = frechet_distance(real_fit, fit_gaussian(fake_points))
-    mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
-    save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl", trainer_to_arrays(state, encoded_cfg))
-    return MetricsRecord(iteration, l_d, l_g, fr, mm.precision, mm.recall, mm.density,
-                         mm.coverage, covered, hq, time.perf_counter() - started)
-
-
 def _dump_points(points: Array, path: Path) -> None:
-    path.write_text("".join(f"{repr(float(x))},{repr(float(y))}\n" for x, y in points))
+    write_atomic(path, "".join(f"{repr(float(x))},{repr(float(y))}\n" for x, y in points).encode())
 
 
 def _dump_image_grid(images: Array, path: Path) -> None:
-    """8x8 montage of [-1, 1] images as one PGM."""
-    from .attribution import heatmap_to_pgm
-
+    """Square montage of the images as one PGM, min-max scaled to [0, 255] as
+    encode_pgm scales a heatmap; cells past the last image are -1."""
     n, _, h, w = images.shape
     side = int(math.ceil(math.sqrt(n)))
     grid = np.full((side * h, side * w), -1.0)
     for i in range(n):
         r, c = divmod(i, side)
         grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = images[i, 0]
-    heatmap_to_pgm(grid, path)
+    write_atomic(path, encode_pgm(grid))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -392,45 +365,52 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     started = time.perf_counter()
     # The real side and the encoded config are fixed for the run, so they are
     # computed once, inside the first evaluation window rather than in set-up.
-    real_points = real_pool
-    if not isinstance(dataset, PointMixture):
-        real_points = random_feature_embed(real_pool, EVAL_EMBED_SEED)
-    real_side = (real_points, fit_gaussian(real_points), ball_bounds(real_points, MANIFOLD_K))
+    real_points, space = measure(real_pool)
+    real_fit, real_bounds = fit_gaussian(real_points), ball_bounds(real_points, MANIFOLD_K)
     encoded_cfg = encode_config(cfg)
-    records = [_evaluate(cfg, encoded_cfg, state, dataset, real_side, rng_eval,
-                         0, math.nan, math.nan, started, out)]
-    write_metrics_csv(records, metrics_path)
+    records = []
 
+    def evaluate(iteration: int) -> tuple:
+        """The cells of one evaluation row from frechet to hq_fraction, after
+        its samples dump and checkpoint are written."""
+        z = rng_eval.normal((cfg.eval_samples, state.gen.latent_dim))
+        fake_pool = state.gen.sample(z)
+        fake_points, _ = measure(fake_pool)
+        if isinstance(dataset, PointMixture):
+            covered, hq = mode_coverage(fake_pool, dataset.centers, dataset.sigma)
+            _dump_points(fake_pool[:64], out / f"samples_{iteration:06d}.csv")
+        else:
+            covered, hq = math.nan, math.nan
+            _dump_image_grid(fake_pool[:64], out / f"samples_{iteration:06d}.pgm")
+        fr = frechet_distance(real_fit, fit_gaussian(fake_points))
+        mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
+        save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl",
+                        trainer_to_arrays(state, encoded_cfg))
+        return fr, mm.precision, mm.recall, mm.density, mm.coverage, covered, hq
+
+    def write_row(iteration: int, l_d: float, l_g: float, cells) -> None:
+        records.append(MetricsRecord(iteration, l_d, l_g, *cells, time.perf_counter() - started))
+        write_metrics_csv(records, metrics_path)
+
+    write_row(0, math.nan, math.nan, evaluate(0))
     status = "ok"
     for t in range(1, cfg.train.iterations + 1):
-        l_d = l_g = math.nan
-        diverged = False
+        l_d = l_g = math.nan  # the loss of a step that raises stays nan
         try:
-            for _ in range(cfg.train.n_critic):
-                real = dataset.sample(cfg.train.batch_size, rng_train)
-                l_d = gan_mod.train_discriminator_step(state, real, rng_train)
+            batches = (dataset.sample(cfg.train.batch_size, rng_train)
+                       for _ in range(cfg.train.n_critic))
+            l_d = [gan_mod.train_discriminator_step(state, real, rng_train) for real in batches][-1]
             l_g = gan_mod.train_generator_step(state, rng_train)
-            if not (math.isfinite(l_d) and math.isfinite(l_g)):
-                diverged = True
-            elif t % cfg.eval_every == 0 or t == cfg.train.iterations:
-                records.append(_evaluate(cfg, encoded_cfg, state, dataset, real_side, rng_eval,
-                                         t, l_d, l_g, started, out))
-                write_metrics_csv(records, metrics_path)
+            if t % cfg.eval_every == 0 or t == cfg.train.iterations:
+                write_row(t, l_d, l_g, evaluate(t))
         except (ArithmeticError, np.linalg.LinAlgError):
-            diverged = True
-        if diverged:
             # diagnostic row; the last successfully written checkpoint is retained
-            records.append(MetricsRecord(t, l_d, l_g, math.nan, math.nan, math.nan,
-                                         math.nan, math.nan, math.nan, math.nan,
-                                         time.perf_counter() - started))
-            write_metrics_csv(records, metrics_path)
+            write_row(t, l_d, l_g, (math.nan,) * 7)
             status = "nan_abort"
             break
 
     finite = [(r.frechet, r.iteration) for r in records if _is_finite(r.frechet)]
     best_frechet, best_iteration = min(finite) if finite else (math.nan, -1)
-    # image runs measure in random-feature space, point runs in the data itself
-    space = "data" if isinstance(dataset, PointMixture) else "random_features"
     summary = {"status": status, "best_frechet": best_frechet, "space": space,
                "best_iteration": best_iteration, "iterations_run": records[-1].iteration}
     write_atomic(out / "summary.json", (json.dumps(summary, indent=2) + "\n").encode())

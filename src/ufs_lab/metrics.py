@@ -4,7 +4,8 @@ Fréchet distance between Gaussian fits, k-NN manifold metrics
 (precision / recall / density / coverage), mixture-mode coverage for 2-d
 tasks, and the fixed random-feature embedder used wherever images need a
 feature space (no pretrained networks here, so the numbers are only
-comparable within this laboratory).
+comparable within this laboratory). `measure` picks the space a batch is
+measured in; the experiment loop and `ufs-lab eval` both go through it.
 """
 
 from __future__ import annotations
@@ -233,6 +234,7 @@ def mode_coverage(samples: Array, centers: Array, sigma: float,
 
 
 EMBED_DIM = 64
+EMBED_SEED = 0  # the one embedding every image measurement uses
 _EMBED_MID = 32
 
 
@@ -254,3 +256,14 @@ def random_feature_embed(images: Array, seed: int) -> Array:
     h = conv2d_forward(h, k2, 2)
     np.multiply(h, 0.2, out=h, where=h <= 0.0)
     return global_sum_pool(h)
+
+
+def measure(samples: Array) -> tuple[Array, str]:
+    """(points, space) a sample batch is measured in. (n, d) points pass
+    through as they are, in space "data"; (n, c, h, w) images go through
+    random_feature_embed at EMBED_SEED, in space "random_features". Like FID,
+    a Fréchet distance compares only within one fixed space."""
+    x = as_f64(samples)
+    if x.ndim == 2:
+        return x, "data"
+    return random_feature_embed(x, EMBED_SEED), "random_features"

@@ -1,8 +1,10 @@
 """Per-sample, per-channel suppression of unrealistic critic features.
 
-During critic training we track the mean weighted feature vectors of real
-and fake batches. During generator training each fake sample's weighted
-feature vector is compared channel by channel against those means: the
+A weighted feature vector is a sample's pooled critic features times the
+head weights, channel by channel (`weighted_features`). During critic
+training we track the means of the weighted features of real and fake
+batches. During generator training each fake sample's weighted feature
+vector is compared channel by channel against those means: the
 distance from the real mean, expressed as a fraction of the real-fake
 margin, is turned into a piecewise-linear weight that scales the channel's
 contribution to the critic score. Channels that look real keep their full
@@ -15,7 +17,8 @@ The weight for a channel with distance ratio r is
 
 so all weights live in [epsilon - beta, epsilon - alpha]. A configuration
 with epsilon - beta = 0 zeroes the worst channels ("dismission"); one with
-epsilon - beta > 0 merely scales them down ("suppression").
+epsilon - beta > 0 merely scales them down ("suppression"). An optional
+schedule moves beta linearly from its configured value to `beta_end`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ class FeatureStats:
 
 @dataclass(frozen=True)
 class BetaAnneal:
-    beta_start: float
     beta_end: float
     anneal_fraction: float = 0.5
 
@@ -68,7 +70,7 @@ class UfsConfig:
     alpha / beta clamp the distance ratio, epsilon shifts it into the final
     weight; gamma is the near-real guard on the distance itself (a channel
     closer than gamma to the real mean gets NEAR_REAL_RATIO). beta_anneal,
-    when set, replaces beta by a linear schedule over training.
+    when set, moves beta linearly from `beta` to `beta_anneal.beta_end`.
     """
 
     alpha: float
@@ -82,7 +84,7 @@ class UfsConfig:
             raise ContractError(f"gamma must be >= 0, got {self.gamma}")
         betas = [self.beta]
         if self.beta_anneal is not None:
-            betas += [self.beta_anneal.beta_start, self.beta_anneal.beta_end]
+            betas.append(self.beta_anneal.beta_end)
         for b in betas:
             if self.alpha > b:
                 raise ContractError(f"alpha ({self.alpha}) must not exceed beta ({b})")
@@ -91,36 +93,24 @@ class UfsConfig:
                     f"epsilon - beta must be >= 0 (got epsilon={self.epsilon}, beta={b})")
 
 
-def update_stats(stats: FeatureStats, w: Array, y_real: Array, y_fake: Array) -> FeatureStats:
-    """Set the real/fake weighted-feature means to those of one critic batch.
-
-    The weighting is an elementwise product with the head weight vector,
-    not a weighted sum, so each channel keeps its own mean.
-    """
-    w = as_f64(w)
-    y_real = as_f64(y_real)
-    y_fake = as_f64(y_fake)
-    if w.ndim != 1 or y_real.ndim != 2 or y_fake.ndim != 2:
-        raise DimensionError("update_stats expects w (C,) and feature matrices (n, C)")
-    if y_real.shape[1] != w.size or y_fake.shape[1] != w.size:
-        raise DimensionError(
-            f"feature width mismatch: w has {w.size} channels, features have "
-            f"{y_real.shape[1]} / {y_fake.shape[1]}")
-    if len(y_real) < 1 or len(y_fake) < 1:
+def update_stats(stats: FeatureStats, w: Array, y_real: Array, y_fake: Array) -> None:
+    """Set the real/fake means to those of one critic batch's weighted features."""
+    real, fake = weighted_features(w, y_real), weighted_features(w, y_fake)
+    if len(real) < 1 or len(fake) < 1:
         raise ContractError("update_stats needs at least one sample per batch")
-    stats.mu_real = (w[None, :] * y_real).mean(axis=0)
-    stats.mu_fake = (w[None, :] * y_fake).mean(axis=0)
+    stats.mu_real = real.mean(axis=0)
+    stats.mu_fake = fake.mean(axis=0)
     stats.initialized = True
-    return stats
 
 
-def weighted_features(w: Array, y_fake: Array) -> Array:
-    """Per-sample elementwise product with the head weights; no batch averaging."""
+def weighted_features(w: Array, y: Array) -> Array:
+    """Per-sample elementwise product with the head weights, not a weighted
+    sum, so each channel keeps its own value; no batch averaging."""
     w = as_f64(w)
-    y_fake = as_f64(y_fake)
-    if w.ndim != 1 or y_fake.ndim != 2 or y_fake.shape[1] != w.size:
-        raise DimensionError(f"weighted_features: w {w.shape} does not match features {y_fake.shape}")
-    return w[None, :] * y_fake
+    y = as_f64(y)
+    if w.ndim != 1 or y.ndim != 2 or y.shape[1] != w.size:
+        raise DimensionError(f"weighted_features: w {w.shape} does not match features {y.shape}")
+    return w[None, :] * y
 
 
 def compute_ratio(stats: FeatureStats, y_hat: Array, cfg: UfsConfig) -> Array:
@@ -184,11 +174,12 @@ def classify_mode(cfg: UfsConfig) -> str:
 
 
 def anneal_beta(cfg: UfsConfig, t: int, total: int) -> float:
-    """Linear beta schedule over the first anneal_fraction of training."""
+    """Linear beta schedule from beta to beta_end over the first
+    anneal_fraction of training."""
     if cfg.beta_anneal is None:
         return cfg.beta
     sched = cfg.beta_anneal
-    return linear_anneal(sched.beta_start, sched.beta_end, sched.anneal_fraction, t, total)
+    return linear_anneal(cfg.beta, sched.beta_end, sched.anneal_fraction, t, total)
 
 
 def effective_config(cfg: UfsConfig, t: int, total: int) -> UfsConfig:

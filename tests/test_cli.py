@@ -12,6 +12,7 @@ from ufs_lab import datasets as ds
 from ufs_lab import gan
 from ufs_lab.harness import (config_from_dict, encode_config, load_checkpoint, save_checkpoint,
                              trainer_to_arrays)
+from ufs_lab.metrics import fit_gaussian, frechet_distance, measure
 from ufs_lab.numerics import SeededRng
 
 
@@ -98,6 +99,17 @@ def test_eval_dump_embeddings(tmp_path, capsys):
     assert emb.shape == (12, 64)
 
 
+def test_eval_on_idx_files_measures_as_the_run_does(tmp_path, capsys):
+    paths = [write_shapes_idx(tmp_path / f"{name}.idx", count=12, seed=seed)
+             for name, seed in (("a", 1), ("b", 2))]
+    assert cli.main(["eval", "--real", str(paths[0]), "--fake", str(paths[1]), "-k", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    (real, space), (fake, _) = (measure(ds.normalize_images(ds.load_idx_images(p)))
+                                for p in paths)
+    assert out["space"] == space == "random_features"
+    assert out["frechet"] == frechet_distance(fit_gaussian(real), fit_gaussian(fake))
+
+
 def assert_one_line_error(capsys, name):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -177,7 +189,7 @@ RING8_RUN = {"dataset": {"kind": "ring8"},
     ({"dataset": {"kind": "synthetic_shapes", "instance_selection": {"retention_ratio": 0.0}}},
      [], "config.dataset.instance_selection: "),
     ({}, ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1, "beta_anneal": '
-          '{"beta_start": 1, "beta_end": 1, "anneal_fraction": 0.0}}'],
+          '{"beta_end": 1, "anneal_fraction": 0.0}}'],
      "config.train.ufs.beta_anneal: "),
     ({}, ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1, "gamma": -1}'],
      "config.train.ufs: "),

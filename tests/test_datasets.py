@@ -101,7 +101,7 @@ def test_idx_dataset_with_instance_selection(tmp_path):
     cfg = ds.DatasetConfig("idx_images", path=str(path),
                           instance_selection=InstanceSelectionConfig(retention_ratio=0.5))
     bank = ds.make_dataset(cfg, SeededRng(2))
-    assert len(bank) == 10
+    assert len(bank.data) == 10
 
 
 def test_dataset_config_validation():

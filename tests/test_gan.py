@@ -7,7 +7,7 @@ from helpers import (AdamOracle, adam_step_oracle, critic_objective_per_group, f
                      small_mlp_disc, split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ContractError, DimensionError
+from ufs_lab.errors import ContractError, DimensionError, NumericError
 
 
 # --- forward split ------------------------------------------------------------ #
@@ -405,10 +405,32 @@ def test_discriminator_step_identical_with_and_without_ufs():
 
 def test_discriminator_step_loss_recomputes_from_logged_scores():
     state, rng = make_trainer(loss=gan.LossKind("wgan_gp"))
-    loss = gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
-    diag = state.diag
+    replay = nm.SeededRng(0).derive(99)  # the step's stream, replayed
+    real = rng.normal((8, 2))
+    assert replay.normal((8, 2)).tobytes() == real.tobytes()
+    fake = state.gen.sample(replay.normal((8, state.gen.latent_dim)))
+    x_hat = gan.interpolate_batches(real, fake, replay)
+    value, _, diag = gan.discriminator_objective_grads(state.disc, real, fake, state.cfg.loss,
+                                                       x_hat)
     recomputed = critic_value("wgan_gp", diag["real_scores"], diag["fake_scores"]) + diag["penalty"]
-    assert loss == recomputed
+    assert value == recomputed and diag["penalty"] > 0.0
+    assert gan.train_discriminator_step(state, real, rng) == value
+
+
+def test_generator_step_raises_on_nan_loss_before_adam():
+    state, rng = make_trainer(loss=gan.LossKind("wgan"))
+    gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
+    gan.train_generator_step(state, rng)  # the Adam moments are no longer zero
+    params = state.gen.net.param_list()
+    params[0][:] = np.nan
+    adam = state.adam_g
+    before = ([p.tobytes() for p in params], adam.m.tobytes(), adam.v.tobytes(), adam.step,
+              state.t)
+    with pytest.raises(NumericError, match="generator loss diverged: nan"):
+        gan.train_generator_step(state, rng)
+    after = ([p.tobytes() for p in params], adam.m.tobytes(), adam.v.tobytes(), adam.step,
+             state.t)
+    assert after == before and adam.step == state.t == 1
 
 
 def test_generator_step_with_inert_mask_matches_baseline():
@@ -426,7 +448,7 @@ def test_generator_step_with_inert_mask_matches_baseline():
 def test_generator_mask_clips_at_the_annealed_beta():
     rng = nm.SeededRng(12)
     d = small_mlp_disc(rng)
-    cfg = ufs.UfsConfig(0.0, 1.0, 1.0, beta_anneal=ufs.BetaAnneal(0.25, 1.0, 1.0))
+    cfg = ufs.UfsConfig(0.0, 0.25, 1.0, beta_anneal=ufs.BetaAnneal(1.0, 1.0))
     state = objective_state(rng, small_gen(rng), d, None, cfg)
     state.t = 5  # halfway through the 10-iteration window: beta = 0.625
     features, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((6, 2), 0.5, 1.5))

@@ -67,7 +67,7 @@ RETIRED_UFS_KEYS = {"denom_floor": 1e-8, "near_real_ratio": 1.0, "stats_momentum
       "train": {}},
      "config.dataset.instance_selection: retention_ratio must be in (0, 1], got 0.0"),
     ({"dataset": RING8, "train": {"ufs": dict(UFS, beta_anneal={
-        "beta_start": 1, "beta_end": 1, "anneal_fraction": 0.0})}},
+        "beta_end": 1, "anneal_fraction": 0.0})}},
      "config.train.ufs.beta_anneal: anneal_fraction must be in (0, 1], got 0.0"),
     ({"dataset": RING8, "train": {"ufs": dict(UFS, gamma=-1)}},
      "config.train.ufs: gamma must be >= 0, got -1"),
@@ -80,12 +80,16 @@ RETIRED_UFS_KEYS = {"denom_floor": 1e-8, "near_real_ratio": 1.0, "stats_momentum
     *[({"dataset": RING8, "train": {"ufs": dict(UFS, **{key: value})}},
        f"unknown key config.train.ufs.{key}")
       for key, value in RETIRED_UFS_KEYS.items()],
+    # the schedule starts at ufs.beta
+    ({"dataset": RING8, "train": {"ufs": dict(UFS, beta_anneal={
+        "beta_start": 1.0, "beta_end": 0.5})}},
+     "unknown key config.train.ufs.beta_anneal.beta_start"),
 ], ids=["unknown-top-level-key", "unknown-nested-key", "missing-block", "missing-ufs-alpha",
         "batch-size-string", "iterations-bool", "seed-float", "ufs-int", "dataset-string",
         "loss-null", "not-an-object", "range-SelectionConfig", "range-InstanceSelectionConfig",
         "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "range-TrainConfig",
         "range-DatasetConfig", "range-ExperimentConfig",
-        *[f"retired-{key}" for key in RETIRED_UFS_KEYS]])
+        *[f"retired-{key}" for key in RETIRED_UFS_KEYS], "retired-beta_start"])
 def test_config_error_names_dotted_key(obj, message):
     with pytest.raises(ConfigError) as info:
         harness.config_from_dict(obj)
@@ -107,8 +111,8 @@ FULL_CONFIG = {
     "dataset": {"kind": "synthetic_shapes", "image_size": 16, "num_shapes": 64,
                 "instance_selection": {"retention_ratio": 0.5}},
     "train": {"batch_size": 8, "loss": {"kind": "hinge"},
-              "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.5,
-                      "beta_anneal": {"beta_start": 1.5, "beta_end": 1.0}},
+              "ufs": {"alpha": 0.0, "beta": 1.5, "epsilon": 1.5,
+                      "beta_anneal": {"beta_end": 1.0}},
               "selection": {"mode": "random", "k_start": 8, "k_end": 4}},
 }
 
@@ -139,7 +143,7 @@ def test_load_config_round_trips_fields(tmp_path):
     assert cfg.train.loss.kind == "hinge"
     assert cfg.train.n_critic == 1  # hinge default
     assert cfg.train.selection.mode == "bottom"
-    assert cfg.seed == 42
+    assert cfg.train.seed == 42
 
 
 def test_missing_idx_file_rejected_at_load():
@@ -241,7 +245,7 @@ def restore(state, cfg, path):
 
 def test_trainer_checkpoint_round_trip(tmp_path):
     cfg = tiny_config(tmp_path, **{"train.iterations": 6, "train.ufs": dict(
-        UFS, beta_anneal={"beta_start": 1.0, "beta_end": 0.5}),
+        UFS, beta_anneal={"beta_end": 0.5}),
         "train.selection": {"mode": "top", "k_start": 8, "k_end": 4}})
     state = trained_state((2,), cfg.train)
     _, restored = restore(state, cfg, tmp_path / "t.ufsl")
@@ -271,8 +275,8 @@ def test_trainer_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_stores_the_run_config_without_out_dir(tmp_path):
-    cfg = tiny_config(tmp_path, **{"train.ufs": dict(UFS, beta_anneal={
-        "beta_start": 1.0, "beta_end": 0.5}), "train.selection": {"k_start": 8, "k_end": 4}})
+    cfg = tiny_config(tmp_path, **{"train.ufs": dict(UFS, beta_anneal={"beta_end": 0.5}),
+                                   "train.selection": {"k_start": 8, "k_end": 4}})
     result = harness.run_experiment(cfg)
     path = result.out_dir / "checkpoint_000004.ufsl"
     stored, state = harness.trainer_from_arrays(harness.load_checkpoint(path))
@@ -294,7 +298,7 @@ def test_trainer_from_arrays_does_not_need_the_dataset_file(tmp_path):
     assert stored.dataset.path == str(idx)
 
 
-@pytest.mark.parametrize("beta_anneal", [None, {"beta_start": 1.0, "beta_end": 0.5}])
+@pytest.mark.parametrize("beta_anneal", [None, {"beta_end": 0.5}])
 def test_cam_from_restored_state_is_bitwise_the_live_one(tmp_path, beta_anneal):
     cfg = harness.config_from_dict({
         "dataset": {"kind": "synthetic_shapes"},
@@ -374,6 +378,21 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["c.ufsl"]
 
 
+@pytest.mark.parametrize("dataset", [{"kind": "ring8"},
+                                     {"kind": "synthetic_shapes", "num_shapes": 16}])
+def test_failed_replace_leaves_no_partial_samples_dump(tmp_path, monkeypatch, dataset):
+    # the samples dump is the first file a run writes
+    cfg = tiny_config(tmp_path, dataset=dataset)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        harness.run_experiment(cfg)
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 # --- run_experiment ------------------------------------------------------------------------ #
 
 
@@ -426,10 +445,32 @@ def test_run_nan_abort_keeps_last_checkpoint(tmp_path, monkeypatch):
     result = harness.run_experiment(cfg)
     assert result.status == "nan_abort"
     lines = result.metrics_path.read_text().splitlines()
-    assert lines[-1].split(",")[3] == "nan"  # diagnostic row carries nan metrics
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "2", "4"]
+    # one diagnostic row: nan metrics, and nan for the loss whose step raised
+    cells = lines[-1].split(",")
+    assert math.isfinite(float(cells[1])) and cells[2:10] == ["nan"] * 8
     assert (result.out_dir / "checkpoint_000002.ufsl").exists()
     summary = json.loads((result.out_dir / "summary.json").read_text())
     assert summary["status"] == "nan_abort"
+
+
+def test_run_critic_divergence_row_reads_nan_critic_loss(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, **{"train.iterations": 6, "eval_every": 2})
+    calls = {"n": 0}
+    original = gan.train_discriminator_step
+
+    def explode_late(state, real, rng):
+        calls["n"] += 1
+        if calls["n"] == 6:  # the second of iteration 3's two critic steps
+            state.disc.w[:] = np.nan
+        return original(state, real, rng)
+
+    monkeypatch.setattr(harness.gan_mod, "train_discriminator_step", explode_late)
+    result = harness.run_experiment(cfg)
+    assert result.status == "nan_abort"
+    assert [r.iteration for r in result.records] == [0, 2, 3]
+    last = result.records[-1]
+    assert math.isnan(last.L_D) and math.isnan(last.L_G) and math.isnan(last.frechet)
 
 
 def test_exactly_n_critic_steps_per_generator_step(tmp_path, monkeypatch):

@@ -375,3 +375,20 @@ def test_embed_duplicate_image_distance_zero():
     pair = np.concatenate([img, img])
     emb = mx.random_feature_embed(pair, 1)
     assert np.linalg.norm(emb[0] - emb[1]) == 0.0
+
+
+# --- measurement space ------------------------------------------------------------------ #
+
+
+def test_measure_passes_points_through_and_embeds_images_at_one_seed():
+    rng = SeededRng(13)
+    for columns in (2, 3):
+        points = rng.normal((6, columns))
+        got, space = mx.measure(points)
+        assert space == "data" and got.tobytes() == points.tobytes()
+    images = rng.normal((4, 1, 16, 16))
+    got, space = mx.measure(images)
+    assert space == "random_features"
+    assert got.tobytes() == mx.random_feature_embed(images, mx.EMBED_SEED).tobytes()
+    with pytest.raises(DimensionError):
+        mx.measure(rng.normal((2, 16, 16)))

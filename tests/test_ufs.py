@@ -205,8 +205,8 @@ def test_classify_mode_warns_when_nothing_is_attenuated():
 
 
 def anneal_cfg():
-    return ufs.UfsConfig(alpha=1.0, beta=1.5, epsilon=2.0,
-                         beta_anneal=ufs.BetaAnneal(1.0, 1.5, 0.5))
+    return ufs.UfsConfig(alpha=1.0, beta=1.0, epsilon=2.0,
+                         beta_anneal=ufs.BetaAnneal(1.5, 0.5))
 
 
 def test_anneal_beta_start():
