@@ -11,12 +11,17 @@ penalty).
 Convolution forward and global sum pooling accumulate in a fixed loop
 order (channel, then kernel row, then kernel column / row-major spatial)
 so they agree bit-for-bit with a naive Python loop. The convolution forward
-costs three numpy calls per (sample block, input channel): one multiply
-writes all the channel's tap products, the running sum is added into the
-first tap's products, and one add.reduce folds the taps in order into an
-accumulator at least 2 wide. The convolution gradients are one im2col GEMM
-each; they sum in BLAS order, so they are checked against reference
-oracles to rounding and against finite differences, not bitwise.
+copies each sample block's windows into one contiguous buffer, then costs
+three numpy calls per (sample block, input channel): one multiply writes all
+the channel's tap products, the running sum is added into the first tap's
+products, and one add.reduce folds the taps in order into an accumulator at
+least 2 wide. Its buffers store the longer of the out-channel axis and the
+block's positions innermost, and it runs with numpy's ufunc buffer at 16
+elements, so that numpy never copies the broadcast operands through its
+buffers; it restores the caller's buffer size. The convolution gradients
+are one im2col GEMM each; they sum in BLAS order, so they are checked
+against reference oracles to rounding and against finite differences, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -157,8 +162,14 @@ def _check_dy(dy: Array, want, x_shape, kernel_shape, op: str) -> None:
 
 # Elements of one sample block's kh*kw tap products plus its accumulator
 # (1 MiB of float64): large enough to amortise the three calls per input
-# channel, small enough that the block stays in cache.
+# channel, small enough that the block stays in cache. The block's window
+# copy, in_channels*kh*kw per position, comes on top.
 _CONV_BLOCK_ELEMS = 1 << 17
+# numpy's ufunc buffer size inside the forward loop. At the default (8192
+# elements) the iterator copies the broadcast operands through its buffers
+# whenever the contiguous inner axis is shorter than that, which triples the
+# cost of a product; at 16 the inner loop reads them in place.
+_CONV_UFUNC_BUFSIZE = 16
 
 
 def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
@@ -166,39 +177,56 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
 
     Each output element starts from 0.0 and adds its taps one at a time in
     (in-channel, kernel row, kernel col) order, so the result is bitwise equal
-    to a naive six-loop implementation. Per block of samples and per input
-    channel, one broadcast multiply writes all kh*kw tap products,
-    channels-last (tap, sample, ho, wo, out-channel), from a window view of x;
-    the running sum is added into the first tap's products (IEEE addition
-    commutes), and one add.reduce over the tap axis folds the taps into the
-    accumulator in (row, col) order. The out-channel axis is padded to at
-    least 2: over a 1-wide accumulator numpy would sum the taps with its
-    pairwise routine, in another order.
+    to a naive six-loop implementation. Per block of samples, the block's
+    kh*kw windows of every input channel are copied into one contiguous
+    buffer. Then per input channel one broadcast multiply writes all kh*kw
+    tap products (tap, sample, ho, wo, out-channel); the running sum is added
+    into the first tap's products (IEEE addition commutes), and one
+    add.reduce over the tap axis folds the taps into the accumulator in
+    (row, col) order.
+
+    The product and accumulator buffers store the longer of the out-channel
+    axis and the block's positions (sample, ho, wo) innermost, so the
+    multiply and the reduce run long contiguous inner loops; the layout is
+    chosen once per call, from the full block, and the loop runs with numpy's
+    ufunc buffer at _CONV_UFUNC_BUFSIZE, restored on the way out. The
+    out-channel axis is padded to at least 2: over a 1-wide accumulator
+    numpy would sum the taps with its pairwise routine, in another order.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
     ho, wo = _conv_output_hw(x.shape, kernel.shape, stride, "conv2d")
     n, c = x.shape[:2]
     o, _, kh, kw = kernel.shape
-    op = max(o, 2)
-    taps = np.zeros((c, kh, kw, 1, 1, 1, op))
-    taps[..., :o] = kernel.transpose(1, 2, 3, 0)[:, :, :, None, None, None]
+    op, t = max(o, 2), kh * kw
+    taps = np.zeros((c, t, 1, 1, 1, op))
+    taps[..., :o] = kernel.reshape(o, c, t).transpose(1, 2, 0)[:, :, None, None, None]
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows.transpose(1, 4, 5, 0, 2, 3)[..., None]  # (c, kh, kw, n, ho, wo, 1)
+    windows = windows.transpose(1, 4, 5, 0, 2, 3)  # (c, kh, kw, n, ho, wo)
     y = np.empty((n, o, ho, wo))
-    block = max(1, min(n, _CONV_BLOCK_ELEMS // ((kh * kw + 1) * ho * wo * op)))
-    prods_buf = np.empty((kh, kw, block, ho, wo, op))
-    flat_buf = prods_buf.reshape(kh * kw, block, ho, wo, op)  # the same memory, one tap axis
-    acc_buf = np.empty((block, ho, wo, op))
-    for lo in range(0, n, block):
-        nb = min(block, n - lo)
-        prods, flat, acc = prods_buf[:, :, :nb], flat_buf[:, :nb], acc_buf[:nb]
-        acc.fill(0.0)
-        for ci in range(c):
-            np.multiply(windows[ci, :, :, lo:lo + nb], taps[ci], out=prods)
-            flat[0] += acc
-            np.add.reduce(flat, axis=0, out=acc)
-        y[lo:lo + nb] = acc[..., :o].transpose(0, 3, 1, 2)
+    block = max(1, min(n, _CONV_BLOCK_ELEMS // ((t + 1) * ho * wo * op)))
+    cols_buf = np.empty((c, kh, kw, block, ho, wo))
+    cols_flat = cols_buf.reshape(c, t, block, ho, wo, 1)  # the same memory, one tap axis
+    if block * ho * wo >= op:  # positions innermost
+        prods_buf = np.empty((t, op, block, ho, wo)).transpose(0, 2, 3, 4, 1)
+        acc_buf = np.empty((op, block, ho, wo)).transpose(1, 2, 3, 0)
+    else:  # out-channels innermost
+        prods_buf = np.empty((t, block, ho, wo, op))
+        acc_buf = np.empty((block, ho, wo, op))
+    old_bufsize = np.setbufsize(_CONV_UFUNC_BUFSIZE)
+    try:
+        for lo in range(0, n, block):
+            nb = min(block, n - lo)
+            cols, prods, acc = cols_flat[:, :, :nb], prods_buf[:, :nb], acc_buf[:nb]
+            np.copyto(cols_buf[:, :, :, :nb], windows[:, :, :, lo:lo + nb])
+            acc.fill(0.0)
+            for ci in range(c):
+                np.multiply(cols[ci], taps[ci], out=prods)
+                prods[0] += acc
+                np.add.reduce(prods, axis=0, out=acc)
+            y[lo:lo + nb] = acc[..., :o].transpose(0, 3, 1, 2)
+    finally:
+        np.setbufsize(old_bufsize)
     return y
 
 

@@ -11,13 +11,17 @@ form the library's split (body, w, b) head is checked against, and the
 per-group critic objective runs the body forward once per batch, the form
 the library's single forward over stacked batches is checked against.
 The one-sweep backward pass and the per-array Adam step are the forms the
-library's split backward and flat Adam are checked against bitwise.
+library's split backward and flat Adam are checked against bitwise, and the
+channels-last conv forward (window view, out-channels innermost, numpy's
+default ufunc buffer) is the form the library's forward is checked against
+bitwise at sizes too large for the loop oracle.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
@@ -75,6 +79,41 @@ def conv2d_loop(x, kernel, stride):
                                 acc += x[b, ci, i * stride + p, j * stride + q] * kernel[oc, ci, p, q]
                     out[b, oc, i, j] = acc
     return out
+
+
+def conv2d_forward_channels_last(x, kernel, stride):
+    """Valid cross-correlation with the taps added in (c, p, q) order: per
+    sample block and input channel, one broadcast multiply writes the kh*kw
+    tap products channels-last (tap, sample, ho, wo, out) straight from a
+    window view of x, the running sum goes into the first tap's products, and
+    one add.reduce folds the taps in order into an accumulator at least 2
+    wide."""
+    x = nm.as_f64(x)
+    kernel = nm.as_f64(kernel)
+    n, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    op = max(o, 2)
+    taps = np.zeros((c, kh, kw, 1, 1, 1, op))
+    taps[..., :o] = kernel.transpose(1, 2, 3, 0)[:, :, :, None, None, None]
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = windows.transpose(1, 4, 5, 0, 2, 3)[..., None]  # (c, kh, kw, n, ho, wo, 1)
+    y = np.empty((n, o, ho, wo))
+    block = max(1, min(n, (1 << 17) // ((kh * kw + 1) * ho * wo * op)))
+    prods_buf = np.empty((kh, kw, block, ho, wo, op))
+    flat_buf = prods_buf.reshape(kh * kw, block, ho, wo, op)
+    acc_buf = np.empty((block, ho, wo, op))
+    for lo in range(0, n, block):
+        nb = min(block, n - lo)
+        prods, flat, acc = prods_buf[:, :, :nb], flat_buf[:, :nb], acc_buf[:nb]
+        acc.fill(0.0)
+        for ci in range(c):
+            np.multiply(windows[ci, :, :, lo:lo + nb], taps[ci], out=prods)
+            flat[0] += acc
+            np.add.reduce(flat, axis=0, out=acc)
+        y[lo:lo + nb] = acc[..., :o].transpose(0, 3, 1, 2)
+    return y
 
 
 def conv2d_weight_grad_einsum(x, dy, stride, kh, kw):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (conv2d_loop, distance_block_sqrt, frechet_oracle, knn_radii_sqrt,
-                     manifold_metrics_sqrt, prdc_loop, rel_err, sum_pool_loop)
+from helpers import (conv2d_forward_channels_last, conv2d_loop, distance_block_sqrt, frechet_oracle,
+                     knn_radii_sqrt, manifold_metrics_sqrt, prdc_loop, rel_err, sum_pool_loop)
 from ufs_lab import metrics as mx
+from ufs_lab.datasets import synthetic_shapes
 from ufs_lab.errors import ContractError, DimensionError, NumericError
 from ufs_lab.numerics import SeededRng
 
@@ -362,6 +363,14 @@ def test_embed_bitwise_equals_loop_oracles():
     h = np.where(h > 0.0, h, 0.2 * h)
     want = sum_pool_loop(h)
     assert mx.random_feature_embed(images, 7).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [64, 512])  # an evaluation window; instance selection
+def test_embed_at_bench_shapes_equals_channels_last_forward(monkeypatch, rows):
+    images = synthetic_shapes(rows, 16, SeededRng(rows))
+    got = mx.random_feature_embed(images, mx.EMBED_SEED)
+    monkeypatch.setattr(mx, "conv2d_forward", conv2d_forward_channels_last)
+    assert got.tobytes() == mx.random_feature_embed(images, mx.EMBED_SEED).tobytes()
 
 
 def test_embed_zero_images_zero_embeddings():

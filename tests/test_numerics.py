@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import (backward_pass_oracle, conv2d_input_grad_einsum, conv2d_loop,
-                     conv2d_weight_grad_einsum, fd_param_grads, finite_diff_grad, flat_grads,
+from helpers import (backward_pass_oracle, conv2d_forward_channels_last, conv2d_input_grad_einsum,
+                     conv2d_loop, conv2d_weight_grad_einsum, fd_param_grads, finite_diff_grad, flat_grads,
                      init_network, matmul_loop, rel_err, sum_pool_loop)
 from ufs_lab import gan
 from ufs_lab import numerics as nm
@@ -141,6 +141,75 @@ def test_conv_forward_critic_layers_match_loop_oracle(rows, cin, cout, side):
     x = rng.normal((rows, cin, side, side))
     k = rng.normal((cout, cin, 3, 3))
     assert nm.conv2d_forward(x, k, 2).tobytes() == conv2d_loop(x, k, 2).tobytes()
+
+
+@pytest.mark.parametrize("rows", [48, 192])  # batches 16 and 64, as [real; fake; x_hat]
+@pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
+def test_conv_forward_critic_layers_match_channels_last_oracle(rows, cin, cout, side):
+    rng = nm.SeededRng(100 * cin + rows)
+    x = rng.normal((rows, cin, side, side))
+    k = rng.normal((cout, cin, 3, 3))
+    assert nm.conv2d_forward(x, k, 2).tobytes() == conv2d_forward_channels_last(x, k, 2).tobytes()
+
+
+# (rows, out channels, output side): the buffers store block positions
+# (rows x side^2) innermost when there are at least as many of them as
+# (padded) out channels, else the out channels. One row with one out
+# channel and a 1x1 output is test_conv_forward_one_wide_accumulator_keeps_tap_order.
+LAYOUT_CASES = [(2, 17, 3), (2, 18, 3), (2, 19, 3), (3, 2, 1), (3, 4, 1)]
+
+
+@pytest.mark.parametrize("rows,out,side", LAYOUT_CASES)
+def test_conv_forward_either_side_of_the_layout_boundary_matches_loop_oracle(rows, out, side):
+    rng = nm.SeededRng(rows * out + side)
+    x = rng.normal((rows, 3, side + 2, side + 2))
+    k = rng.normal((out, 3, 3, 3))
+    assert nm.conv2d_forward(x, k, 1).tobytes() == conv2d_loop(x, k, 1).tobytes()
+
+
+@pytest.mark.parametrize("out", [1, 2, 5])
+def test_conv_forward_one_sample_last_block_in_either_layout(monkeypatch, out):
+    # blocks of 2 samples with a 1x1 output: 2 positions against max(out, 2)
+    # out channels, then a 1-position block in the layout chosen for 2
+    monkeypatch.setattr(nm, "_CONV_BLOCK_ELEMS", (9 + 1) * max(out, 2) * 2)
+    rng = nm.SeededRng(out)
+    x = rng.normal((5, 2, 3, 3))
+    k = rng.normal((out, 2, 3, 3))
+    assert nm.conv2d_forward(x, k, 1).tobytes() == conv2d_loop(x, k, 1).tobytes()
+
+
+def test_conv_forward_leaves_the_ufunc_buffer_size_as_it_found_it(monkeypatch):
+    rng = nm.SeededRng(21)
+    x, k = rng.normal((3, 2, 5, 5)), rng.normal((4, 2, 3, 3))
+    old = np.setbufsize(4096)
+    try:
+        nm.conv2d_forward(x, k, 1)
+        assert np.getbufsize() == 4096
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("copy failed")
+
+        monkeypatch.setattr(np, "copyto", fail)  # raises inside the block loop
+        with pytest.raises(RuntimeError, match="copy failed"):
+            nm.conv2d_forward(x, k, 1)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
+def test_conv_forward_same_bytes_at_any_caller_buffer_size(cin, cout, side):
+    rng = nm.SeededRng(cin)
+    x = rng.normal((12, cin, side, side))
+    k = rng.normal((cout, cin, 3, 3))
+    outs = []
+    for size in (8192, 16):
+        old = np.setbufsize(size)
+        try:
+            outs.append(nm.conv2d_forward(x, k, 2).tobytes())
+        finally:
+            np.setbufsize(old)
+    assert outs[0] == outs[1] == conv2d_forward_channels_last(x, k, 2).tobytes()
 
 
 @pytest.mark.parametrize("batch", [4, 64])
