@@ -6,8 +6,9 @@ to 300 iterations (evaluation every 100 on 2000 samples), and one 20-iteration
 16x16 synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
 run it prints the sha256 of the metrics CSV without its wall_seconds column
 and of the last samples dump. Checkpoints are left out, since they hold the
-config. A refactor that keeps behaviour prints the same lines before and
-after:
+config. Last, it runs `ufs-lab cam` on the shapes16 run's last checkpoint
+with 8 synthetic shapes and prints the sha256 of the PGMs it writes. A
+refactor that keeps behaviour prints the same lines before and after:
 
     PYTHONPATH=src python scripts/fingerprints.py
 """
@@ -18,8 +19,13 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from ufs_lab import cli
+from ufs_lab.datasets import synthetic_shapes, write_idx_images
 from ufs_lab.harness import (config_from_dict, load_config, read_csv_without_wall_seconds,
                              run_experiment)
+from ufs_lab.numerics import SeededRng
 
 PRESETS = ("ring8_baseline", "ring8_ufs", "ring8_topk", "ring8_topk_ufs")
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -36,6 +42,7 @@ SHAPES16 = {
     "eval_every": 10,
     "eval_samples": 64,
 }
+CAM_IMAGES = 8
 
 
 def sha256(data: bytes) -> str:
@@ -53,6 +60,23 @@ def fingerprint(cfg) -> str:
             f"samples={sha256(last_dump.read_bytes())}")
 
 
+def cam_fingerprint(run_dir: Path) -> str:
+    """`maps=<count> pgm=<sha256>` of the maps `ufs-lab cam` writes from the
+    run's last checkpoint, hashed name and bytes in name order."""
+    shapes = synthetic_shapes(CAM_IMAGES, SHAPES16["dataset"]["image_size"], SeededRng(0))
+    idx = run_dir / "cam_input.idx"
+    write_idx_images(np.clip((shapes[:, 0] + 1.0) * 127.5, 0, 255).astype(np.uint8), idx)
+    checkpoint = sorted(run_dir.glob("checkpoint_*"))[-1]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["cam", "--checkpoint", str(checkpoint), "--input", str(idx),
+                         "--out", str(run_dir / "cams"), "--run-id", "cam"])
+    digest = hashlib.sha256()
+    maps = sorted((run_dir / "cams").glob("*.pgm"))
+    for path in maps:
+        digest.update(path.name.encode() + path.read_bytes())
+    return f"status={code} maps={len(maps)} pgm={digest.hexdigest()}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESETS:
@@ -62,6 +86,7 @@ def main():
             print(f"{name} {fingerprint(cfg)}", flush=True)
         cfg = config_from_dict(dict(SHAPES16, out_dir=f"{tmp}/shapes16"))
         print(f"shapes16 {fingerprint(cfg)}", flush=True)
+        print(f"shapes16_cam {cam_fingerprint(Path(tmp) / 'shapes16')}", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,56 +1,47 @@
-"""Spatial attribution of critic scores, with optional channel-mask splits.
+"""Spatial attribution of critic scores, with the generator's mask split.
 
 The critic score of a convolutional body is a sum over spatial positions of
 <feature channel vector, head weights>; evaluating that inner product per
 position (before pooling) gives a map of where the score comes from. Masking
-the channel vector with a suppression matrix splits the map into a kept part
-and a suppressed part that add back up to the full map.
+the channel vector with the suppression matrix the generator objective would
+apply splits the map into a kept part and a suppressed part that add back up
+to the full map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError, UnsupportedArchitectureError
-from .gan import DiscriminatorNet
-from .numerics import Array, as_f64, forward_pass
-
-VARIANTS = ("cam", "cam_ufs", "cam_sup")
+from .gan import TrainerState, generator_mask
+from .numerics import Array, as_f64, forward_pass, global_sum_pool
 
 
-@dataclass
-class AttributionMap:
-    variant: str
-    values: Array  # (n, h, w)
+def compute_cam(state: TrainerState, images: Array) -> dict:
+    """Per-position inner products of the critic's pre-pool features with its
+    head weights (the head bias excluded), as (n, h, w) maps keyed by variant.
 
-
-def compute_cam(d: DiscriminatorNet, x: Array, s: Array | None = None,
-                variant: str = "cam") -> AttributionMap:
-    """Per-position inner product of the (optionally masked) pre-pool features
-    with the head weights. The head bias is excluded."""
-    if variant not in VARIANTS:
-        raise ContractError(f"unknown attribution variant {variant!r}")
+    "cam" is the plain map. When gan.generator_mask gives a mask for these
+    images' pooled features, "cam_ufs" and "cam_sup" are the maps of the
+    features scaled by the mask and by one minus it. The body runs once: the
+    pooled features are the sum pool of its pre-pool map, bitwise what the
+    full body gives.
+    """
+    d = state.disc
     specs = d.body.specs
     if not specs or specs[-1].kind != "global_sum_pool" or not any(
             sp.kind == "conv2d" for sp in specs):
         raise UnsupportedArchitectureError(
             "attribution needs a convolutional body ending in global sum pooling")
-    feature_map, _ = forward_pass(specs[:-1], d.body.params[:-1], x)
-    if variant == "cam":
-        masked = feature_map
-    else:
-        if s is None:
-            raise ContractError(f"variant {variant!r} needs a suppression matrix")
-        if s.shape != feature_map.shape[:2]:
-            raise DimensionError(
-                f"suppression shape {s.shape} does not match features "
-                f"{feature_map.shape[:2]}")
-        factor = s if variant == "cam_ufs" else 1.0 - s
-        masked = feature_map * factor[:, :, None, None]
-    return AttributionMap(variant, np.einsum("nchw,c->nhw", masked, d.w))
+    feature_map, _ = forward_pass(specs[:-1], d.body.params[:-1], images)
+    maps = {"cam": np.einsum("nchw,c->nhw", feature_map, d.w)}
+    s = generator_mask(state, global_sum_pool(feature_map))
+    if s is not None:
+        for variant, factor in (("cam_ufs", s), ("cam_sup", 1.0 - s)):
+            maps[variant] = np.einsum("nchw,c->nhw", feature_map * factor[:, :, None, None], d.w)
+    return maps
 
 
 def encode_pgm(values: Array) -> bytes:
@@ -70,15 +61,6 @@ def encode_pgm(values: Array) -> bytes:
         pixels = np.full(v.shape, 128.0)
     header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode()
     return header + pixels.astype(np.uint8).tobytes()
-
-
-def heatmap_to_pgm(values: Array, path) -> None:
-    """Write one 2-d map as the PGM file encode_pgm gives."""
-    path = Path(path)
-    try:
-        path.write_bytes(encode_pgm(values))
-    except OSError as exc:
-        raise OSError(f"writing heatmap to {path}: {exc}") from exc
 
 
 def read_pgm(path) -> Array:
@@ -112,14 +94,14 @@ def upsample_nearest(values: Array, factor: int) -> Array:
     return np.repeat(np.repeat(values, factor, axis=-2), factor, axis=-1)
 
 
-def save_attribution_maps(maps, out_dir, run_id: str, upsample: int = 1) -> list:
-    """One PGM per sample per variant, named <runid>_<sample>_<variant>.pgm."""
+def save_attribution_maps(maps: dict, out_dir, run_id: str, upsample: int = 1) -> list:
+    """One PGM per sample of each compute_cam map, named <runid>_<sample>_<variant>.pgm."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for am in maps:
-        for i in range(len(am.values)):
-            target = out / f"{run_id}_{i:03d}_{am.variant}.pgm"
-            heatmap_to_pgm(upsample_nearest(am.values[i], upsample), target)
+    for variant, values in maps.items():
+        for i in range(len(values)):
+            target = out / f"{run_id}_{i:03d}_{variant}.pgm"
+            target.write_bytes(encode_pgm(upsample_nearest(values[i], upsample)))
             written.append(target)
     return written

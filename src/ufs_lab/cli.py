@@ -14,12 +14,10 @@ from .attribution import compute_cam, save_attribution_maps
 from .datasets import load_idx_images, normalize_images
 from .errors import (ConfigError, ContractError, DimensionError, NumericError, ParseError,
                      UnsupportedArchitectureError)
-from .gan import generator_mask
 from .harness import (load_checkpoint, load_config, run_experiment, save_embeddings,
                       trainer_from_arrays)
 from .metrics import fit_gaussian, frechet_distance, manifold_metrics, measure
 from .selection import InstanceSelectionConfig, instance_select, write_index_file
-from .numerics import forward_pass
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -61,15 +59,9 @@ def _cmd_cam(args) -> int:
     if args.limit < 1:  # a slice bound below 1 would drop images, not cap them
         raise ContractError(f"--limit must be >= 1, got {args.limit}")
     _, state = trainer_from_arrays(load_checkpoint(args.checkpoint))
-    disc = state.disc
     images = normalize_images(load_idx_images(args.input))[:args.limit]
-    maps = [compute_cam(disc, images)]
-    features, _ = forward_pass(disc.body.specs, disc.body.params, images)
-    s = generator_mask(state, features)
-    if s is not None:
-        maps.append(compute_cam(disc, images, s, "cam_ufs"))
-        maps.append(compute_cam(disc, images, s, "cam_sup"))
-    else:
+    maps = compute_cam(state, images)
+    if "cam_ufs" not in maps:
         print("note: checkpoint has no UFS mask (UFS off or feature statistics empty); "
               "writing plain maps only", file=sys.stderr)
     run_id = args.run_id or Path(args.checkpoint).stem

@@ -32,9 +32,6 @@ from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metr
                       mode_coverage)
 from .numerics import Array, SeededRng, split_like
 
-CSV_HEADER = ("iteration,L_D,L_G,frechet,precision,recall,density,coverage,"
-              "covered_modes,hq_fraction,wall_seconds")
-
 MANIFOLD_K = 3
 
 
@@ -61,6 +58,9 @@ class MetricsRecord:
         cells.append(_fmt(self.hq_fraction))
         cells.append(_fmt(self.wall_seconds))
         return ",".join(cells)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 
 
 def _fmt(x: float) -> str:

@@ -160,10 +160,10 @@ def _check_dy(dy: Array, want, x_shape, kernel_shape, op: str) -> None:
                              f"{tuple(kernel_shape)}, expected {tuple(want)}")
 
 
-# Elements of one sample block's kh*kw tap products plus its accumulator
-# (1 MiB of float64): large enough to amortise the three calls per input
-# channel, small enough that the block stays in cache. The block's window
-# copy, in_channels*kh*kw per position, comes on top.
+# Budget in elements for one sample block's kh*kw tap products plus its
+# accumulator (1 MiB of float64): large enough to amortise the three calls
+# per input channel, small enough that the block stays in cache. The
+# block's window copy, in_channels*kh*kw per position, comes on top.
 _CONV_BLOCK_ELEMS = 1 << 17
 # numpy's ufunc buffer size inside the forward loop. At the default (8192
 # elements) the iterator copies the broadcast operands through its buffers
@@ -188,10 +188,14 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     The product and accumulator buffers store the longer of the out-channel
     axis and the block's positions (sample, ho, wo) innermost, so the
     multiply and the reduce run long contiguous inner loops; the layout is
-    chosen once per call, from the full block, and the loop runs with numpy's
-    ufunc buffer at _CONV_UFUNC_BUFSIZE, restored on the way out. The
-    out-channel axis is padded to at least 2: over a 1-wide accumulator
-    numpy would sum the taps with its pairwise routine, in another order.
+    chosen once per call, from the full block. The rows are split into the
+    fewest blocks within _CONV_BLOCK_ELEMS, each ceil(n / blocks) rows but
+    the last, so a last block runs close to the size its layout was chosen
+    for; full blocks keep the buffers contiguous, which a block a row short
+    of them does not. The loop runs with numpy's ufunc buffer at
+    _CONV_UFUNC_BUFSIZE, restored on the way out. The out-channel axis is
+    padded to at least 2: over a 1-wide accumulator numpy would sum the taps
+    with its pairwise routine, in another order.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
@@ -204,7 +208,8 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     windows = windows.transpose(1, 4, 5, 0, 2, 3)  # (c, kh, kw, n, ho, wo)
     y = np.empty((n, o, ho, wo))
-    block = max(1, min(n, _CONV_BLOCK_ELEMS // ((t + 1) * ho * wo * op)))
+    n_blocks = max(1, -(-n // max(1, _CONV_BLOCK_ELEMS // ((t + 1) * ho * wo * op))))
+    block = max(1, -(-n // n_blocks))  # only the last block can be short, by under n_blocks rows
     cols_buf = np.empty((c, kh, kw, block, ho, wo))
     cols_flat = cols_buf.reshape(c, t, block, ho, wo, 1)  # the same memory, one tap axis
     if block * ho * wo >= op:  # positions innermost

@@ -14,7 +14,9 @@ The one-sweep backward pass and the per-array Adam step are the forms the
 library's split backward and flat Adam are checked against bitwise, and the
 channels-last conv forward (window view, out-channels innermost, numpy's
 default ufunc buffer) is the form the library's forward is checked against
-bitwise at sizes too large for the loop oracle.
+bitwise at sizes too large for the loop oracle. The per-variant CAM runs
+the critic body once for the mask and once per map, the form the library's
+one-pass CAM is checked against bitwise.
 """
 
 import math
@@ -440,3 +442,28 @@ def small_gen(rng, latent=4, out_dim=2, scale=0.4):
     net = init_network(
         [nm.dense(latent, 8), nm.leaky_relu(0.2), nm.dense(8, out_dim)], rng, scale)
     return gan.GeneratorNet(latent, net, (out_dim,))
+
+
+def cam_state(d):
+    """A trainer state around critic d with UFS off, so compute_cam finds no
+    mask; its generator is never run."""
+    return gan.init_trainer(gan.TrainConfig(), small_gen(nm.SeededRng(0)), d)
+
+
+def cam_per_variant(state, x):
+    """CAM maps keyed by variant: one full body forward for the pooled
+    features the mask is computed from, then one pre-pool forward per map."""
+    d = state.disc
+    specs, params = d.body.specs, d.body.params
+    features, _ = nm.forward_pass(specs, params, x)
+    s = gan.generator_mask(state, features)
+    maps = {}
+    for variant in ("cam",) if s is None else ("cam", "cam_ufs", "cam_sup"):
+        feature_map, _ = nm.forward_pass(specs[:-1], params[:-1], x)
+        if variant == "cam":
+            masked = feature_map
+        else:
+            factor = s if variant == "cam_ufs" else 1.0 - s
+            masked = feature_map * factor[:, :, None, None]
+        maps[variant] = np.einsum("nchw,c->nhw", masked, d.w)
+    return maps

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cam_state,
     denman_beavers_sqrt,
     fd_param_grads,
     frozen_generator_loss,
@@ -27,9 +28,8 @@ from helpers import (
     small_mlp_disc,
     split_scores,
 )
-from ufs_lab import gan, harness, metrics as mx, selection as sel, ufs
+from ufs_lab import attribution, gan, harness, metrics as mx, selection as sel, ufs
 from ufs_lab import numerics as nm
-from ufs_lab.attribution import compute_cam
 from ufs_lab.datasets import DatasetConfig, make_dataset
 from ufs_lab.ufs import UfsConfig
 
@@ -186,7 +186,7 @@ def test_acceptance_regime_classification():
 # --- criterion 4: masking identities ------------------------------------------------------ #
 
 
-def test_acceptance_masking_identities():
+def test_acceptance_masking_identities(monkeypatch):
     rng = nm.SeededRng(55)
     d = small_mlp_disc(rng)
     s = rng.uniform((6, 6))
@@ -196,9 +196,9 @@ def test_acceptance_masking_identities():
     dc = small_conv_disc(rng)
     x = rng.normal((3, 1, 9, 9))
     s_img = rng.uniform((3, dc.feature_dim))
-    cam = compute_cam(dc, x).values
-    kept = compute_cam(dc, x, s_img, "cam_ufs").values
-    dropped = compute_cam(dc, x, s_img, "cam_sup").values
+    monkeypatch.setattr(attribution, "generator_mask", lambda state, features: s_img)
+    maps = attribution.compute_cam(cam_state(dc), x)
+    cam, kept, dropped = maps["cam"], maps["cam_ufs"], maps["cam_sup"]
     decomp_err = float(np.abs(kept + dropped - cam).max())
 
     _, scores = split_scores(dc, x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import init_network, small_conv_disc, small_mlp_disc, split_scores
+from helpers import cam_state, init_network, small_conv_disc, small_mlp_disc, split_scores
 from ufs_lab import attribution as attr
 from ufs_lab import gan
 from ufs_lab import numerics as nm
@@ -15,41 +15,44 @@ def single_channel_disc():
     return gan.DiscriminatorNet(body, np.array([1.0]), np.array([0.5]))
 
 
+def supply_mask(monkeypatch, s):
+    """Make compute_cam use mask s, whatever the state and features."""
+    monkeypatch.setattr(attr, "generator_mask", lambda state, features: s)
+
+
 def test_cam_single_channel_identity():
     d = single_channel_disc()
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    cam = attr.compute_cam(d, x)
-    assert np.array_equal(cam.values[0], [[1.0, 2.0], [3.0, 4.0]])
+    maps = attr.compute_cam(cam_state(d), x)
+    assert list(maps) == ["cam"]
+    assert np.array_equal(maps["cam"][0], [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_cam_zero_mask_identities():
+def test_cam_zero_mask_identities(monkeypatch):
     rng = nm.SeededRng(1)
     d = small_conv_disc(rng)
     x = rng.normal((2, 1, 9, 9))
-    s = np.zeros((2, d.feature_dim))
-    cam = attr.compute_cam(d, x)
-    cam_kept = attr.compute_cam(d, x, s, "cam_ufs")
-    cam_dropped = attr.compute_cam(d, x, s, "cam_sup")
-    assert np.array_equal(cam_kept.values, np.zeros_like(cam.values))
-    assert np.allclose(cam_dropped.values, cam.values)
+    supply_mask(monkeypatch, np.zeros((2, d.feature_dim)))
+    maps = attr.compute_cam(cam_state(d), x)
+    assert np.array_equal(maps["cam_ufs"], np.zeros_like(maps["cam"]))
+    assert np.allclose(maps["cam_sup"], maps["cam"])
 
 
-def test_cam_decomposition_for_any_mask():
+def test_cam_decomposition_for_any_mask(monkeypatch):
     rng = nm.SeededRng(2)
     d = small_conv_disc(rng)
     x = rng.normal((3, 1, 9, 9))
-    s = rng.uniform((3, d.feature_dim))
-    cam = attr.compute_cam(d, x).values
-    kept = attr.compute_cam(d, x, s, "cam_ufs").values
-    dropped = attr.compute_cam(d, x, s, "cam_sup").values
-    assert np.abs(kept + dropped - cam).max() < 1e-10
+    supply_mask(monkeypatch, rng.uniform((3, d.feature_dim)))
+    maps = attr.compute_cam(cam_state(d), x)
+    assert list(maps) == ["cam", "cam_ufs", "cam_sup"]
+    assert np.abs(maps["cam_ufs"] + maps["cam_sup"] - maps["cam"]).max() < 1e-10
 
 
 def test_cam_sums_to_score_minus_bias():
     rng = nm.SeededRng(3)
     d = small_conv_disc(rng)
     x = rng.normal((4, 1, 9, 9))
-    cam = attr.compute_cam(d, x).values
+    cam = attr.compute_cam(cam_state(d), x)["cam"]
     _, scores = split_scores(d, x)
     assert np.abs(cam.sum(axis=(1, 2)) + d.b[0] - scores).max() < 1e-9
 
@@ -60,8 +63,8 @@ def test_cam_translation_equivariance_interior():
     d = gan.DiscriminatorNet(body, rng.normal((3,)), np.zeros(1))
     base = rng.normal((1, 1, 10, 10))
     shifted = np.roll(base, 1, axis=3)
-    cam_a = attr.compute_cam(d, base).values
-    cam_b = attr.compute_cam(d, shifted).values
+    cam_a = attr.compute_cam(cam_state(d), base)["cam"]
+    cam_b = attr.compute_cam(cam_state(d), shifted)["cam"]
     # interior columns shift along; borders differ (valid convolution)
     assert np.allclose(cam_a[0, :, 1:-1], cam_b[0, :, 2:], atol=1e-12)
 
@@ -69,13 +72,7 @@ def test_cam_translation_equivariance_interior():
 def test_cam_rejects_mlp_body():
     d = small_mlp_disc(nm.SeededRng(5))
     with pytest.raises(UnsupportedArchitectureError):
-        attr.compute_cam(d, np.zeros((1, 2)))
-
-
-def test_cam_masked_variant_requires_mask():
-    d = single_channel_disc()
-    with pytest.raises(ContractError):
-        attr.compute_cam(d, np.zeros((1, 1, 2, 2)), None, "cam_ufs")
+        attr.compute_cam(cam_state(d), np.zeros((1, 2)))
 
 
 # --- PGM output --------------------------------------------------------------------- #
@@ -83,14 +80,14 @@ def test_cam_masked_variant_requires_mask():
 
 def test_pgm_pixel_values(tmp_path):
     path = tmp_path / "m.pgm"
-    attr.heatmap_to_pgm(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
+    path.write_bytes(attr.encode_pgm(np.array([[0.0, 1.0], [2.0, 3.0]])))
     img = attr.read_pgm(path)
     assert np.array_equal(img, [[0, 85], [170, 255]])
 
 
 def test_pgm_constant_map_is_mid_gray(tmp_path):
     path = tmp_path / "c.pgm"
-    attr.heatmap_to_pgm(np.full((3, 3), 7.0), path)
+    path.write_bytes(attr.encode_pgm(np.full((3, 3), 7.0)))
     assert np.array_equal(attr.read_pgm(path), np.full((3, 3), 128))
 
 
@@ -98,7 +95,7 @@ def test_pgm_round_trip_reproduces_normalized_values(tmp_path):
     rng = nm.SeededRng(6)
     values = rng.normal((5, 7))
     path = tmp_path / "r.pgm"
-    attr.heatmap_to_pgm(values, path)
+    path.write_bytes(attr.encode_pgm(values))
     img = attr.read_pgm(path)
     lo, hi = values.min(), values.max()
     expected = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
@@ -108,7 +105,7 @@ def test_pgm_round_trip_reproduces_normalized_values(tmp_path):
 
 def test_pgm_rejects_nonfinite():
     with pytest.raises(ContractError):
-        attr.heatmap_to_pgm(np.array([[np.nan, 1.0]]), "/tmp/never_written.pgm")
+        attr.encode_pgm(np.array([[np.nan, 1.0]]))
 
 
 def test_read_pgm_rejects_garbage(tmp_path):
@@ -127,8 +124,19 @@ def test_save_attribution_maps_naming(tmp_path):
     rng = nm.SeededRng(7)
     d = small_conv_disc(rng)
     x = rng.normal((2, 1, 9, 9))
-    maps = [attr.compute_cam(d, x)]
+    maps = attr.compute_cam(cam_state(d), x)
     written = attr.save_attribution_maps(maps, tmp_path, "runA")
     names = sorted(p.name for p in written)
     assert names == ["runA_000_cam.pgm", "runA_001_cam.pgm"]
     assert all(p.exists() for p in written)
+
+
+def test_save_attribution_maps_writes_every_variant(tmp_path, monkeypatch):
+    rng = nm.SeededRng(9)
+    d = small_conv_disc(rng)
+    x = rng.normal((2, 1, 9, 9))
+    supply_mask(monkeypatch, rng.uniform((2, d.feature_dim)))
+    written = attr.save_attribution_maps(attr.compute_cam(cam_state(d), x), tmp_path, "r", 2)
+    assert [p.name for p in written] == ["r_000_cam.pgm", "r_001_cam.pgm", "r_000_cam_ufs.pgm",
+                                         "r_001_cam_ufs.pgm", "r_000_cam_sup.pgm", "r_001_cam_sup.pgm"]
+    assert all(attr.read_pgm(p).shape == (4, 4) for p in written)  # 2x2 maps, upsampled

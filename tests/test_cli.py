@@ -10,6 +10,7 @@ import pytest
 from ufs_lab import cli
 from ufs_lab import datasets as ds
 from ufs_lab import gan
+from ufs_lab import numerics as nm
 from ufs_lab.harness import (config_from_dict, encode_config, load_checkpoint, save_checkpoint,
                              trainer_to_arrays)
 from ufs_lab.metrics import fit_gaussian, frechet_distance, measure
@@ -258,3 +259,33 @@ def test_cam_limit_below_one_one_line_error(tmp_path, capsys, limit):
                      "--out", str(tmp_path / "cams"), "--limit", limit]) == 2
     assert f"--limit must be >= 1, got {limit}" in assert_one_line_error(capsys, "ContractError")
     assert not (tmp_path / "cams").exists()
+
+
+@pytest.mark.parametrize("ufs_block", [None, {"alpha": 0.0, "beta": 1.0, "epsilon": 1.0}])
+def test_cam_runs_the_critic_body_once(tmp_path, capsys, monkeypatch, ufs_block):
+    train = {"batch_size": 4, "n_critic": 1}
+    if ufs_block is not None:
+        train["ufs"] = ufs_block
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": train})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    rng = SeededRng(1)
+    gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)  # fills the UFS stats
+    save_checkpoint(tmp_path / "t.ufsl", trainer_to_arrays(state, encode_config(cfg)))
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=3)
+
+    calls = []
+    original = nm.forward_pass
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ufs_lab")]:
+        for key in [k for k, v in vars(module).items() if v is original]:
+            monkeypatch.setattr(module, key, counted)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"), "--input", str(idx_path),
+                     "--out", str(tmp_path / "cams")]) == 0
+    assert len(calls) == 1
+    names = sorted(p.name for p in (tmp_path / "cams").iterdir())
+    assert len(names) == (3 if ufs_block is None else 9)
+    assert ("no UFS mask" in capsys.readouterr().err) == (ufs_block is None)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import cam_per_variant
 import ufs_lab
 from ufs_lab import attribution, gan, harness, ufs
 from ufs_lab import datasets as ds
@@ -299,7 +300,7 @@ def test_trainer_from_arrays_does_not_need_the_dataset_file(tmp_path):
 
 
 @pytest.mark.parametrize("beta_anneal", [None, {"beta_end": 0.5}])
-def test_cam_from_restored_state_is_bitwise_the_live_one(tmp_path, beta_anneal):
+def test_cam_from_restored_state_is_bitwise_the_live_one(tmp_path, monkeypatch, beta_anneal):
     cfg = harness.config_from_dict({
         "dataset": {"kind": "synthetic_shapes"},
         "train": {"batch_size": 4, "n_critic": 1, "iterations": 6,
@@ -307,16 +308,32 @@ def test_cam_from_restored_state_is_bitwise_the_live_one(tmp_path, beta_anneal):
     state = trained_state((1, 16, 16), cfg.train)
     _, restored = restore(state, cfg, tmp_path / "t.ufsl")
     images = nm.SeededRng(3).normal((3, 1, 16, 16))
+    masks = []
 
-    def cams(s):
-        features, _ = nm.forward_pass(s.disc.body.specs, s.disc.body.params, images)
-        mask = gan.generator_mask(s, features)
-        return mask, [attribution.compute_cam(s.disc, images, mask, v).values
-                      for v in attribution.VARIANTS]
+    def recorded_mask(s, features):
+        masks.append(gan.generator_mask(s, features))
+        return masks[-1]
 
-    (mask_a, maps_a), (mask_b, maps_b) = cams(state), cams(restored)
-    assert mask_a.tobytes() == mask_b.tobytes()
-    assert [m.tobytes() for m in maps_a] == [m.tobytes() for m in maps_b]
+    monkeypatch.setattr(attribution, "generator_mask", recorded_mask)
+    maps_a = attribution.compute_cam(state, images)
+    maps_b = attribution.compute_cam(restored, images)
+    assert masks[0].tobytes() == masks[1].tobytes()
+    assert list(maps_a) == list(maps_b) == ["cam", "cam_ufs", "cam_sup"]
+    assert [m.tobytes() for m in maps_a.values()] == [m.tobytes() for m in maps_b.values()]
+
+
+@pytest.mark.parametrize("ufs_block", [None, UFS, dict(UFS, beta_anneal={"beta_end": 0.5})])
+def test_cam_is_bitwise_the_per_variant_computation(ufs_block):
+    train = {"batch_size": 4, "n_critic": 1, "iterations": 6}
+    if ufs_block is not None:
+        train["ufs"] = ufs_block
+    cfg = harness.config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": train})
+    state = trained_state((1, 16, 16), cfg.train)
+    images = nm.SeededRng(4).normal((5, 1, 16, 16))
+    got, want = attribution.compute_cam(state, images), cam_per_variant(state, images)
+    assert list(got) == list(want) == (["cam"] if ufs_block is None
+                                       else ["cam", "cam_ufs", "cam_sup"])
+    assert [m.tobytes() for m in got.values()] == [m.tobytes() for m in want.values()]
 
 
 def ring8_checkpoint():

@@ -125,11 +125,14 @@ def test_conv_forward_one_wide_accumulator_keeps_tap_order(x_shape):
 
 @pytest.mark.parametrize("c,o,side", [(2, 1, 5), (3, 128, 7)])
 def test_conv_forward_partial_last_block_matches_loop_oracle(c, o, side):
-    # two full sample blocks and a one-sample remainder, as the forward sizes them
+    # one row more than two blocks' budget: three blocks, and since the rows
+    # do not divide by 3, the last one shorter than the others
     ho = (side - 3) // 2 + 1
-    block = max(1, nm._CONV_BLOCK_ELEMS // ((3 * 3 + 1) * ho * ho * max(o, 2)))
+    budget = nm._CONV_BLOCK_ELEMS // ((3 * 3 + 1) * ho * ho * max(o, 2))
+    rows = 2 * budget + 1
+    assert rows % 3
     rng = nm.SeededRng(c * o)
-    x = rng.normal((2 * block + 1, c, side, side))
+    x = rng.normal((rows, c, side, side))
     k = rng.normal((o, c, 3, 3))
     assert nm.conv2d_forward(x, k, 2).tobytes() == conv2d_loop(x, k, 2).tobytes()
 
@@ -176,6 +179,27 @@ def test_conv_forward_one_sample_last_block_in_either_layout(monkeypatch, out):
     x = rng.normal((5, 2, 3, 3))
     k = rng.normal((out, 2, 3, 3))
     assert nm.conv2d_forward(x, k, 1).tobytes() == conv2d_loop(x, k, 1).tobytes()
+
+
+@pytest.mark.parametrize("rows,cin,cout,side,blocks", [
+    (48, 32, 64, 7, [16, 16, 16]),  # a budget of 22 rows: not 22 + 22 + 4
+    (12, 1, 32, 16, [6, 6]),  # a budget of 8 rows: not 8 + 4
+    (70, 1, 128, 5, [24, 24, 22]),  # a budget of 25 rows: not 25 + 25 + 20
+])
+def test_conv_forward_splits_rows_into_near_equal_blocks(monkeypatch, rows, cin, cout, side, blocks):
+    seen = []
+    copyto = np.copyto
+
+    def recording_copyto(dst, src):
+        seen.append(dst.shape[3])  # (c, kh, kw, rows, ho, wo)
+        copyto(dst, src)
+
+    monkeypatch.setattr(np, "copyto", recording_copyto)
+    rng = nm.SeededRng(rows)
+    x = rng.normal((rows, cin, side, side))
+    k = rng.normal((cout, cin, 3, 3))
+    nm.conv2d_forward(x, k, 2)
+    assert seen == blocks
 
 
 def test_conv_forward_leaves_the_ufunc_buffer_size_as_it_found_it(monkeypatch):
