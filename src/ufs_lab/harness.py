@@ -172,12 +172,16 @@ CHECKPOINT_MAGIC = b"UFSL"
 CHECKPOINT_VERSION = 3
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write a temp file beside `path`, then os.replace it into place: a killed
-    process leaves the old file or the new one, never part of one (no fsync)."""
+def write_atomic(path, *chunks) -> None:
+    """Write the chunks (bytes, or C-contiguous arrays written as their raw
+    buffers) in turn to a temp file beside `path`, then os.replace it into
+    place: a killed process leaves the old file or the new one, never part of
+    one (no fsync)."""
     tmp = Path(path).with_name(f".{Path(path).name}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -185,17 +189,16 @@ def write_atomic(path, data: bytes) -> None:
 
 def save_checkpoint(path, arrays: dict) -> None:
     """Little-endian flat binary: magic, u32 version, then length-prefixed
-    named float64 arrays (u32 name length, name, u32 ndim, u32 dims, data)."""
+    named float64 arrays (u32 name length, name, u32 ndim, u32 dims, data).
+    Each array's buffer is written to the file as it is, without a copy."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(arrays))]
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.tobytes())
-    write_atomic(path, b"".join(parts))
+        parts.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
+                                 arr.ndim, *arr.shape))
+        parts.append(arr)
+    write_atomic(path, *parts)
 
 
 def load_checkpoint(path) -> dict:
@@ -329,7 +332,7 @@ class RunResult:
 
 
 def _dump_points(points: Array, path: Path) -> None:
-    write_atomic(path, "".join(f"{repr(float(x))},{repr(float(y))}\n" for x, y in points).encode())
+    write_atomic(path, "".join(f"{x!r},{y!r}\n" for x, y in points.tolist()).encode())
 
 
 def _dump_image_grid(images: Array, path: Path) -> None:

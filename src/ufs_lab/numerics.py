@@ -16,16 +16,27 @@ three numpy calls per (sample block, input channel): one multiply writes all
 the channel's tap products, the running sum is added into the first tap's
 products, and one add.reduce folds the taps in order into an accumulator at
 least 2 wide. Its buffers store the longer of the out-channel axis and the
-block's positions innermost, and it runs with numpy's ufunc buffer at 16
-elements, so that numpy never copies the broadcast operands through its
-buffers; it restores the caller's buffer size. The convolution gradients
-are one im2col GEMM each; they sum in BLAS order, so they are checked
-against reference oracles to rounding and against finite differences, not
-bitwise.
+block's positions innermost, and its loop runs inside `unbuffered_ufuncs`,
+which holds numpy's ufunc buffer at 16 elements so that numpy never copies
+the broadcast operands through its buffers, and restores the caller's size
+on the way out. The convolution gradients are one im2col GEMM each; they
+sum in BLAS order, so they are checked against reference oracles to
+rounding and against finite differences, not bitwise.
+
+Importing this module (and so any part of ufs_lab) fixes the process's
+heap policy, once: where libc has `mallopt` (glibc), the mmap threshold is
+set to 32 MiB and the trim threshold to 64 MiB, the largest values glibc's
+own dynamic rule would reach. Left dynamic, both thresholds rise only when
+some large buffer happens to be mmapped and freed, so whether numpy's
+temporaries came back from the heap or were faulted in afresh on every
+call depended on what a process had freed before. Fixed, they are reused
+from the heap. Where libc has no `mallopt` nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +45,45 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, DimensionError, UnsupportedArchitectureError
 
 Array = np.ndarray
+
+# glibc's mallopt parameters (malloc.h) and the values set at import.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _fix_heap_policy() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no process handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_fix_heap_policy()
+
+# numpy's ufunc buffer size inside the loops of conv2d_forward and the k-NN
+# distance blocks. At the default (8192 elements) the iterator copies the
+# broadcast operands through its buffers whenever the contiguous inner axis
+# is shorter than that, which triples the cost of a product; at 16 the inner
+# loop reads them in place.
+_UFUNC_BUFSIZE = 16
+
+
+@contextmanager
+def unbuffered_ufuncs():
+    """Run the block with numpy's ufunc buffer at _UFUNC_BUFSIZE elements and
+    restore the caller's size on the way out, also on an exception. numpy
+    keeps the size in a context variable, so a generator must leave the block
+    before each yield, or its consumer would run with the small buffer."""
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
 
 LAYER_KINDS = ("dense", "conv2d", "leaky_relu", "tanh", "global_sum_pool")
 
@@ -165,11 +215,6 @@ def _check_dy(dy: Array, want, x_shape, kernel_shape, op: str) -> None:
 # per input channel, small enough that the block stays in cache. The
 # block's window copy, in_channels*kh*kw per position, comes on top.
 _CONV_BLOCK_ELEMS = 1 << 17
-# numpy's ufunc buffer size inside the forward loop. At the default (8192
-# elements) the iterator copies the broadcast operands through its buffers
-# whenever the contiguous inner axis is shorter than that, which triples the
-# cost of a product; at 16 the inner loop reads them in place.
-_CONV_UFUNC_BUFSIZE = 16
 
 
 def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
@@ -192,10 +237,9 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     fewest blocks within _CONV_BLOCK_ELEMS, each ceil(n / blocks) rows but
     the last, so a last block runs close to the size its layout was chosen
     for; full blocks keep the buffers contiguous, which a block a row short
-    of them does not. The loop runs with numpy's ufunc buffer at
-    _CONV_UFUNC_BUFSIZE, restored on the way out. The out-channel axis is
-    padded to at least 2: over a 1-wide accumulator numpy would sum the taps
-    with its pairwise routine, in another order.
+    of them does not. The loop runs inside unbuffered_ufuncs. The
+    out-channel axis is padded to at least 2: over a 1-wide accumulator
+    numpy would sum the taps with its pairwise routine, in another order.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
@@ -218,8 +262,7 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     else:  # out-channels innermost
         prods_buf = np.empty((t, block, ho, wo, op))
         acc_buf = np.empty((block, ho, wo, op))
-    old_bufsize = np.setbufsize(_CONV_UFUNC_BUFSIZE)
-    try:
+    with unbuffered_ufuncs():
         for lo in range(0, n, block):
             nb = min(block, n - lo)
             cols, prods, acc = cols_flat[:, :, :nb], prods_buf[:, :nb], acc_buf[:nb]
@@ -230,8 +273,6 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
                 prods[0] += acc
                 np.add.reduce(prods, axis=0, out=acc)
             y[lo:lo + nb] = acc[..., :o].transpose(0, 3, 1, 2)
-    finally:
-        np.setbufsize(old_bufsize)
     return y
 
 

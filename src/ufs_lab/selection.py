@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, NumericError
+from .metrics import random_feature_embed
 from .numerics import Array, SeededRng, as_f64, linear_anneal
 
 SELECTION_MODES = ("top", "bottom", "random")
@@ -107,7 +108,6 @@ def instance_select(dataset: Array, cfg: InstanceSelectionConfig) -> Array:
     if data.ndim == 2:
         embedded = data
     elif data.ndim == 4:
-        from .metrics import random_feature_embed
         embedded = random_feature_embed(data, cfg.embedder_seed)
     else:
         raise ContractError(f"instance_select expects points (n, d) or images (n, c, h, w), got {data.shape}")

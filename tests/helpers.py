@@ -16,10 +16,17 @@ channels-last conv forward (window view, out-channels innermost, numpy's
 default ufunc buffer) is the form the library's forward is checked against
 bitwise at sizes too large for the loop oracle. The per-variant CAM runs
 the critic body once for the mask and once per map, the form the library's
-one-pass CAM is checked against bitwise.
+one-pass CAM is checked against bitwise. The fill-plus-subtract distance
+blocks (each coordinate's column copied into the block, then the row
+subtracted, at numpy's default ufunc buffer) are the form the library's
+broadcast-subtract blocks are checked against bitwise, through the
+distances, ball bounds and k-NN metrics built on them. The joined-bytes
+checkpoint writer is the form the library's streaming writer is checked
+against byte for byte.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +207,74 @@ def manifold_metrics_sqrt(real, fake, k):
     recalled = (dist <= knn_radii_sqrt(fake, k)[None, :]).any(axis=1)
     return (float(inside_real.any(axis=0).mean()), int(recalled.sum()) / m,
             int(inside_real.sum()) / (k * n), int(inside_real.any(axis=1).sum()) / m)
+
+
+def sq_distance_blocks_copyto(a, b, block_pairs=2 ** 16):
+    """(lo, squared distances from a row block of a to every point of b), each
+    coordinate's differences made as a fill of a's column plus a subtract."""
+    n, d = b.shape
+    b_cols = np.ascontiguousarray(b.T)
+    rows = max(1, min(len(a), block_pairs // n))
+    for lo in range(0, len(a), rows):
+        a_block = a[lo:lo + rows]
+        out = np.empty((len(a_block), n))
+        term = np.empty((len(a_block), n))
+        np.copyto(out, a_block[:, :1])
+        out -= b_cols[0]
+        out *= out
+        for j in range(1, d):
+            np.copyto(term, a_block[:, j:j + 1])
+            term -= b_cols[j]
+            term *= term
+            out += term
+        yield lo, out
+
+
+def pairwise_distances_copyto(a, b):
+    return np.concatenate([np.sqrt(sq) for _, sq in sq_distance_blocks_copyto(a, b)])
+
+
+def ball_bounds_copyto(points, k):
+    """Squared k-NN radii from the copyto blocks (partitioned copies), raised
+    to the largest double whose sqrt is still the radius."""
+    bound = np.empty(len(points))
+    for lo, sq in sq_distance_blocks_copyto(points, points):
+        rows = np.arange(len(sq))
+        sq[rows, lo + rows] = np.inf
+        bound[lo:lo + len(sq)] = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    radius = np.sqrt(bound)
+    while True:
+        up = np.nextafter(bound, np.inf)
+        grow = (np.sqrt(up) <= radius) & (up > bound)
+        if not grow.any():
+            return bound
+        bound[grow] = up[grow]
+
+
+def manifold_metrics_copyto(real, fake, k):
+    """(precision, recall, density, coverage) from the copyto blocks and bounds."""
+    real_bounds, fake_bounds = ball_bounds_copyto(real, k), ball_bounds_copyto(fake, k)
+    sq = np.concatenate([block for _, block in sq_distance_blocks_copyto(real, fake)])
+    m, n = sq.shape
+    inside_real = sq <= real_bounds[:, None]
+    recalled = (sq <= fake_bounds).any(axis=1)
+    return (float(inside_real.any(axis=0).mean()), int(recalled.sum()) / m,
+            int(inside_real.sum()) / (k * n), int(inside_real.any(axis=1).sum()) / m)
+
+
+def checkpoint_bytes_joined(arrays):
+    """UFSL checkpoint bytes built as one joined bytes object: magic, version,
+    then per array its name, shape and `tobytes()` data."""
+    parts = [b"UFSL", struct.pack("<II", 3, len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        encoded = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(encoded)))
+        parts.append(encoded)
+        parts.append(struct.pack("<I", arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+        parts.append(arr.tobytes())
+    return b"".join(parts)
 
 
 def denman_beavers_sqrt(mat, iters=60):

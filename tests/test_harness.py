@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cam_per_variant
+from helpers import cam_per_variant, checkpoint_bytes_joined
 import ufs_lab
 from ufs_lab import attribution, gan, harness, ufs
 from ufs_lab import datasets as ds
@@ -209,6 +211,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for k in arrays:
         assert np.array_equal(loaded[k], arrays[k])
         assert loaded[k].dtype == np.float64
+
+
+def test_checkpoint_bytes_equal_the_joined_writer(tmp_path):
+    arrays = ring8_checkpoint()
+    arrays.update({"x.zero_d": np.float64(2.5), "x.empty": np.zeros((0, 3)),
+                   "x.strided": np.arange(10.0)[::3], "x.ints": np.arange(4),
+                   "x.fortran": np.asfortranarray(nm.SeededRng(2).normal((3, 4))),
+                   "x.ünicode": np.ones((2, 1, 3))})
+    path = tmp_path / "c.ufsl"
+    harness.save_checkpoint(path, arrays)
+    assert path.read_bytes() == checkpoint_bytes_joined(arrays)
+
+
+def test_points_dump_bytes_equal_the_per_row_form(tmp_path):
+    points = np.concatenate([nm.SeededRng(4).normal((60, 2)),
+                             [[-0.0, 0.0], [1e-300, -5e-324], [0.1, 1.0 / 3.0], [1e17, 2.0]]])
+    path = tmp_path / "samples.csv"
+    harness._dump_points(points, path)
+    want = "".join(f"{repr(float(x))},{repr(float(y))}\n" for x, y in points).encode()
+    assert path.read_bytes() == want
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -566,6 +588,60 @@ def test_image_run_identical_across_blas_thread_counts(tmp_path):
         csvs.append(harness.read_csv_without_wall_seconds(Path(cfg["out_dir"]) / "metrics.csv"))
     assert csvs[0] == csvs[1]
     assert len(csvs[0].splitlines()) == 4  # header + init row + two iterations
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Runs a small ring8 experiment at the bench's ring8_eval settings (batch 64,
+# 5 critic steps, an evaluation after every iteration) with a 256-point pool,
+# whose distance blocks (512 KiB) are above glibc's default mmap threshold,
+# and prints the minor page faults of each iteration and evaluation window:
+# (kind, faults from the end of the previous one to its own end).
+FAULT_PROBE = """
+import json, resource, sys
+from ufs_lab import gan, harness
+
+marks = []
+def mark_after(owner, name, kind):
+    fn = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        marks.append((kind, resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+        return result
+    setattr(owner, name, wrapper)
+
+mark_after(gan, "train_generator_step", "iteration")
+mark_after(harness, "save_checkpoint", "window")
+harness.run_experiment(harness.config_from_dict({
+    "dataset": {"kind": "ring8"},
+    "train": {"batch_size": 64, "n_critic": 5, "iterations": 12, "seed": 3,
+              "loss": {"kind": "wgan_gp", "gp_lambda": 1.0}},
+    "eval_every": 1, "eval_samples": 256, "out_dir": sys.argv[1]}))
+print(json.dumps([(kind, end - start) for (_, start), (kind, end) in zip(marks, marks[1:])]))
+"""
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the heap policy needs glibc's mallopt")
+def test_ring8_run_faults_in_no_fresh_buffers_after_warm_up(tmp_path):
+    # With the thresholds fixed at import, numpy's temporaries come back from
+    # the heap. Without them, every window faults in its distance blocks
+    # afresh (300+ pages at these sizes) and iterations 100+ pages. A stray
+    # page can still come from the heap or Python's allocator growing, so
+    # the bound is one 64 KiB buffer, not zero.
+    src_dir = str(Path(ufs_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    faults = json.loads(done.stdout.splitlines()[-1])
+    assert [kind for kind, _ in faults] == ["iteration", "window"] * 12
+    later = faults[len(faults) // 2:]  # iterations and windows 7 to 12
+    assert max(n for _, n in later) < (64 << 10) // mmap.PAGESIZE, faults
 
 
 # --- presets -------------------------------------------------------------------------------- #

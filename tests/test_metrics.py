@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (conv2d_forward_channels_last, conv2d_loop, distance_block_sqrt, frechet_oracle,
-                     knn_radii_sqrt, manifold_metrics_sqrt, prdc_loop, rel_err, sum_pool_loop)
+from helpers import (ball_bounds_copyto, conv2d_forward_channels_last, conv2d_loop,
+                     distance_block_sqrt, frechet_oracle, knn_radii_sqrt, manifold_metrics_copyto,
+                     manifold_metrics_sqrt, pairwise_distances_copyto, prdc_loop, rel_err,
+                     sum_pool_loop)
 from ufs_lab import metrics as mx
 from ufs_lab.datasets import synthetic_shapes
 from ufs_lab.errors import ContractError, DimensionError, NumericError
@@ -238,6 +240,71 @@ def test_pairwise_distances_across_row_blocks():
     assert 300 * 400 > mx._BLOCK_PAIRS
     assert mx.pairwise_distances(a, b).tobytes() == distance_block_sqrt(a, b).tobytes()
     assert astuple(mx.manifold_metrics(a, b, 3)) == manifold_metrics_sqrt(a, b, 3)
+
+
+# A block against 300 points holds ROWS_300 rows; a set of SIDE points fills
+# one block against itself.
+ROWS_300 = mx._BLOCK_PAIRS // 300
+SIDE = math.isqrt(mx._BLOCK_PAIRS)
+# (rows of a, points of b, dimension, coordinates rounded to one decimal for ties)
+COPYTO_CASES = [(500, 500, 2, False), (500, 500, 2, True), (64, 64, 64, False),
+                (ROWS_300, 300, 3, True), (ROWS_300 + 1, 300, 3, True)]
+
+
+def copyto_case_sets(m, n, d, rounded):
+    rng = SeededRng(m * 1000 + n + d)
+    a, b = rng.normal((m, d)), rng.normal((n, d))
+    return (np.round(a, 1), np.round(b, 1)) if rounded else (a, b)
+
+
+@pytest.mark.parametrize("m,n,d,rounded", COPYTO_CASES)
+def test_pairwise_distances_bitwise_equal_copyto_blocks(m, n, d, rounded):
+    a, b = copyto_case_sets(m, n, d, rounded)
+    assert mx.pairwise_distances(a, b).tobytes() == pairwise_distances_copyto(a, b).tobytes()
+
+
+@pytest.mark.parametrize("n,d,rounded", [(500, 2, False), (500, 2, True), (64, 64, False),
+                                         (SIDE - 1, 2, True), (SIDE, 2, True), (SIDE + 1, 2, True)])
+def test_ball_bounds_bitwise_equal_copyto_blocks(n, d, rounded):
+    points, _ = copyto_case_sets(n, 1, d, rounded)
+    for k in (1, 3):
+        assert mx.ball_bounds(points, k).tobytes() == ball_bounds_copyto(points, k).tobytes()
+
+
+@pytest.mark.parametrize("m,n,d,rounded", COPYTO_CASES)
+def test_manifold_metrics_bitwise_equal_copyto_blocks(m, n, d, rounded):
+    real, fake = copyto_case_sets(m, n, d, rounded)
+    got = np.array(astuple(mx.manifold_metrics(real, fake, 3)))
+    assert got.tobytes() == np.array(manifold_metrics_copyto(real, fake, 3)).tobytes()
+
+
+def test_distance_blocks_yield_at_the_callers_ufunc_buffer_size(monkeypatch):
+    rng = SeededRng(17)
+    a, b = rng.normal((3 * ROWS_300, 3)), rng.normal((300, 3))
+    old = np.setbufsize(4096)
+    try:
+        blocks = mx._sq_distance_blocks(a, b)
+        seen = []
+        for lo, _ in blocks:
+            seen.append(np.getbufsize())
+            if lo:  # the consumer stops after the second of three blocks
+                break
+        blocks.close()
+        assert seen == [4096, 4096] and np.getbufsize() == 4096
+        mx.pairwise_distances(a, b)
+        mx.ball_bounds(b, 3)
+        mx.manifold_metrics(a, b, 3)
+        assert np.getbufsize() == 4096
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("subtract failed")
+
+        monkeypatch.setattr(np, "subtract", fail)  # raises inside the first block
+        with pytest.raises(RuntimeError, match="subtract failed"):
+            next(mx._sq_distance_blocks(a, b))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 def test_manifold_cached_real_bounds_same_result():

@@ -221,6 +221,20 @@ def test_conv_forward_leaves_the_ufunc_buffer_size_as_it_found_it(monkeypatch):
         np.setbufsize(old)
 
 
+def test_unbuffered_ufuncs_restores_the_callers_buffer_size():
+    old = np.setbufsize(4096)
+    try:
+        with nm.unbuffered_ufuncs():
+            assert np.getbufsize() == nm._UFUNC_BUFSIZE == 16
+        assert np.getbufsize() == 4096
+        with pytest.raises(RuntimeError, match="inside"):
+            with nm.unbuffered_ufuncs():
+                raise RuntimeError("inside")
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
 @pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
 def test_conv_forward_same_bytes_at_any_caller_buffer_size(cin, cout, side):
     rng = nm.SeededRng(cin)
