@@ -8,17 +8,18 @@ comparable within this laboratory). `measure` picks the space a batch is
 measured in; the experiment loop and `ufs-lab eval` both go through it.
 
 The k-NN metrics never hold a full distance matrix: squared distances
-stream through row blocks in two reused buffers, one broadcast subtract,
-square and add per coordinate, and they are compared with squared ball
-bounds. The subtracts and the ball tests run inside
-`numerics.unbuffered_ufuncs`, as the conv forward's loop does; the
-reductions over the test results run at numpy's default buffer, where they
-are faster.
+stream through row blocks in two buffers allocated once at import and
+reused by every call, one broadcast subtract, square and add per
+coordinate, and they are compared with squared ball bounds. The subtracts
+and the ball tests run inside `numerics.unbuffered_ufuncs`, as the conv
+forward's loop does; the reductions over the test results run at numpy's
+default buffer, where they are faster.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,30 @@ def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
 # buffer), which keeps each block's passes in cache. Of 2^13 to 2^16, 2^16
 # ran fastest at 500 and 8000 2-d points and at 64 points in 64-d.
 _BLOCK_PAIRS = 2 ** 16
+# The two block buffers, allocated once at import and lent to one block
+# stream at a time. Allocated per call, they landed among whatever else the
+# process had freed, and now and then the heap grew to fit them, faulting in
+# fresh pages well after warm-up.
+_block_scratch = np.empty(2 * _BLOCK_PAIRS)
+_block_scratch_lent = False
+
+
+@contextmanager
+def _block_buffers(rows: int, n: int):
+    """Two (rows, n) float64 buffers: views of the kept scratch, or fresh
+    arrays when the blocks are larger or the scratch is lent to another
+    live block stream."""
+    global _block_scratch_lent
+    size = rows * n
+    if _block_scratch_lent or 2 * size > len(_block_scratch):
+        yield np.empty((rows, n)), np.empty((rows, n))
+        return
+    _block_scratch_lent = True
+    try:
+        yield (_block_scratch[:size].reshape(rows, n),
+               _block_scratch[size:2 * size].reshape(rows, n))
+    finally:
+        _block_scratch_lent = False
 
 
 def _check_point_sets(a: Array, b: Array, what: str) -> None:
@@ -110,26 +135,26 @@ def _sq_distance_blocks(a: Array, b: Array):
     time, in coordinate order: the enumeration oracle's order. Each
     coordinate's differences are one broadcast subtract into the block, run
     inside unbuffered_ufuncs, which is left before each yield. Each block is
-    written into the same two buffers, so a yielded block is only valid until
-    the next one is requested; callers may overwrite it.
+    written into the same two buffers, from _block_buffers, so a yielded block
+    is only valid until the next one is requested or the stream ends; callers
+    may overwrite it.
     """
     n, d = b.shape
     b_cols = np.ascontiguousarray(b.T)
     rows = max(1, min(len(a), _BLOCK_PAIRS // max(1, n)))
-    out_buf = np.empty((rows, n))
-    term_buf = np.empty((rows, n)) if d > 1 else None
-    for lo in range(0, len(a), rows):
-        a_block = a[lo:lo + rows]
-        out = out_buf[:len(a_block)]
-        with unbuffered_ufuncs():
-            np.subtract(a_block[:, :1], b_cols[0], out=out)
-            out *= out
-            for j in range(1, d):
-                term = term_buf[:len(a_block)]
-                np.subtract(a_block[:, j:j + 1], b_cols[j], out=term)
-                term *= term
-                out += term
-        yield lo, out
+    with _block_buffers(rows, n) as (out_buf, term_buf):
+        for lo in range(0, len(a), rows):
+            a_block = a[lo:lo + rows]
+            out = out_buf[:len(a_block)]
+            with unbuffered_ufuncs():
+                np.subtract(a_block[:, :1], b_cols[0], out=out)
+                out *= out
+                for j in range(1, d):
+                    term = term_buf[:len(a_block)]
+                    np.subtract(a_block[:, j:j + 1], b_cols[j], out=term)
+                    term *= term
+                    out += term
+            yield lo, out
 
 
 def pairwise_distances(a: Array, b: Array) -> Array:

@@ -307,6 +307,23 @@ def test_distance_blocks_yield_at_the_callers_ufunc_buffer_size(monkeypatch):
         np.setbufsize(old)
 
 
+def test_overlapping_distance_streams_do_not_share_buffers():
+    # The kept scratch goes to one stream at a time; a second live stream
+    # gets fresh buffers, and the scratch is lent again once the first ends.
+    rng = SeededRng(18)
+    a, b = rng.normal((3 * ROWS_300, 3)), rng.normal((300, 3))
+    want = distance_block_sqrt(a, b)
+    first = mx._sq_distance_blocks(a, b)
+    lo, block = next(first)
+    got = np.vstack([np.sqrt(sq) for _, sq in mx._sq_distance_blocks(a, b)])
+    assert np.array_equal(np.sqrt(block), want[lo:lo + len(block)])
+    assert np.array_equal(got, want)
+    assert mx._block_scratch_lent
+    first.close()
+    assert not mx._block_scratch_lent
+    assert np.array_equal(mx.pairwise_distances(a, b), distance_block_sqrt(a, b))
+
+
 def test_manifold_cached_real_bounds_same_result():
     rng = SeededRng(15)
     real = rng.normal((30, 2))
