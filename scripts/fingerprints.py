@@ -5,10 +5,13 @@ Runs, one after another in a temporary directory: the four ring8 presets cut
 to 300 iterations (evaluation every 100 on 2000 samples), and one 20-iteration
 16x16 synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
 run it prints the sha256 of the metrics CSV without its wall_seconds column
-and of the last samples dump. Checkpoints are left out, since they hold the
-config. Last, it runs `ufs-lab cam` on the shapes16 run's last checkpoint
-with 8 synthetic shapes and prints the sha256 of the PGMs it writes. A
-refactor that keeps behaviour prints the same lines before and after:
+and of the last samples dump, then, on a line of its own, the sha256 of the
+trainer state restored from the run's last checkpoint (its counters and
+arrays, not the file's bytes, so a change of the checkpoint format that
+restores the same state keeps it). Last, it runs `ufs-lab cam` on the
+shapes16 run's last checkpoint with 8 synthetic shapes and prints the
+sha256 of the PGMs it writes. A refactor that keeps behaviour prints the
+same lines before and after:
 
     PYTHONPATH=src python scripts/fingerprints.py
 """
@@ -23,8 +26,8 @@ import numpy as np
 
 from ufs_lab import cli
 from ufs_lab.datasets import synthetic_shapes, write_idx_images
-from ufs_lab.harness import (config_from_dict, load_config, read_csv_without_wall_seconds,
-                             run_experiment)
+from ufs_lab.harness import (config_from_dict, load_checkpoint, load_config,
+                             read_csv_without_wall_seconds, run_experiment, trainer_from_arrays)
 from ufs_lab.numerics import SeededRng
 
 PRESETS = ("ring8_baseline", "ring8_ufs", "ring8_topk", "ring8_topk_ufs")
@@ -60,6 +63,20 @@ def fingerprint(cfg) -> str:
             f"samples={sha256(last_dump.read_bytes())}")
 
 
+def state_digest(run_dir: Path) -> str:
+    """sha256 of the trainer state restored from the run's last checkpoint:
+    the counters, then the generator and critic parameters, the flat Adam
+    moments and the feature-statistics means."""
+    _, state = trainer_from_arrays(*load_checkpoint(sorted(run_dir.glob("checkpoint_*"))[-1]))
+    digest = hashlib.sha256(repr((state.t, state.adam_g.step, state.adam_d.step,
+                                  state.stats.initialized)).encode())
+    for arr in state.gen.net.param_list() + state.disc.param_list() + [
+            state.adam_g.m, state.adam_g.v, state.adam_d.m, state.adam_d.v,
+            state.stats.mu_real, state.stats.mu_fake]:
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 def cam_fingerprint(run_dir: Path) -> str:
     """`maps=<count> pgm=<sha256>` of the maps `ufs-lab cam` writes from the
     run's last checkpoint, hashed name and bytes in name order."""
@@ -79,13 +96,14 @@ def cam_fingerprint(run_dir: Path) -> str:
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for name in PRESETS:
-            cfg = load_config(CONFIG_DIR / f"{name}.json",
-                              [f"out_dir={tmp}/{name}", "train.iterations=300",
-                               "eval_every=100", "eval_samples=2000"])
+        runs = [(name, load_config(CONFIG_DIR / f"{name}.json",
+                                   [f"out_dir={tmp}/{name}", "train.iterations=300",
+                                    "eval_every=100", "eval_samples=2000"]))
+                for name in PRESETS]
+        runs.append(("shapes16", config_from_dict(dict(SHAPES16, out_dir=f"{tmp}/shapes16"))))
+        for name, cfg in runs:
             print(f"{name} {fingerprint(cfg)}", flush=True)
-        cfg = config_from_dict(dict(SHAPES16, out_dir=f"{tmp}/shapes16"))
-        print(f"shapes16 {fingerprint(cfg)}", flush=True)
+            print(f"{name}_state state={state_digest(Path(cfg.out_dir))}", flush=True)
         print(f"shapes16_cam {cam_fingerprint(Path(tmp) / 'shapes16')}", flush=True)
 
 

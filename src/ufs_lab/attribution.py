@@ -10,13 +10,14 @@ to the full map.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError, UnsupportedArchitectureError
 from .gan import TrainerState, generator_mask
-from .numerics import Array, as_f64, forward_pass, global_sum_pool
+from .numerics import Array, as_f64, forward_pass, global_sum_pool, write_atomic
 
 
 def compute_cam(state: TrainerState, images: Array) -> dict:
@@ -66,25 +67,13 @@ def encode_pgm(values: Array) -> bytes:
 def read_pgm(path) -> Array:
     """Parse a binary (P5) 8-bit PGM back into a uint8 array."""
     raw = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4 and pos < len(raw):
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if len(fields) < 4 or fields[0] != b"P5":
-        raise ParseError(f"{path}: not a binary PGM (header {fields[:1]})")
-    width, height, maxval = (int(f) for f in fields[1:4])
-    if maxval != 255:
-        raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-    pos += 1  # the single whitespace byte after maxval
-    data = np.frombuffer(raw, np.uint8, count=width * height, offset=pos)
-    if data.size != width * height:
-        raise ParseError(f"{path}: truncated pixel data at byte {pos}")
-    return data.reshape(height, width).copy()
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+255\s", raw)
+    if header is None:
+        raise ParseError(f"{path}: not an 8-bit binary PGM (header {raw[:16]!r})")
+    width, height = int(header[1]), int(header[2])
+    if len(raw) - header.end() < width * height:
+        raise ParseError(f"{path}: truncated pixel data at byte {header.end()}")
+    return np.frombuffer(raw, np.uint8, width * height, header.end()).reshape(height, width).copy()
 
 
 def upsample_nearest(values: Array, factor: int) -> Array:
@@ -102,6 +91,6 @@ def save_attribution_maps(maps: dict, out_dir, run_id: str, upsample: int = 1) -
     for variant, values in maps.items():
         for i in range(len(values)):
             target = out / f"{run_id}_{i:03d}_{variant}.pgm"
-            target.write_bytes(encode_pgm(upsample_nearest(values[i], upsample)))
+            write_atomic(target, encode_pgm(upsample_nearest(values[i], upsample)))
             written.append(target)
     return written

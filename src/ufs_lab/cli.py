@@ -58,7 +58,7 @@ def _cmd_eval(args) -> int:
 def _cmd_cam(args) -> int:
     if args.limit < 1:  # a slice bound below 1 would drop images, not cap them
         raise ContractError(f"--limit must be >= 1, got {args.limit}")
-    _, state = trainer_from_arrays(load_checkpoint(args.checkpoint))
+    _, state = trainer_from_arrays(*load_checkpoint(args.checkpoint))
     images = normalize_images(load_idx_images(args.input))[:args.limit]
     maps = compute_cam(state, images)
     if "cam_ufs" not in maps:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
-from .numerics import Array, SeededRng, as_f64
+from .numerics import Array, SeededRng, as_f64, write_atomic
 from .selection import InstanceSelectionConfig, instance_select
 
 DATASET_KINDS = ("ring8", "grid25", "idx_images", "synthetic_shapes")
@@ -31,6 +31,11 @@ class DatasetConfig:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "idx_images" and not self.path:
             raise ConfigError("idx_images dataset needs a path")
+        if self.kind == "synthetic_shapes" and (self.num_shapes < 1 or self.image_size < 8):
+            raise ConfigError(f"synthetic_shapes needs num_shapes >= 1 and image_size >= 8, "
+                              f"got {self.num_shapes} and {self.image_size}")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
 
 
 class PointMixture:
@@ -51,8 +56,8 @@ class ImageBank:
 
     def __init__(self, data: Array):
         self.data = as_f64(data)
-        if self.data.ndim != 4:
-            raise ContractError(f"image bank expects (n, c, h, w), got {self.data.shape}")
+        if self.data.ndim != 4 or len(self.data) == 0:
+            raise ContractError(f"image bank needs (n, c, h, w) with n >= 1, got {self.data.shape}")
         self.data_shape = self.data.shape[1:]
 
     def sample(self, n: int, rng: SeededRng) -> Array:
@@ -104,8 +109,8 @@ def write_idx_images(images: Array, path) -> None:
     arr = np.asarray(images)
     if arr.ndim != 3 or arr.dtype != np.uint8:
         raise ContractError(f"write_idx_images expects (n, h, w) uint8, got {arr.shape} {arr.dtype}")
-    header = IDX_IMAGE_MAGIC + struct.pack(">III", *arr.shape)
-    Path(path).write_bytes(header + arr.tobytes())
+    write_atomic(path, IDX_IMAGE_MAGIC + struct.pack(">III", *arr.shape),
+                 np.ascontiguousarray(arr))
 
 
 def normalize_images(u8: Array) -> Array:

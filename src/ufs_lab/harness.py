@@ -2,20 +2,19 @@
 
 Everything written to disk is a deterministic function of (config, seed),
 except the wall_seconds column, which is deliberately kept last in the CSV
-so determinism checks can slice it off. A trainer checkpoint is the run's
-config plus the trainer's counters and state arrays; the reader rebuilds the
-models from the config. Checkpoints, sample dumps, the CSV and the summary
-are written atomically. Both sides of an evaluation are measured in the
-space metrics.measure picks, which summary.json names. A step that raises
-on a non-finite loss, or another numeric breakdown, ends the run with one
-diagnostic row.
+so determinism checks can slice it off. A trainer checkpoint is a JSON
+header (the run's config, the data shape and the counters) plus the state
+arrays; the reader rebuilds the models from the data shape. Checkpoints,
+sample dumps, the CSV and the summary are written atomically. Both sides of
+an evaluation are measured in the space metrics.measure picks, which
+summary.json names. A step that raises on a non-finite loss, or another
+numeric breakdown, ends the run with one diagnostic row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import time
 import typing
@@ -30,7 +29,7 @@ from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
 from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics, measure,
                       mode_coverage)
-from .numerics import Array, SeededRng, split_like
+from .numerics import Array, SeededRng, write_atomic
 
 MANIFOLD_K = 3
 
@@ -169,138 +168,101 @@ def apply_overrides(obj: dict, assignments) -> dict:
 # --- checkpoint format ------------------------------------------------------------ #
 
 CHECKPOINT_MAGIC = b"UFSL"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the chunks (bytes, or C-contiguous arrays written as their raw
-    buffers) in turn to a temp file beside `path`, then os.replace it into
-    place: a killed process leaves the old file or the new one, never part of
-    one (no fsync)."""
-    tmp = Path(path).with_name(f".{Path(path).name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+def save_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
+    """Little-endian: magic, u32 version, u32 header length, a UTF-8 JSON header
+    (the caller's entries plus `arrays`, each array's [name, shape] in file
+    order), then each array's float64 buffer as it is, without a copy."""
+    arrays = {name: np.asarray(arr, np.float64, order="C") for name, arr in arrays.items()}
+    table = [[name, list(arr.shape)] for name, arr in arrays.items()]
+    encoded = json.dumps(dict(header or {}, arrays=table)).encode()
+    write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(encoded)),
+                 encoded, *arrays.values())
 
 
-def save_checkpoint(path, arrays: dict) -> None:
-    """Little-endian flat binary: magic, u32 version, then length-prefixed
-    named float64 arrays (u32 name length, name, u32 ndim, u32 dims, data).
-    Each array's buffer is written to the file as it is, without a copy."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(arrays))]
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
-                                 arr.ndim, *arr.shape))
-        parts.append(arr)
-    write_atomic(path, *parts)
-
-
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path) -> tuple:
+    """(arrays, header) of a checkpoint: its arrays by name in file order, and
+    its header entries without the arrays table."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a UFSL checkpoint")
-    version, count = struct.unpack("<II", raw[4:12])
+    version, header_len = struct.unpack("<II", raw[4:12])
     if version != CHECKPOINT_VERSION:
-        raise ParseError(
-            f"{path}: checkpoint version {version} is incompatible with reader version "
-            f"{CHECKPOINT_VERSION}")
-    pos = 12
-    arrays = {}
-    for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            name = raw[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-            pos += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, np.float64, count=size, offset=pos).reshape(shape)
-            pos += 8 * size
-        except (struct.error, ValueError) as exc:
-            raise ParseError(f"{path}: corrupt checkpoint near byte {pos}: {exc}") from exc
-        arrays[name] = arr.copy()
-    return arrays
+        raise ParseError(f"{path}: checkpoint version {version} is incompatible with "
+                         f"reader version {CHECKPOINT_VERSION}")
+    pos = 12 + header_len
+    try:
+        header = json.loads(raw[12:pos])
+        arrays = {}
+        for name, shape in header.pop("arrays"):
+            if min(shape, default=0) < 0:  # frombuffer would read a -1 as "the rest"
+                raise ValueError(f"array {name!r} has shape {shape}")
+            arrays[name] = np.frombuffer(raw, np.float64, math.prod(shape), pos).reshape(shape)
+            pos += arrays[name].nbytes
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ParseError(f"{path}: corrupt checkpoint near byte {pos}: {exc!r}") from exc
+    if pos != len(raw):
+        raise ParseError(f"{path}: data after the last array, from byte {pos}")
+    return {name: arr.copy() for name, arr in arrays.items()}, header
 
 
 def save_embeddings(embeddings: Array, path) -> None:
-    """Flat binary export of an (n, d) embedding matrix in the UFSL container."""
+    """An (n, d) embedding matrix as the one array of a UFSL file with an empty header."""
     save_checkpoint(path, {"embeddings": np.asarray(embeddings, dtype=np.float64)})
-
-
-def encode_config(cfg: ExperimentConfig) -> Array:
-    """The config as JSON, one byte per float64. out_dir is left out, so a
-    run's checkpoints do not depend on where the run was written."""
-    obj = asdict(cfg)
-    del obj["out_dir"]
-    return np.frombuffer(json.dumps(obj).encode(), np.uint8).astype(np.float64)
 
 
 def _state_arrays(state: gan_mod.TrainerState) -> dict:
     """Every array of a trainer state under its checkpoint name. These are the
-    live arrays (the Adam moments as views of their flat vectors), so the
-    reader fills a fresh state through them in place."""
+    live arrays, so the reader fills a fresh state through them in place."""
     gen, disc = state.gen.net.param_list(), state.disc.param_list()
-    groups = {"gen": gen, "disc": disc}
-    for name, params, adam in (("adam_g", gen, state.adam_g), ("adam_d", disc, state.adam_d)):
-        groups[f"{name}.m"] = split_like(adam.m, params)
-        groups[f"{name}.v"] = split_like(adam.v, params)
-    named = {f"{prefix}.{i:02d}": arr for prefix, arrs in groups.items()
+    named = {f"{prefix}.{i:02d}": arr for prefix, arrs in (("gen", gen), ("disc", disc))
              for i, arr in enumerate(arrs)}
-    named["stats.mu_real"] = state.stats.mu_real
-    named["stats.mu_fake"] = state.stats.mu_fake
+    named.update({"adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
+                  "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v,
+                  "stats.mu_real": state.stats.mu_real, "stats.mu_fake": state.stats.mu_fake})
     return named
 
 
-COUNTERS = ("run.iteration", "adam_g.step", "adam_d.step", "stats.initialized")
+# The header entries of a trainer checkpoint and the JSON type of each.
+TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": int,
+                   "adam_g.step": int, "adam_d.step": int, "stats.initialized": bool}
+_KIND_NAMES = {dict: "an object", list: "a list of integers", int: "an integer",
+               bool: "true or false"}
 
 
-def trainer_to_arrays(state: gan_mod.TrainerState, encoded_cfg: Array) -> dict:
-    """A trainer checkpoint: the run's config (from encode_config), the data
-    shape, the counters and the state arrays."""
-    counts = (state.t, state.adam_g.step, state.adam_d.step, state.stats.initialized)
-    arrays = {name: np.array([float(v)]) for name, v in zip(COUNTERS, counts)}
-    arrays["run.config"] = encoded_cfg
-    arrays["run.data_shape"] = np.array(state.gen.data_shape, dtype=np.float64)
-    arrays.update(_state_arrays(state))
-    return arrays
+def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
+    """(arrays, header) of a trainer checkpoint: the state arrays, and the run's
+    config as a dict (run_experiment drops out_dir), data shape and counters."""
+    header = {"run.config": config, "run.data_shape": list(state.gen.data_shape),
+              "run.iteration": state.t, "adam_g.step": state.adam_g.step,
+              "adam_d.step": state.adam_d.step, "stats.initialized": state.stats.initialized}
+    return _state_arrays(state), header
 
 
-def trainer_from_arrays(arrays: dict):
+def trainer_from_arrays(arrays: dict, header: dict):
     """(ExperimentConfig, TrainerState) of a trainer checkpoint: gan.default_models
     for the stored data shape, filled with the stored arrays. Raises ParseError
-    naming the first missing or misshapen array. The config is decoded without
-    looking for an idx_images file, since nothing here reads the dataset."""
-    missing = [n for n in COUNTERS + ("run.config", "run.data_shape") if n not in arrays]
-    if missing:
-        raise ParseError(f"not a trainer checkpoint: no array {missing[0]!r}")
-    for name in COUNTERS:
-        if arrays[name].shape != (1,):
-            raise ParseError(f"{name}: expected shape (1,), got {arrays[name].shape}")
-    try:
-        obj = json.loads(bytes(int(v) for v in arrays["run.config"].ravel()))
-    except (ValueError, OverflowError) as exc:  # not bytes, not UTF-8 or not JSON
-        raise ParseError(f"run.config: not a JSON config: {exc}") from exc
-    cfg = _decode(ExperimentConfig, obj, "run.config")
-    data_shape = tuple(int(v) for v in arrays["run.data_shape"])
-    state = gan_mod.init_trainer(cfg.train, *gan_mod.default_models(data_shape, SeededRng(0)))
+    naming the first missing or mistyped header entry or array. The config is
+    decoded without looking for an idx_images file: nothing here reads it."""
+    for name, kind in TRAINER_ENTRIES.items():
+        value = header.get(name)
+        if type(value) is not kind or kind is list and not all(type(d) is int for d in value):
+            got = json.dumps(value) if name in header else "no entry"
+            raise ParseError(f"not a trainer checkpoint: header entry {name!r} should be "
+                             f"{_KIND_NAMES[kind]}, got {got}")
+    cfg = _decode(ExperimentConfig, header["run.config"], "run.config")
+    state = gan_mod.init_trainer(
+        cfg.train, *gan_mod.default_models(header["run.data_shape"], SeededRng(0)))
     for name, live in _state_arrays(state).items():
         if name not in arrays:
             raise ParseError(f"trainer checkpoint has no array {name!r}")
         if arrays[name].shape != live.shape:
             raise ParseError(f"{name}: expected shape {live.shape}, got {arrays[name].shape}")
         live[...] = arrays[name]
-    state.t, state.adam_g.step, state.adam_d.step, initialized = (
-        int(arrays[name][0]) for name in COUNTERS)
-    state.stats.initialized = bool(initialized)
+    state.t, state.stats.initialized = header["run.iteration"], header["stats.initialized"]
+    state.adam_g.step, state.adam_d.step = header["adam_g.step"], header["adam_d.step"]
     return cfg, state
 
 
@@ -349,10 +311,6 @@ def _dump_image_grid(images: Array, path: Path) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Alternating critic/generator training with periodic evaluation rows."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / "metrics.csv"
-
     root = SeededRng(cfg.train.seed)
     rng_data = root.derive(1)
     rng_init = root.derive(2)
@@ -364,13 +322,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     state = gan_mod.init_trainer(cfg.train, gen, disc)
 
     real_pool = dataset.sample(cfg.eval_samples, rng_eval)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    metrics_path = out / "metrics.csv"
 
     started = time.perf_counter()
-    # The real side and the encoded config are fixed for the run, so they are
+    # The real side and the stored config are fixed for the run, so they are
     # computed once, inside the first evaluation window rather than in set-up.
     real_points, space = measure(real_pool)
     real_fit, real_bounds = fit_gaussian(real_points), ball_bounds(real_points, MANIFOLD_K)
-    encoded_cfg = encode_config(cfg)
+    stored_cfg = asdict(cfg)
+    del stored_cfg["out_dir"]  # so a run's checkpoints do not depend on where it was written
     records = []
 
     def evaluate(iteration: int) -> tuple:
@@ -388,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         fr = frechet_distance(real_fit, fit_gaussian(fake_points))
         mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
         save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl",
-                        trainer_to_arrays(state, encoded_cfg))
+                        *trainer_to_arrays(state, stored_cfg))
         return fr, mm.precision, mm.recall, mm.density, mm.coverage, covered, hq
 
     def write_row(iteration: int, l_d: float, l_g: float, cells) -> None:

@@ -36,8 +36,10 @@ from the heap. Where libc has no `mallopt` nothing is set.
 from __future__ import annotations
 
 import ctypes
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -547,3 +549,21 @@ def linear_anneal(start: float, end: float, fraction: float, t: int, total: int)
     if window <= 0 or t >= window:
         return end
     return start + (end - start) * (t / window)
+
+
+# --- files (here, as every module that writes one imports numerics) ------- #
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write the chunks (bytes, or C-contiguous arrays written as their raw
+    buffers) in turn to a temp file beside `path`, then os.replace it into
+    place: a killed process leaves the old file or the new one, never part of
+    one (no fsync)."""
+    tmp = Path(path).with_name(f".{Path(path).name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, NumericError
 from .metrics import random_feature_embed
-from .numerics import Array, SeededRng, as_f64, linear_anneal
+from .numerics import Array, SeededRng, as_f64, linear_anneal, write_atomic
 
 SELECTION_MODES = ("top", "bottom", "random")
 COVARIANCE_MODES = ("full_shrinkage", "diagonal")
@@ -124,5 +123,5 @@ def instance_select(dataset: Array, cfg: InstanceSelectionConfig) -> Array:
 
 
 def write_index_file(indices, path) -> None:
-    """Newline-delimited integer indices, one per line."""
-    Path(path).write_text("".join(f"{int(i)}\n" for i in indices))
+    """Newline-delimited integer indices, one per line, written atomically."""
+    write_atomic(path, "".join(f"{int(i)}\n" for i in indices).encode())

@@ -21,10 +21,11 @@ blocks (each coordinate's column copied into the block, then the row
 subtracted, at numpy's default ufunc buffer) are the form the library's
 broadcast-subtract blocks are checked against bitwise, through the
 distances, ball bounds and k-NN metrics built on them. The joined-bytes
-checkpoint writer is the form the library's streaming writer is checked
-against byte for byte.
+version-4 checkpoint writer is the form the library's streaming writer is
+checked against byte for byte.
 """
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -262,19 +263,14 @@ def manifold_metrics_copyto(real, fake, k):
             int(inside_real.sum()) / (k * n), int(inside_real.any(axis=1).sum()) / m)
 
 
-def checkpoint_bytes_joined(arrays):
-    """UFSL checkpoint bytes built as one joined bytes object: magic, version,
-    then per array its name, shape and `tobytes()` data."""
-    parts = [b"UFSL", struct.pack("<II", 3, len(arrays))]
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.tobytes())
-    return b"".join(parts)
+def checkpoint_bytes_joined(arrays, header=None):
+    """UFSL version-4 checkpoint bytes built as one joined bytes object: magic,
+    version, header length, the JSON header (the given entries plus the
+    [name, shape] table), then each array's `tobytes()` data in C order."""
+    table = [[name, list(np.shape(arr))] for name, arr in arrays.items()]
+    encoded = json.dumps(dict(header or {}, arrays=table)).encode()
+    data = [np.asarray(arr, dtype=np.float64).tobytes() for arr in arrays.values()]
+    return b"".join([b"UFSL", struct.pack("<II", 4, len(encoded)), encoded] + data)
 
 
 def denman_beavers_sqrt(mat, iters=60):

@@ -115,6 +115,19 @@ def test_read_pgm_rejects_garbage(tmp_path):
         attr.read_pgm(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"P5\n3 2\n255\n" + bytes(5), "truncated pixel data at byte 11"),
+    (b"P5\n3 2\n15\n" + bytes(6), "not an 8-bit binary PGM"),
+    (b"P5\nthree 2\n255\n" + bytes(6), "not an 8-bit binary PGM"),
+    (b"P5\n3 2", "not an 8-bit binary PGM"),
+], ids=["pixels-cut-short", "maxval-15", "width-not-a-number", "header-cut-short"])
+def test_read_pgm_malformed_header_or_data(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message):
+        attr.read_pgm(path)
+
+
 def test_upsample_nearest():
     up = attr.upsample_nearest(np.array([[1.0, 2.0]]), 2)
     assert np.array_equal(up, [[1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0]])
@@ -129,6 +142,23 @@ def test_save_attribution_maps_naming(tmp_path):
     names = sorted(p.name for p in written)
     assert names == ["runA_000_cam.pgm", "runA_001_cam.pgm"]
     assert all(p.exists() for p in written)
+
+
+def test_failed_map_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    rng = nm.SeededRng(7)
+    d = small_conv_disc(rng)
+    maps = attr.compute_cam(cam_state(d), rng.normal((1, 1, 9, 9)))
+    (path,) = attr.save_attribution_maps(maps, tmp_path, "runA")
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nm.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        attr.save_attribution_maps({"cam": -maps["cam"]}, tmp_path, "runA", 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["runA_000_cam.pgm"]
 
 
 def test_save_attribution_maps_writes_every_variant(tmp_path, monkeypatch):

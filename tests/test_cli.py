@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,7 @@ from ufs_lab import cli
 from ufs_lab import datasets as ds
 from ufs_lab import gan
 from ufs_lab import numerics as nm
-from ufs_lab.harness import (config_from_dict, encode_config, load_checkpoint, save_checkpoint,
-                             trainer_to_arrays)
+from ufs_lab.harness import config_from_dict, load_checkpoint, save_checkpoint, trainer_to_arrays
 from ufs_lab.metrics import fit_gaussian, frechet_distance, measure
 from ufs_lab.numerics import SeededRng
 
@@ -96,8 +97,9 @@ def test_eval_dump_embeddings(tmp_path, capsys):
                    "-k", "2", "--dump-embeddings", str(dump)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["space"] == "random_features"
-    emb = load_checkpoint(dump / "real_embeddings.ufsl")["embeddings"]
-    assert emb.shape == (12, 64)
+    arrays, header = load_checkpoint(dump / "real_embeddings.ufsl")
+    assert header == {} and list(arrays) == ["embeddings"]
+    assert arrays["embeddings"].shape == (12, 64)
 
 
 def test_eval_on_idx_files_measures_as_the_run_does(tmp_path, capsys):
@@ -211,12 +213,40 @@ def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--set", "dataset.num_shapes=0"], "num_shapes >= 1"),
+    (["--set", "dataset.num_shapes=-3"], "num_shapes >= 1"),
+    (["--set", "dataset.image_size=4"], "image_size >= 8"),
+    (["--set", 'dataset.kind="ring8"', "--set", "dataset.sigma=0"], "sigma must be > 0"),
+], ids=["no-shapes", "negative-shapes", "image-size-4", "ring8-sigma-0"])
+def test_run_bad_dataset_value_one_line_error(tmp_path, capsys, args, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(RING8_RUN, out_dir=str(tmp_path / "run"))))
+    argv = ["run", str(cfg_path), "--set", 'dataset.kind="synthetic_shapes"'] + args
+    assert cli.main(argv) == 2
+    err = assert_one_line_error(capsys, "ConfigError")
+    assert "config.dataset: " in err and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_on_empty_idx_file_one_line_error(tmp_path, capsys):
+    idx_path = tmp_path / "empty.idx"
+    ds.write_idx_images(np.zeros((0, 16, 16), np.uint8), idx_path)
+    cfg = dict(RING8_RUN, dataset={"kind": "idx_images", "path": str(idx_path)},
+               out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "n >= 1, got (0, 1, 16, 16)" in assert_one_line_error(capsys, "ContractError")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cam_misshapen_checkpoint_one_line_error(tmp_path, capsys):
     cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
-    arrays = trainer_to_arrays(state, encode_config(cfg))
+    arrays, header = trainer_to_arrays(state, asdict(cfg))
     arrays["disc.00"] = arrays["disc.00"][:16]
-    save_checkpoint(tmp_path / "bad.ufsl", arrays)
+    save_checkpoint(tmp_path / "bad.ufsl", arrays, header)
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "bad.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
@@ -232,7 +262,19 @@ def test_cam_on_embeddings_file_one_line_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["cam", "--checkpoint", str(dump / "real_embeddings.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
-    assert "'run.iteration'" in assert_one_line_error(capsys, "ParseError")
+    assert "'run.config'" in assert_one_line_error(capsys, "ParseError")
+
+
+def test_cam_on_version_3_checkpoint_one_line_error(tmp_path, capsys):
+    # version 3: u32 array count, then per array its name, shape and float64 data
+    v3 = b"UFSL" + struct.pack("<II", 3, 1) + struct.pack("<I13sII", 13, b"run.iteration", 1, 1)
+    (tmp_path / "v3.ufsl").write_bytes(v3 + struct.pack("<d", 2.0))
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "v3.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    err = assert_one_line_error(capsys, "ParseError")
+    assert "checkpoint version 3 is incompatible with reader version 4" in err
+    assert not (tmp_path / "cams").exists()
 
 
 def test_cam_on_point_checkpoint_one_line_error(tmp_path, capsys):
@@ -253,7 +295,7 @@ def test_cam_on_point_checkpoint_one_line_error(tmp_path, capsys):
 def test_cam_limit_below_one_one_line_error(tmp_path, capsys, limit):
     cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
-    save_checkpoint(tmp_path / "t.ufsl", trainer_to_arrays(state, encode_config(cfg)))
+    save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"), "--input", str(idx_path),
                      "--out", str(tmp_path / "cams"), "--limit", limit]) == 2
@@ -270,7 +312,7 @@ def test_cam_runs_the_critic_body_once(tmp_path, capsys, monkeypatch, ufs_block)
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
     gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)  # fills the UFS stats
-    save_checkpoint(tmp_path / "t.ufsl", trainer_to_arrays(state, encode_config(cfg)))
+    save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=3)
 
     calls = []

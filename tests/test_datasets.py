@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ufs_lab import datasets as ds
-from ufs_lab.errors import ConfigError, ParseError
+from ufs_lab import numerics as nm
+from ufs_lab.errors import ConfigError, ContractError, ParseError
 from ufs_lab.numerics import SeededRng
 from ufs_lab.selection import InstanceSelectionConfig
 
@@ -66,6 +67,23 @@ def test_idx_round_trip(tmp_path):
     path = tmp_path / "imgs.idx"
     ds.write_idx_images(imgs, path)
     assert np.array_equal(ds.load_idx_images(path), imgs)
+    ds.write_idx_images(imgs[:, ::2, ::-1], path)  # strided views are written in C order
+    assert np.array_equal(ds.load_idx_images(path), imgs[:, ::2, ::-1])
+
+
+def test_failed_idx_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "imgs.idx"
+    ds.write_idx_images(np.zeros((2, 4, 4), np.uint8), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nm.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        ds.write_idx_images(np.ones((3, 4, 4), np.uint8), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["imgs.idx"]
 
 
 def test_idx_normalization_range(tmp_path):
@@ -109,3 +127,21 @@ def test_dataset_config_validation():
         ds.DatasetConfig("nope")
     with pytest.raises(ConfigError):
         ds.DatasetConfig("idx_images")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "synthetic_shapes", "num_shapes": 0}, "num_shapes >= 1"),
+    ({"kind": "synthetic_shapes", "num_shapes": -3}, "num_shapes >= 1"),
+    ({"kind": "synthetic_shapes", "image_size": 4}, "image_size >= 8"),
+    ({"kind": "ring8", "sigma": 0.0}, "sigma must be > 0, got 0.0"),
+    ({"kind": "grid25", "sigma": -0.1}, "sigma must be > 0"),
+    ({"kind": "ring8", "sigma": float("nan")}, "sigma must be > 0, got nan"),
+])
+def test_dataset_config_rejects_values_the_dataset_cannot_use(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        ds.DatasetConfig(**kwargs)
+
+
+def test_image_bank_rejects_an_empty_stack():
+    with pytest.raises(ContractError, match="n >= 1"):
+        ds.ImageBank(np.zeros((0, 1, 16, 16)))

@@ -204,24 +204,44 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         "c.tensor": rng.normal((2, 3, 2, 2)),
     }
     path = tmp_path / "x.ufsl"
-    harness.save_checkpoint(path, arrays)
+    entries = {"run.iteration": 7, "name": "ü", "flags": [True, None], "x": 0.1}
+    harness.save_checkpoint(path, arrays, entries)
     assert path.read_bytes()[:4] == b"UFSL"
-    loaded = harness.load_checkpoint(path)
+    loaded, header = harness.load_checkpoint(path)
+    assert header == entries
     assert list(loaded) == list(arrays)
     for k in arrays:
         assert np.array_equal(loaded[k], arrays[k])
-        assert loaded[k].dtype == np.float64
+        assert loaded[k].dtype == np.float64 and loaded[k].flags.writeable
+    harness.save_checkpoint(path, arrays)
+    assert harness.load_checkpoint(path)[1] == {}
 
 
 def test_checkpoint_bytes_equal_the_joined_writer(tmp_path):
-    arrays = ring8_checkpoint()
+    arrays, header = ring8_checkpoint()
     arrays.update({"x.zero_d": np.float64(2.5), "x.empty": np.zeros((0, 3)),
                    "x.strided": np.arange(10.0)[::3], "x.ints": np.arange(4),
                    "x.fortran": np.asfortranarray(nm.SeededRng(2).normal((3, 4))),
                    "x.ünicode": np.ones((2, 1, 3))})
     path = tmp_path / "c.ufsl"
-    harness.save_checkpoint(path, arrays)
-    assert path.read_bytes() == checkpoint_bytes_joined(arrays)
+    harness.save_checkpoint(path, arrays, header)
+    assert path.read_bytes() == checkpoint_bytes_joined(arrays, header)
+    harness.save_checkpoint(path, {"embeddings": np.ones((3, 2))})
+    assert path.read_bytes() == checkpoint_bytes_joined({"embeddings": np.ones((3, 2))})
+
+
+def test_ring8_checkpoint_holds_twenty_arrays_and_a_json_header(tmp_path):
+    arrays, header = ring8_checkpoint()
+    assert len(arrays) == 20
+    assert [name for name in arrays if not name.startswith(("gen.", "disc."))] == [
+        "adam_g.m", "adam_g.v", "adam_d.m", "adam_d.v", "stats.mu_real", "stats.mu_fake"]
+    assert {k: v for k, v in header.items() if k != "run.config"} == {
+        "run.data_shape": [2], "run.iteration": 0, "adam_g.step": 0, "adam_d.step": 0,
+        "stats.initialized": False}
+    path = tmp_path / "c.ufsl"
+    harness.save_checkpoint(path, arrays, header)
+    _, stored = harness.load_checkpoint(path)
+    assert stored == json.loads(json.dumps(header))
 
 
 def test_points_dump_bytes_equal_the_per_row_form(tmp_path):
@@ -250,6 +270,52 @@ def test_checkpoint_rejects_garbage(tmp_path):
         harness.load_checkpoint(path)
 
 
+def container(header: bytes, data: bytes = b"") -> bytes:
+    """A version-4 file of the given header bytes and array data."""
+    return b"UFSL" + (4).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header + data
+
+
+@pytest.mark.parametrize("raw, message", [
+    (container(b'{"arrays": [["a", [2, 3]]]}', bytes(8 * 5)), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a", []]]}'), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a", [2]]]}')[:-3], "corrupt checkpoint near byte"),
+    (container(b"{not json"), "JSONDecodeError"),
+    (container(b'{"arrays": []}')[:-1], "JSONDecodeError"),
+    (container(b"\x80{}"), "UnicodeDecodeError"),
+    (container(b"{}"), "KeyError"),
+    (container(b"[1, 2]"), "corrupt checkpoint near byte"),
+    (container(b'"arrays"'), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": 3}'), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a"]]}'), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a", [1.5]]]}', bytes(8)), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a", "ab"]]}', bytes(16)), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a", [-1]]]}', bytes(16)), "has shape \\[-1\\]"),
+    (container(b'{"arrays": [["a", [2, -1]]]}', bytes(16)), "has shape \\[2, -1\\]"),
+    (container(b'{"arrays": [[["a"], [1]]]}', bytes(8)), "corrupt checkpoint near byte"),
+    (container(b'{"arrays": [["a", [1]]]}', bytes(9)), "data after the last array, from byte 44"),
+    (container(b'{"arrays": []}', bytes(8)), "data after the last array, from byte 26"),
+], ids=["data-cut-short", "0-d-data-missing", "last-array-cut-short", "header-not-json",
+        "header-cut-short", "header-not-utf8", "no-arrays-table", "header-a-list",
+        "header-a-string", "table-not-a-list", "entry-not-a-pair", "float-dim", "string-shape",
+        "negative-dim", "negative-dim-pair", "unhashable-name", "trailing-byte",
+        "trailing-array"])
+def test_load_checkpoint_rejects_malformed_files(tmp_path, raw, message):
+    path = tmp_path / "bad.ufsl"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message):
+        harness.load_checkpoint(path)
+
+
+def test_load_checkpoint_reads_well_formed_edge_cases(tmp_path):
+    path = tmp_path / "ok.ufsl"
+    path.write_bytes(container('{"arrays": [["ü", []], ["e", [0, 3]]], "n": 1}'.encode(),
+                               np.float64(2.5).tobytes()))
+    arrays, header = harness.load_checkpoint(path)
+    assert header == {"n": 1}
+    assert arrays["ü"].shape == () and float(arrays["ü"]) == 2.5
+    assert arrays["e"].shape == (0, 3)
+
+
 def trained_state(data_shape, train: gan.TrainConfig, steps: int = 2):
     """A trainer state a few critic and generator steps into a run."""
     state = gan.init_trainer(train, *gan.default_models(data_shape, nm.SeededRng(1)))
@@ -262,8 +328,8 @@ def trained_state(data_shape, train: gan.TrainConfig, steps: int = 2):
 
 
 def restore(state, cfg, path):
-    harness.save_checkpoint(path, harness.trainer_to_arrays(state, harness.encode_config(cfg)))
-    return harness.trainer_from_arrays(harness.load_checkpoint(path))
+    harness.save_checkpoint(path, *harness.trainer_to_arrays(state, dataclasses.asdict(cfg)))
+    return harness.trainer_from_arrays(*harness.load_checkpoint(path))
 
 
 def test_trainer_checkpoint_round_trip(tmp_path):
@@ -280,7 +346,8 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats.initialized)
                 for s in (state, restored)]
     assert counters == [(2, 2, 2, True)] * 2
-    # the loader fills the flat Adam moments through their per-array views
+    assert [type(c) for c in counters[1]] == [int, int, int, bool]
+    # the loader fills the flat Adam moments in place
     for live, back in ((state.adam_g, restored.adam_g), (state.adam_d, restored.adam_d)):
         assert np.any(live.m != 0.0) and np.any(live.v != 0.0)
         assert live.m.tobytes() == back.m.tobytes() and live.v.tobytes() == back.v.tobytes()
@@ -302,7 +369,7 @@ def test_checkpoint_stores_the_run_config_without_out_dir(tmp_path):
                                    "train.selection": {"k_start": 8, "k_end": 4}})
     result = harness.run_experiment(cfg)
     path = result.out_dir / "checkpoint_000004.ufsl"
-    stored, state = harness.trainer_from_arrays(harness.load_checkpoint(path))
+    stored, state = harness.trainer_from_arrays(*harness.load_checkpoint(path))
     assert stored.out_dir == harness.ExperimentConfig.out_dir
     assert dataclasses.replace(stored, out_dir=cfg.out_dir) == cfg
     assert state.t == 4 and state.cfg == cfg.train
@@ -315,9 +382,9 @@ def test_trainer_from_arrays_does_not_need_the_dataset_file(tmp_path):
     cfg = harness.config_from_dict({"dataset": {"kind": "idx_images", "path": str(idx)},
                                     "train": {"batch_size": 4}})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), nm.SeededRng(0)))
-    arrays = harness.trainer_to_arrays(state, harness.encode_config(cfg))
+    arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
     idx.unlink()
-    stored, _ = harness.trainer_from_arrays(arrays)
+    stored, _ = harness.trainer_from_arrays(arrays, header)
     assert stored.dataset.path == str(idx)
 
 
@@ -361,44 +428,58 @@ def test_cam_is_bitwise_the_per_variant_computation(ufs_block):
 def ring8_checkpoint():
     cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
     state = gan.init_trainer(cfg.train, *gan.default_models((2,), nm.SeededRng(0)))
-    return harness.trainer_to_arrays(state, harness.encode_config(cfg))
+    return harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
 
 
-def config_bytes(text):
-    return np.frombuffer(text.encode(), np.uint8).astype(float)
+def v3_config_bytes(header):
+    """The run config as version 3 stored it: its JSON, one byte per float64."""
+    return list(np.frombuffer(json.dumps(header["run.config"]).encode(), np.uint8).astype(float))
 
 
 @pytest.mark.parametrize("edit, error, message", [
-    (lambda a: a.pop("adam_d.m.03"), ParseError, "trainer checkpoint has no array 'adam_d.m.03'"),
-    (lambda a: a.update({"gen.00": a["gen.00"][:, :4]}), ParseError,
+    (lambda a, h: a.pop("adam_d.m"), ParseError, "trainer checkpoint has no array 'adam_d.m'"),
+    (lambda a, h: a.update({"gen.00": a["gen.00"][:, :4]}), ParseError,
      r"gen.00: expected shape \(64, 8\), got \(64, 4\)"),
-    (lambda a: a.update({"run.iteration": np.array([1.0, 2.0])}), ParseError,
-     r"run.iteration: expected shape \(1,\), got \(2,\)"),
-    (lambda a: a.update({"run.config": config_bytes("{not json")}), ParseError,
-     "run.config: not a JSON config"),
-    (lambda a: a.update({"run.config": a["run.config"] + 200.0}), ParseError,
-     "run.config: not a JSON config: bytes must be in range"),
-    (lambda a: a.update({"run.config": config_bytes('{"dataset": {}}')}), ConfigError,
+    (lambda a, h: a.update({"adam_g.v": a["adam_g.v"][1:]}), ParseError,
+     r"adam_g.v: expected shape \(4866,\), got \(4865,\)"),
+    (lambda a, h: h.update({"run.iteration": [1, 2]}), ParseError,
+     r"header entry 'run.iteration' should be an integer, got \[1, 2\]"),
+    (lambda a, h: h.pop("adam_g.step"), ParseError,
+     "not a trainer checkpoint: header entry 'adam_g.step' should be an integer, got no entry"),
+    (lambda a, h: h.update({"adam_d.step": 2.0}), ParseError,
+     "header entry 'adam_d.step' should be an integer, got 2.0"),
+    (lambda a, h: h.update({"stats.initialized": 1}), ParseError,
+     "header entry 'stats.initialized' should be true or false, got 1"),
+    (lambda a, h: h.update({"run.data_shape": ["2"]}), ParseError,
+     r"header entry 'run.data_shape' should be a list of integers, got \[\"2\"\]"),
+    (lambda a, h: h.update({"run.config": "{not json"}), ParseError,
+     "header entry 'run.config' should be an object"),
+    (lambda a, h: h.update({"run.config": v3_config_bytes(h)}), ParseError,
+     r"header entry 'run.config' should be an object, got \[123.0, 34.0, "),
+    (lambda a, h: h.update({"run.config": {"dataset": {}}}), ConfigError,
      "missing key run.config.dataset.kind"),
-], ids=["missing-array", "misshapen-array", "misshapen-counter", "config-not-json",
-        "config-not-bytes", "config-incomplete"])
+], ids=["missing-array", "misshapen-array", "misshapen-adam-moment", "misshapen-counter",
+        "missing-counter", "float-counter", "int-flag", "data-shape-strings", "config-not-json",
+        "config-as-bytes", "config-incomplete"])
 def test_trainer_from_arrays_names_the_bad_array(edit, error, message):
-    arrays = ring8_checkpoint()
-    edit(arrays)
+    arrays, header = ring8_checkpoint()
+    edit(arrays, header)
     with pytest.raises(error, match=message):
-        harness.trainer_from_arrays(arrays)
+        harness.trainer_from_arrays(arrays, header)
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
-    # version 2 stored configs with ufs keys that are gone since version 3
+    # version 2 stored configs with ufs keys that are gone since version 3, and
+    # version 3 stored the config, data shape and counters as float64 arrays
     path = tmp_path / "old.ufsl"
-    harness.save_checkpoint(path, ring8_checkpoint())
+    arrays, header = ring8_checkpoint()
+    harness.save_checkpoint(path, arrays, header)
     raw = bytearray(path.read_bytes())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match=f"checkpoint version {version} is incompatible "
-                                             "with reader version 3"):
+                                             "with reader version 4"):
             harness.load_checkpoint(path)
 
 
@@ -410,7 +491,7 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(harness.os, "replace", fail)
+    monkeypatch.setattr(nm.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
         harness.save_checkpoint(path, {"a": np.ones(5)})
     assert path.read_bytes() == before
@@ -426,7 +507,7 @@ def test_failed_replace_leaves_no_partial_samples_dump(tmp_path, monkeypatch, da
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(harness.os, "replace", fail)
+    monkeypatch.setattr(nm.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
         harness.run_experiment(cfg)
     assert list((tmp_path / "run").iterdir()) == []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ufs_lab import numerics as nm
 from ufs_lab import selection as sel
 from ufs_lab.errors import ContractError, NumericError
 from ufs_lab.numerics import SeededRng
@@ -202,3 +203,17 @@ def test_index_file_round_trip(tmp_path):
     path = tmp_path / "kept.txt"
     sel.write_index_file(np.array([3, 1, 4, 15]), path)
     assert path.read_text() == "3\n1\n4\n15\n"
+
+
+def test_failed_index_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "kept.txt"
+    sel.write_index_file(np.array([3, 1]), path)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nm.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        sel.write_index_file(np.array([4, 15, 9]), path)
+    assert path.read_text() == "3\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
