@@ -2,8 +2,9 @@
 """Print determinism fingerprints of short preset runs, for comparing two trees.
 
 Runs, one after another in a temporary directory: the four ring8 presets cut
-to 300 iterations (evaluation every 100 on 2000 samples), and one 20-iteration
-16x16 synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
+to 300 iterations (evaluation every 100 on 2000 samples), the ring8_topk_ufs
+preset on grid25 cut the same way, and one 20-iteration 16x16
+synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
 run it prints the sha256 of the metrics CSV without its wall_seconds column
 and of the last samples dump, then, on a line of its own, the sha256 of the
 trainer state restored from the run's last checkpoint (its counters and
@@ -96,10 +97,12 @@ def cam_fingerprint(run_dir: Path) -> str:
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [(name, load_config(CONFIG_DIR / f"{name}.json",
-                                   [f"out_dir={tmp}/{name}", "train.iterations=300",
-                                    "eval_every=100", "eval_samples=2000"]))
+        cut = ["train.iterations=300", "eval_every=100", "eval_samples=2000"]
+        runs = [(name, load_config(CONFIG_DIR / f"{name}.json", [f"out_dir={tmp}/{name}"] + cut))
                 for name in PRESETS]
+        runs.append(("grid25", load_config(CONFIG_DIR / "ring8_topk_ufs.json",
+                                           [f"out_dir={tmp}/grid25", 'dataset.kind="grid25"']
+                                           + cut)))
         runs.append(("shapes16", config_from_dict(dict(SHAPES16, out_dir=f"{tmp}/shapes16"))))
         for name, cfg in runs:
             print(f"{name} {fingerprint(cfg)}", flush=True)

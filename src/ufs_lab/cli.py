@@ -58,8 +58,12 @@ def _cmd_eval(args) -> int:
 def _cmd_cam(args) -> int:
     if args.limit < 1:  # a slice bound below 1 would drop images, not cap them
         raise ContractError(f"--limit must be >= 1, got {args.limit}")
-    _, state = trainer_from_arrays(*load_checkpoint(args.checkpoint))
+    if args.upsample < 1:
+        raise ContractError(f"--upsample must be >= 1, got {args.upsample}")
     images = normalize_images(load_idx_images(args.input))[:args.limit]
+    if len(images) == 0:
+        raise ParseError(f"{args.input}: IDX file holds no images")
+    _, state = trainer_from_arrays(*load_checkpoint(args.checkpoint))
     maps = compute_cam(state, images)
     if "cam_ufs" not in maps:
         print("note: checkpoint has no UFS mask (UFS off or feature statistics empty); "

@@ -12,30 +12,35 @@ from .errors import ConfigError, ContractError, ParseError
 from .numerics import Array, SeededRng, as_f64, write_atomic
 from .selection import InstanceSelectionConfig, instance_select
 
-DATASET_KINDS = ("ring8", "grid25", "idx_images", "synthetic_shapes")
+# Each kind, the fields it reads and what null stands for; other fields stay null.
+DATASET_KINDS = {"ring8": {}, "grid25": {},
+                 "idx_images": {"path": None, "instance_selection": None},
+                 "synthetic_shapes": {"image_size": 16, "num_shapes": 2048,
+                                      "instance_selection": None}}
 
 
-@dataclass(frozen=True)
+@dataclass
 class DatasetConfig:
     kind: str
-    radius: float = 2.0
-    sigma: float | None = None  # per-kind default resolved in make_dataset
-    spacing: float = 2.0
     path: str | None = None
-    image_size: int = 16
-    num_shapes: int = 2048
+    image_size: int | None = None
+    num_shapes: int | None = None
     instance_selection: InstanceSelectionConfig | None = None
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        reads = DATASET_KINDS[self.kind]
+        for name in ("path", "image_size", "num_shapes", "instance_selection"):
+            if getattr(self, name) is None:
+                setattr(self, name, reads.get(name))
+            elif name not in reads:
+                raise ConfigError(f"{name} is not read by dataset kind {self.kind!r}")
         if self.kind == "idx_images" and not self.path:
             raise ConfigError("idx_images dataset needs a path")
         if self.kind == "synthetic_shapes" and (self.num_shapes < 1 or self.image_size < 8):
             raise ConfigError(f"synthetic_shapes needs num_shapes >= 1 and image_size >= 8, "
                               f"got {self.num_shapes} and {self.image_size}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
 
 
 class PointMixture:
@@ -64,15 +69,15 @@ class ImageBank:
         return self.data[rng.integers(len(self.data), size=n)]
 
 
-def ring_centers(radius: float = 2.0) -> Array:
-    """Eight mode centers at 45-degree steps; mode 0 sits at (radius, 0)."""
+def ring_centers() -> Array:
+    """Eight mode centers at 45-degree steps on a circle of radius 2; mode 0 sits at (2, 0)."""
     angles = np.arange(8) * (np.pi / 4.0)
-    return np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+    return np.stack([2.0 * np.cos(angles), 2.0 * np.sin(angles)], axis=1)
 
 
-def grid_centers(spacing: float = 2.0) -> Array:
-    """5x5 grid of mode centers, spacing apart, centered on the origin."""
-    offsets = (np.arange(5) - 2.0) * spacing
+def grid_centers() -> Array:
+    """5x5 grid of mode centers, 2 apart, centered on the origin."""
+    offsets = (np.arange(5) - 2.0) * 2.0
     xs, ys = np.meshgrid(offsets, offsets, indexing="ij")
     return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
@@ -153,9 +158,9 @@ def synthetic_shapes(n: int, size: int, rng: SeededRng) -> Array:
 def make_dataset(cfg: DatasetConfig, rng: SeededRng):
     """Build a sample source; rng seeds any procedural generation."""
     if cfg.kind == "ring8":
-        return PointMixture(ring_centers(cfg.radius), cfg.sigma if cfg.sigma is not None else 0.02)
+        return PointMixture(ring_centers(), 0.02)
     if cfg.kind == "grid25":
-        return PointMixture(grid_centers(cfg.spacing), cfg.sigma if cfg.sigma is not None else 0.05)
+        return PointMixture(grid_centers(), 0.05)
     if cfg.kind == "idx_images":
         images = normalize_images(load_idx_images(cfg.path))
     else:  # synthetic_shapes

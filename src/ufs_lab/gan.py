@@ -21,7 +21,7 @@ import numpy as np
 
 from . import selection as selection_mod
 from . import ufs as ufs_mod
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .numerics import (
     AdamState,
     Array,
@@ -43,15 +43,19 @@ from .numerics import (
 LOSS_KINDS = ("wgan", "wgan_gp", "hinge")
 
 
-@dataclass(frozen=True)
+@dataclass
 class LossKind:
     kind: str = "wgan_gp"
-    gp_lambda: float = 10.0
+    gp_lambda: float | None = None  # read by wgan_gp only, where null stands for 10
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ContractError(f"unknown loss kind {self.kind!r}")
-        if self.gp_lambda < 0:
+        if self.gp_lambda is None:
+            self.gp_lambda = 10.0 if self.kind == "wgan_gp" else None
+        elif self.kind != "wgan_gp":
+            raise ConfigError(f"gp_lambda is not read by loss kind {self.kind!r}")
+        elif self.gp_lambda < 0:
             raise ContractError(f"gp_lambda must be >= 0, got {self.gp_lambda}")
 
 
@@ -361,9 +365,9 @@ def default_models(data_shape, rng: SeededRng):
     """Small CPU-friendly generator/critic pair for 2-d points or 1-channel images.
 
     Point tasks use leaky MLPs on both sides. Image critics downsample with
-    three stride-2 convolutions into 128 channels; the image generator is a
-    dense stack with a tanh output reshaped to the image (the layer set has
-    no upsampling primitive).
+    three 3x3 stride-2 convolutions into 128 channels, so images need at
+    least 15x15 pixels; the image generator is a dense stack with a tanh
+    output reshaped to the image (the layer set has no upsampling primitive).
     """
     data_shape = tuple(data_shape)
     if data_shape == (2,):
@@ -378,6 +382,8 @@ def default_models(data_shape, rng: SeededRng):
         channels = 64
     elif len(data_shape) == 3 and data_shape[0] == 1:
         h, w = data_shape[1], data_shape[2]
+        if min(h, w) < 15:
+            raise ContractError(f"the default image critic needs at least 15x15 pixels, got {h}x{w}")
         gen = GeneratorNet(
             IMAGE_LATENT_DIM,
             Network.init([dense(IMAGE_LATENT_DIM, 256), leaky_relu(0.2),

@@ -217,8 +217,7 @@ def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
     (["--set", "dataset.num_shapes=0"], "num_shapes >= 1"),
     (["--set", "dataset.num_shapes=-3"], "num_shapes >= 1"),
     (["--set", "dataset.image_size=4"], "image_size >= 8"),
-    (["--set", 'dataset.kind="ring8"', "--set", "dataset.sigma=0"], "sigma must be > 0"),
-], ids=["no-shapes", "negative-shapes", "image-size-4", "ring8-sigma-0"])
+], ids=["no-shapes", "negative-shapes", "image-size-4"])
 def test_run_bad_dataset_value_one_line_error(tmp_path, capsys, args, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(RING8_RUN, out_dir=str(tmp_path / "run"))))
@@ -226,6 +225,59 @@ def test_run_bad_dataset_value_one_line_error(tmp_path, capsys, args, message):
     assert cli.main(argv) == 2
     err = assert_one_line_error(capsys, "ConfigError")
     assert "config.dataset: " in err and message in err
+    assert not (tmp_path / "run").exists()
+
+
+# Keys the chosen kind does not read, each set to a value another kind reads.
+POINT_UNREAD = {"instance_selection": {"retention_ratio": 0.5}, "image_size": 16,
+                "num_shapes": 2048, "path": "nowhere.idx"}
+UNREAD_DATASET_KEYS = [*[(kind, key, {key: value}) for kind in ("ring8", "grid25")
+                         for key, value in POINT_UNREAD.items()],
+                       ("synthetic_shapes", "path", {"path": "nowhere.idx"}),
+                       ("idx_images", "image_size", {"path": "nowhere.idx", "image_size": 16}),
+                       ("idx_images", "num_shapes", {"path": "nowhere.idx", "num_shapes": 2048})]
+UNREAD_KEYS = [
+    *[pytest.param({"kind": kind, key: value}, None, f"unknown key config.dataset.{key}",
+                   id=f"{kind}-{key}")
+      for kind, key, value in (("ring8", "radius", 2.0), ("grid25", "spacing", 2.0),
+                               ("ring8", "sigma", 0.02), ("grid25", "sigma", 0.05),
+                               ("synthetic_shapes", "sigma", 0.02))],
+    *[pytest.param(dict(kind=kind, **block), None,
+                   f"config.dataset: {key} is not read by dataset kind '{kind}'", id=f"{kind}-{key}")
+      for kind, key, block in UNREAD_DATASET_KEYS],
+    *[pytest.param(None, {"kind": kind, "gp_lambda": value},
+                   f"config.train.loss: gp_lambda is not read by loss kind '{kind}'",
+                   id=f"{kind}-gp_lambda")
+      for kind, value in (("wgan", 10.0), ("hinge", 50))],
+]
+
+
+@pytest.mark.parametrize("dataset, loss, message", UNREAD_KEYS)
+def test_run_key_the_kind_does_not_read_one_line_error(tmp_path, capsys, dataset, loss, message):
+    cfg = dict(RING8_RUN, out_dir=str(tmp_path / "run"))
+    if dataset is not None:
+        cfg["dataset"] = dataset
+    if loss is not None:
+        cfg["train"] = dict(cfg["train"], loss=loss)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert message in assert_one_line_error(capsys, "ConfigError")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dataset, got", [
+    ({"kind": "synthetic_shapes", "image_size": 14, "num_shapes": 8}, "14x14"),
+    ({"kind": "idx_images", "path": "small.idx"}, "10x10"),
+], ids=["shapes-14", "idx-10x10"])
+def test_run_on_images_too_small_for_the_critic_one_line_error(tmp_path, capsys, dataset, got):
+    ds.write_idx_images(np.zeros((4, 10, 10), np.uint8), tmp_path / "small.idx")
+    if "path" in dataset:
+        dataset = dict(dataset, path=str(tmp_path / dataset["path"]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(RING8_RUN, dataset=dataset, out_dir=str(tmp_path / "run"))))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert f"at least 15x15 pixels, got {got}" in assert_one_line_error(capsys, "ContractError")
     assert not (tmp_path / "run").exists()
 
 
@@ -300,6 +352,29 @@ def test_cam_limit_below_one_one_line_error(tmp_path, capsys, limit):
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"), "--input", str(idx_path),
                      "--out", str(tmp_path / "cams"), "--limit", limit]) == 2
     assert f"--limit must be >= 1, got {limit}" in assert_one_line_error(capsys, "ContractError")
+    assert not (tmp_path / "cams").exists()
+
+
+def test_cam_upsample_below_one_one_line_error(tmp_path, capsys):
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=3)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"), "--input", str(idx_path),
+                     "--out", str(tmp_path / "cams"), "--upsample", "0"]) == 2
+    assert "--upsample must be >= 1, got 0" in assert_one_line_error(capsys, "ContractError")
+    assert not (tmp_path / "cams").exists()
+
+
+def test_cam_on_empty_idx_file_one_line_error(tmp_path, capsys):
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
+    idx_path = tmp_path / "empty.idx"
+    ds.write_idx_images(np.zeros((0, 16, 16), np.uint8), idx_path)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"), "--input", str(idx_path),
+                     "--out", str(tmp_path / "cams")]) == 2
+    assert "empty.idx: IDX file holds no images" in assert_one_line_error(capsys, "ParseError")
     assert not (tmp_path / "cams").exists()
 
 

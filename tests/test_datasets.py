@@ -9,14 +9,14 @@ from ufs_lab.selection import InstanceSelectionConfig
 
 
 def test_ring_mode_zero_center():
-    centers = ds.ring_centers(2.0)
+    centers = ds.ring_centers()
     assert np.allclose(centers[0], [2.0, 0.0])
     assert centers.shape == (8, 2)
     assert np.allclose(np.linalg.norm(centers, axis=1), 2.0)
 
 
 def test_grid_centers_layout():
-    centers = ds.grid_centers(2.0)
+    centers = ds.grid_centers()
     assert centers.shape == (25, 2)
     assert centers.min() == -4.0 and centers.max() == 4.0
 
@@ -133,13 +133,26 @@ def test_dataset_config_validation():
     ({"kind": "synthetic_shapes", "num_shapes": 0}, "num_shapes >= 1"),
     ({"kind": "synthetic_shapes", "num_shapes": -3}, "num_shapes >= 1"),
     ({"kind": "synthetic_shapes", "image_size": 4}, "image_size >= 8"),
-    ({"kind": "ring8", "sigma": 0.0}, "sigma must be > 0, got 0.0"),
-    ({"kind": "grid25", "sigma": -0.1}, "sigma must be > 0"),
-    ({"kind": "ring8", "sigma": float("nan")}, "sigma must be > 0, got nan"),
 ])
 def test_dataset_config_rejects_values_the_dataset_cannot_use(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         ds.DatasetConfig(**kwargs)
+
+
+def test_dataset_config_fills_the_fields_its_kind_reads_and_leaves_the_rest_null():
+    assert ds.DatasetConfig("synthetic_shapes") == ds.DatasetConfig(
+        "synthetic_shapes", None, 16, 2048, None)
+    for kind in ("ring8", "grid25"):
+        assert ds.DatasetConfig(kind) == ds.DatasetConfig(kind, None, None, None, None)
+    assert ds.DatasetConfig("idx_images", "a.idx") == ds.DatasetConfig(
+        "idx_images", "a.idx", None, None, None)
+
+
+def test_dataset_config_rejects_a_field_its_kind_does_not_read():
+    with pytest.raises(ConfigError, match="image_size is not read by dataset kind 'ring8'"):
+        ds.DatasetConfig("ring8", image_size=16)  # the value the shapes kind reads
+    with pytest.raises(ConfigError, match="path is not read by dataset kind 'synthetic_shapes'"):
+        ds.DatasetConfig("synthetic_shapes", path="a.idx")
 
 
 def test_image_bank_rejects_an_empty_stack():

@@ -7,7 +7,7 @@ from helpers import (AdamOracle, adam_step_oracle, critic_objective_per_group, f
                      small_mlp_disc, split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ContractError, DimensionError, NumericError
+from ufs_lab.errors import ConfigError, ContractError, DimensionError, NumericError
 
 
 # --- forward split ------------------------------------------------------------ #
@@ -476,6 +476,19 @@ def test_generator_step_score_linearity_identity():
 def test_n_critic_default_depends_on_loss():
     assert gan.TrainConfig(loss=gan.LossKind("wgan_gp")).n_critic == 5
     assert gan.TrainConfig(loss=gan.LossKind("hinge")).n_critic == 1
+
+
+def test_gp_lambda_is_read_by_wgan_gp_only():
+    assert gan.LossKind("wgan_gp").gp_lambda == 10.0
+    assert gan.LossKind("wgan").gp_lambda is None and gan.LossKind("hinge").gp_lambda is None
+    with pytest.raises(ConfigError, match="gp_lambda is not read by loss kind 'hinge'"):
+        gan.LossKind("hinge", 10.0)
+
+
+def test_default_image_critic_needs_15_pixels_a_side():
+    gan.default_models((1, 15, 15), nm.SeededRng(0))
+    with pytest.raises(ContractError, match="at least 15x15 pixels, got 15x14"):
+        gan.default_models((1, 15, 14), nm.SeededRng(0))
 
 
 def test_selection_k_start_bounded_by_batch():

@@ -101,11 +101,11 @@ def test_config_error_names_dotted_key(obj, message):
 
 def test_decoder_accepts_int_for_float_and_null_for_optional():
     cfg = harness.config_from_dict({
-        "dataset": {"kind": "ring8", "radius": 3, "sigma": None},
+        "dataset": {"kind": "ring8", "path": None},
         "train": {"n_critic": None, "ufs": {"alpha": 0, "beta": 1, "epsilon": 1},
-                  "selection": None},
+                  "selection": None, "loss": {"kind": "wgan_gp", "gp_lambda": 3}},
     })
-    assert cfg.dataset.radius == 3 and cfg.dataset.sigma is None
+    assert cfg.train.loss.gp_lambda == 3 and cfg.dataset.path is None
     assert cfg.train.n_critic == 5  # wgan_gp default
     assert cfg.train.ufs == ufs.UfsConfig(0.0, 1.0, 1.0) and cfg.train.selection is None
 
@@ -120,11 +120,17 @@ FULL_CONFIG = {
 }
 
 
+# Blocks whose fields the chosen kind does not read are stored as null.
+EXTRA_CONFIGS = {"every_block": FULL_CONFIG,
+                 "grid25": {"dataset": {"kind": "grid25"}, "train": {}},
+                 "hinge": {"dataset": RING8, "train": {"loss": {"kind": "hinge"}}}}
+
+
 @pytest.mark.parametrize("name", ["ring8_baseline", "ring8_ufs", "ring8_topk",
-                                  "ring8_topk_ufs", "every_block"])
+                                  "ring8_topk_ufs", *EXTRA_CONFIGS])
 def test_config_round_trips_through_asdict(name):
-    if name == "every_block":
-        cfg = harness.config_from_dict(json.loads(json.dumps(FULL_CONFIG)))
+    if name in EXTRA_CONFIGS:
+        cfg = harness.config_from_dict(json.loads(json.dumps(EXTRA_CONFIGS[name])))
     else:
         cfg = harness.load_config(CONFIG_DIR / f"{name}.json")
     assert harness.config_from_dict(dataclasses.asdict(cfg)) == cfg
@@ -133,16 +139,17 @@ def test_config_round_trips_through_asdict(name):
 def test_load_config_round_trips_fields(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "dataset": {"kind": "grid25", "sigma": 0.1},
+        "dataset": {"kind": "grid25"},
         "train": {"batch_size": 16, "iterations": 7, "seed": 42,
                   "loss": {"kind": "hinge"},
-                  "selection": {"mode": "bottom", "k_start": 8, "k_end": 4}},
+                  "selection": {"mode": "bottom", "k_start": 8, "k_end": 4,
+                                "anneal_fraction": 0.1}},
         "eval_every": 5,
         "out_dir": "somewhere",
     }))
     cfg = harness.load_config(path)
     assert cfg.dataset.kind == "grid25"
-    assert cfg.dataset.sigma == 0.1
+    assert cfg.train.selection.anneal_fraction == 0.1
     assert cfg.train.loss.kind == "hinge"
     assert cfg.train.n_critic == 1  # hinge default
     assert cfg.train.selection.mode == "bottom"
