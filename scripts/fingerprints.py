@@ -7,9 +7,9 @@ preset on grid25 cut the same way, and one 20-iteration 16x16
 synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
 run it prints the sha256 of the metrics CSV without its wall_seconds column
 and of the last samples dump, then, on a line of its own, the sha256 of the
-trainer state restored from the run's last checkpoint (its counters and
-arrays, not the file's bytes, so a change of the checkpoint format that
-restores the same state keeps it). Last, it runs `ufs-lab cam` on the
+trainer state restored from the run's last checkpoint (the counters and
+arrays `harness.trainer_to_arrays` gives for it, not the file's bytes, so a
+change of the checkpoint format that restores the same state keeps it). Last, it runs `ufs-lab cam` on the
 shapes16 run's last checkpoint with 8 synthetic shapes and prints the
 sha256 of the PGMs it writes. A refactor that keeps behaviour prints the
 same lines before and after:
@@ -28,7 +28,8 @@ import numpy as np
 from ufs_lab import cli
 from ufs_lab.datasets import synthetic_shapes, write_idx_images
 from ufs_lab.harness import (config_from_dict, load_checkpoint, load_config,
-                             read_csv_without_wall_seconds, run_experiment, trainer_from_arrays)
+                             read_csv_without_wall_seconds, run_experiment, trainer_from_arrays,
+                             trainer_to_arrays)
 from ufs_lab.numerics import SeededRng
 
 PRESETS = ("ring8_baseline", "ring8_ufs", "ring8_topk", "ring8_topk_ufs")
@@ -65,15 +66,14 @@ def fingerprint(cfg) -> str:
 
 
 def state_digest(run_dir: Path) -> str:
-    """sha256 of the trainer state restored from the run's last checkpoint:
-    the counters, then the generator and critic parameters, the flat Adam
-    moments and the feature-statistics means."""
+    """sha256 of the trainer state restored from the run's last checkpoint, as
+    `trainer_to_arrays` gives it to a checkpoint: the header's counters (every
+    entry but the config and the data shape), then each state array in order."""
     _, state = trainer_from_arrays(*load_checkpoint(sorted(run_dir.glob("checkpoint_*"))[-1]))
-    digest = hashlib.sha256(repr((state.t, state.adam_g.step, state.adam_d.step,
-                                  state.stats.initialized)).encode())
-    for arr in state.gen.net.param_list() + state.disc.param_list() + [
-            state.adam_g.m, state.adam_g.v, state.adam_d.m, state.adam_d.v,
-            state.stats.mu_real, state.stats.mu_fake]:
+    arrays, header = trainer_to_arrays(state, {})
+    counters = tuple(v for k, v in header.items() if k not in ("run.config", "run.data_shape"))
+    digest = hashlib.sha256(repr(counters).encode())
+    for arr in arrays.values():
         digest.update(arr.tobytes())
     return digest.hexdigest()
 

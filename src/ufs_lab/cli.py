@@ -16,8 +16,9 @@ from .errors import (ConfigError, ContractError, DimensionError, NumericError, P
                      UnsupportedArchitectureError)
 from .harness import (load_checkpoint, load_config, run_experiment, save_embeddings,
                       trainer_from_arrays)
-from .metrics import fit_gaussian, frechet_distance, manifold_metrics, measure
-from .selection import InstanceSelectionConfig, instance_select, write_index_file
+from .metrics import MANIFOLD_K, fit_gaussian, frechet_distance, manifold_metrics, measure
+from .selection import (COVARIANCE_MODES, InstanceSelectionConfig, instance_select,
+                        write_index_file)
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="metrics between two sample files")
     p_eval.add_argument("--real", required=True)
     p_eval.add_argument("--fake", required=True)
-    p_eval.add_argument("-k", type=int, default=3)
+    p_eval.add_argument("-k", type=int, default=MANIFOLD_K)
     p_eval.add_argument("--dump-embeddings", default=None, metavar="DIR",
                         help="also write both sample sets as UFSL embedding files")
     p_eval.set_defaults(func=_cmd_eval)
@@ -113,13 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cam.add_argument("--run-id", default=None)
     p_cam.set_defaults(func=_cmd_cam)
 
+    select_defaults = InstanceSelectionConfig()
     p_sel = sub.add_parser("select", help="prune a dataset by Gaussian log-density")
     p_sel.add_argument("--dataset", required=True, help="IDX image file")
-    p_sel.add_argument("--retention", type=float, default=0.5)
+    p_sel.add_argument("--retention", type=float, default=select_defaults.retention_ratio)
     p_sel.add_argument("--out", required=True)
-    p_sel.add_argument("--seed", type=int, default=0)
-    p_sel.add_argument("--cov-mode", default="full_shrinkage",
-                       choices=("full_shrinkage", "diagonal"))
+    p_sel.add_argument("--seed", type=int, default=select_defaults.embedder_seed)
+    p_sel.add_argument("--cov-mode", default=select_defaults.covariance_mode,
+                       choices=COVARIANCE_MODES)
     p_sel.set_defaults(func=_cmd_select)
     return parser
 

@@ -23,6 +23,7 @@ from . import selection as selection_mod
 from . import ufs as ufs_mod
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .numerics import (
+    WEIGHT_STD,
     AdamState,
     Array,
     Network,
@@ -117,8 +118,17 @@ class DiscriminatorNet:
 
 
 def score_from_features(d: DiscriminatorNet, features: Array) -> Array:
-    """Linear head applied per sample; bitwise equal to a dense layer stacked on the body."""
+    """Linear head applied per sample, to plain or masked features; bitwise
+    equal to a dense layer stacked on the body."""
     return (features @ d.w.reshape(-1, 1) + d.b)[:, 0]
+
+
+def head_feature_grad(w: Array, s: Array | None, dscores: Array) -> Array:
+    """The (n, C) gradient at the features of a loss with per-sample score
+    gradients dscores: w_c per channel, times the mask s when one is applied."""
+    if s is None:
+        return dscores[:, None] * w[None, :]
+    return dscores[:, None] * (w[None, :] * s)
 
 
 # --- losses ----------------------------------------------------------------- #
@@ -162,19 +172,19 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
     parameter gradients); biases receive none, since the input gradient of
     a piecewise-linear critic does not depend on them. The head is linear, so
     the score's gradient at the pooled features is w in every row, and dw is
-    ones.T @ q, where q is the second-order term carried up to the features.
+    ones @ q, where q is the second-order term carried up to the features.
     """
     specs, params = d.body.specs, d.body.params
     n = len(cache[0])
-    ones = np.ones((n, 1))
-    gx, tape = backward_pass(specs, params, cache, ones @ d.w.reshape(1, -1))
+    ones = np.ones(n)
+    gx, tape = backward_pass(specs, params, cache, head_feature_grad(d.w, None, ones))
     axes = tuple(range(1, gx.ndim))
     norms = np.sqrt((gx * gx).sum(axis=axes))
     value = gp_lambda * float(((norms - 1.0) ** 2).mean())
     coef = gp_lambda * 2.0 * (norms - 1.0) / (n * np.maximum(norms, 1e-12))
     v = gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1))
     pgrads, q = input_grad_param_grads(specs, params, cache, tape, v)
-    return value, pgrads, (ones.T @ q)[0]
+    return value, pgrads, ones @ q
 
 
 # --- objective gradients ------------------------------------------------------ #
@@ -210,8 +220,10 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
     dw = dr @ y_r + df @ y_f
     db = np.array([dr.sum() + df.sum()])
-    _, tape_r = backward_pass(specs, params, cache_r, np.outer(dr, d.w), input_grad=False)
-    _, tape_f = backward_pass(specs, params, cache_f, np.outer(df, d.w), input_grad=False)
+    _, tape_r = backward_pass(specs, params, cache_r, head_feature_grad(d.w, None, dr),
+                              input_grad=False)
+    _, tape_f = backward_pass(specs, params, cache_f, head_feature_grad(d.w, None, df),
+                              input_grad=False)
     body_grads = param_grads(specs, cache_r, tape_r)
     body_grads += param_grads(specs, cache_f, tape_f)
     penalty = 0.0
@@ -224,18 +236,9 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     return value + penalty, np.concatenate([body_grads, dw, db]), diag
 
 
-def generator_feature_grad(w: Array, s: Array | None, dscores: Array) -> Array:
-    """Upstream gradient on the pooled features: per channel w_c (times the mask)."""
-    if s is None:
-        return dscores[:, None] * w[None, :]
-    return dscores[:, None] * (w[None, :] * s)
-
-
 # --- training state and steps -------------------------------------------------- #
 
 ADAM_LR = 5e-4
-ADAM_B1 = 0.5
-ADAM_B2 = 0.9
 LR_TAPER_START = 0.7  # fraction of the run after which the rate ramps down
 LR_TAPER_FLOOR = 0.05
 
@@ -252,15 +255,10 @@ class TrainerState:
 
 
 def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
-    """Adam (ADAM_LR, ADAM_B1, ADAM_B2) on both networks, with empty feature stats."""
-    return TrainerState(
-        cfg=cfg,
-        gen=gen,
-        disc=disc,
-        adam_g=AdamState.for_params(gen.net.param_list(), ADAM_LR, ADAM_B1, ADAM_B2),
-        adam_d=AdamState.for_params(disc.param_list(), ADAM_LR, ADAM_B1, ADAM_B2),
-        stats=ufs_mod.FeatureStats.empty(disc.feature_dim),
-    )
+    """Adam on both networks, with empty feature stats."""
+    return TrainerState(cfg, gen, disc, AdamState.for_params(gen.net.param_list()),
+                        AdamState.for_params(disc.param_list()),
+                        ufs_mod.FeatureStats.empty(disc.feature_dim))
 
 
 def _current_lr(state: TrainerState) -> float:
@@ -293,8 +291,7 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
         raise NumericError(f"critic loss diverged: {loss}")
     # statistics use the head weights as they were during this forward pass
     ufs_mod.update_stats(state.stats, d.w, diag["y_real"], diag["y_fake"])
-    state.adam_d.lr = _current_lr(state)
-    adam_step(state.adam_d, d.param_list(), grads)
+    adam_step(state.adam_d, d.param_list(), grads, _current_lr(state))
     return loss
 
 
@@ -305,8 +302,8 @@ def generator_mask(state: TrainerState, features: Array) -> Array | None:
     cfg = state.cfg
     if cfg.ufs is None or not state.stats.initialized:
         return None
-    return ufs_mod.suppression_mask(state.stats, state.disc.w, features,
-                                    ufs_mod.effective_config(cfg.ufs, state.t, cfg.iterations))
+    return ufs_mod.suppression_mask(state.stats, state.disc.w, features, cfg.ufs,
+                                    ufs_mod.anneal_beta(cfg.ufs, state.t, cfg.iterations))
 
 
 def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
@@ -324,10 +321,7 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     fake, gcache = state.gen.sample(z, want_cache=True)
     y_f, dcache = forward_pass(d.body.specs, d.body.params, fake)
     s = generator_mask(state, y_f)
-    if s is not None:
-        scores = ufs_mod.apply_suppression(y_f, s, d.w, d.b)
-    else:
-        scores = score_from_features(d, y_f)
+    scores = score_from_features(d, y_f if s is None else ufs_mod.apply_suppression(y_f, s))
     n = len(scores)
     if cfg.selection is not None:
         k = selection_mod.anneal_k(cfg.selection, state.t, cfg.iterations)
@@ -336,7 +330,7 @@ def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     else:
         weights = np.full(n, 1.0 / n)
     loss = -float(scores @ weights)
-    d_y = generator_feature_grad(d.w, s, -weights)
+    d_y = head_feature_grad(d.w, s, -weights)
     dx, _ = backward_pass(d.body.specs, d.body.params, dcache, d_y)
     return loss, state.gen.backward(gcache, dx), scores, s, weights
 
@@ -348,8 +342,7 @@ def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
     loss, ggrads, _, _, _ = generator_objective_grads(state, z, rng)
     if not math.isfinite(loss):
         raise NumericError(f"generator loss diverged: {loss}")
-    state.adam_g.lr = _current_lr(state)
-    adam_step(state.adam_g, state.gen.net.param_list(), ggrads)
+    adam_step(state.adam_g, state.gen.net.param_list(), ggrads, _current_lr(state))
     state.t += 1
     return loss
 
@@ -397,5 +390,5 @@ def default_models(data_shape, rng: SeededRng):
         channels = 128
     else:
         raise ContractError(f"no default architecture for data shape {data_shape}")
-    disc = DiscriminatorNet(body, rng.normal((channels,), 0.0, 0.02), np.zeros(1))
+    disc = DiscriminatorNet(body, rng.normal((channels,), 0.0, WEIGHT_STD), np.zeros(1))
     return gen, disc

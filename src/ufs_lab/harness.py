@@ -27,11 +27,9 @@ from . import gan as gan_mod
 from .attribution import encode_pgm
 from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
-from .metrics import (ball_bounds, fit_gaussian, frechet_distance, manifold_metrics, measure,
-                      mode_coverage)
+from .metrics import (MANIFOLD_K, MAX_SAMPLES, ball_bounds, fit_gaussian, frechet_distance,
+                      manifold_metrics, measure, mode_coverage)
 from .numerics import Array, SeededRng, write_atomic
-
-MANIFOLD_K = 3
 
 
 @dataclass
@@ -81,9 +79,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if not MANIFOLD_K < self.eval_samples <= 10_000:
+        if not MANIFOLD_K < self.eval_samples <= MAX_SAMPLES:
             raise ConfigError(
-                f"eval_samples must be in ({MANIFOLD_K}, 10000], got {self.eval_samples}")
+                f"eval_samples must be in ({MANIFOLD_K}, {MAX_SAMPLES}], got {self.eval_samples}")
 
 
 # --- strict JSON config -------------------------------------------------------- #
@@ -114,7 +112,10 @@ def _decode(cls, obj, where: str):
 
 
 def _decode_value(hint, value, where: str):
-    """bool is not int, int is accepted for float, None only for `| None` hints."""
+    """bool is not int, int is accepted for float, None only for `| None` hints;
+    NaN and the infinities, which Python's json reads, are refused."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
     options = typing.get_args(hint) or (hint,)
     for option in options:
         if is_dataclass(option) and isinstance(value, dict):

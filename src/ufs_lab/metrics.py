@@ -28,6 +28,11 @@ from .errors import ContractError, DimensionError, NumericError
 from .numerics import (Array, SeededRng, as_f64, conv2d_forward, global_sum_pool,
                        unbuffered_ufuncs)
 
+MANIFOLD_K = 3  # the k of every k-NN manifold measurement, in runs and in `ufs-lab eval`
+MAX_SAMPLES = 10_000  # brute-force k-NN cap on each point set
+PSD_TOL = 1e-10  # negative eigenvalues down to -PSD_TOL * max(1, |largest|) count as zero
+HQ_SIGMAS = 3.0  # a high-quality sample lies within this many sigmas of its mode
+
 
 @dataclass
 class GaussianFit:
@@ -57,9 +62,9 @@ def fit_gaussian(samples: Array) -> GaussianFit:
     return GaussianFit(mean, (cov + cov.T) / 2.0)
 
 
-def _clip_psd(vals: Array, what: str, tol: float = 1e-10) -> Array:
+def _clip_psd(vals: Array, what: str) -> Array:
     """Eigenvalues with tiny negatives clipped to zero; larger negatives rejected."""
-    floor = -tol * max(1.0, float(np.abs(vals).max()))
+    floor = -PSD_TOL * max(1.0, float(np.abs(vals).max()))
     if float(vals.min()) < floor:
         raise NumericError(f"{what} not PSD within tolerance: eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None)
@@ -197,7 +202,7 @@ def ball_bounds(points: Array, k: int) -> Array:
         bound[grow] = up[grow]
 
 
-def manifold_metrics(real: Array, fake: Array, k: int = 3,
+def manifold_metrics(real: Array, fake: Array, k: int,
                      real_bounds: Array | None = None) -> ManifoldMetrics:
     """k-NN overlap metrics between two point sets (brute-force distances).
 
@@ -220,8 +225,8 @@ def manifold_metrics(real: Array, fake: Array, k: int = 3,
         raise ContractError(f"k must be >= 1, got k={k}")
     if m <= k or n <= k:
         raise ContractError(f"need sample counts above k: M={m}, N={n}, k={k}")
-    if m > 10_000 or n > 10_000:
-        raise ContractError(f"brute-force metrics cap at 10000 samples per set, got {m}/{n}")
+    if m > MAX_SAMPLES or n > MAX_SAMPLES:
+        raise ContractError(f"brute-force metrics cap at {MAX_SAMPLES} samples per set, got {m}/{n}")
     if real_bounds is None:
         real_bounds = ball_bounds(real, k)
     else:
@@ -249,11 +254,10 @@ def manifold_metrics(real: Array, fake: Array, k: int = 3,
     )
 
 
-def mode_coverage(samples: Array, centers: Array, sigma: float,
-                  thresh_sigmas: float = 3.0):
+def mode_coverage(samples: Array, centers: Array, sigma: float):
     """(covered modes, high-quality fraction) for a mixture of round modes.
 
-    A sample is high quality when it lies within thresh_sigmas * sigma of its
+    A sample is high quality when it lies within HQ_SIGMAS * sigma of its
     nearest center; a mode is covered when at least one high-quality sample
     maps to it.
     """
@@ -266,7 +270,7 @@ def mode_coverage(samples: Array, centers: Array, sigma: float,
     dists = pairwise_distances(samples, centers)
     nearest = dists.argmin(axis=1)
     d_min = dists[np.arange(len(samples)), nearest]
-    high_quality = d_min <= thresh_sigmas * sigma
+    high_quality = d_min <= HQ_SIGMAS * sigma
     covered = int(np.unique(nearest[high_quality]).size)
     return covered, float(high_quality.mean())
 

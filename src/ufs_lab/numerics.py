@@ -493,45 +493,47 @@ def split_like(flat: Array, arrays) -> list:
 # --- optimizer ------------------------------------------------------------ #
 
 
+# Adam's decay rates and floor: the WGAN-GP setting (Gulrajani et al. 2017).
+ADAM_B1 = 0.5
+ADAM_B2 = 0.9
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    lr: float
-    b1: float
-    b2: float
-    eps: float
     m: Array
     v: Array
     step: int = 0
 
     @classmethod
-    def for_params(cls, params, lr: float = 1e-3, b1: float = 0.9, b2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params) -> "AdamState":
         n = sum(p.size for p in params)
-        return cls(lr, b1, b2, eps, np.zeros(n), np.zeros(n))
+        return cls(np.zeros(n), np.zeros(n))
 
 
-def adam_step(state: AdamState, params, grad: Array) -> None:
-    """One bias-corrected Adam update of params, in place. grad is the flat
-    gradient over params and serves as scratch; each element gets the
-    per-array recipe's operations in its order (m, v flat in param order)."""
+def adam_step(state: AdamState, params, grad: Array, lr: float) -> None:
+    """One bias-corrected Adam update of params at rate lr (ADAM_B1, ADAM_B2,
+    ADAM_EPS), in place. grad is the flat gradient over params and serves as
+    scratch; each element gets the per-array recipe's operations in its order
+    (m, v flat in param order)."""
     if grad.shape != state.m.shape or sum(p.size for p in params) != grad.size:
         raise DimensionError(f"adam_step: {grad.shape} gradient for {state.m.size} parameters")
     state.step += 1
-    c1 = 1.0 - state.b1 ** state.step
-    c2 = 1.0 - state.b2 ** state.step
+    c1 = 1.0 - ADAM_B1 ** state.step
+    c2 = 1.0 - ADAM_B2 ** state.step
     m, v = state.m, state.v
     t = grad * grad
-    t *= 1.0 - state.b2
-    v *= state.b2
+    t *= 1.0 - ADAM_B2
+    v *= ADAM_B2
     v += t
-    grad *= 1.0 - state.b1
-    m *= state.b1
+    grad *= 1.0 - ADAM_B1
+    m *= ADAM_B1
     m += grad
     np.divide(v, c2, out=grad)
     np.sqrt(grad, out=grad)
-    grad += state.eps
+    grad += ADAM_EPS
     np.divide(m, c1, out=t)
-    t *= state.lr
+    t *= lr
     t /= grad
     for p, u in zip(params, split_like(t, params)):
         p -= u

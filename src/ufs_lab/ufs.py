@@ -18,13 +18,15 @@ The weight for a channel with distance ratio r is
 so all weights live in [epsilon - beta, epsilon - alpha]. A configuration
 with epsilon - beta = 0 zeroes the worst channels ("dismission"); one with
 epsilon - beta > 0 merely scales them down ("suppression"). An optional
-schedule moves beta linearly from its configured value to `beta_end`.
+schedule moves beta linearly from its configured value to `beta_end`;
+the mask is computed at the beta `anneal_beta` gives for the iteration,
+passed in the way selection's annealed k is.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,28 +134,26 @@ def compute_ratio(stats: FeatureStats, y_hat: Array, cfg: UfsConfig) -> Array:
     return np.where(np.abs(dist) >= cfg.gamma, dist / floored[None, :], NEAR_REAL_RATIO)
 
 
-def compute_suppression(ratios: Array, cfg: UfsConfig) -> Array:
-    """Piecewise-linear suppression weights: epsilon - clip(ratio, alpha, beta),
-    an (n, C) array in [epsilon - beta, epsilon - alpha]."""
-    return cfg.epsilon - np.clip(as_f64(ratios), cfg.alpha, cfg.beta)
+def compute_suppression(ratios: Array, cfg: UfsConfig, beta: float) -> Array:
+    """Piecewise-linear suppression weights at the iteration's beta:
+    epsilon - clip(ratio, alpha, beta), an (n, C) array in
+    [epsilon - beta, epsilon - alpha]."""
+    return cfg.epsilon - np.clip(as_f64(ratios), cfg.alpha, beta)
 
 
 def suppression_mask(stats: FeatureStats, w: Array, features: Array,
-                     cfg: UfsConfig) -> Array:
+                     cfg: UfsConfig, beta: float) -> Array:
     """The mask for a batch of pooled critic features: weight them by the head,
     measure each channel against the real mean, and clip into weights."""
-    return compute_suppression(compute_ratio(stats, weighted_features(w, features), cfg), cfg)
+    return compute_suppression(compute_ratio(stats, weighted_features(w, features), cfg), cfg, beta)
 
 
-def apply_suppression(y_fake: Array, s: Array, w: Array, b: Array) -> Array:
-    """Scores of masked features: <w, y * s> + b per sample."""
+def apply_suppression(y_fake: Array, s: Array) -> Array:
+    """The masked features y * s, which the critic head then scores."""
     y_fake = as_f64(y_fake)
-    w = as_f64(w)
     if y_fake.shape != s.shape:
         raise DimensionError(f"suppression shape {s.shape} does not match features {y_fake.shape}")
-    if y_fake.ndim != 2 or y_fake.shape[1] != w.size:
-        raise DimensionError(f"features {y_fake.shape} do not match head width {w.size}")
-    return ((y_fake * s) @ w.reshape(-1, 1) + np.asarray(b).reshape(1, 1))[:, 0]
+    return y_fake * s
 
 
 def classify_mode(cfg: UfsConfig) -> str:
@@ -181,9 +181,3 @@ def anneal_beta(cfg: UfsConfig, t: int, total: int) -> float:
     sched = cfg.beta_anneal
     return linear_anneal(cfg.beta, sched.beta_end, sched.anneal_fraction, t, total)
 
-
-def effective_config(cfg: UfsConfig, t: int, total: int) -> UfsConfig:
-    """Config with the annealed beta substituted for iteration t."""
-    if cfg.beta_anneal is None:
-        return cfg
-    return replace(cfg, beta=anneal_beta(cfg, t, total), beta_anneal=None)

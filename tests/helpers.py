@@ -475,9 +475,15 @@ def frozen_generator_loss(state, z, s, weights):
     """-sum(weights * scores) with the mask s and the weights held fixed."""
     d = state.disc
     features, _ = nm.forward_pass(d.body.specs, d.body.params, state.gen.sample(z))
-    scores = (gan.score_from_features(d, features) if s is None
-              else ufs.apply_suppression(features, s, d.w, d.b))
+    scores = gan.score_from_features(
+        d, features if s is None else ufs.apply_suppression(features, s))
     return -float(scores @ weights)
+
+
+def masked_scores(y, s, w, b):
+    """Critic scores of the features y masked by s under the head (w, b), as
+    the generator objective forms them."""
+    return gan.score_from_features(gan.DiscriminatorNet(None, w, b), ufs.apply_suppression(y, s))
 
 
 # --- tiny model builders ---------------------------------------------------- #

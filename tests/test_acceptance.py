@@ -130,7 +130,7 @@ def test_acceptance_suppression_exactness():
     worst = 0.0
     for cfg in configs:
         grid = np.linspace(cfg.alpha - 1.0, cfg.beta + 1.0, 1000)
-        got = ufs.compute_suppression(grid[None, :], cfg)[0]
+        got = ufs.compute_suppression(grid[None, :], cfg, cfg.beta)[0]
         closed = np.where(grid < cfg.alpha, cfg.epsilon - cfg.alpha,
                           np.where(grid > cfg.beta, cfg.epsilon - cfg.beta,
                                    cfg.epsilon - grid))
@@ -146,7 +146,7 @@ def test_acceptance_suppression_exactness():
         eps = beta + float(rng.uniform((), 0.0, 2.0))
         cfg = UfsConfig(alpha, beta, eps)
         ratios = rng.normal((10, 16), 0.0, 5.0)
-        s = ufs.compute_suppression(ratios, cfg)
+        s = ufs.compute_suppression(ratios, cfg, cfg.beta)
         assert np.all(s >= eps - beta) and np.all(s <= eps - alpha)
         order = np.argsort(ratios, axis=1)
         s_sorted = np.take_along_axis(s, order, axis=1)
@@ -190,7 +190,7 @@ def test_acceptance_masking_identities(monkeypatch):
     rng = nm.SeededRng(55)
     d = small_mlp_disc(rng)
     s = rng.uniform((6, 6))
-    upstream = gan.generator_feature_grad(d.w, s, np.ones(6))
+    upstream = gan.head_feature_grad(d.w, s, np.ones(6))
     exact = np.array_equal(upstream, d.w[None, :] * s)
 
     dc = small_conv_disc(rng)
@@ -330,18 +330,16 @@ def reference_plain_loop(iterations: int, batch: int, seed: int):
             fake = gen.sample(z)
             x_hat = gan.interpolate_batches(real, fake, rng)
             _, grads, _ = gan.discriminator_objective_grads(disc, real, fake, cfg.loss, x_hat)
-            state.adam_d.lr = gan._current_lr(state)
-            nm.adam_step(state.adam_d, disc.param_list(), grads)
+            nm.adam_step(state.adam_d, disc.param_list(), grads, gan._current_lr(state))
         z = rng.normal((batch, gen.latent_dim))
         fake, gcache = gen.sample(z, want_cache=True)
         y_f, dcache = nm.forward_pass(disc.body.specs, disc.body.params, fake)
         scores = gan.score_from_features(disc, y_f)
         weights = np.full(batch, 1.0 / batch)
-        d_y = gan.generator_feature_grad(disc.w, None, -weights)
+        d_y = gan.head_feature_grad(disc.w, None, -weights)
         dx, _ = nm.backward_pass(disc.body.specs, disc.body.params, dcache, d_y)
         ggrads = gen.backward(gcache, dx)
-        state.adam_g.lr = gan._current_lr(state)
-        nm.adam_step(state.adam_g, gen.net.param_list(), ggrads)
+        nm.adam_step(state.adam_g, gen.net.param_list(), ggrads, gan._current_lr(state))
         state.t += 1
     return gen, disc
 

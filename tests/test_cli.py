@@ -179,6 +179,7 @@ def test_run_invalid_json_one_line_error(tmp_path, capsys):
 RING8_RUN = {"dataset": {"kind": "ring8"},
              "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "wgan"}},
              "eval_every": 1, "eval_samples": 16}
+UFS_ON = ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1}']
 
 
 @pytest.mark.parametrize("edit, args, key", [
@@ -200,10 +201,17 @@ RING8_RUN = {"dataset": {"kind": "ring8"},
     ({}, ["--set", "train.batch_size=1"], "config.train: "),
     ({"dataset": {"kind": "ring9"}}, [], "config.dataset: "),
     ({}, ["--set", "eval_every=0"], "config: "),
+    ({}, UFS_ON + ["--set", "train.ufs.gamma=NaN"], "config.train.ufs.gamma must be a finite"),
+    ({}, ["--set", 'train.loss.kind="wgan_gp"', "--set", "train.loss.gp_lambda=NaN"],
+     "config.train.loss.gp_lambda must be a finite"),
+    ({}, UFS_ON + ["--set", "train.ufs.alpha=NaN"], "config.train.ufs.alpha must be a finite"),
+    ({}, UFS_ON + ["--set", "train.ufs.epsilon=Infinity"],
+     "config.train.ufs.epsilon must be a finite"),
 ], ids=["unknown-key", "missing-ufs-alpha", "batch-size-string", "ufs-int", "dataset-string",
         "override-eval-every-string", "range-SelectionConfig", "range-InstanceSelectionConfig",
         "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "range-TrainConfig",
-        "range-DatasetConfig", "range-ExperimentConfig"])
+        "range-DatasetConfig", "range-ExperimentConfig", "nan-gamma", "nan-gp-lambda",
+        "nan-alpha", "infinite-epsilon"])
 def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
     cfg = dict(RING8_RUN, out_dir=str(tmp_path / "run"), **edit)
     cfg_path = tmp_path / "cfg.json"

@@ -307,14 +307,54 @@ def test_objective_requires_interpolated_points_before_forward(monkeypatch):
 # --- generator objective ----------------------------------------------------------------- #
 
 
-def test_generator_feature_grad_is_w_times_mask_exactly():
+def test_head_feature_grad_is_w_times_mask_exactly():
     rng = nm.SeededRng(12)
     w = rng.normal((6,))
     s = rng.uniform((4, 6))
-    got = gan.generator_feature_grad(w, s, np.ones(4))
+    got = gan.head_feature_grad(w, s, np.ones(4))
     assert np.array_equal(got, w[None, :] * s)
-    plain = gan.generator_feature_grad(w, None, np.ones(4))
+    plain = gan.head_feature_grad(w, None, np.ones(4))
     assert np.array_equal(plain, np.broadcast_to(w, (4, 6)))
+
+
+def counting(fn, name, calls):
+    """fn, counting its calls in calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+def test_generator_objective_scores_through_the_one_head(monkeypatch):
+    calls = {}
+    for module, name in ((gan, "score_from_features"), (ufs, "apply_suppression")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name), name, calls))
+    for ufs_cfg in (None, ufs.UfsConfig(0.0, 1.0, 1.0)):
+        rng = nm.SeededRng(31)
+        state = objective_state(rng, small_gen(rng), small_mlp_disc(rng), "top", ufs_cfg)
+        calls.update(score_from_features=0, apply_suppression=0)
+        z = rng.normal((5, state.gen.latent_dim))
+        _, _, _, s, _ = gan.generator_objective_grads(state, z, rng)
+        assert (s is None) == (ufs_cfg is None)
+        assert calls == {"score_from_features": 1, "apply_suppression": int(s is not None)}
+
+
+def test_generator_mask_builds_no_config_while_beta_anneals(monkeypatch):
+    rng = nm.SeededRng(12)
+    d = small_mlp_disc(rng)
+    cfg = ufs.UfsConfig(0.0, 0.25, 1.0, beta_anneal=ufs.BetaAnneal(1.0, 1.0))
+    state = objective_state(rng, small_gen(rng), d, None, cfg)
+    features, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((6, 2), 0.5, 1.5))
+    built = []
+    post_init = ufs.UfsConfig.__post_init__
+    monkeypatch.setattr(ufs.UfsConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    floors = set()
+    for t in range(10):
+        state.t = t
+        floors.add(float(gan.generator_mask(state, features).min()))
+    assert built == []
+    assert len(floors) > 1  # beta moved, and the clip bound of the masks with it
 
 
 def test_generator_grads_match_finite_differences_masked():
@@ -368,14 +408,14 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
     rng = nm.SeededRng(23)
     for params, adam in ((gen.net.param_list(), state.adam_g), (disc.param_list(), state.adam_d)):
         ref_params = [p.copy() for p in params]
-        oracle = AdamOracle.for_params(ref_params, gan.ADAM_LR, gan.ADAM_B1, gan.ADAM_B2)
+        oracle = AdamOracle.for_params(ref_params, gan.ADAM_LR, nm.ADAM_B1, nm.ADAM_B2)
         rates = []
         for t in range(24):
             state.t = t
-            adam.lr = oracle.lr = gan._current_lr(state)
-            rates.append(adam.lr)
+            oracle.lr = gan._current_lr(state)
+            rates.append(oracle.lr)
             grads = [rng.normal(p.shape, 0.0, 10.0 ** -(t % 4)) for p in params]
-            nm.adam_step(adam, params, np.concatenate([g.ravel() for g in grads]))
+            nm.adam_step(adam, params, np.concatenate([g.ravel() for g in grads]), oracle.lr)
             adam_step_oracle(oracle, ref_params, grads)
         assert rates[0] == gan.ADAM_LR and rates[-1] < rates[-2] < gan.ADAM_LR  # the taper ran
         assert adam.step == oracle.step == 24
@@ -453,7 +493,7 @@ def test_generator_mask_clips_at_the_annealed_beta():
     state.t = 5  # halfway through the 10-iteration window: beta = 0.625
     features, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((6, 2), 0.5, 1.5))
     s = gan.generator_mask(state, features)
-    at_beta = ufs.suppression_mask(state.stats, d.w, features, ufs.UfsConfig(0.0, 0.625, 1.0))
+    at_beta = ufs.suppression_mask(state.stats, d.w, features, ufs.UfsConfig(0.0, 0.625, 1.0), 0.625)
     assert s.tobytes() == at_beta.tobytes()
     assert s.min() == 1.0 - 0.625
     state.stats.initialized = False
@@ -467,8 +507,8 @@ def test_generator_step_score_linearity_identity():
     z = nm.SeededRng(77).normal((8, state.gen.latent_dim))
     fake = state.gen.sample(z)
     y_f, _ = nm.forward_pass(state.disc.body.specs, state.disc.body.params, fake)
-    s = ufs.suppression_mask(state.stats, state.disc.w, y_f, state.cfg.ufs)
-    scores = ufs.apply_suppression(y_f, s, state.disc.w, state.disc.b)
+    s = ufs.suppression_mask(state.stats, state.disc.w, y_f, state.cfg.ufs, state.cfg.ufs.beta)
+    scores = gan.score_from_features(state.disc, ufs.apply_suppression(y_f, s))
     manual = (state.disc.w[None, :] * s * y_f).sum(axis=1) + state.disc.b[0]
     assert np.abs(scores - manual).max() < 1e-10
 

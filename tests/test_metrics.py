@@ -406,7 +406,7 @@ def test_mode_coverage_one_sample_per_mode():
 def test_mode_coverage_four_sigma_sample_not_high_quality():
     centers = np.array([[0.0, 0.0]])
     samples = np.array([[4 * 0.02, 0.0]])
-    covered, hq = mx.mode_coverage(samples, centers, sigma=0.02, thresh_sigmas=3.0)
+    covered, hq = mx.mode_coverage(samples, centers, sigma=0.02)
     assert covered == 0
     assert hq == 0.0
 

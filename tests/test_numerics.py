@@ -504,8 +504,8 @@ def test_finite_diff_rejects_bad_step():
 
 def test_adam_first_step_magnitude():
     p = np.array([1.0])
-    state = nm.AdamState.for_params([p], lr=0.001)
-    nm.adam_step(state, [p], np.array([0.7]))
+    state = nm.AdamState.for_params([p])
+    nm.adam_step(state, [p], np.array([0.7]), 0.001)
     assert abs(abs(1.0 - p[0]) - 0.001) < 1e-6
     assert state.step == 1
 
@@ -516,16 +516,16 @@ def test_adam_zero_gradient_keeps_params():
     before = p.copy()
     state = nm.AdamState.for_params([p])
     for _ in range(10):
-        nm.adam_step(state, [p], np.zeros(p.size))
+        nm.adam_step(state, [p], np.zeros(p.size), 1e-3)
     assert np.array_equal(p, before)
 
 
 def test_adam_two_steps_decrease_quadratic():
     p = np.array([2.0])
-    state = nm.AdamState.for_params([p], lr=0.1)
+    state = nm.AdamState.for_params([p])
     f0 = p[0] ** 2
     for _ in range(2):
-        nm.adam_step(state, [p], 2.0 * p)
+        nm.adam_step(state, [p], 2.0 * p, 0.1)
     assert p[0] ** 2 < f0
 
 
@@ -533,9 +533,9 @@ def test_adam_shape_mismatch():
     p = np.zeros(3)
     state = nm.AdamState.for_params([p])
     with pytest.raises(DimensionError):
-        nm.adam_step(state, [p], np.zeros(4))
+        nm.adam_step(state, [p], np.zeros(4), 1e-3)
     with pytest.raises(DimensionError):
-        nm.adam_step(state, [p, p], np.zeros(3))
+        nm.adam_step(state, [p, p], np.zeros(3), 1e-3)
     assert state.step == 0 and not state.m.any()
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rel_err
+from helpers import masked_scores, rel_err
 from ufs_lab import ufs
 from ufs_lab.errors import ContractError, DimensionError, StateError
 from ufs_lab.numerics import SeededRng
@@ -122,13 +122,13 @@ def test_ratio_negative_margin_keeps_sign():
 @pytest.mark.parametrize("ratio,expected", [(0.3, 1.0), (1.2, 0.5), (0.75, 0.75)])
 def test_suppression_midrange_config(ratio, expected):
     cfg = ufs.UfsConfig(alpha=0.5, beta=1.0, epsilon=1.5)
-    s = ufs.compute_suppression(np.array([[ratio]]), cfg)
+    s = ufs.compute_suppression(np.array([[ratio]]), cfg, cfg.beta)
     assert s[0, 0] == pytest.approx(expected)
 
 
 def test_suppression_dismission_config_zeroes_far_features():
     cfg = ufs.UfsConfig(alpha=0.0, beta=1.0, epsilon=1.0)
-    s = ufs.compute_suppression(np.array([[2.0]]), cfg)
+    s = ufs.compute_suppression(np.array([[2.0]]), cfg, cfg.beta)
     assert s[0, 0] == 0.0
 
 
@@ -138,8 +138,8 @@ def test_suppression_mask_is_the_three_step_recipe():
     w, features = rng.normal((5,)), rng.normal((4, 5))
     cfg = ufs.UfsConfig(alpha=0.5, beta=1.0, epsilon=1.5)
     want = ufs.compute_suppression(
-        ufs.compute_ratio(stats, ufs.weighted_features(w, features), cfg), cfg)
-    assert ufs.suppression_mask(stats, w, features, cfg).tobytes() == want.tobytes()
+        ufs.compute_ratio(stats, ufs.weighted_features(w, features), cfg), cfg, cfg.beta)
+    assert ufs.suppression_mask(stats, w, features, cfg, cfg.beta).tobytes() == want.tobytes()
 
 
 # --- apply_suppression ------------------------------------------------------------------ #
@@ -151,7 +151,7 @@ def test_apply_identity_mask_matches_plain_scores():
     w = rng.normal((4,))
     b = np.array([0.3])
     s = np.ones((5, 4))
-    got = ufs.apply_suppression(y, s, w, b)
+    got = masked_scores(y, s, w, b)
     plain = (y @ w.reshape(-1, 1) + b)[:, 0]
     assert np.array_equal(got, plain)
 
@@ -160,7 +160,7 @@ def test_apply_zero_mask_gives_bias():
     rng = SeededRng(4)
     y = rng.normal((3, 4))
     s = np.zeros((3, 4))
-    got = ufs.apply_suppression(y, s, rng.normal((4,)), np.array([2.5]))
+    got = masked_scores(y, s, rng.normal((4,)), np.array([2.5]))
     assert np.allclose(got, 2.5)
 
 
@@ -170,7 +170,7 @@ def test_apply_suppression_loop_oracle():
     w = rng.normal((3,))
     b = np.array([-0.7])
     s = rng.uniform((4, 3))
-    got = ufs.apply_suppression(y, s, w, b)
+    got = masked_scores(y, s, w, b)
     for i in range(4):
         acc = 0.0
         for c in range(3):
@@ -180,7 +180,7 @@ def test_apply_suppression_loop_oracle():
 
 def test_apply_suppression_shape_mismatch():
     with pytest.raises(DimensionError):
-        ufs.apply_suppression(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(3), np.zeros(1))
+        ufs.apply_suppression(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 # --- classify_mode ------------------------------------------------------------------------ #
@@ -256,7 +256,7 @@ def valid_configs(draw):
 @given(valid_configs(), st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=32))
 @settings(max_examples=300, deadline=None)
 def test_suppression_bounds_property(cfg, ratios):
-    s = ufs.compute_suppression(np.array([ratios]), cfg)
+    s = ufs.compute_suppression(np.array([ratios]), cfg, cfg.beta)
     assert np.all(s >= cfg.epsilon - cfg.beta)
     assert np.all(s <= cfg.epsilon - cfg.alpha)
     assert np.isfinite(s).all()
@@ -267,7 +267,7 @@ def test_suppression_bounds_property(cfg, ratios):
        st.floats(0.0, 100.0, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_suppression_monotone_property(cfg, r_low, bump):
-    s = ufs.compute_suppression(np.array([[r_low, r_low + bump]]), cfg)
+    s = ufs.compute_suppression(np.array([[r_low, r_low + bump]]), cfg, cfg.beta)
     assert s[0, 0] >= s[0, 1]
 
 
@@ -279,12 +279,12 @@ def test_identity_regime_property(seed):
     alpha = 0.5
     cfg = ufs.UfsConfig(alpha=alpha, beta=alpha + 1.0, epsilon=alpha + 1.0)
     ratios = rng.uniform((3, 6), -5.0, alpha)  # every ratio at or below alpha
-    s = ufs.compute_suppression(ratios, cfg)
+    s = ufs.compute_suppression(ratios, cfg, cfg.beta)
     assert np.all(s == 1.0)
     y = rng.normal((3, 6))
     w = rng.normal((6,))
     b = np.array([0.2])
-    assert np.array_equal(ufs.apply_suppression(y, s, w, b),
+    assert np.array_equal(masked_scores(y, s, w, b),
                           (y @ w.reshape(-1, 1) + b)[:, 0])
 
 
@@ -297,8 +297,8 @@ def test_masked_plus_complement_is_full_weighted_sum(seed):
     s = rng.uniform((4, 5))
     comp = 1.0 - s
     zero_b = np.zeros(1)
-    lhs = (ufs.apply_suppression(y, s, w, zero_b)
-           + ufs.apply_suppression(y, comp, w, zero_b))
+    lhs = (masked_scores(y, s, w, zero_b)
+           + masked_scores(y, comp, w, zero_b))
     rhs = (y @ w.reshape(-1, 1))[:, 0]
     assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -314,8 +314,8 @@ def test_ratio_and_suppression_are_per_sample(seed):
     r_full = ufs.compute_ratio(stats, y_hat, cfg)
     r_perm = ufs.compute_ratio(stats, y_hat[perm], cfg)
     assert np.array_equal(r_full[perm], r_perm)
-    s_full = ufs.compute_suppression(r_full, cfg)
-    s_perm = ufs.compute_suppression(r_perm, cfg)
+    s_full = ufs.compute_suppression(r_full, cfg, cfg.beta)
+    s_perm = ufs.compute_suppression(r_perm, cfg, cfg.beta)
     assert np.array_equal(s_full[perm], s_perm)
 
 
