@@ -7,7 +7,7 @@ preset on grid25 cut the same way, and one 20-iteration 16x16
 synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
 run it prints the sha256 of the metrics CSV without its wall_seconds column
 and of the last samples dump, then, on a line of its own, the sha256 of the
-trainer state restored from the run's last checkpoint (the counters and
+trainer state restored from the run's last checkpoint (its counters and the
 arrays `harness.trainer_to_arrays` gives for it, not the file's bytes, so a
 change of the checkpoint format that restores the same state keeps it). Last, it runs `ufs-lab cam` on the
 shapes16 run's last checkpoint with 8 synthetic shapes and prints the
@@ -66,14 +66,13 @@ def fingerprint(cfg) -> str:
 
 
 def state_digest(run_dir: Path) -> str:
-    """sha256 of the trainer state restored from the run's last checkpoint, as
-    `trainer_to_arrays` gives it to a checkpoint: the header's counters (every
-    entry but the config and the data shape), then each state array in order."""
+    """sha256 of the trainer state restored from the run's last checkpoint: its
+    counters (iteration, both Adam steps, whether feature statistics exist),
+    then each array `trainer_to_arrays` gives a checkpoint, in order."""
     _, state = trainer_from_arrays(*load_checkpoint(sorted(run_dir.glob("checkpoint_*"))[-1]))
-    arrays, header = trainer_to_arrays(state, {})
-    counters = tuple(v for k, v in header.items() if k not in ("run.config", "run.data_shape"))
+    counters = (state.t, state.adam_g.step, state.adam_d.step, state.stats is not None)
     digest = hashlib.sha256(repr(counters).encode())
-    for arr in arrays.values():
+    for arr in trainer_to_arrays(state, {})[0].values():
         digest.update(arr.tobytes())
     return digest.hexdigest()
 

@@ -4,6 +4,7 @@
 import argparse
 from pathlib import Path
 
+from ufs_lab.errors import ConfigError
 from ufs_lab.harness import load_config, run_experiment
 
 PRESETS = ("ring8_baseline", "ring8_ufs", "ring8_topk", "ring8_topk_ufs")
@@ -21,7 +22,10 @@ def main():
         overrides = [f"out_dir={args.out_root}/{name}"]
         if args.iterations is not None:
             overrides.append(f"train.iterations={args.iterations}")
-        result = run_experiment(load_config(CONFIG_DIR / f"{name}.json", overrides))
+        try:
+            result = run_experiment(load_config(CONFIG_DIR / f"{name}.json", overrides))
+        except ConfigError as exc:  # a used --out-root, say: one line, not a traceback
+            parser.exit(2, f"run_presets.py: {exc}\n")
         final = result.records[-1]
         print(f"{name}: status={result.status} final_frechet={final.frechet:.4f} "
               f"covered_modes={final.covered_modes}")

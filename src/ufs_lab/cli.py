@@ -34,6 +34,8 @@ def _load_samples(path: str) -> np.ndarray:
         raise ParseError(f"{path}: not a numeric point CSV: {exc}") from exc
     if samples.size == 0:
         raise ParseError(f"{path}: point CSV has no data rows")
+    if not np.isfinite(samples).all():
+        raise ParseError(f"{path}: point CSV holds a non-finite value")
     return samples
 
 
@@ -65,10 +67,14 @@ def _cmd_cam(args) -> int:
     if len(images) == 0:
         raise ParseError(f"{args.input}: IDX file holds no images")
     _, state = trainer_from_arrays(*load_checkpoint(args.checkpoint))
+    # sum-pooled features grow with the image area; compute_cam refuses points
+    if len(state.gen.data_shape) > 1 and images.shape[1:] != state.gen.data_shape:
+        raise DimensionError(f"{args.input}: images of shape {images.shape[1:]}, but the "
+                             f"checkpoint was trained on {state.gen.data_shape}")
     maps = compute_cam(state, images)
     if "cam_ufs" not in maps:
-        print("note: checkpoint has no UFS mask (UFS off or feature statistics empty); "
-              "writing plain maps only", file=sys.stderr)
+        print("note: checkpoint has no UFS mask (UFS off, or taken before the first critic "
+              "step); writing plain maps only", file=sys.stderr)
     run_id = args.run_id or Path(args.checkpoint).stem
     written = save_attribution_maps(maps, args.out, run_id, args.upsample)
     print(f"wrote {len(written)} heatmaps to {args.out}")

@@ -9,10 +9,6 @@ class ContractError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class StateError(RuntimeError):
-    """Operation invoked before the state it depends on exists."""
-
-
 class NumericError(ArithmeticError):
     """A computation left the supported numeric regime (NaN, singular matrix, ...)."""
 

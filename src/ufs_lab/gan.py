@@ -250,15 +250,14 @@ class TrainerState:
     disc: DiscriminatorNet
     adam_g: AdamState
     adam_d: AdamState
-    stats: ufs_mod.FeatureStats
+    stats: ufs_mod.FeatureStats | None = None  # None until the first critic step
     t: int = 0
 
 
 def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
-    """Adam on both networks, with empty feature stats."""
+    """Adam on both networks, before any step."""
     return TrainerState(cfg, gen, disc, AdamState.for_params(gen.net.param_list()),
-                        AdamState.for_params(disc.param_list()),
-                        ufs_mod.FeatureStats.empty(disc.feature_dim))
+                        AdamState.for_params(disc.param_list()))
 
 
 def _current_lr(state: TrainerState) -> float:
@@ -290,7 +289,7 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
     if not math.isfinite(loss):
         raise NumericError(f"critic loss diverged: {loss}")
     # statistics use the head weights as they were during this forward pass
-    ufs_mod.update_stats(state.stats, d.w, diag["y_real"], diag["y_fake"])
+    state.stats = ufs_mod.update_stats(d.w, diag["y_real"], diag["y_fake"])
     adam_step(state.adam_d, d.param_list(), grads, _current_lr(state))
     return loss
 
@@ -298,9 +297,9 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
 def generator_mask(state: TrainerState, features: Array) -> Array | None:
     """The (n, C) suppression mask the generator objective applies to these
     pooled critic features at the state's iteration (beta annealed), or None
-    when UFS is off or the feature statistics are still empty."""
+    when UFS is off or no critic step has made feature statistics yet."""
     cfg = state.cfg
-    if cfg.ufs is None or not state.stats.initialized:
+    if cfg.ufs is None or state.stats is None:
         return None
     return ufs_mod.suppression_mask(state.stats, state.disc.w, features, cfg.ufs,
                                     ufs_mod.anneal_beta(cfg.ufs, state.t, cfg.iterations))
@@ -309,7 +308,7 @@ def generator_mask(state: TrainerState, features: Array) -> Array | None:
 def generator_objective_grads(state: TrainerState, z: Array, rng: SeededRng):
     """The generator loss -sum(weights * scores) on z and its gradients.
 
-    With a UFS config and populated feature statistics, the scores are the
+    With a UFS config and feature statistics, the scores are the
     masked ones; the mask is held constant, so it selects gradients and is
     not differentiated through. With a selection config, the weights are 1/k
     on the k samples the (annealed) selection picks from those scores, else

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gan as gan_mod
+from . import ufs as ufs_mod
 from .attribution import encode_pgm
 from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
@@ -221,24 +222,29 @@ def _state_arrays(state: gan_mod.TrainerState) -> dict:
     named = {f"{prefix}.{i:02d}": arr for prefix, arrs in (("gen", gen), ("disc", disc))
              for i, arr in enumerate(arrs)}
     named.update({"adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
-                  "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v,
-                  "stats.mu_real": state.stats.mu_real, "stats.mu_fake": state.stats.mu_fake})
+                  "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v})
+    if state.stats is not None:
+        named.update({"stats.mu_real": state.stats.mu_real, "stats.mu_fake": state.stats.mu_fake})
     return named
 
 
-# The header entries of a trainer checkpoint and the JSON type of each.
+# The header entries of a trainer checkpoint and the JSON type of each. The
+# generator's Adam step and whether feature statistics exist follow from them.
 TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": int,
-                   "adam_g.step": int, "adam_d.step": int, "stats.initialized": bool}
-_KIND_NAMES = {dict: "an object", list: "a list of integers", int: "an integer",
-               bool: "true or false"}
+                   "adam_d.step": int}
+_KIND_NAMES = {dict: "an object", list: "a list of integers", int: "an integer"}
 
 
 def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
     """(arrays, header) of a trainer checkpoint: the state arrays, and the run's
-    config as a dict (run_experiment drops out_dir), data shape and counters."""
+    config as a dict (run_experiment drops out_dir), data shape and counters.
+    Raises ContractError for a state whose counters the header cannot carry."""
+    if state.t != state.adam_g.step or (state.stats is None) != (state.adam_d.step == 0):
+        raise ContractError(f"inconsistent counters: iteration {state.t}, Adam steps "
+                            f"{state.adam_g.step} (generator) and {state.adam_d.step} (critic), "
+                            f"feature statistics {'absent' if state.stats is None else 'present'}")
     header = {"run.config": config, "run.data_shape": list(state.gen.data_shape),
-              "run.iteration": state.t, "adam_g.step": state.adam_g.step,
-              "adam_d.step": state.adam_d.step, "stats.initialized": state.stats.initialized}
+              "run.iteration": state.t, "adam_d.step": state.adam_d.step}
     return _state_arrays(state), header
 
 
@@ -256,14 +262,16 @@ def trainer_from_arrays(arrays: dict, header: dict):
     cfg = _decode(ExperimentConfig, header["run.config"], "run.config")
     state = gan_mod.init_trainer(
         cfg.train, *gan_mod.default_models(header["run.data_shape"], SeededRng(0)))
+    state.t = state.adam_g.step = header["run.iteration"]
+    state.adam_d.step = header["adam_d.step"]
+    if state.adam_d.step > 0:  # filled below
+        state.stats = ufs_mod.FeatureStats(*np.zeros((2, state.disc.feature_dim)))
     for name, live in _state_arrays(state).items():
         if name not in arrays:
             raise ParseError(f"trainer checkpoint has no array {name!r}")
         if arrays[name].shape != live.shape:
             raise ParseError(f"{name}: expected shape {live.shape}, got {arrays[name].shape}")
         live[...] = arrays[name]
-    state.t, state.stats.initialized = header["run.iteration"], header["stats.initialized"]
-    state.adam_g.step, state.adam_d.step = header["adam_g.step"], header["adam_d.step"]
     return cfg, state
 
 
@@ -317,13 +325,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     rng_init = root.derive(2)
     rng_train = root.derive(3)
     rng_eval = root.derive(4)
+    out = Path(cfg.out_dir)
+    if out.is_dir() and any(out.iterdir()):  # its files would mix with an earlier run's
+        raise ConfigError(f"out_dir {cfg.out_dir} is not empty")
 
     dataset = make_dataset(cfg.dataset, rng_data)
     gen, disc = gan_mod.default_models(dataset.data_shape, rng_init)
     state = gan_mod.init_trainer(cfg.train, gen, disc)
 
     real_pool = dataset.sample(cfg.eval_samples, rng_eval)
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
 

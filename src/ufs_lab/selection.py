@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .metrics import random_feature_embed
+from .metrics import fit_gaussian, random_feature_embed
 from .numerics import Array, SeededRng, as_f64, linear_anneal, write_atomic
 
 SELECTION_MODES = ("top", "bottom", "random")
@@ -51,16 +51,19 @@ def select_indices(scores: Array, k: int, mode: str, rng: SeededRng | None = Non
     if not 1 <= k <= n:
         raise ContractError(f"k={k} out of range for a batch of {n}")
     if mode == "top":
-        order = np.argsort(-s, kind="stable")
-    elif mode == "bottom":
-        order = np.argsort(s, kind="stable")
-    elif mode == "random":
+        return _top_k(s, k)
+    if mode == "bottom":
+        return _top_k(-s, k)
+    if mode == "random":
         if rng is None:
             raise ContractError("random selection needs an rng")
         return np.sort(rng.choice_no_replace(n, k))
-    else:
-        raise ContractError(f"unknown selection mode {mode!r}")
-    return np.sort(order[:k])
+    raise ContractError(f"unknown selection mode {mode!r}")
+
+
+def _top_k(scores: Array, k: int) -> Array:
+    """Sorted indices of the k largest scores, ties to lowest index."""
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
 def anneal_k(cfg: SelectionConfig, t: int, total: int) -> int:
@@ -72,12 +75,11 @@ def gaussian_log_scores(embedded: Array, covariance_mode: str) -> Array:
     """Log-density of each row under a single Gaussian fit to all rows."""
     x = as_f64(embedded)
     n, d = x.shape
-    mu = x.mean(axis=0)
-    centered = x - mu
+    fit = fit_gaussian(x)
+    centered = x - fit.mean
     if covariance_mode == "full_shrinkage":
-        cov = centered.T @ centered / (n - 1)
-        shrink = 1e-6 * np.trace(cov) / d
-        cov = cov + shrink * np.eye(d)
+        shrink = 1e-6 * np.trace(fit.covariance) / d
+        cov = fit.covariance + shrink * np.eye(d)
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
@@ -86,7 +88,7 @@ def gaussian_log_scores(embedded: Array, covariance_mode: str) -> Array:
         logdet = 2.0 * np.log(np.diag(chol)).sum()
         solved = np.linalg.solve(cov, centered.T)
         quad = (centered.T * solved).sum(axis=0)
-    elif covariance_mode == "diagonal":
+    elif covariance_mode == "diagonal":  # the fit's diagonal differs in the last bits
         var = centered.var(axis=0, ddof=1)
         if np.any(var <= 0):
             raise NumericError(f"zero variance along {int((var <= 0).sum())} dimensions")
@@ -117,9 +119,7 @@ def instance_select(dataset: Array, cfg: InstanceSelectionConfig) -> Array:
         raise ContractError(
             f"retention {cfg.retention_ratio} of {n} samples keeps fewer than 2")
     scores = gaussian_log_scores(embedded, cfg.covariance_mode)
-    keep = int(math.ceil(cfg.retention_ratio * n - 1e-12))
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:keep])
+    return _top_k(scores, int(math.ceil(cfg.retention_ratio * n - 1e-12)))
 
 
 def write_index_file(indices, path) -> None:

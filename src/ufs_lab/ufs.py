@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, StateError
+from .errors import ContractError, DimensionError
 from .numerics import Array, as_f64, linear_anneal
 
 DENOM_FLOOR = 1e-8  # smallest margin magnitude compute_ratio divides by
@@ -39,20 +39,10 @@ NEAR_REAL_RATIO = 1.0  # ratio of a channel within gamma of the real mean
 
 @dataclass
 class FeatureStats:
-    """Means of the latest critic batch's weighted real/fake features, one
-    entry per channel; each update replaces them."""
+    """Per-channel means of one critic batch's weighted real/fake features."""
 
     mu_real: Array
     mu_fake: Array
-    initialized: bool = False
-
-    @classmethod
-    def empty(cls, channels: int) -> "FeatureStats":
-        return cls(np.zeros(channels), np.zeros(channels), False)
-
-    @property
-    def channels(self) -> int:
-        return len(self.mu_real)
 
 
 @dataclass(frozen=True)
@@ -95,14 +85,12 @@ class UfsConfig:
                     f"epsilon - beta must be >= 0 (got epsilon={self.epsilon}, beta={b})")
 
 
-def update_stats(stats: FeatureStats, w: Array, y_real: Array, y_fake: Array) -> None:
-    """Set the real/fake means to those of one critic batch's weighted features."""
+def update_stats(w: Array, y_real: Array, y_fake: Array) -> FeatureStats:
+    """The real/fake means of one critic batch's weighted features."""
     real, fake = weighted_features(w, y_real), weighted_features(w, y_fake)
     if len(real) < 1 or len(fake) < 1:
         raise ContractError("update_stats needs at least one sample per batch")
-    stats.mu_real = real.mean(axis=0)
-    stats.mu_fake = fake.mean(axis=0)
-    stats.initialized = True
+    return FeatureStats(real.mean(axis=0), fake.mean(axis=0))
 
 
 def weighted_features(w: Array, y: Array) -> Array:
@@ -122,11 +110,9 @@ def compute_ratio(stats: FeatureStats, y_hat: Array, cfg: UfsConfig) -> Array:
     quotient; the margin magnitude is floored at DENOM_FLOOR (sign preserved,
     +0 counts as positive) so the division never blows up.
     """
-    if not stats.initialized:
-        raise StateError("compute_ratio called before feature statistics were populated")
     y_hat = as_f64(y_hat)
-    if y_hat.ndim != 2 or y_hat.shape[1] != stats.channels:
-        raise DimensionError(f"y_hat shape {y_hat.shape} does not match {stats.channels} channels")
+    if y_hat.ndim != 2 or y_hat.shape[1:] != stats.mu_real.shape:
+        raise DimensionError(f"y_hat shape {y_hat.shape} does not match {len(stats.mu_real)} channels")
     margin = stats.mu_real - stats.mu_fake
     sign = np.where(margin >= 0.0, 1.0, -1.0)
     floored = sign * np.maximum(np.abs(margin), DENOM_FLOOR)

@@ -467,7 +467,7 @@ def objective_state(rng, gen, d, mode, ufs_cfg, batch=5):
     state = gan.init_trainer(cfg, gen, d)
     y_real, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2)))
     y_fake, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2), 0.5, 1.5))
-    ufs.update_stats(state.stats, d.w, y_real, y_fake)
+    state.stats = ufs.update_stats(d.w, y_real, y_fake)
     return state
 
 

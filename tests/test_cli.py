@@ -414,3 +414,56 @@ def test_cam_runs_the_critic_body_once(tmp_path, capsys, monkeypatch, ufs_block)
     names = sorted(p.name for p in (tmp_path / "cams").iterdir())
     assert len(names) == (3 if ufs_block is None else 9)
     assert ("no UFS mask" in capsys.readouterr().err) == (ufs_block is None)
+
+
+@pytest.mark.parametrize("size", [12, 28, 40])
+def test_cam_on_images_of_another_size_one_line_error(tmp_path, capsys, size):
+    # the critic sum-pools, so its features grow with the image area, while the
+    # stored statistics come from the checkpoint's own 16x16 batches
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {
+        "batch_size": 4, "n_critic": 1, "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.0}}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    rng = SeededRng(1)
+    gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)
+    save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
+    shapes = ds.synthetic_shapes(3, size, SeededRng(2))
+    ds.write_idx_images(np.clip((shapes[:, 0] + 1.0) * 127.5, 0, 255).astype(np.uint8),
+                        tmp_path / "a.idx")
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "t.ufsl"),
+                     "--input", str(tmp_path / "a.idx"), "--out", str(tmp_path / "cams")]) == 2
+    err = assert_one_line_error(capsys, "DimensionError")
+    assert f"(1, {size}, {size})" in err and "(1, 16, 16)" in err
+    assert not (tmp_path / "cams").exists()
+
+
+@pytest.mark.parametrize("row", ["nan,1.0", "inf,1.0"])
+def test_eval_non_finite_point_one_line_error(tmp_path, capsys, row):
+    real = write_points(tmp_path / "real.csv", 20, 1)
+    fake = tmp_path / "fake.csv"
+    fake.write_text(Path(write_points(fake, 19, 2)).read_text() + row + "\n")
+    assert cli.main(["eval", "--real", real, "--fake", str(fake)]) == 2
+    assert "fake.csv: point CSV holds a non-finite value" in assert_one_line_error(
+        capsys, "ParseError")
+    assert capsys.readouterr().out == ""
+
+
+def test_run_into_a_used_out_dir_one_line_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(RING8_RUN, out_dir=str(out))))
+    assert cli.main(["run", str(cfg_path), "--set", "train.iterations=4"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "checkpoint_000004.ufsl" in before
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg_path), "--set", "train.iterations=2"]) == 2
+    assert f"out_dir {out} is not empty" in assert_one_line_error(capsys, "ConfigError")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_run_into_an_empty_out_dir(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(RING8_RUN, out_dir=str(out))))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert (out / "checkpoint_000001.ufsl").exists()

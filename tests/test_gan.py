@@ -427,9 +427,9 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
 
 def test_discriminator_step_initializes_stats():
     state, rng = make_trainer(loss=gan.LossKind("wgan"))
-    assert not state.stats.initialized
+    assert state.stats is None
     gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
-    assert state.stats.initialized
+    assert state.stats is not None
 
 
 def test_discriminator_step_identical_with_and_without_ufs():
@@ -474,7 +474,7 @@ def test_generator_step_raises_on_nan_loss_before_adam():
 
 
 def test_generator_step_with_inert_mask_matches_baseline():
-    # before any critic step the stats are empty, so the masked path is skipped
+    # before any critic step there are no stats, so the masked path is skipped
     state_a, rng_a = make_trainer(loss=gan.LossKind("wgan"), ufs=None)
     state_b, rng_b = make_trainer(loss=gan.LossKind("wgan"),
                                   ufs=ufs.UfsConfig(0.0, 1.0, 1.0))
@@ -496,7 +496,7 @@ def test_generator_mask_clips_at_the_annealed_beta():
     at_beta = ufs.suppression_mask(state.stats, d.w, features, ufs.UfsConfig(0.0, 0.625, 1.0), 0.625)
     assert s.tobytes() == at_beta.tobytes()
     assert s.min() == 1.0 - 0.625
-    state.stats.initialized = False
+    state.stats = None
     assert gan.generator_mask(state, features) is None
 
 

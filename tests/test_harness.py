@@ -16,7 +16,7 @@ import ufs_lab
 from ufs_lab import attribution, gan, harness, ufs
 from ufs_lab import datasets as ds
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ConfigError, ParseError
+from ufs_lab.errors import ConfigError, ContractError, ParseError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -238,17 +238,29 @@ def test_checkpoint_bytes_equal_the_joined_writer(tmp_path):
 
 
 def test_ring8_checkpoint_holds_twenty_arrays_and_a_json_header(tmp_path):
-    arrays, header = ring8_checkpoint()
+    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
+    arrays, header = harness.trainer_to_arrays(trained_state((2,), cfg.train, steps=1),
+                                               dataclasses.asdict(cfg))
     assert len(arrays) == 20
     assert [name for name in arrays if not name.startswith(("gen.", "disc."))] == [
         "adam_g.m", "adam_g.v", "adam_d.m", "adam_d.v", "stats.mu_real", "stats.mu_fake"]
     assert {k: v for k, v in header.items() if k != "run.config"} == {
-        "run.data_shape": [2], "run.iteration": 0, "adam_g.step": 0, "adam_d.step": 0,
-        "stats.initialized": False}
+        "run.data_shape": [2], "run.iteration": 1, "adam_d.step": 1}
     path = tmp_path / "c.ufsl"
     harness.save_checkpoint(path, arrays, header)
     _, stored = harness.load_checkpoint(path)
     assert stored == json.loads(json.dumps(header))
+
+
+def test_ring8_checkpoint_at_iteration_0_holds_18_arrays_and_no_stats(tmp_path):
+    arrays, header = ring8_checkpoint()
+    assert len(arrays) == 18 and not any(name.startswith("stats.") for name in arrays)
+    assert {k: v for k, v in header.items() if k != "run.config"} == {
+        "run.data_shape": [2], "run.iteration": 0, "adam_d.step": 0}
+    path = tmp_path / "c.ufsl"
+    harness.save_checkpoint(path, arrays, header)
+    _, state = harness.trainer_from_arrays(*harness.load_checkpoint(path))
+    assert (state.t, state.adam_g.step, state.adam_d.step, state.stats) == (0, 0, 0, None)
 
 
 def test_points_dump_bytes_equal_the_per_row_form(tmp_path):
@@ -350,7 +362,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert list(live_arrays) == list(restored_arrays)
     for name, arr in live_arrays.items():
         assert arr.tobytes() == restored_arrays[name].tobytes(), name
-    counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats.initialized)
+    counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats is not None)
                 for s in (state, restored)]
     assert counters == [(2, 2, 2, True)] * 2
     assert [type(c) for c in counters[1]] == [int, int, int, bool]
@@ -359,7 +371,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
         assert np.any(live.m != 0.0) and np.any(live.v != 0.0)
         assert live.m.tobytes() == back.m.tobytes() and live.v.tobytes() == back.v.tobytes()
     _, fresh = restore(trained_state((2,), cfg.train, steps=0), cfg, tmp_path / "f.ufsl")
-    assert (fresh.t, fresh.adam_d.step, fresh.stats.initialized) == (0, 0, False)
+    assert (fresh.t, fresh.adam_d.step, fresh.stats) == (0, 0, None)
 
     # the next critic and generator steps are the same steps
     params = []
@@ -451,12 +463,10 @@ def v3_config_bytes(header):
      r"adam_g.v: expected shape \(4866,\), got \(4865,\)"),
     (lambda a, h: h.update({"run.iteration": [1, 2]}), ParseError,
      r"header entry 'run.iteration' should be an integer, got \[1, 2\]"),
-    (lambda a, h: h.pop("adam_g.step"), ParseError,
-     "not a trainer checkpoint: header entry 'adam_g.step' should be an integer, got no entry"),
+    (lambda a, h: h.pop("adam_d.step"), ParseError,
+     "not a trainer checkpoint: header entry 'adam_d.step' should be an integer, got no entry"),
     (lambda a, h: h.update({"adam_d.step": 2.0}), ParseError,
      "header entry 'adam_d.step' should be an integer, got 2.0"),
-    (lambda a, h: h.update({"stats.initialized": 1}), ParseError,
-     "header entry 'stats.initialized' should be true or false, got 1"),
     (lambda a, h: h.update({"run.data_shape": ["2"]}), ParseError,
      r"header entry 'run.data_shape' should be a list of integers, got \[\"2\"\]"),
     (lambda a, h: h.update({"run.config": "{not json"}), ParseError,
@@ -466,13 +476,52 @@ def v3_config_bytes(header):
     (lambda a, h: h.update({"run.config": {"dataset": {}}}), ConfigError,
      "missing key run.config.dataset.kind"),
 ], ids=["missing-array", "misshapen-array", "misshapen-adam-moment", "misshapen-counter",
-        "missing-counter", "float-counter", "int-flag", "data-shape-strings", "config-not-json",
+        "missing-counter", "float-counter", "data-shape-strings", "config-not-json",
         "config-as-bytes", "config-incomplete"])
 def test_trainer_from_arrays_names_the_bad_array(edit, error, message):
     arrays, header = ring8_checkpoint()
     edit(arrays, header)
     with pytest.raises(error, match=message):
         harness.trainer_from_arrays(arrays, header)
+
+
+def restored_counters_and_arrays(arrays, header):
+    _, state = harness.trainer_from_arrays(arrays, header)
+    return ((state.t, state.adam_g.step, state.adam_d.step, state.stats is not None),
+            {name: arr.tobytes() for name, arr in harness._state_arrays(state).items()})
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_checkpoint_with_the_implied_counters_restores_the_same_state(tmp_path, steps):
+    # the earlier writer also stored adam_g.step and stats.initialized, and the
+    # statistics arrays (zeros) before the first critic step; the reader ignores them
+    cfg = tiny_config(tmp_path)
+    state = trained_state((2,), cfg.train, steps)
+    arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
+    assert set(header) == {"run.config", "run.data_shape", "run.iteration", "adam_d.step"}
+    zeros = np.zeros(state.disc.feature_dim)
+    old_arrays = dict({"stats.mu_real": zeros, "stats.mu_fake": zeros}, **arrays)
+    old_header = dict(header, **{"adam_g.step": steps, "stats.initialized": steps > 0})
+    restored = restored_counters_and_arrays(arrays, header)
+    assert restored == restored_counters_and_arrays(old_arrays, old_header)
+    assert restored[0] == (steps, steps, steps, steps > 0)
+    assert len(restored[1]) == (18 if steps == 0 else 20)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: setattr(s, "t", 3), "iteration 3, Adam steps 0 \\(generator\\)"),
+    (lambda s: setattr(s.adam_g, "step", 1), "iteration 0, Adam steps 1 \\(generator\\)"),
+    (lambda s: setattr(s, "stats", ufs.update_stats(s.disc.w, np.ones((2, 64)), np.ones((2, 64)))),
+     "and 0 \\(critic\\), feature statistics present"),
+    (lambda s: setattr(s.adam_d, "step", 1), "and 1 \\(critic\\), feature statistics absent"),
+], ids=["iteration-ahead", "generator-step-ahead", "stats-without-critic-step",
+        "critic-step-without-stats"])
+def test_trainer_to_arrays_refuses_counters_the_header_cannot_carry(edit, message):
+    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((2,), nm.SeededRng(0)))
+    edit(state)
+    with pytest.raises(ContractError, match=f"inconsistent counters: .*{message}"):
+        harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
 
 
 def test_version_1_checkpoint_rejected(tmp_path):

@@ -5,34 +5,33 @@ from hypothesis import strategies as st
 
 from helpers import masked_scores, rel_err
 from ufs_lab import ufs
-from ufs_lab.errors import ContractError, DimensionError, StateError
+from ufs_lab.errors import ContractError, DimensionError
 from ufs_lab.numerics import SeededRng
 
 
 def make_stats(mu_real, mu_fake):
-    return ufs.FeatureStats(np.asarray(mu_real, float), np.asarray(mu_fake, float),
-                            initialized=True)
+    return ufs.FeatureStats(np.asarray(mu_real, float), np.asarray(mu_fake, float))
 
 
 # --- update_stats ------------------------------------------------------------ #
 
 
 def test_update_stats_hand_example():
-    stats = ufs.FeatureStats.empty(2)
     w = np.array([1.0, 2.0])
     y_real = np.array([[1.0, 1.0], [3.0, 1.0]])
     y_fake = np.zeros((2, 2))
-    ufs.update_stats(stats, w, y_real, y_fake)
+    stats = ufs.update_stats(w, y_real, y_fake)
     assert np.array_equal(stats.mu_real, [2.0, 2.0])
     assert np.array_equal(stats.mu_fake, [0.0, 0.0])
-    assert stats.initialized
 
 
 def test_update_stats_replaces():
-    stats = ufs.FeatureStats(np.full(2, 9.0), np.full(2, 9.0), initialized=True)
-    ufs.update_stats(stats, np.ones(2), np.full((2, 2), 3.0), np.full((2, 2), 1.0))
+    # each call gives that batch's means alone; nothing carries over
+    first = ufs.update_stats(np.ones(2), np.full((2, 2), 9.0), np.full((2, 2), 9.0))
+    stats = ufs.update_stats(np.ones(2), np.full((2, 2), 3.0), np.full((2, 2), 1.0))
     assert np.array_equal(stats.mu_real, [3.0, 3.0])
     assert np.array_equal(stats.mu_fake, [1.0, 1.0])
+    assert np.array_equal(first.mu_real, [9.0, 9.0])
 
 
 def test_update_stats_loop_oracle():
@@ -40,8 +39,7 @@ def test_update_stats_loop_oracle():
     w = rng.normal((5,))
     y_r = rng.normal((7, 5))
     y_f = rng.normal((7, 5))
-    stats = ufs.FeatureStats.empty(5)
-    ufs.update_stats(stats, w, y_r, y_f)
+    stats = ufs.update_stats(w, y_r, y_f)
     expect_r = np.zeros(5)
     for c in range(5):
         acc = 0.0
@@ -53,7 +51,7 @@ def test_update_stats_loop_oracle():
 
 def test_update_stats_width_mismatch():
     with pytest.raises(DimensionError):
-        ufs.update_stats(ufs.FeatureStats.empty(3), np.ones(3), np.ones((2, 4)), np.ones((2, 3)))
+        ufs.update_stats(np.ones(3), np.ones((2, 4)), np.ones((2, 3)))
 
 
 # --- weighted_features --------------------------------------------------------- #
@@ -101,12 +99,6 @@ def test_ratio_denominator_floor():
     cfg = ufs.UfsConfig(alpha=0.0, beta=1.0, epsilon=1.0)
     r = ufs.compute_ratio(stats, np.array([[0.0]]), cfg)
     assert r[0, 0] == pytest.approx(1e8)
-
-
-def test_ratio_requires_initialized_stats():
-    stats = ufs.FeatureStats.empty(2)
-    with pytest.raises(StateError):
-        ufs.compute_ratio(stats, np.zeros((1, 2)), ufs.UfsConfig(0.0, 1.0, 1.0))
 
 
 def test_ratio_negative_margin_keeps_sign():
