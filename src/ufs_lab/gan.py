@@ -86,19 +86,20 @@ class TrainConfig:
 
 @dataclass
 class GeneratorNet:
-    latent_dim: int
     net: Network
     data_shape: tuple
 
+    @property
+    def latent_dim(self) -> int:
+        return self.net.specs[0].in_features
+
     def sample(self, z: Array, want_cache: bool = False):
         y, cache = forward_pass(self.net.specs, self.net.params, z)
-        if len(self.data_shape) > 1:
-            y = y.reshape((len(y),) + tuple(self.data_shape))
+        y = y.reshape((len(y),) + tuple(self.data_shape))
         return (y, cache) if want_cache else y
 
     def backward(self, cache, upstream: Array) -> Array:
-        if len(self.data_shape) > 1:
-            upstream = upstream.reshape(len(upstream), -1)
+        upstream = upstream.reshape(len(upstream), -1)
         _, tape = backward_pass(self.net.specs, self.net.params, cache, upstream, input_grad=False)
         return param_grads(self.net.specs, cache, tape)
 
@@ -251,7 +252,11 @@ class TrainerState:
     adam_g: AdamState
     adam_d: AdamState
     stats: ufs_mod.FeatureStats | None = None  # None until the first critic step
-    t: int = 0
+
+    @property
+    def t(self) -> int:
+        """The iteration: the number of generator steps taken."""
+        return self.adam_g.step
 
 
 def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
@@ -342,7 +347,6 @@ def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
     if not math.isfinite(loss):
         raise NumericError(f"generator loss diverged: {loss}")
     adam_step(state.adam_g, state.gen.net.param_list(), ggrads, _current_lr(state))
-    state.t += 1
     return loss
 
 
@@ -364,7 +368,6 @@ def default_models(data_shape, rng: SeededRng):
     data_shape = tuple(data_shape)
     if data_shape == (2,):
         gen = GeneratorNet(
-            POINT_LATENT_DIM,
             Network.init([dense(POINT_LATENT_DIM, 64), leaky_relu(0.2),
                           dense(64, 64), leaky_relu(0.2), dense(64, 2)], rng),
             data_shape)
@@ -377,7 +380,6 @@ def default_models(data_shape, rng: SeededRng):
         if min(h, w) < 15:
             raise ContractError(f"the default image critic needs at least 15x15 pixels, got {h}x{w}")
         gen = GeneratorNet(
-            IMAGE_LATENT_DIM,
             Network.init([dense(IMAGE_LATENT_DIM, 256), leaky_relu(0.2),
                           dense(256, 256), leaky_relu(0.2),
                           dense(256, h * w), tanh()], rng),

@@ -43,30 +43,16 @@ class MetricsRecord:
     recall: float
     density: float
     coverage: float
-    covered_modes: float
+    covered_modes: int | float  # nan for images and abort rows
     hq_fraction: float
     wall_seconds: float
 
     def csv_row(self) -> str:
-        cells = [str(self.iteration)]
-        for value in (self.L_D, self.L_G, self.frechet, self.precision, self.recall,
-                      self.density, self.coverage):
-            cells.append(_fmt(value))
-        cells.append(str(int(self.covered_modes)) if _is_finite(self.covered_modes) else "nan")
-        cells.append(_fmt(self.hq_fraction))
-        cells.append(_fmt(self.wall_seconds))
-        return ",".join(cells)
+        """The fields in order: an int as written, anything else as a float's repr."""
+        return ",".join([str(v) if type(v) is int else repr(float(v)) for v in vars(self).values()])
 
 
 CSV_HEADER = ",".join(f.name for f in fields(MetricsRecord))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _is_finite(x) -> bool:
-    return math.isfinite(float(x))
 
 
 @dataclass
@@ -228,20 +214,21 @@ def _state_arrays(state: gan_mod.TrainerState) -> dict:
     return named
 
 
-# The header entries of a trainer checkpoint and the JSON type of each. The
-# generator's Adam step and whether feature statistics exist follow from them.
+# The header entries of a trainer checkpoint and the JSON type of each; the
+# integers are counters. The generator's Adam step and whether feature
+# statistics exist follow from them.
 TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": int,
                    "adam_d.step": int}
-_KIND_NAMES = {dict: "an object", list: "a list of integers", int: "an integer"}
+_KIND_NAMES = {dict: "an object", list: "a list of integers", int: "a non-negative integer"}
 
 
 def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
     """(arrays, header) of a trainer checkpoint: the state arrays, and the run's
     config as a dict (run_experiment drops out_dir), data shape and counters.
-    Raises ContractError for a state whose counters the header cannot carry."""
-    if state.t != state.adam_g.step or (state.stats is None) != (state.adam_d.step == 0):
-        raise ContractError(f"inconsistent counters: iteration {state.t}, Adam steps "
-                            f"{state.adam_g.step} (generator) and {state.adam_d.step} (critic), "
+    Raises ContractError for a state whose statistics the header cannot imply:
+    they exist exactly when the critic has stepped."""
+    if (state.stats is None) != (state.adam_d.step == 0):
+        raise ContractError(f"inconsistent counters: critic Adam step {state.adam_d.step}, "
                             f"feature statistics {'absent' if state.stats is None else 'present'}")
     header = {"run.config": config, "run.data_shape": list(state.gen.data_shape),
               "run.iteration": state.t, "adam_d.step": state.adam_d.step}
@@ -251,18 +238,20 @@ def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
 def trainer_from_arrays(arrays: dict, header: dict):
     """(ExperimentConfig, TrainerState) of a trainer checkpoint: gan.default_models
     for the stored data shape, filled with the stored arrays. Raises ParseError
-    naming the first missing or mistyped header entry or array. The config is
-    decoded without looking for an idx_images file: nothing here reads it."""
+    naming the first missing or mistyped header entry (a negative counter is
+    mistyped) or array. The config is decoded without looking for an
+    idx_images file: nothing here reads it."""
     for name, kind in TRAINER_ENTRIES.items():
         value = header.get(name)
-        if type(value) is not kind or kind is list and not all(type(d) is int for d in value):
+        if (type(value) is not kind or kind is list and not all(type(d) is int for d in value)
+                or kind is int and value < 0):
             got = json.dumps(value) if name in header else "no entry"
             raise ParseError(f"not a trainer checkpoint: header entry {name!r} should be "
                              f"{_KIND_NAMES[kind]}, got {got}")
     cfg = _decode(ExperimentConfig, header["run.config"], "run.config")
     state = gan_mod.init_trainer(
         cfg.train, *gan_mod.default_models(header["run.data_shape"], SeededRng(0)))
-    state.t = state.adam_g.step = header["run.iteration"]
+    state.adam_g.step = header["run.iteration"]
     state.adam_d.step = header["adam_d.step"]
     if state.adam_d.step > 0:  # filled below
         state.stats = ufs_mod.FeatureStats(*np.zeros((2, state.disc.feature_dim)))
@@ -298,8 +287,6 @@ class RunResult:
     out_dir: Path
     metrics_path: Path
     records: list = field(default_factory=list)
-    best_frechet: float = math.nan
-    best_iteration: int = -1
 
 
 def _dump_points(points: Array, path: Path) -> None:
@@ -385,11 +372,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             status = "nan_abort"
             break
 
-    finite = [(r.frechet, r.iteration) for r in records if _is_finite(r.frechet)]
+    finite = [(r.frechet, r.iteration) for r in records if math.isfinite(r.frechet)]
     best_frechet, best_iteration = min(finite) if finite else (math.nan, -1)
     summary = {"status": status, "best_frechet": best_frechet, "space": space,
                "best_iteration": best_iteration, "iterations_run": records[-1].iteration}
     write_atomic(out / "summary.json", (json.dumps(summary, indent=2) + "\n").encode())
     print(f"[ufs-lab] {cfg.out_dir}: status={status} best_frechet={best_frechet:.6g} "
           f"space={space} at iteration {best_iteration}")
-    return RunResult(status, out, metrics_path, records, best_frechet, best_iteration)
+    return RunResult(status, out, metrics_path, records)

@@ -518,7 +518,7 @@ def small_conv_disc(rng, channels=4, scale=0.4):
 def small_gen(rng, latent=4, out_dim=2, scale=0.4):
     net = init_network(
         [nm.dense(latent, 8), nm.leaky_relu(0.2), nm.dense(8, out_dim)], rng, scale)
-    return gan.GeneratorNet(latent, net, (out_dim,))
+    return gan.GeneratorNet(net, (out_dim,))
 
 
 def cam_state(d):

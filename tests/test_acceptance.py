@@ -340,7 +340,6 @@ def reference_plain_loop(iterations: int, batch: int, seed: int):
         dx, _ = nm.backward_pass(disc.body.specs, disc.body.params, dcache, d_y)
         ggrads = gen.backward(gcache, dx)
         nm.adam_step(state.adam_g, gen.net.param_list(), ggrads, gan._current_lr(state))
-        state.t += 1
     return gen, disc
 
 

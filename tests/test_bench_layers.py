@@ -2,7 +2,9 @@
 attribute chains; each must still resolve, or `perfbench/run.py` fails. The
 traced run wraps the functions of `perfbench/spans.py`'s LAYERS, and
 `perfbench/run.py` decodes every workload config (and its warm-up variant)
-and reads `ufs_lab.<module>.<attr>` chains."""
+and reads `ufs_lab.<module>.<attr>` chains. It and `scripts/fingerprints.py`
+also read attributes off the objects a run gives them: the `result` of
+`run_experiment` and the `state` restored from a checkpoint."""
 
 import ast
 import copy
@@ -18,7 +20,8 @@ import ufs_lab
 import ufs_lab.cli
 from ufs_lab import harness
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 SPANS = BENCH / "spans.py"
 WORKLOADS = json.loads((BENCH / "workloads.json").read_text())
 
@@ -30,17 +33,18 @@ def load_spans():
     return module
 
 
-def ufs_lab_chains(path: Path) -> list:
-    """The longest `ufs_lab.a.b` attribute chains the script's source reads,
-    without the `ufs_lab.` root."""
+def attribute_chains(paths, root: str) -> list:
+    """The longest `root.a.b` attribute chains the scripts' sources read,
+    without the root."""
     chains = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        parts = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if parts and isinstance(node, ast.Name) and node.id == "ufs_lab":
-            chains.add(".".join(reversed(parts)))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id == root:
+                chains.add(".".join(reversed(parts)))
     return sorted(c for c in chains if not any(o.startswith(c + ".") for o in chains))
 
 
@@ -58,7 +62,7 @@ def test_workload_config_decodes_with_and_without_warmup(name):
                                                      spec["warmup"]))
 
 
-CHAINS = ufs_lab_chains(BENCH / "run.py")
+CHAINS = attribute_chains([BENCH / "run.py"], "ufs_lab")
 
 
 def test_run_script_reads_ufs_lab_chains():
@@ -68,3 +72,31 @@ def test_run_script_reads_ufs_lab_chains():
 @pytest.mark.parametrize("chain", CHAINS)
 def test_run_script_chain_resolves(chain):
     functools.reduce(getattr, chain.split("."), ufs_lab)
+
+
+RUN_SCRIPTS = [BENCH / "run.py", ROOT / "scripts" / "fingerprints.py"]
+RUN_CHAINS = [(root, chain) for root in ("result", "state")
+              for chain in attribute_chains(RUN_SCRIPTS, root)]
+
+
+@pytest.fixture(scope="module")
+def ring8_run(tmp_path_factory):
+    """The RunResult of a 1-iteration ring8 run and the state restored from
+    its last checkpoint, under the names the scripts give them."""
+    cfg = harness.config_from_dict({
+        "dataset": {"kind": "ring8"}, "train": {"batch_size": 8, "iterations": 1},
+        "eval_every": 1, "eval_samples": 16, "out_dir": str(tmp_path_factory.mktemp("ring8"))})
+    result = harness.run_experiment(cfg)
+    _, state = harness.trainer_from_arrays(
+        *harness.load_checkpoint(sorted(result.out_dir.glob("checkpoint_*"))[-1]))
+    return {"result": result, "state": state}
+
+
+def test_run_scripts_read_result_and_state_chains():
+    # the walk finds what the scripts read
+    assert {("result", "status"), ("state", "adam_g.step")} <= set(RUN_CHAINS)
+
+
+@pytest.mark.parametrize("root, chain", RUN_CHAINS)
+def test_run_script_chain_resolves_on_a_run(ring8_run, root, chain):
+    functools.reduce(getattr, chain.split("."), ring8_run[root])

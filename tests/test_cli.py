@@ -313,6 +313,23 @@ def test_cam_misshapen_checkpoint_one_line_error(tmp_path, capsys):
     assert "disc.00: expected shape (32, 1, 3, 3)" in assert_one_line_error(capsys, "ParseError")
 
 
+def test_cam_negative_counter_checkpoint_one_line_error(tmp_path, capsys):
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {
+        "batch_size": 4, "n_critic": 1, "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.0}}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    rng = SeededRng(1)
+    gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)
+    arrays, header = trainer_to_arrays(state, asdict(cfg))
+    header.update({"run.iteration": -5, "adam_d.step": -3})
+    save_checkpoint(tmp_path / "bad.ufsl", arrays, header)
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "bad.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    err = assert_one_line_error(capsys, "ParseError")
+    assert "header entry 'run.iteration' should be a non-negative integer, got -5" in err
+    assert not (tmp_path / "cams").exists()
+
+
 def test_cam_on_embeddings_file_one_line_error(tmp_path, capsys):
     # a valid UFSL container that is not a trainer checkpoint
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=8, seed=1)

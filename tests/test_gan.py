@@ -351,7 +351,7 @@ def test_generator_mask_builds_no_config_while_beta_anneals(monkeypatch):
                         lambda self: built.append(self) or post_init(self))
     floors = set()
     for t in range(10):
-        state.t = t
+        state.adam_g.step = t
         floors.add(float(gan.generator_mask(state, features).min()))
     assert built == []
     assert len(floors) > 1  # beta moved, and the clip bound of the masks with it
@@ -411,7 +411,7 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
         oracle = AdamOracle.for_params(ref_params, gan.ADAM_LR, nm.ADAM_B1, nm.ADAM_B2)
         rates = []
         for t in range(24):
-            state.t = t
+            state.adam_g.step = t
             oracle.lr = gan._current_lr(state)
             rates.append(oracle.lr)
             grads = [rng.normal(p.shape, 0.0, 10.0 ** -(t % 4)) for p in params]
@@ -490,7 +490,7 @@ def test_generator_mask_clips_at_the_annealed_beta():
     d = small_mlp_disc(rng)
     cfg = ufs.UfsConfig(0.0, 0.25, 1.0, beta_anneal=ufs.BetaAnneal(1.0, 1.0))
     state = objective_state(rng, small_gen(rng), d, None, cfg)
-    state.t = 5  # halfway through the 10-iteration window: beta = 0.625
+    state.adam_g.step = 5  # halfway through the 10-iteration window: beta = 0.625
     features, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((6, 2), 0.5, 1.5))
     s = gan.generator_mask(state, features)
     at_beta = ufs.suppression_mask(state.stats, d.w, features, ufs.UfsConfig(0.0, 0.625, 1.0), 0.625)
