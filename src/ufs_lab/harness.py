@@ -28,8 +28,8 @@ from . import ufs as ufs_mod
 from .attribution import encode_pgm
 from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
-from .metrics import (MANIFOLD_K, MAX_SAMPLES, ball_bounds, fit_gaussian, frechet_distance,
-                      manifold_metrics, measure, mode_coverage)
+from .metrics import (MANIFOLD_K, MAX_SAMPLES, ball_bounds, covariance_root, fit_gaussian,
+                      frechet_distance, manifold_metrics, measure, mode_coverage)
 from .numerics import Array, SeededRng, write_atomic
 
 
@@ -329,6 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # computed once, inside the first evaluation window rather than in set-up.
     real_points, space = measure(real_pool)
     real_fit, real_bounds = fit_gaussian(real_points), ball_bounds(real_points, MANIFOLD_K)
+    real_root = covariance_root(real_fit)
     stored_cfg = asdict(cfg)
     del stored_cfg["out_dir"]  # so a run's checkpoints do not depend on where it was written
     records = []
@@ -345,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         else:
             covered, hq = math.nan, math.nan
             _dump_image_grid(fake_pool[:64], out / f"samples_{iteration:06d}.pgm")
-        fr = frechet_distance(real_fit, fit_gaussian(fake_points))
+        fr = frechet_distance(real_fit, fit_gaussian(fake_points), real_root)
         mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
         save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl",
                         *trainer_to_arrays(state, stored_cfg))

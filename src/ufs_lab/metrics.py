@@ -75,11 +75,22 @@ def _psd_eigvals(mat: Array) -> Array:
     return _clip_psd(np.linalg.eigvalsh((mat + mat.T) / 2.0), "matrix")
 
 
-def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
+def covariance_root(fit: GaussianFit) -> Array:
+    """Square root of a fit's symmetrized covariance, through its
+    eigendecomposition (tiny negative eigenvalues clipped, larger rejected)."""
+    vals, vecs = np.linalg.eigh((fit.covariance + fit.covariance.T) / 2.0)
+    return (vecs * np.sqrt(_clip_psd(vals, "covariance"))) @ vecs.T
+
+
+def frechet_distance(a: GaussianFit, b: GaussianFit, root_a: Array | None = None) -> float:
     """Squared 2-Wasserstein distance between two Gaussian fits.
 
     ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^{1/2}), with the matrix
     square root taken through eigendecompositions of symmetrized products.
+    A caller that scores many fits against one fit a passes
+    `root_a = covariance_root(a)`, computed once (the experiment loop does so
+    once per run, as it does the real set's ball bounds), so a's
+    eigendecomposition is not repeated.
     """
     if a.mean.shape != b.mean.shape or a.covariance.shape != b.covariance.shape:
         raise ContractError(
@@ -87,8 +98,10 @@ def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
             f"{b.mean.shape}/{b.covariance.shape}")
     cov_a = (a.covariance + a.covariance.T) / 2.0
     cov_b = (b.covariance + b.covariance.T) / 2.0
-    vals_a, vecs_a = np.linalg.eigh(cov_a)
-    root_a = (vecs_a * np.sqrt(_clip_psd(vals_a, "covariance"))) @ vecs_a.T
+    if root_a is None:
+        root_a = covariance_root(a)
+    elif root_a.shape != cov_a.shape:
+        raise ContractError(f"root_a must have shape {cov_a.shape}, got {root_a.shape}")
     _psd_eigvals(cov_b)
     inner = root_a @ cov_b @ root_a
     trace_sqrt = float(np.sqrt(_psd_eigvals(inner)).sum())

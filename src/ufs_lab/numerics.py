@@ -12,16 +12,21 @@ Convolution forward and global sum pooling accumulate in a fixed loop
 order (channel, then kernel row, then kernel column / row-major spatial)
 so they agree bit-for-bit with a naive Python loop. The convolution forward
 copies each sample block's windows into one contiguous buffer, then costs
-three numpy calls per (sample block, input channel): one multiply writes all
-the channel's tap products, the running sum is added into the first tap's
-products, and one add.reduce folds the taps in order into an accumulator at
-least 2 wide. Its buffers store the longer of the out-channel axis and the
-block's positions innermost, and its loop runs inside `unbuffered_ufuncs`,
-which holds numpy's ufunc buffer at 16 elements so that numpy never copies
-the broadcast operands through its buffers, and restores the caller's size
-on the way out. The convolution gradients are one im2col GEMM each; they
-sum in BLAS order, so they are checked against reference oracles to
-rounding and against finite differences, not bitwise.
+three numpy calls per (sample block, group of input channels): one multiply
+writes the tap products of every channel in the group, the running sum is
+added into the first tap's products, and one add.reduce folds the taps in
+(channel, row, col) order into an accumulator at least 2 wide. A group
+holds as many channels as the block leaves room for in the budget
+(`_CONV_BLOCK_ELEMS`), so small blocks, the training batches, pay for their
+products rather than for their calls. Each distinct block size has its own
+buffers, which store the longer of the out-channel axis and the block's
+positions innermost, and the loop runs inside `unbuffered_ufuncs`, which
+holds numpy's ufunc buffer at 16 elements so that numpy never copies the
+broadcast operands through its buffers, and restores the caller's size on
+the way out. The convolution gradients are one im2col GEMM each, a single
+np.dot on the operands np.tensordot would build; they sum in BLAS order,
+so they are checked against reference oracles to rounding and against
+finite differences, and bitwise only against the tensordot forms.
 
 Importing this module (and so any part of ufs_lab) fixes the process's
 heap policy, once: where libc has `mallopt` (glibc), the mmap threshold is
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError, UnsupportedArchitectureError
 
@@ -212,11 +217,44 @@ def _check_dy(dy: Array, want, x_shape, kernel_shape, op: str) -> None:
                              f"{tuple(kernel_shape)}, expected {tuple(want)}")
 
 
-# Budget in elements for one sample block's kh*kw tap products plus its
+# Budget in elements for one sample block's tap products plus its
 # accumulator (1 MiB of float64): large enough to amortise the three calls
-# per input channel, small enough that the block stays in cache. The
-# block's window copy, in_channels*kh*kw per position, comes on top.
+# per group of input channels, small enough that the block stays in cache.
+# It sets the rows of a block (one channel's kh*kw taps must fit), then the
+# channels of a group (as many channels' taps as fit beside that block's
+# accumulator). The block's window copy, in_channels*kh*kw per position,
+# comes on top.
 _CONV_BLOCK_ELEMS = 1 << 17
+
+
+def _windows(x: Array, kh: int, kw: int, stride: int, ho: int, wo: int) -> Array:
+    """The (n, ho, wo, c, kh, kw) view of x's kernel windows:
+    element [i, a, b, ci, p, q] is x[i, ci, a * stride + p, b * stride + q]."""
+    sn, sc, sh, sw = x.strides
+    return as_strided(x, (x.shape[0], ho, wo, x.shape[1], kh, kw),
+                      (sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+
+
+def _conv_block_buffers(c: int, t: int, nb: int, ho: int, wo: int, op: int):
+    """Window, product and accumulator buffers for a block of nb rows, and the
+    input channels one multiply covers: ceil(c / groups) for the fewest
+    groups whose products fit in _CONV_BLOCK_ELEMS beside the accumulator,
+    so only the last group is short, on the leading (contiguous) part of the
+    product buffer. The products and the accumulator store the longer of the
+    out-channel axis and the block's positions (sample, ho, wo) innermost, so
+    the multiply and the reduce run long contiguous inner loops.
+    """
+    per_tap = nb * ho * wo * op
+    fit = max(1, (_CONV_BLOCK_ELEMS // per_tap - 1) // t)  # channels whose taps fit
+    group = -(-c // -(-c // fit))
+    cols = np.empty((c * t, nb, ho, wo, 1))
+    if nb * ho * wo >= op:  # positions innermost
+        prods = np.empty((group * t, op, nb, ho, wo)).transpose(0, 2, 3, 4, 1)
+        acc = np.empty((op, nb, ho, wo)).transpose(1, 2, 3, 0)
+    else:  # out-channels innermost
+        prods = np.empty((group * t, nb, ho, wo, op))
+        acc = np.empty((nb, ho, wo, op))
+    return cols, prods, acc, group
 
 
 def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
@@ -226,22 +264,19 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     (in-channel, kernel row, kernel col) order, so the result is bitwise equal
     to a naive six-loop implementation. Per block of samples, the block's
     kh*kw windows of every input channel are copied into one contiguous
-    buffer. Then per input channel one broadcast multiply writes all kh*kw
-    tap products (tap, sample, ho, wo, out-channel); the running sum is added
-    into the first tap's products (IEEE addition commutes), and one
-    add.reduce over the tap axis folds the taps into the accumulator in
-    (row, col) order.
+    buffer. Then per group of input channels one broadcast multiply writes
+    all the group's tap products (tap, sample, ho, wo, out-channel), taps in
+    (channel, row, col) order; the running sum is added into the first tap's
+    products (IEEE addition commutes), and one add.reduce over the tap axis
+    folds the taps into the accumulator in that order.
 
-    The product and accumulator buffers store the longer of the out-channel
-    axis and the block's positions (sample, ho, wo) innermost, so the
-    multiply and the reduce run long contiguous inner loops; the layout is
-    chosen once per call, from the full block. The rows are split into the
-    fewest blocks within _CONV_BLOCK_ELEMS, each ceil(n / blocks) rows but
-    the last, so a last block runs close to the size its layout was chosen
-    for; full blocks keep the buffers contiguous, which a block a row short
-    of them does not. The loop runs inside unbuffered_ufuncs. The
-    out-channel axis is padded to at least 2: over a 1-wide accumulator
-    numpy would sum the taps with its pairwise routine, in another order.
+    The rows are split into the fewest blocks within _CONV_BLOCK_ELEMS, each
+    ceil(n / blocks) rows but the last. Every distinct block size gets its
+    own buffers (see _conv_block_buffers: its channel groups and layout), so
+    a short last block runs on contiguous buffers sized for it. The loop runs
+    inside unbuffered_ufuncs. The out-channel axis is padded to at least 2:
+    over a 1-wide accumulator numpy would sum the taps with its pairwise
+    routine, in another order.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
@@ -249,31 +284,26 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
     n, c = x.shape[:2]
     o, _, kh, kw = kernel.shape
     op, t = max(o, 2), kh * kw
-    taps = np.zeros((c, t, 1, 1, 1, op))
-    taps[..., :o] = kernel.reshape(o, c, t).transpose(1, 2, 0)[:, :, None, None, None]
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows.transpose(1, 4, 5, 0, 2, 3)  # (c, kh, kw, n, ho, wo)
+    taps = np.zeros((c * t, 1, 1, 1, op))
+    taps[..., :o] = kernel.reshape(o, c * t).T[:, None, None, None]
+    windows = _windows(x, kh, kw, stride, ho, wo).transpose(3, 4, 5, 0, 1, 2)  # (c, kh, kw, n, ho, wo)
     y = np.empty((n, o, ho, wo))
     n_blocks = max(1, -(-n // max(1, _CONV_BLOCK_ELEMS // ((t + 1) * ho * wo * op))))
     block = max(1, -(-n // n_blocks))  # only the last block can be short, by under n_blocks rows
-    cols_buf = np.empty((c, kh, kw, block, ho, wo))
-    cols_flat = cols_buf.reshape(c, t, block, ho, wo, 1)  # the same memory, one tap axis
-    if block * ho * wo >= op:  # positions innermost
-        prods_buf = np.empty((t, op, block, ho, wo)).transpose(0, 2, 3, 4, 1)
-        acc_buf = np.empty((op, block, ho, wo)).transpose(1, 2, 3, 0)
-    else:  # out-channels innermost
-        prods_buf = np.empty((t, block, ho, wo, op))
-        acc_buf = np.empty((block, ho, wo, op))
+    buffers = {}
     with unbuffered_ufuncs():
         for lo in range(0, n, block):
             nb = min(block, n - lo)
-            cols, prods, acc = cols_flat[:, :, :nb], prods_buf[:, :nb], acc_buf[:nb]
-            np.copyto(cols_buf[:, :, :, :nb], windows[:, :, :, lo:lo + nb])
+            if nb not in buffers:
+                buffers[nb] = _conv_block_buffers(c, t, nb, ho, wo, op)
+            cols, prods, acc, group = buffers[nb]
+            np.copyto(cols.reshape(c, kh, kw, nb, ho, wo), windows[:, :, :, lo:lo + nb])
             acc.fill(0.0)
-            for ci in range(c):
-                np.multiply(cols[ci], taps[ci], out=prods)
-                prods[0] += acc
-                np.add.reduce(prods, axis=0, out=acc)
+            for k in range(0, c * t, group * t):
+                part = prods[:min(group * t, c * t - k)]
+                np.multiply(cols[k:k + len(part)], taps[k:k + len(part)], out=part)
+                part[0] += acc
+                np.add.reduce(part, axis=0, out=acc)
             y[lo:lo + nb] = acc[..., :o].transpose(0, 3, 1, 2)
     return y
 
@@ -281,32 +311,39 @@ def conv2d_forward(x: Array, kernel: Array, stride: int) -> Array:
 def conv2d_weight_grad(x: Array, dy: Array, stride: int, kh: int, kw: int) -> Array:
     """Gradient of a valid cross-correlation with respect to its kernel.
 
-    One im2col (a strided window view of x) contracted with dy in one GEMM.
+    One im2col (a copy of x's strided window view) contracted with dy in one
+    np.dot: the operands and the call np.tensordot would make, without its
+    wrapper.
     """
     x = as_f64(x)
     dy = as_f64(dy)
     if x.ndim != 4 or dy.ndim != 4:
         raise DimensionError(f"conv2d_weight_grad: need 4-d x and dy, got {x.shape} and {dy.shape}")
-    kernel_shape = (dy.shape[1], x.shape[1], kh, kw)
+    n, c = x.shape[:2]
+    o = dy.shape[1]
+    kernel_shape = (o, c, kh, kw)
     ho, wo = _conv_output_hw(x.shape, kernel_shape, stride, "conv2d_weight_grad")
-    _check_dy(dy, (x.shape[0], dy.shape[1], ho, wo), x.shape, kernel_shape, "conv2d_weight_grad")
-    cols = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
-    return np.tensordot(dy, cols, axes=([0, 2, 3], [0, 2, 3]))
+    _check_dy(dy, (n, o, ho, wo), x.shape, kernel_shape, "conv2d_weight_grad")
+    cols = _windows(x, kh, kw, stride, ho, wo).reshape(n * ho * wo, c * kh * kw)
+    return np.dot(dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo), cols).reshape(kernel_shape)
 
 
 def conv2d_input_grad(dy: Array, kernel: Array, x_shape, stride: int) -> Array:
     """Gradient of a valid cross-correlation with respect to its input.
 
-    One GEMM gives every tap's contribution; a kh x kw scatter-add then folds
-    them back onto the input grid.
+    One np.dot (the operands and the call np.tensordot would make) gives
+    every tap's contribution; a kh x kw scatter-add then folds them back
+    onto the input grid.
     """
     dy = as_f64(dy)
     kernel = as_f64(kernel)
     x_shape = tuple(x_shape)
     ho, wo = _conv_output_hw(x_shape, kernel.shape, stride, "conv2d_input_grad")
+    n, c = x_shape[:2]
     o, _, kh, kw = kernel.shape
-    _check_dy(dy, (x_shape[0], o, ho, wo), x_shape, kernel.shape, "conv2d_input_grad")
-    cols = np.tensordot(kernel, dy, axes=([0], [1]))  # (c, kh, kw, n, ho, wo)
+    _check_dy(dy, (n, o, ho, wo), x_shape, kernel.shape, "conv2d_input_grad")
+    cols = np.dot(kernel.transpose(1, 2, 3, 0).reshape(c * kh * kw, o),
+                  dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)).reshape(c, kh, kw, n, ho, wo)
     dx = np.zeros(x_shape)
     for p in range(kh):
         for q in range(kw):

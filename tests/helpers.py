@@ -3,9 +3,11 @@
 The oracles here are deliberately written as plain Python loops or textbook
 iterations, independent of the library's vectorized implementations. The
 conv gradient references contract one kernel tap at a time with einsum,
-independent of the library's im2col GEMMs. The sqrt-distance manifold
-metrics take a square root per pair and compare it with sqrt radii,
-independent of the library's squared distances and ball bounds. The
+independent of the library's im2col GEMMs, and the tensordot conv gradients
+are the forms the library's single np.dot gradients are checked against
+byte for byte. The sqrt-distance manifold metrics take a square root per
+pair and compare it with sqrt radii, independent of the library's squared
+distances and ball bounds. The
 stacked critic appends the linear head to the body as a dense layer, the
 form the library's split (body, w, b) head is checked against, and the
 per-group critic objective runs the body forward once per batch, the form
@@ -147,6 +149,27 @@ def conv2d_input_grad_einsum(dy, kernel, x_shape, stride):
         for q in range(kw):
             piece = np.einsum("noij,oc->ncij", dy, kernel[:, :, p, q])
             dx[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride] += piece
+    return dx
+
+
+def conv2d_weight_grad_tensordot(x, dy, stride, kh, kw):
+    """Kernel gradient of a valid cross-correlation: one tensordot of dy with
+    the strided window view of x."""
+    cols = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
+    return np.tensordot(dy, cols, axes=([0, 2, 3], [0, 2, 3]))
+
+
+def conv2d_input_grad_tensordot(dy, kernel, x_shape, stride):
+    """Input gradient of a valid cross-correlation: one tensordot of the kernel
+    with dy, then a kh x kw scatter-add onto the input grid."""
+    o, _, kh, kw = kernel.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    cols = np.tensordot(kernel, dy, axes=([0], [1]))  # (c, kh, kw, n, ho, wo)
+    dx = np.zeros(x_shape)
+    for p in range(kh):
+        for q in range(kw):
+            dx[:, :, p:p + stride * (ho - 1) + 1:stride, q:q + stride * (wo - 1) + 1:stride] += \
+                cols[:, p, q].transpose(1, 0, 2, 3)
     return dx
 
 

@@ -98,6 +98,23 @@ def test_frechet_rejects_indefinite_covariance():
         mx.frechet_distance(bad, mx.GaussianFit(np.zeros(2), np.eye(2)))
 
 
+@pytest.mark.parametrize("dim,m,n", [(2, 500, 500), (64, 256, 64)])  # ring8 and image windows
+def test_frechet_precomputed_root_gives_the_same_bits(dim, m, n):
+    rng = SeededRng(dim)
+    real = mx.fit_gaussian(rng.normal((m, dim)))
+    root = mx.covariance_root(real)
+    for scale in (0.5, 1.0, 3.0):
+        fake = mx.fit_gaussian(rng.normal((n, dim), 0.1, scale))
+        assert mx.frechet_distance(real, fake, root).hex() == mx.frechet_distance(real, fake).hex()
+
+
+def test_frechet_root_shape_checked():
+    a = mx.GaussianFit(np.zeros(2), np.eye(2))
+    for bad in (np.eye(3), np.ones(2), mx.covariance_root(unit_fit(0, 1))):
+        with pytest.raises(ContractError, match="root_a"):
+            mx.frechet_distance(a, a, bad)
+
+
 # --- manifold metrics --------------------------------------------------------------- #
 
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import (backward_pass_oracle, conv2d_forward_channels_last, conv2d_input_grad_einsum,
-                     conv2d_loop, conv2d_weight_grad_einsum, fd_param_grads, finite_diff_grad, flat_grads,
+                     conv2d_input_grad_tensordot, conv2d_loop, conv2d_weight_grad_einsum,
+                     conv2d_weight_grad_tensordot, fd_param_grads, finite_diff_grad, flat_grads,
                      init_network, matmul_loop, rel_err, sum_pool_loop)
 from ufs_lab import gan
 from ufs_lab import numerics as nm
@@ -181,6 +182,18 @@ def test_conv_forward_one_sample_last_block_in_either_layout(monkeypatch, out):
     assert nm.conv2d_forward(x, k, 1).tobytes() == conv2d_loop(x, k, 1).tobytes()
 
 
+def recording(monkeypatch, name, record):
+    """Replace np.<name> by a wrapper that passes each call's out (or
+    destination) array to record before running it."""
+    fn = getattr(np, name)
+
+    def wrapper(*args, **kwargs):
+        record(kwargs.get("out", args[0]))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, wrapper)
+
+
 @pytest.mark.parametrize("rows,cin,cout,side,blocks", [
     (48, 32, 64, 7, [16, 16, 16]),  # a budget of 22 rows: not 22 + 22 + 4
     (12, 1, 32, 16, [6, 6]),  # a budget of 8 rows: not 8 + 4
@@ -188,18 +201,59 @@ def test_conv_forward_one_sample_last_block_in_either_layout(monkeypatch, out):
 ])
 def test_conv_forward_splits_rows_into_near_equal_blocks(monkeypatch, rows, cin, cout, side, blocks):
     seen = []
-    copyto = np.copyto
-
-    def recording_copyto(dst, src):
-        seen.append(dst.shape[3])  # (c, kh, kw, rows, ho, wo)
-        copyto(dst, src)
-
-    monkeypatch.setattr(np, "copyto", recording_copyto)
+    recording(monkeypatch, "copyto", lambda dst: seen.append(dst.shape[3]))  # (c, kh, kw, rows, ho, wo)
     rng = nm.SeededRng(rows)
     x = rng.normal((rows, cin, side, side))
     k = rng.normal((cout, cin, 3, 3))
     nm.conv2d_forward(x, k, 2)
     assert seen == blocks
+
+
+@pytest.mark.parametrize("rows,cin,cout,side,groups", [
+    (4, 64, 128, 3, [22, 22, 20]),  # room for 28 channels' taps: not 28 + 28 + 8
+    (12, 64, 128, 3, [8] * 8),  # room for 9
+    (4, 32, 64, 7, [6] * 5 + [2]),  # room for 6
+    (12, 32, 64, 7, [1] * 32),  # no room for a second channel
+])
+def test_conv_forward_groups_input_channels_within_the_budget(monkeypatch, rows, cin, cout, side, groups):
+    # one multiply per channel group, each writing 9 taps per channel
+    seen = []
+    recording(monkeypatch, "multiply", lambda prods: seen.append(len(prods) // 9))
+    rng = nm.SeededRng(rows * cin)
+    x = rng.normal((rows, cin, side, side))
+    k = rng.normal((cout, cin, 3, 3))
+    nm.conv2d_forward(x, k, 2)
+    assert seen == groups
+
+
+@pytest.mark.parametrize("out", [3, 40])  # positions innermost, then out-channels innermost
+def test_conv_forward_channel_groups_with_a_short_last_group_match_loop_oracle(monkeypatch, out):
+    # one block of 2 rows with room for 3 channels' taps: groups of 3, 3 and 1
+    monkeypatch.setattr(nm, "_CONV_BLOCK_ELEMS", 2 * 3 * 3 * max(out, 2) * 30)
+    rng = nm.SeededRng(out)
+    x = rng.normal((2, 7, 5, 5))
+    k = rng.normal((out, 7, 3, 3))
+    want = conv2d_loop(x, k, 1)
+    seen = []
+    recording(monkeypatch, "multiply", lambda prods: seen.append(len(prods) // 9))
+    assert nm.conv2d_forward(x, k, 1).tobytes() == want.tobytes()
+    assert seen == [3, 3, 1]
+
+
+@pytest.mark.parametrize("out", [2, 5, 9])  # full and short block: both positions, either, both out
+def test_conv_forward_short_last_block_runs_on_its_own_buffers(monkeypatch, out):
+    # blocks of 2, 2 and 1 rows with a 2x2 output
+    monkeypatch.setattr(nm, "_CONV_BLOCK_ELEMS", (9 + 1) * 2 * 2 * max(out, 2) * 2)
+    rng = nm.SeededRng(10 + out)
+    x = rng.normal((5, 3, 4, 4))
+    k = rng.normal((out, 3, 3, 3))
+    want = conv2d_loop(x, k, 1)
+    windows = []
+    recording(monkeypatch, "copyto", windows.append)
+    assert nm.conv2d_forward(x, k, 1).tobytes() == want.tobytes()
+    assert [w.shape[3] for w in windows] == [2, 2, 1]  # (c, kh, kw, rows, ho, wo)
+    assert all(w.flags.c_contiguous for w in windows)
+    assert not np.shares_memory(windows[2], windows[0])
 
 
 def test_conv_forward_leaves_the_ufunc_buffer_size_as_it_found_it(monkeypatch):
@@ -274,6 +328,36 @@ def test_conv_grads_match_einsum_oracles_any_geometry(case):
                    conv2d_weight_grad_einsum(x, dy, stride, kh, kw)) < 1e-12
     assert rel_err(nm.conv2d_input_grad(dy, kernel, x.shape, stride),
                    conv2d_input_grad_einsum(dy, kernel, x.shape, stride)) < 1e-12
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [4, 12, 48])  # the critic's penalty, body and batch-16 body rows
+@pytest.mark.parametrize("cin,cout,side", CRITIC_CONVS)
+def test_conv_grads_bitwise_equal_tensordot_oracles(rows, cin, cout, side):
+    rng = nm.SeededRng(10 * cin + rows)
+    x = rng.normal((rows, cin, side, side))
+    kernel = rng.normal((cout, cin, 3, 3))
+    ho = (side - 3) // 2 + 1
+    dy = rng.normal((rows, cout, ho, ho))
+    assert_same_array(nm.conv2d_weight_grad(x, dy, 2, 3, 3), conv2d_weight_grad_tensordot(x, dy, 2, 3, 3))
+    assert_same_array(nm.conv2d_input_grad(dy, kernel, x.shape, 2),
+                      conv2d_input_grad_tensordot(dy, kernel, x.shape, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(conv_cases())
+def test_conv_grads_bitwise_equal_tensordot_oracles_any_geometry(case):
+    x, kernel, stride = case
+    o, _, kh, kw = kernel.shape
+    dy = nm.SeededRng(x.size + 1).normal(nm.conv2d_forward(x, kernel, stride).shape)
+    assert_same_array(nm.conv2d_weight_grad(x, dy, stride, kh, kw),
+                      conv2d_weight_grad_tensordot(x, dy, stride, kh, kw))
+    assert_same_array(nm.conv2d_input_grad(dy, kernel, x.shape, stride),
+                      conv2d_input_grad_tensordot(dy, kernel, x.shape, stride))
 
 
 def test_conv_weight_grad_shape_error_names_both_shapes():
