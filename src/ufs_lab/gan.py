@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,7 +122,9 @@ class DiscriminatorNet:
 def score_from_features(d: DiscriminatorNet, features: Array) -> Array:
     """Linear head applied per sample, to plain or masked features; bitwise
     equal to a dense layer stacked on the body."""
-    return (features @ d.w.reshape(-1, 1) + d.b)[:, 0]
+    scores = features @ d.w.reshape(-1, 1)
+    scores += d.b
+    return scores[:, 0]
 
 
 def head_feature_grad(w: Array, s: Array | None, dscores: Array) -> Array:
@@ -135,6 +138,11 @@ def head_feature_grad(w: Array, s: Array | None, dscores: Array) -> Array:
 # --- losses ----------------------------------------------------------------- #
 
 
+def _mean(x: Array):
+    """x.mean(): the sum and division np.mean makes, without its wrapper."""
+    return np.add.reduce(x, axis=None) / x.size
+
+
 def critic_loss(kind: str, real_scores: Array, fake_scores: Array):
     """The critic's loss on one real/fake score batch and its derivatives with
     respect to each score: (value, d_real, d_fake). wgan_gp scores like wgan;
@@ -143,11 +151,11 @@ def critic_loss(kind: str, real_scores: Array, fake_scores: Array):
     if r.size == 0 or f.size == 0:
         raise ContractError("critic_loss: empty score batch")
     if kind in ("wgan", "wgan_gp"):
-        return (float(f.mean() - r.mean()), np.full(r.shape, -1.0 / r.size),
+        return (float(_mean(f) - _mean(r)), np.full(r.shape, -1.0 / r.size),
                 np.full(f.shape, 1.0 / f.size))
     if kind == "hinge":
         margin_r, margin_f = 1.0 - r, 1.0 + f
-        return (float(np.maximum(0.0, margin_r).mean() + np.maximum(0.0, margin_f).mean()),
+        return (float(_mean(np.maximum(0.0, margin_r)) + _mean(np.maximum(0.0, margin_f))),
                 -(margin_r > 0.0).astype(float) / r.size, (margin_f > 0.0).astype(float) / f.size)
     raise ContractError(f"unknown loss kind {kind!r}")
 
@@ -160,7 +168,9 @@ def interpolate_batches(real: Array, fake: Array, rng: SeededRng) -> Array:
     if real.shape != fake.shape:
         raise DimensionError(f"batch shapes differ: {real.shape} vs {fake.shape}")
     u = rng.uniform((len(real),) + (1,) * (real.ndim - 1))
-    return u * real + (1.0 - u) * fake
+    x_hat = u * real
+    x_hat += (1.0 - u) * fake
+    return x_hat
 
 
 def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
@@ -181,7 +191,7 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
     gx, tape = backward_pass(specs, params, cache, head_feature_grad(d.w, None, ones))
     axes = tuple(range(1, gx.ndim))
     norms = np.sqrt((gx * gx).sum(axis=axes))
-    value = gp_lambda * float(((norms - 1.0) ** 2).mean())
+    value = gp_lambda * float(_mean((norms - 1.0) ** 2))
     coef = gp_lambda * 2.0 * (norms - 1.0) / (n * np.maximum(norms, 1e-12))
     v = gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1))
     pgrads, q = input_grad_param_grads(specs, params, cache, tape, v)
@@ -193,7 +203,7 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
 
 def _split_groups(y: Array, cache, lengths):
     """(features, cache) per group of one forward pass over row-stacked groups."""
-    bounds = np.cumsum([0] + lengths).tolist()
+    bounds = list(accumulate(lengths, initial=0))
     return [(y[lo:hi], [c[lo:hi] for c in cache])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -219,22 +229,26 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     s_r = score_from_features(d, y_r)
     s_f = score_from_features(d, y_f)
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
-    dw = dr @ y_r + df @ y_f
-    db = np.array([dr.sum() + df.sum()])
+    n_body = sum(a.size for a in d.body.param_list())
+    grads = np.empty(n_body + d.feature_dim + 1)  # [body | w | b]
+    body_grads, dw = grads[:n_body], grads[n_body:-1]
+    np.matmul(dr, y_r, out=dw)
+    dw += df @ y_f
+    grads[-1] = dr.sum() + df.sum()
     _, tape_r = backward_pass(specs, params, cache_r, head_feature_grad(d.w, None, dr),
                               input_grad=False)
     _, tape_f = backward_pass(specs, params, cache_f, head_feature_grad(d.w, None, df),
                               input_grad=False)
-    body_grads = param_grads(specs, cache_r, tape_r)
+    param_grads(specs, cache_r, tape_r, out=body_grads)
     body_grads += param_grads(specs, cache_f, tape_f)
     penalty = 0.0
     if x_hat_group:
         penalty, pgrads, pw = penalty_with_grads(d, x_hat_group[0][1], loss.gp_lambda)
         body_grads += pgrads
-        dw = dw + pw
+        dw += pw
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
             "y_real": y_r, "y_fake": y_f}
-    return value + penalty, np.concatenate([body_grads, dw, db]), diag
+    return value + penalty, grads, diag
 
 
 # --- training state and steps -------------------------------------------------- #

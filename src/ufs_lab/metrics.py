@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -293,19 +294,28 @@ EMBED_SEED = 0  # the one embedding every image measurement uses
 _EMBED_MID = 32
 
 
+@lru_cache(maxsize=None)
+def _embed_kernels(seed: int, in_channels: int) -> tuple[Array, Array]:
+    """The embedder's two kernels at (seed, in_channels), drawn once per
+    process and read-only: He-scaled normals from SeededRng(seed)."""
+    rng = SeededRng(seed)
+    k1 = rng.normal((_EMBED_MID, in_channels, 3, 3), 0.0, math.sqrt(2.0 / (in_channels * 9)))
+    k2 = rng.normal((EMBED_DIM, _EMBED_MID, 3, 3), 0.0, math.sqrt(2.0 / (_EMBED_MID * 9)))
+    k1.setflags(write=False)
+    k2.setflags(write=False)
+    return k1, k2
+
+
 def random_feature_embed(images: Array, seed: int) -> Array:
     """Fixed seeded two-layer random conv features, pooled to 64 dimensions.
 
-    Deterministic per seed; weights are He-scaled normals, biases zero,
-    stride 2, leaky slope 0.2.
+    Deterministic per seed; weights are He-scaled normals (_embed_kernels),
+    biases zero, stride 2, leaky slope 0.2.
     """
     x = as_f64(images)
     if x.ndim != 4:
         raise DimensionError(f"random_feature_embed expects (n, c, h, w), got {x.shape}")
-    rng = SeededRng(int(seed))
-    cin = x.shape[1]
-    k1 = rng.normal((_EMBED_MID, cin, 3, 3), 0.0, math.sqrt(2.0 / (cin * 9)))
-    k2 = rng.normal((EMBED_DIM, _EMBED_MID, 3, 3), 0.0, math.sqrt(2.0 / (_EMBED_MID * 9)))
+    k1, k2 = _embed_kernels(int(seed), x.shape[1])
     h = conv2d_forward(x, k1, 2)
     np.multiply(h, 0.2, out=h, where=h <= 0.0)
     h = conv2d_forward(h, k2, 2)

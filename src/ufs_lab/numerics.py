@@ -8,6 +8,16 @@ Adam's moments. A second-order helper differentiates through the
 input-gradient computation (needed when training against a gradient-norm
 penalty).
 
+The passes write only into arrays they create. A bias add, an activation's
+product or a tanh writes in place into the fresh output of the pass's own
+previous dense, conv or pool step (or input-gradient step); the caller's x,
+upstream and v, every cache entry (a cached layer input, a tanh output, a
+leaky mask) and every tape entry are never written. Parameter gradients go
+straight into views of one flat vector, a weight gradient by a matmul or
+copy into its slot, a bias gradient by an add.reduce into its slot. Each
+value gets the operations of the allocating form in the same order, so the
+results are bitwise those of a pass that allocates a new array per step.
+
 Convolution forward and global sum pooling accumulate in a fixed loop
 order (channel, then kernel row, then kernel column / row-major spatial)
 so they agree bit-for-bit with a naive Python loop. The convolution forward
@@ -395,29 +405,38 @@ def init_params(specs, rng: SeededRng):
 
 
 def forward_pass(specs, params, x):
-    """Run the stack, returning (output, cache) with per-layer saved values."""
+    """Run the stack, returning (output, cache) with per-layer saved values.
+
+    The bias add, a tanh and the leaky product write in place into the
+    output of the pass's own previous dense, conv or pool step; x and every
+    cache entry (a tanh output, a layer input) are never written.
+    """
     h = as_f64(x)
     cache = []
+    fresh = False  # h is this pass's own and in no cache entry
     for i, (s, p) in enumerate(zip(specs, params)):
         if s.kind == "dense":
             if h.ndim != 2 or h.shape[1] != s.in_features:
                 raise DimensionError(f"layer {i}: dense expects (n, {s.in_features}), got {h.shape}")
             cache.append(h)
-            h = h @ p["W"].T + p["b"]
+            h = h @ p["W"].T
+            h += p["b"]
         elif s.kind == "conv2d":
             cache.append(h)
-            h = conv2d_forward(h, p["W"], s.stride) + p["b"][None, :, None, None]
+            h = conv2d_forward(h, p["W"], s.stride)
+            h += p["b"][:, None, None]
         elif s.kind == "leaky_relu":
             # bitwise np.where(h > 0.0, 1.0, slope) since 0 < slope < 1, without its branches
             m = np.maximum(h > 0.0, s.slope)
             cache.append(m)
-            h = h * m
+            h = np.multiply(h, m, out=h if fresh else None)
         elif s.kind == "tanh":
-            h = np.tanh(h)
+            h = np.tanh(h, out=h if fresh else None)
             cache.append(h)
         else:  # global_sum_pool
             cache.append(h)
             h = global_sum_pool(h)
+        fresh = s.kind != "tanh"
     return h, cache
 
 
@@ -428,11 +447,14 @@ def backward_pass(specs, params, cache, upstream, input_grad: bool = True):
     (None elsewhere), for param_grads and input_grad_param_grads. With
     input_grad=False the chain stops at the lowest parametric layer's tape
     entry and dx is None, for callers that need only parameter gradients.
+    An activation's product writes in place into the input gradient of the
+    layer above it; upstream, the cache and the tape are never written.
     """
     g = as_f64(upstream)
+    fresh = False  # g is a gradient this pass made and has not taped
     tape = [None] * len(specs)
-    lowest = -1 if input_grad else min(
-        (i for i, s in enumerate(specs) if s.kind in ("dense", "conv2d")), default=-1)
+    lowest = -1 if input_grad else next(
+        (i for i, s in enumerate(specs) if s.kind in ("dense", "conv2d")), -1)
     for i in range(len(specs) - 1, -1, -1):
         s, p, c = specs[i], params[i], cache[i]
         if s.kind == "dense":
@@ -448,25 +470,67 @@ def backward_pass(specs, params, cache, upstream, input_grad: bool = True):
                 break
             g = conv2d_input_grad(g, p["W"], c.shape, s.stride)
         elif s.kind == "leaky_relu":
-            g = g * c
+            g = np.multiply(g, c, out=g if fresh else None)
         elif s.kind == "tanh":
-            g = g * (1.0 - c * c)
+            d = c * c
+            np.subtract(1.0, d, out=d)
+            g = np.multiply(g, d, out=g if fresh else None)
         else:  # global_sum_pool
             g = np.broadcast_to(g[:, :, None, None], c.shape).copy()
+        fresh = True
     return (g if input_grad else None), tape
 
 
-def param_grads(specs, cache, tape) -> Array:
+def _grad_vector(specs, out) -> Array:
+    """out, checked, or a new vector for the gradients of specs' parameters.
+    out must be a contiguous, aligned float64 vector: on any other view
+    matmul would leave BLAS for numpy's own loop, which sums in another
+    order."""
+    n = 0
+    for s in specs:
+        if s.kind == "dense":
+            n += (s.in_features + 1) * s.out_features
+        elif s.kind == "conv2d":
+            n += (s.in_channels * s.kernel * s.kernel + 1) * s.out_channels
+    if out is None:
+        return np.empty(n)
+    if (out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous
+            or not out.flags.aligned):
+        raise ContractError(f"gradient out must be a contiguous, aligned float64 vector of {n}, "
+                            f"got {out.dtype} {out.shape}")
+    return out
+
+
+def _slots(s: LayerSpec, flat: Array, lo: int):
+    """(weight view, bias view, next offset) of layer s's parameters in the
+    flat vector at offset lo."""
+    if s.kind == "dense":
+        shape = (s.out_features, s.in_features)
+        mid = lo + s.out_features * s.in_features
+    else:
+        shape = (s.out_channels, s.in_channels, s.kernel, s.kernel)
+        mid = lo + s.out_channels * s.in_channels * s.kernel * s.kernel
+    hi = mid + shape[0]
+    return flat[lo:mid].reshape(shape), flat[mid:hi], hi
+
+
+def param_grads(specs, cache, tape, out=None) -> Array:
     """Parameter gradients from a forward cache and its backward tape, as one
-    flat vector in param_list order."""
-    parts = []
+    flat vector in param_list order: written into out when given (a
+    contiguous float64 vector of that size, returned), else into a new
+    vector. Each layer's gradients go straight into their slots."""
+    out = _grad_vector(specs, out)
+    lo = 0
     for s, c, g in zip(specs, cache, tape):
         if s.kind == "dense":
-            parts += [(g.T @ c).ravel(), g.sum(axis=0)]
+            w, b, lo = _slots(s, out, lo)
+            np.matmul(g.T, c, out=w)
+            np.add.reduce(g, axis=0, out=b)
         elif s.kind == "conv2d":
-            parts += [conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel).ravel(),
-                      g.sum(axis=(0, 2, 3))]
-    return np.concatenate(parts)
+            w, b, lo = _slots(s, out, lo)
+            w[...] = conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel)
+            np.add.reduce(g, axis=(0, 2, 3), out=b)
+    return out
 
 
 def input_grad_param_grads(specs, params, cache, tape, v):
@@ -477,26 +541,33 @@ def input_grad_param_grads(specs, params, cache, tape, v):
     everywhere; tanh would add curvature terms and is rejected. Returns
     (grads, q): grads is flat in param_list order (zero for biases), and q
     is v carried forward to the stack's output, the term that a linear layer
-    on top of the stack contracts with its own upstream.
+    on top of the stack contracts with its own upstream. The leaky product
+    writes in place into q once q is this pass's own; v, the cache and the
+    tape are never written.
     """
     q = as_f64(v)
-    parts = []
+    fresh = False  # q is this pass's own
+    out, lo = _grad_vector(specs, None), 0
     for i, (s, p, c) in enumerate(zip(specs, params, cache)):
         if s.kind == "dense":
-            parts += [(tape[i].T @ q).ravel(), np.zeros_like(p["b"])]
+            w, b, lo = _slots(s, out, lo)
+            np.matmul(tape[i].T, q, out=w)
+            b.fill(0.0)
             q = q @ p["W"].T
         elif s.kind == "conv2d":
-            parts += [conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel).ravel(),
-                      np.zeros_like(p["b"])]
+            w, b, lo = _slots(s, out, lo)
+            w[...] = conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel)
+            b.fill(0.0)
             q = conv2d_forward(q, p["W"], s.stride)
         elif s.kind == "leaky_relu":
-            q = q * c
+            q = np.multiply(q, c, out=q if fresh else None)
         elif s.kind == "tanh":
             raise UnsupportedArchitectureError(
                 "second-order backward supports piecewise-linear activations only")
         else:  # global_sum_pool
             q = global_sum_pool(q)
-    return np.concatenate(parts), q
+        fresh = True
+    return out, q
 
 
 class Network:

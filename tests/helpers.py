@@ -13,7 +13,10 @@ form the library's split (body, w, b) head is checked against, and the
 per-group critic objective runs the body forward once per batch, the form
 the library's single forward over stacked batches is checked against.
 The one-sweep backward pass and the per-array Adam step are the forms the
-library's split backward and flat Adam are checked against bitwise, and the
+library's split backward and flat Adam are checked against bitwise, the
+allocating forward and second-order passes (a new array for every bias add,
+activation and gradient piece, joined by np.concatenate) are the forms the
+library's in-place passes are checked against bitwise, and the
 channels-last conv forward (window view, out-channels innermost, numpy's
 default ufunc buffer) is the form the library's forward is checked against
 bitwise at sizes too large for the loop oracle. The per-variant CAM runs
@@ -37,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ContractError
+from ufs_lab.errors import ContractError, UnsupportedArchitectureError
 from ufs_lab.selection import SelectionConfig
 
 
@@ -440,6 +443,55 @@ def backward_pass_oracle(specs, params, cache, upstream):
         else:  # global_sum_pool
             g = np.broadcast_to(g[:, :, None, None], c.shape).copy()
     return grads, g
+
+
+def forward_pass_alloc(specs, params, x):
+    """The forward pass with a new array for every bias add and activation:
+    returns what nm.forward_pass does."""
+    h = nm.as_f64(x)
+    cache = []
+    for s, p in zip(specs, params):
+        if s.kind == "dense":
+            cache.append(h)
+            h = h @ p["W"].T + p["b"]
+        elif s.kind == "conv2d":
+            cache.append(h)
+            h = nm.conv2d_forward(h, p["W"], s.stride) + p["b"][None, :, None, None]
+        elif s.kind == "leaky_relu":
+            m = np.maximum(h > 0.0, s.slope)
+            cache.append(m)
+            h = h * m
+        elif s.kind == "tanh":
+            h = np.tanh(h)
+            cache.append(h)
+        else:  # global_sum_pool
+            cache.append(h)
+            h = nm.global_sum_pool(h)
+    return h, cache
+
+
+def input_grad_param_grads_alloc(specs, params, cache, tape, v):
+    """The second-order pass with a new array for every gradient piece and
+    product, joined by one np.concatenate: returns what
+    nm.input_grad_param_grads does."""
+    q = nm.as_f64(v)
+    parts = []
+    for i, (s, p, c) in enumerate(zip(specs, params, cache)):
+        if s.kind == "dense":
+            parts += [(tape[i].T @ q).ravel(), np.zeros_like(p["b"])]
+            q = q @ p["W"].T
+        elif s.kind == "conv2d":
+            parts += [nm.conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel).ravel(),
+                      np.zeros_like(p["b"])]
+            q = nm.conv2d_forward(q, p["W"], s.stride)
+        elif s.kind == "leaky_relu":
+            q = q * c
+        elif s.kind == "tanh":
+            raise UnsupportedArchitectureError(
+                "second-order backward supports piecewise-linear activations only")
+        else:  # global_sum_pool
+            q = nm.global_sum_pool(q)
+    return np.concatenate(parts), q
 
 
 def flat_grads(grads):

@@ -245,6 +245,25 @@ def test_stacked_forward_slices_each_group_by_its_own_length():
     assert_objective_matches_per_group(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
 
 
+def test_critic_step_joins_only_its_stacked_batches(monkeypatch):
+    # the gradients go straight into one [body | w | b] vector; the one join
+    # is the [real; fake; x_hat] stack the body runs forward on
+    rng = nm.SeededRng(22)
+    _, d = gan.default_models((2,), rng)
+    real, fake = rng.normal((64, 2)), rng.normal((64, 2), 0.5, 1.5)
+    x_hat = gan.interpolate_batches(real, fake, rng)
+    joined = []
+    concatenate = np.concatenate
+
+    def recording(arrays, *args, **kwargs):
+        joined.append([a.shape for a in arrays])
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", recording)
+    gan.discriminator_objective_grads(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
+    assert joined == [[(64, 2)] * 3]
+
+
 def test_split_groups_gives_each_group_its_own_forward_cache():
     rng = nm.SeededRng(21)
     d = small_conv_disc(rng)

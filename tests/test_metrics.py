@@ -474,6 +474,20 @@ def test_embed_at_bench_shapes_equals_channels_last_forward(monkeypatch, rows):
     assert got.tobytes() == mx.random_feature_embed(images, mx.EMBED_SEED).tobytes()
 
 
+@pytest.mark.parametrize("seed, cin", [(mx.EMBED_SEED, 1), (7, 3)])
+def test_embed_kernels_are_a_fresh_draw_held_read_only(seed, cin):
+    rng = SeededRng(seed)
+    want = (rng.normal((mx._EMBED_MID, cin, 3, 3), 0.0, math.sqrt(2.0 / (cin * 9))),
+            rng.normal((mx.EMBED_DIM, mx._EMBED_MID, 3, 3), 0.0,
+                       math.sqrt(2.0 / (mx._EMBED_MID * 9))))
+    got = mx._embed_kernels(seed, cin)
+    assert mx._embed_kernels(seed, cin) is got  # drawn once per (seed, in_channels)
+    for k, w in zip(got, want, strict=True):
+        assert k.shape == w.shape and k.tobytes() == w.tobytes()
+        with pytest.raises(ValueError):
+            k[0, 0, 0, 0] = 0.0
+
+
 def test_embed_zero_images_zero_embeddings():
     assert np.array_equal(mx.random_feature_embed(np.zeros((3, 1, 16, 16)), 0),
                           np.zeros((3, 64)))

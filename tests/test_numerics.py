@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import (backward_pass_oracle, conv2d_forward_channels_last, conv2d_input_grad_einsum,
                      conv2d_input_grad_tensordot, conv2d_loop, conv2d_weight_grad_einsum,
                      conv2d_weight_grad_tensordot, fd_param_grads, finite_diff_grad, flat_grads,
-                     init_network, matmul_loop, rel_err, sum_pool_loop)
+                     forward_pass_alloc, init_network, input_grad_param_grads_alloc, matmul_loop,
+                     rel_err, sum_pool_loop)
 from ufs_lab import gan
 from ufs_lab import numerics as nm
-from ufs_lab.errors import ContractError, DimensionError
+from ufs_lab.errors import ContractError, DimensionError, UnsupportedArchitectureError
 
 
 # --- matmul: a dense layer's product ------------------------------------------ #
@@ -539,6 +540,137 @@ def test_split_backward_matches_one_sweep_oracle_bitwise(data_shape, batch):
         no_dx, tape = nm.backward_pass(net.specs, net.params, cache, upstream, input_grad=False)
         assert no_dx is None
         assert nm.param_grads(net.specs, cache, tape).tobytes() == flat_grads(want_grads).tobytes()
+
+
+# --- in-place passes: bitwise the allocating forms, inputs untouched ------------------ #
+
+
+def snapshot(arrays):
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_passes_match_alloc_and_keep_their_inputs(specs, params, x, rng):
+    """Each pass bitwise equal to its allocating form, and x, upstream, v and
+    every cache and tape entry holding their bytes after every later pass."""
+    x_bytes = x.tobytes()
+    want_y, want_cache = forward_pass_alloc(specs, params, x)
+    y, cache = nm.forward_pass(specs, params, x)
+    assert x.tobytes() == x_bytes
+    assert_same_bytes(y, want_y)
+    for c, w in zip(cache, want_cache, strict=True):
+        assert_same_bytes(c, w)
+    cache_bytes = snapshot(cache)
+
+    upstream = rng.normal(y.shape)
+    upstream_bytes = upstream.tobytes()
+    want_grads, want_dx = backward_pass_oracle(specs, params, cache, upstream)
+    dx, tape = nm.backward_pass(specs, params, cache, upstream)
+    assert_same_bytes(dx, want_dx)
+    assert upstream.tobytes() == upstream_bytes
+    tape_bytes = snapshot(tape)
+    _, tape_no_dx = nm.backward_pass(specs, params, cache, upstream, input_grad=False)
+    assert upstream.tobytes() == upstream_bytes
+    for t in (tape, tape_no_dx):
+        assert_same_bytes(nm.param_grads(specs, cache, t), flat_grads(want_grads))
+    assert snapshot(cache) == cache_bytes and snapshot(tape) == tape_bytes
+
+    v = rng.normal(x.shape)
+    v_bytes = v.tobytes()
+    if any(s.kind == "tanh" for s in specs):
+        with pytest.raises(UnsupportedArchitectureError):
+            nm.input_grad_param_grads(specs, params, cache, tape, v)
+    else:
+        want_pg, want_q = input_grad_param_grads_alloc(specs, params, cache, tape, v)
+        pg, q = nm.input_grad_param_grads(specs, params, cache, tape, v)
+        assert_same_bytes(pg, want_pg)
+        assert_same_bytes(q, want_q)
+    assert v.tobytes() == v_bytes
+    assert snapshot(cache) == cache_bytes and snapshot(tape) == tape_bytes
+    assert x.tobytes() == x_bytes and upstream.tobytes() == upstream_bytes
+
+
+@pytest.mark.parametrize("data_shape, rows", [((2,), 64), ((2,), 192),
+                                              ((1, 16, 16), 4), ((1, 16, 16), 12)])
+def test_in_place_passes_match_allocating_forms_on_the_default_models(data_shape, rows):
+    # the ring8 pair at a batch and at a stacked critic step; the conv critic
+    # at the shapes16 batch and its stacked step (and its tanh generator)
+    rng = nm.SeededRng(rows)
+    gen, disc = gan.default_models(data_shape, rng)
+    for net in (disc.body, gen.net):
+        # weights large enough that both leaky branches and tanh's curve show
+        params = [{k: rng.normal(a.shape, 0.0, 0.5) for k, a in p.items()} for p in net.params]
+        x = rng.normal((rows,) + (data_shape if net is disc.body else (gen.latent_dim,)))
+        assert_passes_match_alloc_and_keep_their_inputs(net.specs, params, x, rng)
+
+
+@st.composite
+def stacks(draw):
+    """(specs, x shape): dense, leaky_relu and tanh layers in any order, at
+    least one of them dense on points, or behind a conv layer and a sum pool
+    on images."""
+    kinds = draw(st.lists(st.sampled_from(["dense", "leaky_relu", "tanh"]), min_size=1, max_size=6))
+    image = draw(st.booleans())
+    if not image and "dense" not in kinds:
+        kinds.append("dense")  # a stack with parameters to take gradients of
+    rows = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 6))
+    specs, shape = [], (rows, width)
+    if image:
+        shape = (rows, width, 7, 7)
+        width = draw(st.integers(1, 5))
+        specs.append(nm.conv2d(shape[1], width, draw(st.integers(1, 3)), draw(st.integers(1, 2))))
+    pooled = not image
+    for kind in kinds:
+        if kind == "dense":
+            if not pooled:
+                specs.append(nm.sum_pool())
+                pooled = True
+            out = draw(st.integers(1, 6))
+            specs.append(nm.dense(width, out))
+            width = out
+        else:
+            specs.append(nm.leaky_relu(0.2) if kind == "leaky_relu" else nm.tanh())
+    if not pooled:
+        specs.append(nm.sum_pool())
+    return specs, shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=stacks(), seed=st.integers(0, 2 ** 16))
+@example(stack=([nm.leaky_relu(0.2), nm.dense(3, 4), nm.tanh(), nm.leaky_relu(0.1), nm.dense(4, 2)],
+                (5, 3)), seed=0)
+@example(stack=([nm.leaky_relu(0.2), nm.dense(3, 4), nm.leaky_relu(0.2), nm.dense(4, 2)],
+                (5, 3)), seed=1)
+@example(stack=([nm.conv2d(2, 3, 3, 2), nm.tanh(), nm.leaky_relu(0.2), nm.sum_pool(),
+                 nm.dense(3, 2), nm.leaky_relu(0.2)], (4, 2, 7, 7)), seed=2)
+def test_in_place_passes_match_allocating_forms_on_any_stack(stack, seed):
+    specs, shape = stack
+    rng = nm.SeededRng(seed)
+    params = init_network(specs, rng, 0.5).params
+    for p in params:
+        if "b" in p:
+            p["b"] = rng.normal(p["b"].shape, 0.0, 0.5)
+    assert_passes_match_alloc_and_keep_their_inputs(specs, params, rng.normal(shape), rng)
+
+
+def test_param_grads_writes_into_out_and_refuses_a_strided_one():
+    rng = nm.SeededRng(19)
+    net = init_network([nm.dense(3, 5), nm.leaky_relu(0.2), nm.dense(5, 2)], rng, 0.5)
+    y, cache = nm.forward_pass(net.specs, net.params, rng.normal((6, 3)))
+    _, tape = nm.backward_pass(net.specs, net.params, cache, rng.normal(y.shape))
+    want = nm.param_grads(net.specs, cache, tape)
+    buf = np.full(want.size + 3, 7.0)
+    out = buf[1:1 + want.size]  # at an offset, as a slice of a larger vector
+    assert nm.param_grads(net.specs, cache, tape, out=out) is out
+    assert_same_bytes(out, want)
+    assert buf[0] == buf[-1] == buf[-2] == 7.0
+    for bad in (np.empty(want.size + 1), np.empty(2 * want.size)[::2], np.empty(want.size, np.float32)):
+        with pytest.raises(ContractError):
+            nm.param_grads(net.specs, cache, tape, out=bad)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
