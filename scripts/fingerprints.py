@@ -9,10 +9,13 @@ run it prints the sha256 of the metrics CSV without its wall_seconds column
 and of the last samples dump, then, on a line of its own, the sha256 of the
 trainer state restored from the run's last checkpoint (its counters and the
 arrays `harness.trainer_to_arrays` gives for it, not the file's bytes, so a
-change of the checkpoint format that restores the same state keeps it). Last, it runs `ufs-lab cam` on the
-shapes16 run's last checkpoint with 8 synthetic shapes and prints the
-sha256 of the PGMs it writes. A refactor that keeps behaviour prints the
-same lines before and after:
+change of the checkpoint format that restores the same state keeps it).
+Last, it runs `ufs-lab cam` on the shapes16 run's last checkpoint with 8
+synthetic shapes and prints its exit status, the number of PGMs it writes,
+and the sha256 of the float maps `compute_cam` gives for the same images
+and restored state (every 16-px map is 1x1, so its min-max scaled PGM is a
+constant 128 whatever the map holds). A refactor that keeps behaviour
+prints the same lines before and after:
 
     PYTHONPATH=src python scripts/fingerprints.py
 """
@@ -26,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from ufs_lab import cli
-from ufs_lab.datasets import synthetic_shapes, write_idx_images
+from ufs_lab.attribution import compute_cam
+from ufs_lab.datasets import load_idx_images, normalize_images, synthetic_shapes, write_idx_images
 from ufs_lab.harness import (config_from_dict, load_checkpoint, load_config,
                              read_csv_without_wall_seconds, run_experiment, trainer_from_arrays,
                              trainer_to_arrays)
@@ -78,8 +82,10 @@ def state_digest(run_dir: Path) -> str:
 
 
 def cam_fingerprint(run_dir: Path) -> str:
-    """`maps=<count> pgm=<sha256>` of the maps `ufs-lab cam` writes from the
-    run's last checkpoint, hashed name and bytes in name order."""
+    """`status=<code> maps=<count> cam=<sha256>` of `ufs-lab cam` on the run's
+    last checkpoint: its exit code, the PGMs it writes, and the float maps
+    compute_cam gives for the images it reads, hashed key and bytes in key
+    order."""
     shapes = synthetic_shapes(CAM_IMAGES, SHAPES16["dataset"]["image_size"], SeededRng(0))
     idx = run_dir / "cam_input.idx"
     write_idx_images(np.clip((shapes[:, 0] + 1.0) * 127.5, 0, 255).astype(np.uint8), idx)
@@ -87,11 +93,13 @@ def cam_fingerprint(run_dir: Path) -> str:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["cam", "--checkpoint", str(checkpoint), "--input", str(idx),
                          "--out", str(run_dir / "cams"), "--run-id", "cam"])
+    _, state = trainer_from_arrays(*load_checkpoint(checkpoint))
+    images = normalize_images(load_idx_images(idx))[:CAM_IMAGES]
     digest = hashlib.sha256()
-    maps = sorted((run_dir / "cams").glob("*.pgm"))
-    for path in maps:
-        digest.update(path.name.encode() + path.read_bytes())
-    return f"status={code} maps={len(maps)} pgm={digest.hexdigest()}"
+    for key, values in compute_cam(state, images).items():
+        digest.update(key.encode() + values.tobytes())
+    pgms = list((run_dir / "cams").glob("*.pgm"))
+    return f"status={code} maps={len(pgms)} cam={digest.hexdigest()}"
 
 
 def main():

@@ -45,8 +45,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    real, space = measure(_load_samples(args.real))
-    fake, _ = measure(_load_samples(args.fake))
+    real, fake = _load_samples(args.real), _load_samples(args.fake)
+    # sum-pooled image features grow with the image area, so only like shapes compare
+    if real.shape[1:] != fake.shape[1:]:
+        raise DimensionError(f"{args.real} holds samples of shape {real.shape[1:]}, but "
+                             f"{args.fake} holds samples of shape {fake.shape[1:]}")
+    real, space = measure(real)
+    fake, _ = measure(fake)
     out = {"space": space, "frechet": frechet_distance(fit_gaussian(real), fit_gaussian(fake))}
     out.update(vars(manifold_metrics(real, fake, args.k)))  # precision, recall, density, coverage
     if args.dump_embeddings:

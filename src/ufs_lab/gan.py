@@ -42,7 +42,7 @@ from .numerics import (
     tanh,
 )
 
-LOSS_KINDS = ("wgan", "wgan_gp", "hinge")
+LOSS_KINDS = ("wgan_gp", "hinge")
 
 
 @dataclass
@@ -52,7 +52,8 @@ class LossKind:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ContractError(f"unknown loss kind {self.kind!r}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}; the kinds are "
+                              f"{', '.join(LOSS_KINDS)}")
         if self.gp_lambda is None:
             self.gp_lambda = 10.0 if self.kind == "wgan_gp" else None
         elif self.kind != "wgan_gp":
@@ -77,7 +78,7 @@ class TrainConfig:
         if self.iterations < 1:
             raise ContractError(f"iterations must be >= 1, got {self.iterations}")
         if self.n_critic is None:
-            self.n_critic = 5 if self.loss.kind in ("wgan", "wgan_gp") else 1
+            self.n_critic = 5 if self.loss.kind == "wgan_gp" else 1
         if self.n_critic < 1:
             raise ContractError(f"n_critic must be >= 1, got {self.n_critic}")
         if self.selection is not None and self.selection.k_start > self.batch_size:
@@ -145,12 +146,12 @@ def _mean(x: Array):
 
 def critic_loss(kind: str, real_scores: Array, fake_scores: Array):
     """The critic's loss on one real/fake score batch and its derivatives with
-    respect to each score: (value, d_real, d_fake). wgan_gp scores like wgan;
-    its penalty is added by the caller."""
+    respect to each score: (value, d_real, d_fake). wgan_gp's is the Wasserstein
+    score gap mean(fake) - mean(real); its penalty is added by the caller."""
     r, f = as_f64(real_scores), as_f64(fake_scores)
     if r.size == 0 or f.size == 0:
         raise ContractError("critic_loss: empty score batch")
-    if kind in ("wgan", "wgan_gp"):
+    if kind == "wgan_gp":
         return (float(_mean(f) - _mean(r)), np.full(r.shape, -1.0 / r.size),
                 np.full(f.shape, 1.0 / f.size))
     if kind == "hinge":

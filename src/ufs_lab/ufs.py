@@ -17,15 +17,16 @@ The weight for a channel with distance ratio r is
 
 so all weights live in [epsilon - beta, epsilon - alpha]. A configuration
 with epsilon - beta = 0 zeroes the worst channels ("dismission"); one with
-epsilon - beta > 0 merely scales them down ("suppression"). An optional
-schedule moves beta linearly from its configured value to `beta_end`;
-the mask is computed at the beta `anneal_beta` gives for the iteration,
-passed in the way selection's annealed k is.
+epsilon - beta > 0 merely scales them down ("suppression"), and one with
+epsilon - beta >= 1 attenuates nothing, since every channel keeps at least
+its full weight. An optional schedule moves beta linearly from its
+configured value to `beta_end`; the mask is computed at the beta
+`anneal_beta` gives for the iteration, passed in the way selection's
+annealed k is.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,23 +143,6 @@ def apply_suppression(y_fake: Array, s: Array) -> Array:
     if y_fake.shape != s.shape:
         raise DimensionError(f"suppression shape {s.shape} does not match features {y_fake.shape}")
     return y_fake * s
-
-
-def classify_mode(cfg: UfsConfig) -> str:
-    """Label a configuration "dismission" (worst channels zeroed) or "suppression".
-
-    epsilon - beta is the weight given to the worst channels: exactly zero
-    means they are dropped outright; anything positive keeps them, scaled.
-    A gap of 1 or more never attenuates anything, which is worth a warning.
-    """
-    gap = cfg.epsilon - cfg.beta
-    if gap == 0.0:
-        return "dismission"
-    if gap >= 1.0:
-        warnings.warn(
-            f"epsilon - beta = {gap}: no-suppression regime, every channel keeps "
-            "at least its full weight", stacklevel=2)
-    return "suppression"
 
 
 def anneal_beta(cfg: UfsConfig, t: int, total: int) -> float:

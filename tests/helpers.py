@@ -537,7 +537,7 @@ def objective_state(rng, gen, d, mode, ufs_cfg, batch=5):
     """Trainer state whose feature stats come from one seeded real/fake batch
     pair, selecting 3 of `batch` samples by `mode` (None: uniform weights)."""
     selection = None if mode is None else SelectionConfig(mode, 3, 2)
-    cfg = gan.TrainConfig(batch_size=batch, iterations=10, loss=gan.LossKind("wgan"),
+    cfg = gan.TrainConfig(batch_size=batch, iterations=10, loss=gan.LossKind("hinge"),
                           ufs=ufs_cfg, selection=selection)
     state = gan.init_trainer(cfg, gen, d)
     y_real, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2)))
@@ -559,6 +559,12 @@ def masked_scores(y, s, w, b):
     """Critic scores of the features y masked by s under the head (w, b), as
     the generator objective forms them."""
     return gan.score_from_features(gan.DiscriminatorNet(None, w, b), ufs.apply_suppression(y, s))
+
+
+def worst_channel_weights(cfg):
+    """The suppression weights at ratios beta and beta + 1, the clipped end of
+    the mask where a channel's distance reaches the whole real-fake margin."""
+    return ufs.compute_suppression(np.array([[cfg.beta, cfg.beta + 1.0]]), cfg, cfg.beta)
 
 
 # --- tiny model builders ---------------------------------------------------- #

@@ -27,6 +27,7 @@ from helpers import (
     small_gen,
     small_mlp_disc,
     split_scores,
+    worst_channel_weights,
 )
 from ufs_lab import attribution, gan, harness, metrics as mx, selection as sel, ufs
 from ufs_lab import numerics as nm
@@ -86,9 +87,10 @@ def test_acceptance_gradient_suite():
         # both adversarial losses through a full critic
         d = small_mlp_disc(rng)
         real, fake = rng.normal((5, 2)), rng.normal((5, 2))
-        for kind in ("wgan", "hinge"):
-            loss_cfg = gan.LossKind(kind)
-            _, grads, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg)
+        x_hat = gan.interpolate_batches(real, fake, rng)
+        for kind, gp_lambda in (("wgan_gp", 0.0), ("hinge", None)):  # the score losses alone
+            loss_cfg = gan.LossKind(kind, gp_lambda)
+            _, grads, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
 
             def d_loss(kind=kind):
                 y_r, _ = nm.forward_pass(d.body.specs, d.body.params, real)
@@ -171,13 +173,13 @@ PUBLISHED_REGIME_TABLE = [
 
 
 def test_acceptance_regime_classification():
-    import warnings
-
+    """On the live mask: dismission rows zero the worst channels (ratio beta and
+    beyond) exactly; suppression rows keep them above zero."""
     mismatches = []
     for alpha, beta, eps, expected in PUBLISHED_REGIME_TABLE:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = ufs.classify_mode(UfsConfig(alpha, beta, eps))
+        worst = worst_channel_weights(UfsConfig(alpha, beta, eps))
+        got = "dismission" if np.all(worst == 0.0) else (
+            "suppression" if np.all(worst > 0.0) else f"mixed {worst.tolist()}")
         if got != expected:
             mismatches.append((alpha, beta, eps, got, expected))
     report("regime classification (8 published rows)", not mismatches, str(mismatches))

@@ -48,6 +48,47 @@ def attribute_chains(paths, root: str) -> list:
     return sorted(c for c in chains if not any(o.startswith(c + ".") for o in chains))
 
 
+PACKAGE = ROOT / "src" / "ufs_lab"
+
+
+def public_definitions(path) -> set:
+    """The public names a module defines at its top level: defs, classes and
+    assigned constants."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def names_read(paths) -> set:
+    """Every name the sources read: as a bare name, an attribute or an import."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a function only tests reach is folded into the live path or removed
+    modules = sorted(PACKAGE.glob("*.py"))
+    scripts = sorted((ROOT / "scripts").glob("*.py")) + sorted(BENCH.glob("*.py"))
+    read = names_read(modules + scripts)
+    read |= {part for _, attr in load_spans().LAYERS for part in attr.split(".")}
+    defined = [(path.name, name) for path in modules for name in sorted(public_definitions(path))]
+    assert ("harness.py", "run_experiment") in defined  # the scan finds the definitions
+    assert [(module, name) for module, name in defined if name not in read] == []
+
+
 @pytest.mark.parametrize("module, attr", load_spans().LAYERS)
 def test_traced_layer_resolves_on_ufs_lab(module, attr):
     owner = importlib.import_module(f"ufs_lab.{module}")

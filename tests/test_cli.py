@@ -18,8 +18,8 @@ from ufs_lab.metrics import fit_gaussian, frechet_distance, measure
 from ufs_lab.numerics import SeededRng
 
 
-def write_shapes_idx(path, count=24, seed=0):
-    shapes = ds.synthetic_shapes(count, 16, SeededRng(seed))
+def write_shapes_idx(path, count=24, seed=0, size=16):
+    shapes = ds.synthetic_shapes(count, size, SeededRng(seed))
     u8 = np.clip((shapes[:, 0] + 1.0) * 127.5, 0, 255).astype(np.uint8)
     ds.write_idx_images(u8, path)
     return path
@@ -29,7 +29,7 @@ def test_run_subcommand_with_overrides(tmp_path, capsys):
     cfg = {
         "dataset": {"kind": "ring8"},
         "train": {"batch_size": 8, "n_critic": 1, "iterations": 2, "seed": 0,
-                  "loss": {"kind": "wgan"}},
+                  "loss": {"kind": "hinge"}},
         "eval_every": 2,
         "eval_samples": 32,
     }
@@ -169,6 +169,22 @@ def test_eval_k_below_one_one_line_error(tmp_path, capsys, k):
     assert f"k must be >= 1, got k={k}" in err and "sample counts" not in err
 
 
+def test_eval_on_samples_of_different_shapes_one_line_error(tmp_path, capsys):
+    # sum-pooled features grow with the image area, and points are no images
+    idx16 = str(write_shapes_idx(tmp_path / "a.idx", count=12, seed=1))
+    idx32 = str(write_shapes_idx(tmp_path / "b.idx", count=12, seed=2, size=32))
+    points = write_points(tmp_path / "c.csv", 12, 3)
+    dump = tmp_path / "emb"
+    for real, fake, real_shape, fake_shape in ((idx16, idx32, "(1, 16, 16)", "(1, 32, 32)"),
+                                               (points, idx16, "(2,)", "(1, 16, 16)")):
+        assert cli.main(["eval", "--real", real, "--fake", fake, "-k", "2",
+                         "--dump-embeddings", str(dump)]) == 2
+        err = assert_one_line_error(capsys, "DimensionError")
+        assert (f"{real} holds samples of shape {real_shape}, but {fake} holds samples of "
+                f"shape {fake_shape}") in err
+        assert not dump.exists()
+
+
 def test_run_invalid_json_one_line_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"dataset": {"kind": "ring8"},')
@@ -177,7 +193,7 @@ def test_run_invalid_json_one_line_error(tmp_path, capsys):
 
 
 RING8_RUN = {"dataset": {"kind": "ring8"},
-             "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "wgan"}},
+             "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "hinge"}},
              "eval_every": 1, "eval_samples": 16}
 UFS_ON = ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1}']
 
@@ -197,7 +213,12 @@ UFS_ON = ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1}']
      "config.train.ufs.beta_anneal: "),
     ({}, ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1, "gamma": -1}'],
      "config.train.ufs: "),
-    ({}, ["--set", 'train.loss.kind="lsgan"'], "config.train.loss: "),
+    ({}, ["--set", 'train.loss.kind="lsgan"'],
+     "config.train.loss: unknown loss kind 'lsgan'; the kinds are wgan_gp, hinge"),
+    # a plain Wasserstein critic has neither weight clipping nor a gradient
+    # penalty, and does not train; wgan_gp with gp_lambda 0 is its loss
+    ({}, ["--set", 'train.loss={"kind": "wgan", "gp_lambda": 1.0}'],
+     "config.train.loss: unknown loss kind 'wgan'; the kinds are wgan_gp, hinge"),
     ({}, ["--set", "train.batch_size=1"], "config.train: "),
     ({"dataset": {"kind": "ring9"}}, [], "config.dataset: "),
     ({}, ["--set", "eval_every=0"], "config: "),
@@ -209,9 +230,9 @@ UFS_ON = ["--set", 'train.ufs={"alpha": 0, "beta": 1, "epsilon": 1}']
      "config.train.ufs.epsilon must be a finite"),
 ], ids=["unknown-key", "missing-ufs-alpha", "batch-size-string", "ufs-int", "dataset-string",
         "override-eval-every-string", "range-SelectionConfig", "range-InstanceSelectionConfig",
-        "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "range-TrainConfig",
-        "range-DatasetConfig", "range-ExperimentConfig", "nan-gamma", "nan-gp-lambda",
-        "nan-alpha", "infinite-epsilon"])
+        "range-BetaAnneal", "range-UfsConfig", "range-LossKind", "retired-wgan",
+        "range-TrainConfig", "range-DatasetConfig", "range-ExperimentConfig", "nan-gamma",
+        "nan-gp-lambda", "nan-alpha", "infinite-epsilon"])
 def test_run_config_error_one_line(tmp_path, capsys, edit, args, key):
     cfg = dict(RING8_RUN, out_dir=str(tmp_path / "run"), **edit)
     cfg_path = tmp_path / "cfg.json"
@@ -253,10 +274,9 @@ UNREAD_KEYS = [
     *[pytest.param(dict(kind=kind, **block), None,
                    f"config.dataset: {key} is not read by dataset kind '{kind}'", id=f"{kind}-{key}")
       for kind, key, block in UNREAD_DATASET_KEYS],
-    *[pytest.param(None, {"kind": kind, "gp_lambda": value},
-                   f"config.train.loss: gp_lambda is not read by loss kind '{kind}'",
-                   id=f"{kind}-gp_lambda")
-      for kind, value in (("wgan", 10.0), ("hinge", 50))],
+    pytest.param(None, {"kind": "hinge", "gp_lambda": 50},
+                 "config.train.loss: gp_lambda is not read by loss kind 'hinge'",
+                 id="hinge-gp_lambda"),
 ]
 
 
@@ -342,6 +362,20 @@ def test_cam_on_embeddings_file_one_line_error(tmp_path, capsys):
     assert "'run.config'" in assert_one_line_error(capsys, "ParseError")
 
 
+def test_cam_on_a_checkpoint_naming_the_wgan_loss_kind_one_line_error(tmp_path, capsys):
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    arrays, header = trainer_to_arrays(state, asdict(cfg))
+    header["run.config"]["train"]["loss"] = {"kind": "wgan", "gp_lambda": None}
+    save_checkpoint(tmp_path / "wgan.ufsl", arrays, header)
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "wgan.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    assert capsys.readouterr().err == ("ufs-lab: ConfigError: run.config.train.loss: unknown "
+                                       "loss kind 'wgan'; the kinds are wgan_gp, hinge\n")
+    assert not (tmp_path / "cams").exists()
+
+
 def test_cam_on_version_3_checkpoint_one_line_error(tmp_path, capsys):
     # version 3: u32 array count, then per array its name, shape and float64 data
     v3 = b"UFSL" + struct.pack("<II", 3, 1) + struct.pack("<I13sII", 13, b"run.iteration", 1, 1)
@@ -356,7 +390,7 @@ def test_cam_on_version_3_checkpoint_one_line_error(tmp_path, capsys):
 
 def test_cam_on_point_checkpoint_one_line_error(tmp_path, capsys):
     cfg = {"dataset": {"kind": "ring8"},
-           "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "wgan"}},
+           "train": {"batch_size": 8, "n_critic": 1, "iterations": 1, "loss": {"kind": "hinge"}},
            "eval_every": 1, "eval_samples": 16, "out_dir": str(tmp_path / "run")}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -49,19 +49,18 @@ def critic_value(kind, r, f):
 
 
 def test_wgan_d_loss_hand():
-    assert critic_value("wgan", [1.0, 3.0], [0.0, 2.0]) == -1.0
+    assert critic_value("wgan_gp", [1.0, 3.0], [0.0, 2.0]) == -1.0
 
 
 def test_wgan_d_loss_equal_batches():
-    assert critic_value("wgan", [0.5, -0.5], [0.5, -0.5]) == 0.0
+    assert critic_value("wgan_gp", [0.5, -0.5], [0.5, -0.5]) == 0.0
 
 
 def test_wgan_d_loss_loop_oracle():
     rng = nm.SeededRng(4)
     r, f = rng.normal((9,)), rng.normal((11,))
     expect = sum(f) / 11 - sum(r) / 9
-    assert abs(critic_value("wgan", r, f) - expect) < 1e-12
-    assert critic_value("wgan_gp", r, f) == critic_value("wgan", r, f)
+    assert abs(critic_value("wgan_gp", r, f) - expect) < 1e-12
 
 
 def test_wgan_d_loss_empty_batch():
@@ -87,7 +86,7 @@ def test_hinge_d_loss_loop_oracle():
     assert abs(critic_value("hinge", r, f) - expect) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["wgan", "hinge"])
+@pytest.mark.parametrize("kind", ["wgan_gp", "hinge"])
 def test_loss_score_grads_match_finite_differences(kind):
     rng = nm.SeededRng(6)
     r, f = rng.normal((5,)), rng.normal((5,))
@@ -175,13 +174,15 @@ def test_penalty_split_head_matches_stacked_oracle_bitwise(make_disc):
 # --- full critic objective ------------------------------------------------------------ #
 
 
-@pytest.mark.parametrize("kind", ["wgan", "wgan_gp", "hinge"])
-def test_discriminator_objective_grads_match_finite_differences(kind):
+@pytest.mark.parametrize("kind, gp_lambda", [("wgan_gp", 0.0), ("wgan_gp", None),
+                                             ("hinge", None)],
+                         ids=["wgan_gp-no-penalty", "wgan_gp", "hinge"])
+def test_discriminator_objective_grads_match_finite_differences(kind, gp_lambda):
     rng = nm.SeededRng(11)
     d = small_mlp_disc(rng)
     real = rng.normal((5, 2))
     fake = rng.normal((5, 2))
-    loss_cfg = gan.LossKind(kind)
+    loss_cfg = gan.LossKind(kind, gp_lambda)
     x_hat = gan.interpolate_batches(real, fake, rng) if kind == "wgan_gp" else None
     value, grads, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
 
@@ -214,7 +215,7 @@ def assert_objective_matches_per_group(d, real, fake, loss_cfg, x_hat):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["wgan", "wgan_gp", "hinge"])
+@pytest.mark.parametrize("kind", ["wgan_gp", "hinge"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
 def test_stacked_forward_matches_per_group_oracle_bitwise_conv(n, kind):
     rng = nm.SeededRng(100 + n)
@@ -224,7 +225,7 @@ def test_stacked_forward_matches_per_group_oracle_bitwise_conv(n, kind):
     assert_objective_matches_per_group(d, real, fake, gan.LossKind(kind), x_hat)
 
 
-@pytest.mark.parametrize("kind", ["wgan", "wgan_gp", "hinge"])
+@pytest.mark.parametrize("kind", ["wgan_gp", "hinge"])
 def test_stacked_forward_matches_per_group_oracle_bitwise_ring8_body(kind):
     # the ring8 critic at the presets' batch size; BLAS row results of the
     # dense layers depend on the row count at some other sizes
@@ -445,7 +446,7 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
 
 
 def test_discriminator_step_initializes_stats():
-    state, rng = make_trainer(loss=gan.LossKind("wgan"))
+    state, rng = make_trainer(loss=gan.LossKind("hinge"))
     assert state.stats is None
     gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
     assert state.stats is not None
@@ -477,7 +478,7 @@ def test_discriminator_step_loss_recomputes_from_logged_scores():
 
 
 def test_generator_step_raises_on_nan_loss_before_adam():
-    state, rng = make_trainer(loss=gan.LossKind("wgan"))
+    state, rng = make_trainer(loss=gan.LossKind("hinge"))
     gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
     gan.train_generator_step(state, rng)  # the Adam moments are no longer zero
     params = state.gen.net.param_list()
@@ -494,8 +495,8 @@ def test_generator_step_raises_on_nan_loss_before_adam():
 
 def test_generator_step_with_inert_mask_matches_baseline():
     # before any critic step there are no stats, so the masked path is skipped
-    state_a, rng_a = make_trainer(loss=gan.LossKind("wgan"), ufs=None)
-    state_b, rng_b = make_trainer(loss=gan.LossKind("wgan"),
+    state_a, rng_a = make_trainer(loss=gan.LossKind("hinge"), ufs=None)
+    state_b, rng_b = make_trainer(loss=gan.LossKind("hinge"),
                                   ufs=ufs.UfsConfig(0.0, 1.0, 1.0))
     la = gan.train_generator_step(state_a, rng_a)
     lb = gan.train_generator_step(state_b, rng_b)
@@ -521,7 +522,7 @@ def test_generator_mask_clips_at_the_annealed_beta():
 
 def test_generator_step_score_linearity_identity():
     # scores decompose as sum_c w_c S_c y_c + b for every sample
-    state, rng = make_trainer(loss=gan.LossKind("wgan"), ufs=ufs.UfsConfig(0.5, 1.0, 1.5))
+    state, rng = make_trainer(loss=gan.LossKind("hinge"), ufs=ufs.UfsConfig(0.5, 1.0, 1.5))
     gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
     z = nm.SeededRng(77).normal((8, state.gen.latent_dim))
     fake = state.gen.sample(z)
@@ -539,7 +540,7 @@ def test_n_critic_default_depends_on_loss():
 
 def test_gp_lambda_is_read_by_wgan_gp_only():
     assert gan.LossKind("wgan_gp").gp_lambda == 10.0
-    assert gan.LossKind("wgan").gp_lambda is None and gan.LossKind("hinge").gp_lambda is None
+    assert gan.LossKind("hinge").gp_lambda is None
     with pytest.raises(ConfigError, match="gp_lambda is not read by loss kind 'hinge'"):
         gan.LossKind("hinge", 10.0)
 

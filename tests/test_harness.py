@@ -75,7 +75,7 @@ RETIRED_UFS_KEYS = {"denom_floor": 1e-8, "near_real_ratio": 1.0, "stats_momentum
     ({"dataset": RING8, "train": {"ufs": dict(UFS, gamma=-1)}},
      "config.train.ufs: gamma must be >= 0, got -1"),
     ({"dataset": RING8, "train": {"loss": {"kind": "lsgan"}}},
-     "config.train.loss: unknown loss kind 'lsgan'"),
+     "config.train.loss: unknown loss kind 'lsgan'; the kinds are wgan_gp, hinge"),
     ({"dataset": RING8, "train": {"batch_size": 1}},
      "config.train: batch_size must be >= 2, got 1"),
     ({"dataset": {"kind": "ring9"}, "train": {}}, "config.dataset: unknown dataset kind 'ring9'"),

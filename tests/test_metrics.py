@@ -11,7 +11,7 @@ from helpers import (ball_bounds_copyto, conv2d_forward_channels_last, conv2d_lo
                      manifold_metrics_sqrt, pairwise_distances_copyto, prdc_loop, rel_err,
                      sum_pool_loop)
 from ufs_lab import metrics as mx
-from ufs_lab.datasets import synthetic_shapes
+from ufs_lab.datasets import DatasetConfig, PointMixture, make_dataset, synthetic_shapes
 from ufs_lab.errors import ContractError, DimensionError, NumericError
 from ufs_lab.numerics import SeededRng
 
@@ -395,6 +395,41 @@ def test_manifold_k_bounds():
         mx.manifold_metrics(pts, pts, k=3)
     with pytest.raises(ContractError):
         mx.manifold_metrics(pts, pts, k=0)
+
+
+ORDERING_POINTS = 2000
+
+
+def degraded_point_sets(kind, rng):
+    """A real set of the dataset kind and fake sets that should score worse and
+    worse: held-out draws, draws from fewer and fewer of its modes, then (ring8
+    only) a uniform circle through the modes, and last an isotropic Gaussian
+    blob with the real set's second moment."""
+    data = make_dataset(DatasetConfig(kind), rng)
+    real = data.sample(ORDERING_POINTS, rng)
+
+    def from_modes(chosen):
+        return PointMixture(data.centers[chosen], data.sigma).sample(ORDERING_POINTS, rng)
+
+    fakes = [data.sample(ORDERING_POINTS, rng)]
+    if kind == "ring8":
+        fakes += [from_modes([0, 2, 4, 6]), from_modes([0, 4])]
+        angles = rng.uniform((ORDERING_POINTS,), 0.0, 2.0 * np.pi)
+        fakes.append(2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    else:  # every other center, then every fifth
+        fakes += [from_modes(np.arange(0, 25, 2)), from_modes(np.arange(0, 25, 5))]
+    fakes.append(rng.normal((ORDERING_POINTS, 2), 0.0, float(np.sqrt(np.mean(real ** 2)))))
+    return real, fakes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["ring8", "grid25"])
+def test_coverage_orders_degraded_point_sets(kind, seed):
+    real, fakes = degraded_point_sets(kind, SeededRng(seed))
+    real_bounds = mx.ball_bounds(real, mx.MANIFOLD_K)
+    coverage = [mx.manifold_metrics(real, fake, mx.MANIFOLD_K, real_bounds).coverage
+                for fake in fakes]
+    assert all(a > b for a, b in zip(coverage, coverage[1:])), coverage
 
 
 # --- mode coverage --------------------------------------------------------------------- #

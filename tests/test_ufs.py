@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import masked_scores, rel_err
+from helpers import masked_scores, rel_err, worst_channel_weights
 from ufs_lab import ufs
 from ufs_lab.errors import ContractError, DimensionError
 from ufs_lab.numerics import SeededRng
@@ -175,7 +175,7 @@ def test_apply_suppression_shape_mismatch():
         ufs.apply_suppression(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-# --- classify_mode ------------------------------------------------------------------------ #
+# --- regimes ---------------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("cfg,expected", [
@@ -184,13 +184,12 @@ def test_apply_suppression_shape_mismatch():
     ((1.0, 3.0, 3.0), "dismission"),
 ])
 def test_classify_mode_examples(cfg, expected):
-    assert ufs.classify_mode(ufs.UfsConfig(*cfg)) == expected
-
-
-def test_classify_mode_warns_when_nothing_is_attenuated():
-    with pytest.warns(UserWarning, match="no-suppression"):
-        label = ufs.classify_mode(ufs.UfsConfig(1.0, 2.0, 3.0))
-    assert label == "suppression"
+    # dismission zeroes the worst channels; suppression scales them down
+    worst = worst_channel_weights(ufs.UfsConfig(*cfg))
+    if expected == "dismission":
+        assert worst.tolist() == [[0.0, 0.0]]
+    else:
+        assert np.all(worst > 0.0) and np.all(worst < 1.0)
 
 
 # --- anneal_beta ---------------------------------------------------------------------------- #
