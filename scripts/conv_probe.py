@@ -10,9 +10,14 @@ multiply-add ("product": rows x out x ho x wo x in x 3 x 3, the same count
 for all three). The critic runs its body over the stacked [real; fake;
 x_hat] rows of a batch, so 12, 48 and 192 rows are batches 4, 16 and 64;
 the embedder sees 64 rows per evaluation window and 512 at instance
-selection, and runs only the forward. Run it on two trees to compare them:
+selection, and runs only the forward. Run it as
 
     PYTHONPATH=src python scripts/conv_probe.py
+
+To compare two trees, alternate the invocations (parent, change, parent,
+...) and compare the median of each side's runs: two batches run one after
+the other can differ by more than a change does, even in an unchanged BLAS
+call.
 """
 
 import time

@@ -7,9 +7,14 @@ space), it prints the fastest of several timed calls, that time per
 distance pair, and the minor page faults per call. Each call scores a fake
 set against a real set of the same size whose ball bounds are computed once
 beforehand, as the experiment loop does, so a call computes N^2 + M*N
-pairs. Run it on two trees to compare them:
+pairs. Run it as
 
     PYTHONPATH=src python scripts/knn_probe.py
+
+To compare two trees, alternate the invocations (parent, change, parent,
+...) and compare the median of each side's runs: two batches run one after
+the other can differ by more than a change does, even in an unchanged BLAS
+call.
 """
 
 import resource

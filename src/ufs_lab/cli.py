@@ -14,7 +14,7 @@ from .attribution import compute_cam, save_attribution_maps
 from .datasets import load_idx_images, normalize_images
 from .errors import (ConfigError, ContractError, DimensionError, NumericError, ParseError,
                      UnsupportedArchitectureError)
-from .harness import (load_checkpoint, load_config, run_experiment, save_embeddings,
+from .harness import (load_checkpoint, load_config, run_experiment, save_checkpoint,
                       trainer_from_arrays)
 from .metrics import MANIFOLD_K, fit_gaussian, frechet_distance, manifold_metrics, measure
 from .selection import (COVARIANCE_MODES, InstanceSelectionConfig, instance_select,
@@ -57,8 +57,8 @@ def _cmd_eval(args) -> int:
     if args.dump_embeddings:
         target = Path(args.dump_embeddings)
         target.mkdir(parents=True, exist_ok=True)
-        save_embeddings(real, target / "real_embeddings.ufsl")
-        save_embeddings(fake, target / "fake_embeddings.ufsl")
+        for name, points in (("real", real), ("fake", fake)):
+            save_checkpoint(target / f"{name}_embeddings.ufsl", {"embeddings": points})
     print(json.dumps(out, indent=2))
     return 0
 

@@ -1,10 +1,11 @@
 """Generator/critic pair with a split feature body and linear scoring head.
 
-The critic is stored as (body, w, b): the body maps inputs to a per-sample
-feature vector, and the head is a single linear map from features to the
-scalar score. Keeping the split explicit is what lets generator training
-reweight individual feature channels before the score is formed, and lets
-attribution read the pre-pool feature map.
+The critic is split into (body, w, b), views of its one parameter vector:
+the body maps inputs to a per-sample feature vector, and the head is a
+single linear map from features to the scalar score. Keeping the split
+explicit is what lets generator training reweight individual feature
+channels before the score is formed, and lets attribution read the pre-pool
+feature map.
 
 A critic step runs the body forward once over the stacked [real; fake; x_hat]
 rows and backward once per group: one weight-gradient GEMM over all the rows
@@ -106,18 +107,20 @@ class GeneratorNet:
         return param_grads(self.net.specs, cache, tape)
 
 
-@dataclass
 class DiscriminatorNet:
-    body: Network
-    w: Array  # (C,)
-    b: Array  # (1,)
+    """The critic (body, w, b) as one parameter vector theta = [body | w | b]:
+    body.theta, w (C,) and b (1,) are views of it, so one Adam step moves
+    them all. The constructor copies the parts it is given into theta."""
+
+    def __init__(self, body: Network, w: Array, b: Array):
+        self.theta = np.concatenate([body.theta, w, b])
+        n = body.theta.size
+        self.body = Network(body.specs, self.theta[:n])
+        self.w, self.b = self.theta[n:-1], self.theta[-1:]
 
     @property
     def feature_dim(self) -> int:
         return len(self.w)
-
-    def param_list(self):
-        return self.body.param_list() + [self.w, self.b]
 
 
 def score_from_features(d: DiscriminatorNet, features: Array) -> Array:
@@ -211,8 +214,8 @@ def _split_groups(y: Array, cache, lengths):
 
 def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_batch: Array,
                                   loss: LossKind, x_hat: Array | None = None):
-    """(loss, grads, diag) for one real/fake batch pair: grads is flat in
-    param_list order, the real, fake and penalty terms summed in that order.
+    """(loss, grads, diag) for one real/fake batch pair: grads is laid out as
+    d.theta, the real, fake and penalty terms summed in that order.
 
     x_hat must be supplied when the loss carries a gradient penalty so the
     interpolation points are fixed by the caller (and by tests).
@@ -230,9 +233,8 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
     s_r = score_from_features(d, y_r)
     s_f = score_from_features(d, y_f)
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
-    n_body = sum(a.size for a in d.body.param_list())
-    grads = np.empty(n_body + d.feature_dim + 1)  # [body | w | b]
-    body_grads, dw = grads[:n_body], grads[n_body:-1]
+    grads = np.empty_like(d.theta)  # [body | w | b]
+    body_grads, dw = grads[:d.body.theta.size], grads[d.body.theta.size:-1]
     np.matmul(dr, y_r, out=dw)
     dw += df @ y_f
     grads[-1] = dr.sum() + df.sum()
@@ -276,8 +278,8 @@ class TrainerState:
 
 def init_trainer(cfg: TrainConfig, gen: GeneratorNet, disc: DiscriminatorNet) -> TrainerState:
     """Adam on both networks, before any step."""
-    return TrainerState(cfg, gen, disc, AdamState.for_params(gen.net.param_list()),
-                        AdamState.for_params(disc.param_list()))
+    return TrainerState(cfg, gen, disc, AdamState.for_params(gen.net.theta),
+                        AdamState.for_params(disc.theta))
 
 
 def _current_lr(state: TrainerState) -> float:
@@ -310,7 +312,7 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
         raise NumericError(f"critic loss diverged: {loss}")
     # statistics use the head weights as they were during this forward pass
     state.stats = ufs_mod.update_stats(d.w, diag["y_real"], diag["y_fake"])
-    adam_step(state.adam_d, d.param_list(), grads, _current_lr(state))
+    adam_step(state.adam_d, d.theta, grads, _current_lr(state))
     return loss
 
 
@@ -361,7 +363,7 @@ def train_generator_step(state: TrainerState, rng: SeededRng) -> float:
     loss, ggrads, _, _, _ = generator_objective_grads(state, z, rng)
     if not math.isfinite(loss):
         raise NumericError(f"generator loss diverged: {loss}")
-    adam_step(state.adam_g, state.gen.net.param_list(), ggrads, _current_lr(state))
+    adam_step(state.adam_g, state.gen.net.theta, ggrads, _current_lr(state))
     return loss
 
 

@@ -156,7 +156,7 @@ def apply_overrides(obj: dict, assignments) -> dict:
 # --- checkpoint format ------------------------------------------------------------ #
 
 CHECKPOINT_MAGIC = b"UFSL"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
@@ -196,19 +196,12 @@ def load_checkpoint(path) -> tuple:
     return {name: arr.copy() for name, arr in arrays.items()}, header
 
 
-def save_embeddings(embeddings: Array, path) -> None:
-    """An (n, d) embedding matrix as the one array of a UFSL file with an empty header."""
-    save_checkpoint(path, {"embeddings": np.asarray(embeddings, dtype=np.float64)})
-
-
 def _state_arrays(state: gan_mod.TrainerState) -> dict:
     """Every array of a trainer state under its checkpoint name. These are the
     live arrays, so the reader fills a fresh state through them in place."""
-    gen, disc = state.gen.net.param_list(), state.disc.param_list()
-    named = {f"{prefix}.{i:02d}": arr for prefix, arrs in (("gen", gen), ("disc", disc))
-             for i, arr in enumerate(arrs)}
-    named.update({"adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
-                  "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v})
+    named = {"gen": state.gen.net.theta, "disc": state.disc.theta,
+             "adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
+             "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v}
     if state.stats is not None:
         named.update({"stats.mu_real": state.stats.mu_real, "stats.mu_fake": state.stats.mu_fake})
     return named

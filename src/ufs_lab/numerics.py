@@ -1,12 +1,13 @@
 """Dense float64 tensor math with handwritten layer gradients.
 
-Networks are flat lists of layer specs plus per-layer parameter dicts.
-A forward pass returns a cache. The backward pass runs only the
-input-gradient chain and returns a tape with it; param_grads turns (cache,
-tape) into the parameter gradients, flat in param_list order, the layout of
-Adam's moments. A second-order helper differentiates through the
-input-gradient computation (needed when training against a gradient-norm
-penalty).
+A network is a list of layer specs plus one flat float64 parameter
+vector; param_views gives its per-layer W and b views, and the same layout
+holds the parameter gradients and Adam's moments. A forward pass returns a
+cache. The backward pass runs only the input-gradient chain and returns a
+tape with it; param_grads turns (cache, tape) into the parameter gradients,
+flat in the param_views layout. A second-order helper differentiates
+through the input-gradient computation (needed when training against a
+gradient-norm penalty).
 
 The passes write only into arrays they create. A bias add, an activation's
 product or a tanh writes in place into the fresh output of the pass's own
@@ -51,6 +52,7 @@ from the heap. Where libc has no `mallopt` nothing is set.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -384,24 +386,54 @@ def global_sum_pool(x: Array) -> Array:
 WEIGHT_STD = 0.02
 
 
-def init_params(specs, rng: SeededRng):
-    """N(0, WEIGHT_STD^2) weights, zero biases; draw order follows the spec list."""
+def _weight_shape(s: LayerSpec):
+    """The shape of layer s's weight, or None for a layer without parameters;
+    its bias holds shape[0] entries."""
+    if s.kind == "dense":
+        return (s.out_features, s.in_features)
+    if s.kind == "conv2d":
+        return (s.out_channels, s.in_channels, s.kernel, s.kernel)
+    return None
+
+
+def param_size(specs) -> int:
+    """The length of the flat parameter vector of specs."""
+    return sum(math.prod(w) + w[0] for w in map(_weight_shape, specs) if w)
+
+
+def param_views(specs, flat: Array) -> list:
+    """Per-layer dicts of views of flat: W then b of each dense or conv2d layer
+    in spec order, each C-ordered, and {} for the other layers. This one
+    layout serves parameters, their gradients and Adam's moments. flat must
+    be a contiguous, aligned float64 vector of param_size(specs): on any
+    other view matmul would leave BLAS for numpy's own loop, which sums in
+    another order."""
+    n = param_size(specs)
+    if not (isinstance(flat, np.ndarray) and flat.shape == (n,) and flat.dtype == np.float64
+            and flat.flags.c_contiguous and flat.flags.aligned):
+        got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+        raise ContractError(f"parameters must be a contiguous, aligned float64 vector of {n}, "
+                            f"got {got}")
+    views, lo = [], 0
+    for w in map(_weight_shape, specs):
+        if w is None:
+            views.append({})
+            continue
+        mid = lo + math.prod(w)
+        views.append({"W": flat[lo:mid].reshape(w), "b": flat[mid:mid + w[0]]})
+        lo = mid + w[0]
+    return views
+
+
+def init_params(specs, rng: SeededRng) -> Array:
+    """The flat parameter vector of specs: N(0, WEIGHT_STD^2) weights, zero
+    biases; draw order follows the spec list."""
     check_specs(specs)
-    params = []
-    for s in specs:
-        if s.kind == "dense":
-            params.append({
-                "W": rng.normal((s.out_features, s.in_features), 0.0, WEIGHT_STD),
-                "b": np.zeros(s.out_features),
-            })
-        elif s.kind == "conv2d":
-            params.append({
-                "W": rng.normal((s.out_channels, s.in_channels, s.kernel, s.kernel), 0.0, WEIGHT_STD),
-                "b": np.zeros(s.out_channels),
-            })
-        else:
-            params.append({})
-    return params
+    theta = np.zeros(param_size(specs))
+    for p in param_views(specs, theta):
+        if p:
+            p["W"][...] = rng.normal(p["W"].shape, 0.0, WEIGHT_STD)
+    return theta
 
 
 def forward_pass(specs, params, x):
@@ -481,55 +513,19 @@ def backward_pass(specs, params, cache, upstream, input_grad: bool = True):
     return (g if input_grad else None), tape
 
 
-def _grad_vector(specs, out) -> Array:
-    """out, checked, or a new vector for the gradients of specs' parameters.
-    out must be a contiguous, aligned float64 vector: on any other view
-    matmul would leave BLAS for numpy's own loop, which sums in another
-    order."""
-    n = 0
-    for s in specs:
-        if s.kind == "dense":
-            n += (s.in_features + 1) * s.out_features
-        elif s.kind == "conv2d":
-            n += (s.in_channels * s.kernel * s.kernel + 1) * s.out_channels
-    if out is None:
-        return np.empty(n)
-    if (out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous
-            or not out.flags.aligned):
-        raise ContractError(f"gradient out must be a contiguous, aligned float64 vector of {n}, "
-                            f"got {out.dtype} {out.shape}")
-    return out
-
-
-def _slots(s: LayerSpec, flat: Array, lo: int):
-    """(weight view, bias view, next offset) of layer s's parameters in the
-    flat vector at offset lo."""
-    if s.kind == "dense":
-        shape = (s.out_features, s.in_features)
-        mid = lo + s.out_features * s.in_features
-    else:
-        shape = (s.out_channels, s.in_channels, s.kernel, s.kernel)
-        mid = lo + s.out_channels * s.in_channels * s.kernel * s.kernel
-    hi = mid + shape[0]
-    return flat[lo:mid].reshape(shape), flat[mid:hi], hi
-
-
 def param_grads(specs, cache, tape, out=None) -> Array:
     """Parameter gradients from a forward cache and its backward tape, as one
-    flat vector in param_list order: written into out when given (a
-    contiguous float64 vector of that size, returned), else into a new
-    vector. Each layer's gradients go straight into their slots."""
-    out = _grad_vector(specs, out)
-    lo = 0
-    for s, c, g in zip(specs, cache, tape):
+    flat vector in the param_views layout: written into out when given
+    (returned), else into a new vector. Each layer's gradients go straight
+    into their views."""
+    out = np.empty(param_size(specs)) if out is None else out
+    for s, c, g, p in zip(specs, cache, tape, param_views(specs, out)):
         if s.kind == "dense":
-            w, b, lo = _slots(s, out, lo)
-            np.matmul(g.T, c, out=w)
-            np.add.reduce(g, axis=0, out=b)
+            np.matmul(g.T, c, out=p["W"])
+            np.add.reduce(g, axis=0, out=p["b"])
         elif s.kind == "conv2d":
-            w, b, lo = _slots(s, out, lo)
-            w[...] = conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel)
-            np.add.reduce(g, axis=(0, 2, 3), out=b)
+            p["W"][...] = conv2d_weight_grad(c, g, s.stride, s.kernel, s.kernel)
+            np.add.reduce(g, axis=(0, 2, 3), out=p["b"])
     return out
 
 
@@ -539,25 +535,23 @@ def input_grad_param_grads(specs, params, cache, tape, v):
     Backprop through the backward pass. Only valid for piecewise-linear
     activations (leaky_relu), whose masks have zero derivative almost
     everywhere; tanh would add curvature terms and is rejected. Returns
-    (grads, q): grads is flat in param_list order (zero for biases), and q
-    is v carried forward to the stack's output, the term that a linear layer
-    on top of the stack contracts with its own upstream. The leaky product
-    writes in place into q once q is this pass's own; v, the cache and the
-    tape are never written.
+    (grads, q): grads is flat in the param_views layout (zero for biases),
+    and q is v carried forward to the stack's output, the term that a linear
+    layer on top of the stack contracts with its own upstream. The leaky
+    product writes in place into q once q is this pass's own; v, the cache
+    and the tape are never written.
     """
     q = as_f64(v)
     fresh = False  # q is this pass's own
-    out, lo = _grad_vector(specs, None), 0
-    for i, (s, p, c) in enumerate(zip(specs, params, cache)):
+    out = np.empty(param_size(specs))
+    for i, (s, p, c, g) in enumerate(zip(specs, params, cache, param_views(specs, out))):
         if s.kind == "dense":
-            w, b, lo = _slots(s, out, lo)
-            np.matmul(tape[i].T, q, out=w)
-            b.fill(0.0)
+            np.matmul(tape[i].T, q, out=g["W"])
+            g["b"].fill(0.0)
             q = q @ p["W"].T
         elif s.kind == "conv2d":
-            w, b, lo = _slots(s, out, lo)
-            w[...] = conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel)
-            b.fill(0.0)
+            g["W"][...] = conv2d_weight_grad(q, tape[i], s.stride, s.kernel, s.kernel)
+            g["b"].fill(0.0)
             q = conv2d_forward(q, p["W"], s.stride)
         elif s.kind == "leaky_relu":
             q = np.multiply(q, c, out=q if fresh else None)
@@ -571,31 +565,19 @@ def input_grad_param_grads(specs, params, cache, tape, v):
 
 
 class Network:
-    """A sequential layer stack with explicit parameters; forward_pass and
-    backward_pass run it."""
+    """A sequential layer stack with one flat parameter vector theta; params
+    holds its per-layer W and b views (param_views), which forward_pass and
+    backward_pass read."""
 
-    def __init__(self, specs, params):
+    def __init__(self, specs, theta: Array):
         check_specs(specs)
-        if len(specs) != len(params):
-            raise ContractError("specs and params length mismatch")
         self.specs = list(specs)
-        self.params = list(params)
+        self.params = param_views(self.specs, theta)
+        self.theta = theta
 
     @classmethod
     def init(cls, specs, rng: SeededRng) -> "Network":
         return cls(specs, init_params(specs, rng))
-
-    def param_list(self):
-        return [arr for p in self.params for arr in p.values()]
-
-
-def split_like(flat: Array, arrays) -> list:
-    """Views of the 1-d vector flat, shaped like each of arrays in turn."""
-    views, lo = [], 0
-    for a in arrays:
-        views.append(flat[lo:lo + a.size].reshape(a.shape))
-        lo += a.size
-    return views
 
 
 # --- optimizer ------------------------------------------------------------ #
@@ -614,18 +596,18 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        n = sum(p.size for p in params)
-        return cls(np.zeros(n), np.zeros(n))
+    def for_params(cls, theta: Array) -> "AdamState":
+        return cls(np.zeros(theta.size), np.zeros(theta.size))
 
 
-def adam_step(state: AdamState, params, grad: Array, lr: float) -> None:
-    """One bias-corrected Adam update of params at rate lr (ADAM_B1, ADAM_B2,
-    ADAM_EPS), in place. grad is the flat gradient over params and serves as
-    scratch; each element gets the per-array recipe's operations in its order
-    (m, v flat in param order)."""
-    if grad.shape != state.m.shape or sum(p.size for p in params) != grad.size:
-        raise DimensionError(f"adam_step: {grad.shape} gradient for {state.m.size} parameters")
+def adam_step(state: AdamState, theta: Array, grad: Array, lr: float) -> None:
+    """One bias-corrected Adam update of the flat parameters theta at rate lr
+    (ADAM_B1, ADAM_B2, ADAM_EPS), in place. grad is theta's flat gradient and
+    serves as scratch; each element gets the per-array recipe's operations in
+    its order."""
+    if grad.shape != state.m.shape or theta.shape != grad.shape:
+        raise DimensionError(f"adam_step: {grad.shape} gradient for {state.m.size} moments "
+                             f"and {theta.size} parameters")
     state.step += 1
     c1 = 1.0 - ADAM_B1 ** state.step
     c2 = 1.0 - ADAM_B2 ** state.step
@@ -643,8 +625,7 @@ def adam_step(state: AdamState, params, grad: Array, lr: float) -> None:
     np.divide(m, c1, out=t)
     t *= lr
     t /= grad
-    for p, u in zip(params, split_like(t, params)):
-        p -= u
+    theta -= t
 
 
 # --- schedules ------------------------------------------------------------ #

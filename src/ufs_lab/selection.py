@@ -44,7 +44,7 @@ class InstanceSelectionConfig:
             raise ContractError(f"unknown covariance mode {self.covariance_mode!r}")
 
 
-def select_indices(scores: Array, k: int, mode: str, rng: SeededRng | None = None) -> Array:
+def select_indices(scores: Array, k: int, mode: str, rng: SeededRng) -> Array:
     """Indices of the k largest / smallest / random scores, ties to lowest index."""
     s = as_f64(scores).ravel()
     n = s.size
@@ -55,8 +55,6 @@ def select_indices(scores: Array, k: int, mode: str, rng: SeededRng | None = Non
     if mode == "bottom":
         return _top_k(-s, k)
     if mode == "random":
-        if rng is None:
-            raise ContractError("random selection needs an rng")
         return np.sort(rng.choice_no_replace(n, k))
     raise ContractError(f"unknown selection mode {mode!r}")
 

@@ -26,7 +26,7 @@ blocks (each coordinate's column copied into the block, then the row
 subtracted, at numpy's default ufunc buffer) are the form the library's
 broadcast-subtract blocks are checked against bitwise, through the
 distances, ball bounds and k-NN metrics built on them. The joined-bytes
-version-4 checkpoint writer is the form the library's streaming writer is
+version-5 checkpoint writer is the form the library's streaming writer is
 checked against byte for byte.
 """
 
@@ -290,13 +290,13 @@ def manifold_metrics_copyto(real, fake, k):
 
 
 def checkpoint_bytes_joined(arrays, header=None):
-    """UFSL version-4 checkpoint bytes built as one joined bytes object: magic,
+    """UFSL version-5 checkpoint bytes built as one joined bytes object: magic,
     version, header length, the JSON header (the given entries plus the
     [name, shape] table), then each array's `tobytes()` data in C order."""
     table = [[name, list(np.shape(arr))] for name, arr in arrays.items()]
     encoded = json.dumps(dict(header or {}, arrays=table)).encode()
     data = [np.asarray(arr, dtype=np.float64).tobytes() for arr in arrays.values()]
-    return b"".join([b"UFSL", struct.pack("<II", 4, len(encoded)), encoded] + data)
+    return b"".join([b"UFSL", struct.pack("<II", 5, len(encoded)), encoded] + data)
 
 
 def denman_beavers_sqrt(mat, iters=60):
@@ -360,11 +360,23 @@ def finite_diff_grad(f, x, h: float = 1e-5):
 # --- the critic as one stack ------------------------------------------------ #
 
 
+def critic_specs(d):
+    """The body's specs with the head appended as a dense layer: the
+    param_views layout of d.theta, [body | w | b]."""
+    return d.body.specs + [nm.dense(d.feature_dim, 1)]
+
+
 def stacked_critic(d):
     """(specs, params) of the body with the head appended as a dense layer;
-    the head's parameters are views of d.w and d.b."""
-    return (d.body.specs + [nm.dense(d.feature_dim, 1)],
-            d.body.params + [{"W": d.w.reshape(1, -1), "b": d.b}])
+    the parameters are views of d.theta."""
+    specs = critic_specs(d)
+    return specs, nm.param_views(specs, d.theta)
+
+
+def param_arrays(specs, flat):
+    """The W and b views of a flat parameter or gradient vector, layer by
+    layer: its per-array form."""
+    return [a for p in nm.param_views(specs, flat) for a in p.values()]
 
 
 def split_scores(d, x):
@@ -495,7 +507,7 @@ def input_grad_param_grads_alloc(specs, params, cache, tape, v):
 
 
 def flat_grads(grads):
-    """Per-layer gradient dicts as one flat vector in param_list order."""
+    """Per-layer gradient dicts as one flat vector in the param_views layout."""
     return np.concatenate([arr.ravel() for g in grads for arr in g.values()])
 
 
@@ -558,7 +570,8 @@ def frozen_generator_loss(state, z, s, weights):
 def masked_scores(y, s, w, b):
     """Critic scores of the features y masked by s under the head (w, b), as
     the generator objective forms them."""
-    return gan.score_from_features(gan.DiscriminatorNet(None, w, b), ufs.apply_suppression(y, s))
+    head = gan.DiscriminatorNet(nm.Network([], np.zeros(0)), w, b)  # an empty body
+    return gan.score_from_features(head, ufs.apply_suppression(y, s))
 
 
 def worst_channel_weights(cfg):
@@ -574,9 +587,11 @@ def init_network(specs, rng, scale):
     """nm.Network.init with N(0, scale^2) weights in place of N(0, WEIGHT_STD^2):
     the same draws in the same order, so gradient checks see weights large
     enough to matter."""
-    shapes = nm.init_params(specs, nm.SeededRng(0))
-    return nm.Network(specs, [{k: rng.normal(v.shape, 0.0, scale) if k == "W" else v
-                               for k, v in p.items()} for p in shapes])
+    net = nm.Network(specs, np.zeros(nm.param_size(specs)))
+    for p in net.params:
+        if p:
+            p["W"][...] = rng.normal(p["W"].shape, 0.0, scale)
+    return net
 
 
 

@@ -14,12 +14,14 @@ import pytest
 
 from helpers import (
     cam_state,
+    critic_specs,
     denman_beavers_sqrt,
     fd_param_grads,
     frozen_generator_loss,
     grad_close,
     init_network,
     objective_state,
+    param_arrays,
     penalty_at,
     penalty_stacked,
     prdc_loop,
@@ -81,8 +83,8 @@ def test_acceptance_gradient_suite():
 
         y, cache = nm.forward_pass(net.specs, net.params, x)
         _, tape = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
-        check(nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list()),
-              fd_param_grads(net_loss, net.param_list()))
+        check(param_arrays(net.specs, nm.param_grads(net.specs, cache, tape)),
+              fd_param_grads(net_loss, param_arrays(net.specs, net.theta)))
 
         # both adversarial losses through a full critic
         d = small_mlp_disc(rng)
@@ -98,14 +100,15 @@ def test_acceptance_gradient_suite():
                 s_r, s_f = gan.score_from_features(d, y_r), gan.score_from_features(d, y_f)
                 return gan.critic_loss(kind, s_r, s_f)[0]
 
-            check(nm.split_like(grads, d.param_list()),
-                  fd_param_grads(d_loss, d.body.param_list() + [d.w, d.b]))
+            check(param_arrays(critic_specs(d), grads),
+                  fd_param_grads(d_loss, param_arrays(critic_specs(d), d.theta)))
 
         # gradient penalty parameter gradients (biases, the head's too, get none)
         x_hat = rng.normal((4, 2))
         _, pgrads, pw = penalty_at(d, x_hat, 10.0)
-        check(nm.split_like(np.concatenate([pgrads, pw, np.zeros(1)]), d.param_list()),
-              fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list()))
+        check(param_arrays(critic_specs(d), np.concatenate([pgrads, pw, np.zeros(1)])),
+              fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0],
+                             param_arrays(critic_specs(d), d.theta)))
 
         # the generator objective training runs: mask from seeded feature
         # stats, weights from top-k and random-k selection, both held fixed
@@ -113,9 +116,10 @@ def test_acceptance_gradient_suite():
             state = objective_state(rng, small_gen(rng), d, mode, UfsConfig(0.5, 1.0, 1.5))
             z = rng.normal((5, 4))
             _, ggrads, _, s, weights = gan.generator_objective_grads(state, z, rng)
-            check(nm.split_like(ggrads, state.gen.net.param_list()),
+            net = state.gen.net
+            check(param_arrays(net.specs, ggrads),
                   fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
-                                 state.gen.net.param_list()))
+                                 param_arrays(net.specs, net.theta)))
 
     elapsed = time.perf_counter() - started
     report("gradient suite (20 seeds)", worst < 1e-5 and elapsed < 60.0,
@@ -222,8 +226,8 @@ def test_acceptance_selection_vs_sort_oracle():
     for n in range(1, 65):
         scores = rng.normal((n,))
         for k in sorted({1, max(1, n // 3), n}):
-            top = sel.select_indices(scores, k, "top")
-            bottom = sel.select_indices(scores, k, "bottom")
+            top = sel.select_indices(scores, k, "top", rng)
+            bottom = sel.select_indices(scores, k, "bottom", rng)
             order = sorted(range(n), key=lambda i: (-scores[i], i))
             assert set(top) == set(order[:k])
             order_b = sorted(range(n), key=lambda i: (scores[i], i))
@@ -332,7 +336,7 @@ def reference_plain_loop(iterations: int, batch: int, seed: int):
             fake = gen.sample(z)
             x_hat = gan.interpolate_batches(real, fake, rng)
             _, grads, _ = gan.discriminator_objective_grads(disc, real, fake, cfg.loss, x_hat)
-            nm.adam_step(state.adam_d, disc.param_list(), grads, gan._current_lr(state))
+            nm.adam_step(state.adam_d, disc.theta, grads, gan._current_lr(state))
         z = rng.normal((batch, gen.latent_dim))
         fake, gcache = gen.sample(z, want_cache=True)
         y_f, dcache = nm.forward_pass(disc.body.specs, disc.body.params, fake)
@@ -341,7 +345,7 @@ def reference_plain_loop(iterations: int, batch: int, seed: int):
         d_y = gan.head_feature_grad(disc.w, None, -weights)
         dx, _ = nm.backward_pass(disc.body.specs, disc.body.params, dcache, d_y)
         ggrads = gen.backward(gcache, dx)
-        nm.adam_step(state.adam_g, gen.net.param_list(), ggrads, gan._current_lr(state))
+        nm.adam_step(state.adam_g, gen.net.theta, ggrads, gan._current_lr(state))
     return gen, disc
 
 
@@ -362,10 +366,8 @@ def test_acceptance_baseline_equivalence():
         gan.train_generator_step(state, rng)
 
     ref_gen, ref_disc = reference_plain_loop(iterations, batch, seed)
-    identical = all(
-        np.array_equal(a, b)
-        for a, b in zip(gen.net.param_list() + disc.param_list(),
-                        ref_gen.net.param_list() + ref_disc.param_list()))
+    identical = (np.array_equal(gen.net.theta, ref_gen.net.theta)
+                 and np.array_equal(disc.theta, ref_disc.theta))
     report("baseline equivalence (200 iterations, bit-identical)", identical)
 
 

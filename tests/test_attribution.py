@@ -10,8 +10,7 @@ from ufs_lab.errors import ContractError, ParseError, UnsupportedArchitectureErr
 
 def single_channel_disc():
     """Identity conv body: features equal the input map."""
-    body = nm.Network([nm.conv2d(1, 1, 1, 1), nm.sum_pool()],
-                      [{"W": np.ones((1, 1, 1, 1)), "b": np.zeros(1)}, {}])
+    body = nm.Network([nm.conv2d(1, 1, 1, 1), nm.sum_pool()], np.array([1.0, 0.0]))
     return gan.DiscriminatorNet(body, np.array([1.0]), np.array([0.5]))
 
 

@@ -52,8 +52,9 @@ PACKAGE = ROOT / "src" / "ufs_lab"
 
 
 def public_definitions(path) -> set:
-    """The public names a module defines at its top level: defs, classes and
-    assigned constants."""
+    """The public names a module defines at its top level (defs, classes and
+    assigned constants) and the public methods and properties of its classes,
+    the latter as `Class.name`."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -61,7 +62,10 @@ def public_definitions(path) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return {name for name in names if not name.rpartition(".")[2].startswith("_")}
 
 
 def names_read(paths) -> set:
@@ -85,8 +89,11 @@ def test_every_public_name_is_read_outside_the_tests():
     read = names_read(modules + scripts)
     read |= {part for _, attr in load_spans().LAYERS for part in attr.split(".")}
     defined = [(path.name, name) for path in modules for name in sorted(public_definitions(path))]
-    assert ("harness.py", "run_experiment") in defined  # the scan finds the definitions
-    assert [(module, name) for module, name in defined if name not in read] == []
+    # the scan finds the definitions, methods and properties among them
+    assert {("harness.py", "run_experiment"), ("gan.py", "GeneratorNet.sample"),
+            ("gan.py", "DiscriminatorNet.feature_dim")} <= set(defined)
+    assert [(module, name) for module, name in defined
+            if name.rpartition(".")[2] not in read] == []
 
 
 @pytest.mark.parametrize("module, attr", load_spans().LAYERS)

@@ -325,12 +325,12 @@ def test_cam_misshapen_checkpoint_one_line_error(tmp_path, capsys):
     cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     arrays, header = trainer_to_arrays(state, asdict(cfg))
-    arrays["disc.00"] = arrays["disc.00"][:16]
+    arrays["disc"] = arrays["disc"][:16]
     save_checkpoint(tmp_path / "bad.ufsl", arrays, header)
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "bad.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
-    assert "disc.00: expected shape (32, 1, 3, 3)" in assert_one_line_error(capsys, "ParseError")
+    assert "disc: expected shape (92801,), got (16,)" in assert_one_line_error(capsys, "ParseError")
 
 
 def test_cam_negative_counter_checkpoint_one_line_error(tmp_path, capsys):
@@ -384,7 +384,30 @@ def test_cam_on_version_3_checkpoint_one_line_error(tmp_path, capsys):
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "v3.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
     err = assert_one_line_error(capsys, "ParseError")
-    assert "checkpoint version 3 is incompatible with reader version 4" in err
+    assert "checkpoint version 3 is incompatible with reader version 5" in err
+    assert not (tmp_path / "cams").exists()
+
+
+def test_cam_on_version_4_checkpoint_one_line_error(tmp_path, capsys):
+    # version 4: the same container, but each weight and bias an array of its
+    # own (gen.00, gen.01, ..., disc.00, ...) beside the Adam moments
+    cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
+    arrays, header = trainer_to_arrays(state, asdict(cfg))
+    layers = [("gen", state.gen.net.specs, arrays.pop("gen")),
+              ("disc", state.disc.body.specs + [nm.dense(128, 1)], arrays.pop("disc"))]
+    v4 = {f"{prefix}.{i:02d}": a for prefix, specs, flat in layers
+          for i, a in enumerate(a for p in nm.param_views(specs, flat) for a in p.values())}
+    path = tmp_path / "v4.ufsl"
+    save_checkpoint(path, dict(v4, **arrays), header)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (4).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(path), "--input", str(idx_path),
+                     "--out", str(tmp_path / "cams")]) == 2
+    err = assert_one_line_error(capsys, "ParseError")
+    assert "checkpoint version 4 is incompatible with reader version 5" in err
     assert not (tmp_path / "cams").exists()
 
 

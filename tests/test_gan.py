@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (AdamOracle, adam_step_oracle, critic_objective_per_group, fd_param_grads,
-                     finite_diff_grad, frozen_generator_loss, grad_close, init_network,
-                     objective_state, penalty_at, penalty_stacked, small_conv_disc, small_gen,
-                     small_mlp_disc, split_scores, stacked_critic)
+from helpers import (AdamOracle, adam_step_oracle, critic_objective_per_group, critic_specs,
+                     fd_param_grads, finite_diff_grad, frozen_generator_loss, grad_close,
+                     init_network, objective_state, param_arrays, penalty_at, penalty_stacked,
+                     small_conv_disc, small_gen, small_mlp_disc, split_scores, stacked_critic)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ConfigError, ContractError, DimensionError, NumericError
@@ -126,7 +126,7 @@ def test_penalty_unit_gradient_is_zero():
     x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
     got, pgrads, pw = penalty_at(d, x_hat, 10.0)
     assert got < 1e-20
-    w_grad = nm.split_like(pgrads, body.param_list())[0]
+    w_grad = nm.param_views(body.specs, pgrads)[0]["W"]
     assert np.abs(pw).max() < 1e-9 and np.abs(w_grad).max() < 1e-9
 
 
@@ -153,8 +153,9 @@ def test_penalty_param_grads_match_finite_differences(make_disc):
     x_hat = rng.normal(shape)
     _, pgrads, pw = penalty_at(d, x_hat, 10.0)
     # biases get no penalty gradient, the head's included
-    got = nm.split_like(np.concatenate([pgrads, pw, np.zeros(1)]), d.param_list())
-    fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0], d.param_list())
+    got = param_arrays(critic_specs(d), np.concatenate([pgrads, pw, np.zeros(1)]))
+    fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0],
+                        param_arrays(critic_specs(d), d.theta))
     for g, want in zip(got, fd):
         assert grad_close(g, want)
 
@@ -197,8 +198,8 @@ def test_discriminator_objective_grads_match_finite_differences(kind, gp_lambda)
         return base
 
     assert abs(loss_value() - value) < 1e-12
-    fd = fd_param_grads(loss_value, d.body.param_list() + [d.w, d.b])
-    for got, want in zip(nm.split_like(grads, d.param_list()), fd, strict=True):
+    fd = fd_param_grads(loss_value, param_arrays(critic_specs(d), d.theta))
+    for got, want in zip(param_arrays(critic_specs(d), grads), fd, strict=True):
         assert grad_close(got, want)
 
 
@@ -386,9 +387,10 @@ def test_generator_grads_match_finite_differences_masked():
         _, ggrads, _, s, weights = gan.generator_objective_grads(state, z, rng)
         assert s is not None and np.ptp(s) > 0.0  # a mask that varies
 
+        net = state.gen.net
         fd = fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
-                            state.gen.net.param_list())
-        for got, want in zip(nm.split_like(ggrads, state.gen.net.param_list()), fd, strict=True):
+                            param_arrays(net.specs, net.theta))
+        for got, want in zip(param_arrays(net.specs, ggrads), fd, strict=True):
             assert grad_close(got, want)
 
 
@@ -405,9 +407,10 @@ def test_generator_grads_respect_sample_weights():
             assert set(kept) == set(np.argsort(-scores)[:3])
         assert abs(loss + scores[kept].sum() / 3) < 1e-12
 
+        net = state.gen.net
         fd = fd_param_grads(lambda: frozen_generator_loss(state, z, s, weights),
-                            state.gen.net.param_list())
-        for got, want in zip(nm.split_like(ggrads, state.gen.net.param_list()), fd, strict=True):
+                            param_arrays(net.specs, net.theta))
+        for got, want in zip(param_arrays(net.specs, ggrads), fd, strict=True):
             assert grad_close(got, want)
 
 
@@ -426,7 +429,9 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
     gen, disc = gan.default_models(data_shape, nm.SeededRng(22))
     state = gan.init_trainer(gan.TrainConfig(iterations=24), gen, disc)
     rng = nm.SeededRng(23)
-    for params, adam in ((gen.net.param_list(), state.adam_g), (disc.param_list(), state.adam_d)):
+    for specs, theta, adam in ((gen.net.specs, gen.net.theta, state.adam_g),
+                               (critic_specs(disc), disc.theta, state.adam_d)):
+        params = param_arrays(specs, theta)
         ref_params = [p.copy() for p in params]
         oracle = AdamOracle.for_params(ref_params, gan.ADAM_LR, nm.ADAM_B1, nm.ADAM_B2)
         rates = []
@@ -435,7 +440,7 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
             oracle.lr = gan._current_lr(state)
             rates.append(oracle.lr)
             grads = [rng.normal(p.shape, 0.0, 10.0 ** -(t % 4)) for p in params]
-            nm.adam_step(adam, params, np.concatenate([g.ravel() for g in grads]), oracle.lr)
+            nm.adam_step(adam, theta, np.concatenate([g.ravel() for g in grads]), oracle.lr)
             adam_step_oracle(oracle, ref_params, grads)
         assert rates[0] == gan.ADAM_LR and rates[-1] < rates[-2] < gan.ADAM_LR  # the taper ran
         assert adam.step == oracle.step == 24
@@ -459,8 +464,7 @@ def test_discriminator_step_identical_with_and_without_ufs():
     real = nm.SeededRng(5).normal((8, 2))
     gan.train_discriminator_step(state_a, real, rng_a)
     gan.train_discriminator_step(state_b, real, rng_b)
-    for pa, pb in zip(state_a.disc.param_list(), state_b.disc.param_list()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(state_a.disc.theta, state_b.disc.theta)
 
 
 def test_discriminator_step_loss_recomputes_from_logged_scores():
@@ -481,15 +485,13 @@ def test_generator_step_raises_on_nan_loss_before_adam():
     state, rng = make_trainer(loss=gan.LossKind("hinge"))
     gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
     gan.train_generator_step(state, rng)  # the Adam moments are no longer zero
-    params = state.gen.net.param_list()
-    params[0][:] = np.nan
+    theta = state.gen.net.theta
+    state.gen.net.params[0]["W"][:] = np.nan
     adam = state.adam_g
-    before = ([p.tobytes() for p in params], adam.m.tobytes(), adam.v.tobytes(), adam.step,
-              state.t)
+    before = (theta.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, state.t)
     with pytest.raises(NumericError, match="generator loss diverged: nan"):
         gan.train_generator_step(state, rng)
-    after = ([p.tobytes() for p in params], adam.m.tobytes(), adam.v.tobytes(), adam.step,
-             state.t)
+    after = (theta.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, state.t)
     assert after == before and adam.step == state.t == 1
 
 
@@ -501,8 +503,7 @@ def test_generator_step_with_inert_mask_matches_baseline():
     la = gan.train_generator_step(state_a, rng_a)
     lb = gan.train_generator_step(state_b, rng_b)
     assert la == lb
-    for pa, pb in zip(state_a.gen.net.param_list(), state_b.gen.net.param_list()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(state_a.gen.net.theta, state_b.gen.net.theta)
 
 
 def test_generator_mask_clips_at_the_annealed_beta():

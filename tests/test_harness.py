@@ -237,13 +237,13 @@ def test_checkpoint_bytes_equal_the_joined_writer(tmp_path):
     assert path.read_bytes() == checkpoint_bytes_joined({"embeddings": np.ones((3, 2))})
 
 
-def test_ring8_checkpoint_holds_twenty_arrays_and_a_json_header(tmp_path):
+def test_ring8_checkpoint_holds_eight_arrays_and_a_json_header(tmp_path):
     cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
-    arrays, header = harness.trainer_to_arrays(trained_state((2,), cfg.train, steps=1),
-                                               dataclasses.asdict(cfg))
-    assert len(arrays) == 20
-    assert [name for name in arrays if not name.startswith(("gen.", "disc."))] == [
-        "adam_g.m", "adam_g.v", "adam_d.m", "adam_d.v", "stats.mu_real", "stats.mu_fake"]
+    state = trained_state((2,), cfg.train, steps=1)
+    arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
+    assert list(arrays) == ["gen", "disc", "adam_g.m", "adam_g.v", "adam_d.m", "adam_d.v",
+                            "stats.mu_real", "stats.mu_fake"]
+    assert arrays["gen"] is state.gen.net.theta and arrays["disc"] is state.disc.theta
     assert {k: v for k, v in header.items() if k != "run.config"} == {
         "run.data_shape": [2], "run.iteration": 1, "adam_d.step": 1}
     path = tmp_path / "c.ufsl"
@@ -252,9 +252,9 @@ def test_ring8_checkpoint_holds_twenty_arrays_and_a_json_header(tmp_path):
     assert stored == json.loads(json.dumps(header))
 
 
-def test_ring8_checkpoint_at_iteration_0_holds_18_arrays_and_no_stats(tmp_path):
+def test_ring8_checkpoint_at_iteration_0_holds_6_arrays_and_no_stats(tmp_path):
     arrays, header = ring8_checkpoint()
-    assert len(arrays) == 18 and not any(name.startswith("stats.") for name in arrays)
+    assert len(arrays) == 6 and not any(name.startswith("stats.") for name in arrays)
     assert {k: v for k, v in header.items() if k != "run.config"} == {
         "run.data_shape": [2], "run.iteration": 0, "adam_d.step": 0}
     path = tmp_path / "c.ufsl"
@@ -290,8 +290,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def container(header: bytes, data: bytes = b"") -> bytes:
-    """A version-4 file of the given header bytes and array data."""
-    return b"UFSL" + (4).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header + data
+    """A version-5 file of the given header bytes and array data."""
+    return b"UFSL" + (5).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header + data
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -379,8 +379,22 @@ def test_trainer_checkpoint_round_trip(tmp_path):
         rng = nm.SeededRng(5)
         gan.train_discriminator_step(s, rng.normal((8, 2)), rng)
         gan.train_generator_step(s, rng)
-        params.append([a.tobytes() for a in s.gen.net.param_list() + s.disc.param_list()])
+        params.append([s.gen.net.theta.tobytes(), s.disc.theta.tobytes()])
     assert params[0] == params[1]
+
+
+@pytest.mark.parametrize("data_shape", [(2,), (1, 16, 16)])
+def test_restored_networks_are_views_of_their_theta(tmp_path, data_shape):
+    cfg = tiny_config(tmp_path)
+    _, state = restore(trained_state(data_shape, cfg.train, steps=1), cfg, tmp_path / "t.ufsl")
+    d, net = state.disc, state.gen.net
+    parts = [d.w, d.b] + [a for p in d.body.params for a in p.values()]
+    assert d.body.theta.base is d.theta and d.w.base is d.theta and d.b.base is d.theta
+    assert all(np.shares_memory(a, d.theta) for a in parts)
+    assert all(np.shares_memory(a, net.theta) for p in net.params for a in p.values())
+    before = [a.copy() for a in parts]
+    nm.adam_step(state.adam_d, d.theta, np.ones_like(d.theta), 1e-3)  # one step moves them all
+    assert all((a != b).all() for a, b in zip(parts, before, strict=True))
 
 
 def test_checkpoint_stores_the_run_config_without_out_dir(tmp_path):
@@ -457,8 +471,8 @@ def v3_config_bytes(header):
 
 @pytest.mark.parametrize("edit, error, message", [
     (lambda a, h: a.pop("adam_d.m"), ParseError, "trainer checkpoint has no array 'adam_d.m'"),
-    (lambda a, h: a.update({"gen.00": a["gen.00"][:, :4]}), ParseError,
-     r"gen.00: expected shape \(64, 8\), got \(64, 4\)"),
+    (lambda a, h: a.update({"gen": a["gen"][:-4]}), ParseError,
+     r"gen: expected shape \(4866,\), got \(4862,\)"),
     (lambda a, h: a.update({"adam_g.v": a["adam_g.v"][1:]}), ParseError,
      r"adam_g.v: expected shape \(4866,\), got \(4865,\)"),
     (lambda a, h: h.update({"run.iteration": [1, 2]}), ParseError,
@@ -511,7 +525,7 @@ def test_checkpoint_with_the_implied_counters_restores_the_same_state(tmp_path, 
     restored = restored_counters_and_arrays(arrays, header)
     assert restored == restored_counters_and_arrays(old_arrays, old_header)
     assert restored[0] == (steps, steps, steps, steps > 0)
-    assert len(restored[1]) == (18 if steps == 0 else 20)
+    assert len(restored[1]) == (6 if steps == 0 else 8)
 
 
 # The iteration is the generator's Adam step, so the header cannot disagree
@@ -530,17 +544,18 @@ def test_trainer_to_arrays_refuses_counters_the_header_cannot_carry(edit, messag
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
-    # version 2 stored configs with ufs keys that are gone since version 3, and
-    # version 3 stored the config, data shape and counters as float64 arrays
+    # version 2 stored configs with ufs keys that are gone since version 3,
+    # version 3 stored the config, data shape and counters as float64 arrays,
+    # and version 4 stored each weight and bias as an array of its own
     path = tmp_path / "old.ufsl"
     arrays, header = ring8_checkpoint()
     harness.save_checkpoint(path, arrays, header)
     raw = bytearray(path.read_bytes())
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match=f"checkpoint version {version} is incompatible "
-                                             "with reader version 4"):
+                                             "with reader version 5"):
             harness.load_checkpoint(path)
 
 

@@ -8,7 +8,7 @@ from helpers import (backward_pass_oracle, conv2d_forward_channels_last, conv2d_
                      conv2d_input_grad_tensordot, conv2d_loop, conv2d_weight_grad_einsum,
                      conv2d_weight_grad_tensordot, fd_param_grads, finite_diff_grad, flat_grads,
                      forward_pass_alloc, init_network, input_grad_param_grads_alloc, matmul_loop,
-                     rel_err, sum_pool_loop)
+                     param_arrays, rel_err, sum_pool_loop)
 from ufs_lab import gan
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ContractError, DimensionError, UnsupportedArchitectureError
@@ -435,11 +435,11 @@ def test_pool_wrong_rank():
 
 def test_dense_backward_trivial():
     # y = Wx + b with a single output, upstream 1: dW = x^T, db = 1
-    net = nm.Network([nm.dense(3, 1)], [{"W": np.array([[2.0, -1.0, 0.5]]), "b": np.zeros(1)}])
+    net = nm.Network([nm.dense(3, 1)], np.array([2.0, -1.0, 0.5, 0.0]))
     x = np.array([[1.0, 2.0, 3.0]])
     _, cache = nm.forward_pass(net.specs, net.params, x)
     dx, tape = nm.backward_pass(net.specs, net.params, cache, np.ones((1, 1)))
-    w_grad, b_grad = nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list())
+    w_grad, b_grad = param_arrays(net.specs, nm.param_grads(net.specs, cache, tape))
     assert np.array_equal(w_grad, x)
     assert np.array_equal(b_grad, [1.0])
     assert np.array_equal(dx, [[2.0, -1.0, 0.5]])
@@ -468,8 +468,8 @@ def test_mlp_param_grads_match_finite_differences(seed):
 
     y, cache = nm.forward_pass(net.specs, net.params, x)
     _, tape = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
-    grads = nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list())
-    fd = fd_param_grads(loss, net.param_list())
+    grads = param_arrays(net.specs, nm.param_grads(net.specs, cache, tape))
+    fd = fd_param_grads(loss, param_arrays(net.specs, net.theta))
     for got, want in zip(grads, fd, strict=True):
         assert rel_err(got, want) < 1e-5
 
@@ -488,8 +488,8 @@ def test_conv_net_grads_match_finite_differences(seed):
 
     y, cache = nm.forward_pass(net.specs, net.params, x)
     dx, tape = nm.backward_pass(net.specs, net.params, cache, np.ones_like(y))
-    grads = nm.split_like(nm.param_grads(net.specs, cache, tape), net.param_list())
-    fd = fd_param_grads(loss, net.param_list())
+    grads = param_arrays(net.specs, nm.param_grads(net.specs, cache, tape))
+    fd = fd_param_grads(loss, param_arrays(net.specs, net.theta))
     for got, want in zip(grads, fd, strict=True):
         assert rel_err(got, want) < 1e-5
     # input gradient against the coordinate-wise finite-difference oracle
@@ -673,6 +673,50 @@ def test_param_grads_writes_into_out_and_refuses_a_strided_one():
             nm.param_grads(net.specs, cache, tape, out=bad)
 
 
+def test_param_views_lay_out_each_layer_in_spec_order():
+    specs = [nm.dense(2, 3), nm.leaky_relu(0.2), nm.conv2d(3, 2, 1), nm.sum_pool()]
+    flat = np.arange(nm.param_size(specs), dtype=float)
+    views = nm.param_views(specs, flat)
+    assert [sorted(p) for p in views] == [["W", "b"], [], ["W", "b"], []]
+    assert [a.shape for p in views for a in p.values()] == [(3, 2), (3,), (2, 3, 1, 1), (2,)]
+    assert np.concatenate([a.ravel() for p in views for a in p.values()]).tobytes() == flat.tobytes()
+    assert all(np.shares_memory(a, flat) for p in views for a in p.values())
+
+
+@pytest.mark.parametrize("bad", [np.zeros(13), np.zeros(15), np.zeros(28)[::2],
+                                 np.zeros(14, np.float32), np.zeros((2, 7)), list(range(14))],
+                         ids=["short", "long", "strided", "float32", "2-d", "list"])
+def test_param_views_refuses_anything_but_its_vector(bad):
+    specs = [nm.dense(3, 2), nm.leaky_relu(0.2), nm.dense(2, 2)]
+    assert nm.param_size(specs) == 14
+    with pytest.raises(ContractError, match="contiguous, aligned float64 vector of 14"):
+        nm.param_views(specs, bad)
+    with pytest.raises(ContractError):
+        nm.Network(specs, bad)
+
+
+def test_network_theta_writes_show_in_the_forward_pass():
+    rng = nm.SeededRng(20)
+    net = init_network([nm.dense(3, 4), nm.leaky_relu(0.2), nm.dense(4, 2)], rng, 0.5)
+    x = rng.normal((5, 3))
+    before, _ = nm.forward_pass(net.specs, net.params, x)
+    net.theta[-2:] += 1.0  # the last layer's bias
+    after, _ = nm.forward_pass(net.specs, net.params, x)
+    assert np.array_equal(after, before + 1.0)
+    net.theta[:] = 0.0
+    zero, _ = nm.forward_pass(net.specs, net.params, x)
+    assert not zero.any()
+
+
+def test_init_params_draws_weights_in_spec_order_into_one_vector():
+    specs = [nm.dense(2, 3), nm.leaky_relu(0.2), nm.dense(3, 1)]
+    theta = nm.init_params(specs, nm.SeededRng(4))
+    rng = nm.SeededRng(4)
+    want = [rng.normal((3, 2), 0.0, nm.WEIGHT_STD), np.zeros(3),
+            rng.normal((1, 3), 0.0, nm.WEIGHT_STD), np.zeros(1)]
+    assert theta.tobytes() == b"".join(a.tobytes() for a in want)
+
+
 SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
 
 
@@ -720,38 +764,38 @@ def test_finite_diff_rejects_bad_step():
 
 def test_adam_first_step_magnitude():
     p = np.array([1.0])
-    state = nm.AdamState.for_params([p])
-    nm.adam_step(state, [p], np.array([0.7]), 0.001)
+    state = nm.AdamState.for_params(p)
+    nm.adam_step(state, p, np.array([0.7]), 0.001)
     assert abs(abs(1.0 - p[0]) - 0.001) < 1e-6
     assert state.step == 1
 
 
 def test_adam_zero_gradient_keeps_params():
     rng = nm.SeededRng(8)
-    p = rng.normal((3, 3))
+    p = rng.normal((9,))
     before = p.copy()
-    state = nm.AdamState.for_params([p])
+    state = nm.AdamState.for_params(p)
     for _ in range(10):
-        nm.adam_step(state, [p], np.zeros(p.size), 1e-3)
+        nm.adam_step(state, p, np.zeros(p.size), 1e-3)
     assert np.array_equal(p, before)
 
 
 def test_adam_two_steps_decrease_quadratic():
     p = np.array([2.0])
-    state = nm.AdamState.for_params([p])
+    state = nm.AdamState.for_params(p)
     f0 = p[0] ** 2
     for _ in range(2):
-        nm.adam_step(state, [p], 2.0 * p, 0.1)
+        nm.adam_step(state, p, 2.0 * p, 0.1)
     assert p[0] ** 2 < f0
 
 
 def test_adam_shape_mismatch():
     p = np.zeros(3)
-    state = nm.AdamState.for_params([p])
+    state = nm.AdamState.for_params(p)
     with pytest.raises(DimensionError):
-        nm.adam_step(state, [p], np.zeros(4), 1e-3)
+        nm.adam_step(state, p, np.zeros(4), 1e-3)
     with pytest.raises(DimensionError):
-        nm.adam_step(state, [p, p], np.zeros(3), 1e-3)
+        nm.adam_step(state, np.zeros(6), np.zeros(3), 1e-3)
     assert state.step == 0 and not state.m.any()
 
 

@@ -13,7 +13,7 @@ from ufs_lab.numerics import SeededRng
 
 
 def test_top_two_of_three():
-    idx = sel.select_indices(np.array([0.9, -0.2, 0.5]), 2, "top")
+    idx = sel.select_indices(np.array([0.9, -0.2, 0.5]), 2, "top", SeededRng(0))
     assert set(idx) == {0, 2}
 
 
@@ -25,20 +25,20 @@ def test_k_equals_n_returns_everything():
 
 
 def test_bottom_two_of_three():
-    idx = sel.select_indices(np.array([0.9, -0.2, 0.5]), 2, "bottom")
+    idx = sel.select_indices(np.array([0.9, -0.2, 0.5]), 2, "bottom", SeededRng(0))
     assert set(idx) == {1, 2}
 
 
 def test_ties_break_to_lowest_index():
-    idx = sel.select_indices(np.array([1.0, 1.0, 1.0, 0.0]), 2, "top")
+    idx = sel.select_indices(np.array([1.0, 1.0, 1.0, 0.0]), 2, "top", SeededRng(0))
     assert np.array_equal(idx, [0, 1])
 
 
 def test_k_out_of_range():
     with pytest.raises(ContractError):
-        sel.select_indices(np.array([1.0, 2.0]), 3, "top")
+        sel.select_indices(np.array([1.0, 2.0]), 3, "top", SeededRng(0))
     with pytest.raises(ContractError):
-        sel.select_indices(np.array([1.0, 2.0]), 0, "top")
+        sel.select_indices(np.array([1.0, 2.0]), 0, "top", SeededRng(0))
 
 
 def test_random_selection_is_seeded_and_unique():
@@ -48,18 +48,13 @@ def test_random_selection_is_seeded_and_unique():
     assert len(set(a.tolist())) == 4
 
 
-def test_random_selection_requires_rng():
-    with pytest.raises(ContractError):
-        sel.select_indices(np.zeros(4), 2, "random")
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
 def test_top_bottom_match_sort_oracle(n):
     rng = SeededRng(100 + n)
     scores = rng.normal((n,))
     for k in {1, n // 2 or 1, n}:
-        top = sel.select_indices(scores, k, "top")
-        bottom = sel.select_indices(scores, k, "bottom")
+        top = sel.select_indices(scores, k, "top", rng)
+        bottom = sel.select_indices(scores, k, "bottom", rng)
         order = sorted(range(n), key=lambda i: (-scores[i], i))
         assert set(top) == set(order[:k])
         order_b = sorted(range(n), key=lambda i: (scores[i], i))
@@ -72,8 +67,8 @@ def test_top_bottom_match_sort_oracle(n):
 def test_top_of_scores_is_bottom_of_negated(scores, k_raw):
     scores = np.array(scores)
     k = min(k_raw, len(scores))
-    top = sel.select_indices(scores, k, "top")
-    bottom = sel.select_indices(-scores, k, "bottom")
+    top = sel.select_indices(scores, k, "top", SeededRng(0))
+    bottom = sel.select_indices(-scores, k, "bottom", SeededRng(0))
     assert np.array_equal(top, bottom)
 
 
