@@ -291,10 +291,9 @@ def _dump_image_grid(images: Array, path: Path) -> None:
     encode_pgm scales a heatmap; cells past the last image are -1."""
     n, _, h, w = images.shape
     side = int(math.ceil(math.sqrt(n)))
-    grid = np.full((side * h, side * w), -1.0)
-    for i in range(n):
-        r, c = divmod(i, side)
-        grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = images[i, 0]
+    cells = np.full((side * side, h, w), -1.0)
+    cells[:n] = images[:, 0]
+    grid = cells.reshape(side, side, h, w).transpose(0, 2, 1, 3).reshape(side * h, side * w)
     write_atomic(path, encode_pgm(grid))
 
 

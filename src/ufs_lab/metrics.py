@@ -14,6 +14,17 @@ coordinate, and they are compared with squared ball bounds. The subtracts
 and the ball tests run inside `numerics.unbuffered_ufuncs`, as the conv
 forward's loop does; the reductions over the test results run at numpy's
 default buffer, where they are faster.
+
+Both exact selections here run along a block's contiguous rows. A ball
+bound is each row's k-th smallest squared distance, found by k - 1
+removals (`inf` written at each row's argmin) and one minimum: k passes
+over the block, where a partition costs about the same at any k. It beats
+the partition up to k = 7 on 500 2-d points and up to about k = 9 on 8000;
+every run uses k = MANIFOLD_K = 3. Mode coverage takes its distances centres
+by samples, so the long sample axis is the one each pass runs along. The
+removal needs finite points, since argmin and a partition order NaN
+differently: `ball_bounds` and `manifold_metrics` refuse any other with
+NumericError.
 """
 
 from __future__ import annotations
@@ -146,6 +157,13 @@ def _check_point_sets(a: Array, b: Array, what: str) -> None:
         raise DimensionError(f"{what}: incompatible shapes {a.shape} and {b.shape}")
 
 
+def _check_finite(points: Array, what: str) -> None:
+    """NumericError naming the set when any of its coordinates is NaN or ±inf."""
+    if not np.isfinite(points).all():
+        bad = int(np.count_nonzero(~np.isfinite(points)))
+        raise NumericError(f"{what} holds {bad} non-finite values")
+
+
 def _sq_distance_blocks(a: Array, b: Array):
     """Yield (lo, squared distances from a[lo:lo + rows] to every point of b),
     one row block at a time.
@@ -195,18 +213,28 @@ def ball_bounds(points: Array, k: int) -> Array:
     sqrt(s) <= sqrt(r2): r2 raised by a few ulps where sqrt rounds larger
     squares onto the same radius. sqrt is monotone, so `sq <= bound` holds
     exactly when `sqrt(sq) <= sqrt(r2)`, with no sqrt taken per pair.
+
+    r2 is selected by removal: with the point itself set to inf, k - 1
+    passes each write inf at every row's argmin, one entry at a time, so
+    equal distances count with their multiplicity, and a last pass takes
+    each row's minimum. For finite points that is bitwise the k-th order
+    statistic a partition gives. Each unit of k costs one more pass, so a
+    large k runs slower than a partition would (see the module docstring).
+    Raises NumericError when a point is not finite.
     """
     points = as_f64(points)
     _check_point_sets(points, points, "ball_bounds")
     n = len(points)
     if not 1 <= k < n:
         raise ContractError(f"ball_bounds needs 1 <= k < {n} points, got k={k}")
+    _check_finite(points, "points")
     bound = np.empty(n)
     for lo, sq in _sq_distance_blocks(points, points):
         rows = np.arange(len(sq))
         sq[rows, lo + rows] = np.inf
-        sq.partition(k - 1, axis=1)
-        bound[lo:lo + len(sq)] = sq[:, k - 1]
+        for _ in range(k - 1):
+            sq[rows, sq.argmin(axis=1)] = np.inf
+        np.minimum.reduce(sq, axis=1, out=bound[lo:lo + len(sq)])
     radius = np.sqrt(bound)
     while True:
         up = np.nextafter(bound, np.inf)
@@ -229,11 +257,14 @@ def manifold_metrics(real: Array, fake: Array, k: int,
     matrix is materialized. A caller that scores many fake sets against one
     real set passes `real_bounds = ball_bounds(real, k)`, computed once (the
     experiment loop does so once per run), so the real set's own k-NN pass is
-    not repeated.
+    not repeated. Raises NumericError when a point of either set is not
+    finite.
     """
     real = as_f64(real)
     fake = as_f64(fake)
     _check_point_sets(real, fake, "manifold_metrics")
+    _check_finite(real, "real")
+    _check_finite(fake, "fake")
     m, n = len(real), len(fake)
     if k < 1:
         raise ContractError(f"k must be >= 1, got k={k}")
@@ -273,7 +304,12 @@ def mode_coverage(samples: Array, centers: Array, sigma: float):
 
     A sample is high quality when it lies within HQ_SIGMAS * sigma of its
     nearest center; a mode is covered when at least one high-quality sample
-    maps to it.
+    maps to it. A sample equally near several centers maps to the first.
+
+    The distances are centers by samples, so argmin over the few centers
+    runs along the long, contiguous sample axis (samples by centers put the
+    few centers innermost, one short pass per sample); argmin keeps the
+    first of equal minima, and the covered modes are counted with bincount.
     """
     samples = as_f64(samples)
     centers = as_f64(centers)
@@ -281,11 +317,11 @@ def mode_coverage(samples: Array, centers: Array, sigma: float):
         raise ContractError("need at least one mode center")
     if sigma <= 0:
         raise ContractError(f"sigma must be positive, got {sigma}")
-    dists = pairwise_distances(samples, centers)
-    nearest = dists.argmin(axis=1)
-    d_min = dists[np.arange(len(samples)), nearest]
+    dists = pairwise_distances(centers, samples)
+    nearest = dists.argmin(axis=0)
+    d_min = dists[nearest, np.arange(len(samples))]
     high_quality = d_min <= HQ_SIGMAS * sigma
-    covered = int(np.unique(nearest[high_quality]).size)
+    covered = int(np.count_nonzero(np.bincount(nearest[high_quality], minlength=len(centers))))
     return covered, float(high_quality.mean())
 
 

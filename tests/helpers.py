@@ -278,6 +278,17 @@ def ball_bounds_copyto(points, k):
         bound[grow] = up[grow]
 
 
+def mode_coverage_rows(samples, centers, sigma, hq_sigmas=3.0):
+    """(covered modes, high-quality fraction) from a samples x centres
+    distance matrix: the first nearest centre per row, modes counted by
+    np.unique."""
+    dists = pairwise_distances_copyto(samples, centers)
+    nearest = dists.argmin(axis=1)
+    d_min = dists[np.arange(len(samples)), nearest]
+    high_quality = d_min <= hq_sigmas * sigma
+    return int(np.unique(nearest[high_quality]).size), float(high_quality.mean())
+
+
 def manifold_metrics_copyto(real, fake, k):
     """(precision, recall, density, coverage) from the copyto blocks and bounds."""
     real_bounds, fake_bounds = ball_bounds_copyto(real, k), ball_bounds_copyto(fake, k)
@@ -287,6 +298,18 @@ def manifold_metrics_copyto(real, fake, k):
     recalled = (sq <= fake_bounds).any(axis=1)
     return (float(inside_real.any(axis=0).mean()), int(recalled.sum()) / m,
             int(inside_real.sum()) / (k * n), int(inside_real.any(axis=1).sum()) / m)
+
+
+def image_grid_loop(images):
+    """Square montage of (n, 1, h, w) images, one cell copied at a time into a
+    grid of -1."""
+    n, _, h, w = images.shape
+    side = int(math.ceil(math.sqrt(n)))
+    grid = np.full((side * h, side * w), -1.0)
+    for i in range(n):
+        r, c = divmod(i, side)
+        grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = images[i, 0]
+    return grid
 
 
 def checkpoint_bytes_joined(arrays, header=None):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cam_per_variant, checkpoint_bytes_joined
+from helpers import cam_per_variant, checkpoint_bytes_joined, image_grid_loop
 import ufs_lab
 from ufs_lab import attribution, gan, harness, ufs
 from ufs_lab import datasets as ds
@@ -656,6 +656,30 @@ def test_run_nan_abort_keeps_last_checkpoint(tmp_path, monkeypatch):
     assert summary["status"] == "nan_abort"
 
 
+def test_run_with_a_nan_sample_in_an_evaluation_pool_aborts(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, **{"train.iterations": 6, "eval_every": 2})
+    windows = {"n": 0}
+    original = gan.GeneratorNet.sample
+
+    def one_nan_at_second_window(self, z, want_cache=False):
+        out = original(self, z, want_cache)
+        if len(z) == cfg.eval_samples:  # an evaluation pool, not a training batch
+            windows["n"] += 1
+            if windows["n"] == 2:
+                out[5, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(gan.GeneratorNet, "sample", one_nan_at_second_window)
+    result = harness.run_experiment(cfg)
+    assert result.status == "nan_abort"
+    lines = result.metrics_path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
+    cells = lines[-1].split(",")
+    assert all(math.isfinite(float(c)) for c in cells[1:3]) and cells[3:10] == ["nan"] * 7
+    assert (result.out_dir / "checkpoint_000000.ufsl").exists()
+    assert not (result.out_dir / "checkpoint_000002.ufsl").exists()
+
+
 def test_run_critic_divergence_row_reads_nan_critic_loss(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, **{"train.iterations": 6, "eval_every": 2})
     calls = {"n": 0}
@@ -727,6 +751,13 @@ def test_image_run_smoke(tmp_path):
     summary = json.loads((result.out_dir / "summary.json").read_text())
     assert (summary["best_frechet"], summary["best_iteration"]) == best_row(result.records)
     assert summary["space"] == "random_features"
+
+
+@pytest.mark.parametrize("n", [1, 10, 17, 64])
+def test_image_grid_bytes_equal_the_per_image_loop(tmp_path, n):
+    images = nm.SeededRng(n).normal((n, 1, 16, 16))
+    harness._dump_image_grid(images, tmp_path / "grid.pgm")
+    assert (tmp_path / "grid.pgm").read_bytes() == attribution.encode_pgm(image_grid_loop(images))
 
 
 def test_image_run_identical_across_blas_thread_counts(tmp_path):

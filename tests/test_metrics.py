@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import (ball_bounds_copyto, conv2d_forward_channels_last, conv2d_loop,
                      distance_block_sqrt, frechet_oracle, knn_radii_sqrt, manifold_metrics_copyto,
-                     manifold_metrics_sqrt, pairwise_distances_copyto, prdc_loop, rel_err,
-                     sum_pool_loop)
+                     manifold_metrics_sqrt, mode_coverage_rows, pairwise_distances_copyto,
+                     prdc_loop, rel_err, sum_pool_loop)
 from ufs_lab import metrics as mx
 from ufs_lab.datasets import DatasetConfig, PointMixture, make_dataset, synthetic_shapes
 from ufs_lab.errors import ContractError, DimensionError, NumericError
@@ -240,6 +240,19 @@ def test_ball_bounds_contract():
         mx.ball_bounds(np.zeros(3), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_metrics_refuse_non_finite_points(bad):
+    rng = SeededRng(34)
+    real, fake = rng.normal((20, 2)), rng.normal((20, 2))
+    fake[3, 1] = fake[7] = bad
+    with pytest.raises(NumericError, match="^points holds 3 non-finite values$"):
+        mx.ball_bounds(fake, 3)
+    with pytest.raises(NumericError, match="^fake holds 3 non-finite values$"):
+        mx.manifold_metrics(real, fake, 3, mx.ball_bounds(real, 3))
+    with pytest.raises(NumericError, match="^real holds 3 non-finite values$"):
+        mx.manifold_metrics(fake, real, 3)
+
+
 @given(st.integers(1, 7), st.integers(1, 9), st.integers(1, 9), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_pairwise_distances_bitwise_equal_sqrt_oracle(d, m, n, seed):
@@ -285,6 +298,29 @@ def test_pairwise_distances_bitwise_equal_copyto_blocks(m, n, d, rounded):
 def test_ball_bounds_bitwise_equal_copyto_blocks(n, d, rounded):
     points, _ = copyto_case_sets(n, 1, d, rounded)
     for k in (1, 3):
+        assert mx.ball_bounds(points, k).tobytes() == ball_bounds_copyto(points, k).tobytes()
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_ball_bounds_bitwise_equal_copyto_blocks_at_every_k(rounded):
+    points, _ = copyto_case_sets(12, 1, 2, rounded)
+    for k in range(1, 12):
+        assert mx.ball_bounds(points, k).tobytes() == ball_bounds_copyto(points, k).tobytes()
+
+
+@pytest.mark.parametrize("copies", [2, 4])
+def test_ball_bounds_bitwise_equal_copyto_blocks_with_repeated_points(copies):
+    rng = SeededRng(31)
+    points = np.concatenate([rng.normal((10, 2)), np.repeat(rng.normal((1, 2)), copies, axis=0)])
+    for k in (1, 2, 3, 5):
+        assert mx.ball_bounds(points, k).tobytes() == ball_bounds_copyto(points, k).tobytes()
+    # each copy's other copies sit at distance 0: 3 of them make the third-nearest 0
+    assert (mx.ball_bounds(points, 3)[10:] == 0.0).all() == (copies == 4)
+
+
+def test_ball_bounds_bitwise_equal_copyto_blocks_on_ring8():
+    points = make_dataset(DatasetConfig(kind="ring8"), SeededRng(0)).sample(2000, SeededRng(32))
+    for k in (1, 3, 5):
         assert mx.ball_bounds(points, k).tobytes() == ball_bounds_copyto(points, k).tobytes()
 
 
@@ -461,6 +497,48 @@ def test_mode_coverage_four_sigma_sample_not_high_quality():
     covered, hq = mx.mode_coverage(samples, centers, sigma=0.02)
     assert covered == 0
     assert hq == 0.0
+
+
+def mode_coverage_cases():
+    """(samples, centers, sigma): ring8 and grid25 draws, grid25 midpoints
+    (exact ties between two or four centres) and samples at exactly
+    HQ_SIGMAS * sigma from the origin's centre, or one ulp further."""
+    rng = SeededRng(33)
+    cases = []
+    for kind in ("ring8", "grid25"):
+        mix = make_dataset(DatasetConfig(kind=kind), rng)
+        wide = mix.centers[rng.integers(len(mix.centers), size=300)] + rng.normal((300, 2), 0.0, 0.5)
+        cases += [(mix.sample(500, rng), mix.centers, mix.sigma), (wide, mix.centers, mix.sigma),
+                  (wide, mix.centers, 0.5)]
+    grid = make_dataset(DatasetConfig(kind="grid25"), rng)
+    mids = np.concatenate([(grid.centers[:-1] + grid.centers[1:]) / 2,
+                           (grid.centers[:-6] + grid.centers[6:]) / 2])
+    r = mx.HQ_SIGMAS * grid.sigma
+    edge = np.array([[r, 0.0], [0.0, -r], [np.nextafter(r, 1.0), 0.0]])
+    cases += [(mids, grid.centers, sigma) for sigma in (grid.sigma, 0.5, 1.0 / mx.HQ_SIGMAS)]
+    # mode 0 is covered only through a midpoint tie it wins as the first centre
+    cases.append((np.concatenate([mids, grid.centers[1:]]), grid.centers, 0.5))
+    cases.append((edge, grid.centers, grid.sigma))
+    return cases
+
+
+def test_mode_coverage_equals_samples_by_centres_oracle():
+    for samples, centers, sigma in mode_coverage_cases():
+        got = mx.mode_coverage(samples, centers, sigma)
+        assert got == mode_coverage_rows(samples, centers, sigma, mx.HQ_SIGMAS)
+
+
+def test_mode_coverage_ties_go_to_the_first_centre_and_the_radius_is_inclusive():
+    grid = make_dataset(DatasetConfig(kind="grid25"), SeededRng(0))
+    # (1, 0) is 1 from the centres (0, 0) and (2, 0) and maps to the first of them, so
+    # with (2, 0) it covers two modes
+    samples = np.array([[1.0, 0.0], [2.0, 0.0]])
+    assert mx.HQ_SIGMAS * (1.0 / mx.HQ_SIGMAS) == 1.0
+    assert mx.mode_coverage(samples, grid.centers, 1.0 / mx.HQ_SIGMAS) == (2, 1.0)
+    r = mx.HQ_SIGMAS * grid.sigma
+    assert mx.mode_coverage(np.array([[r, 0.0]]), grid.centers, grid.sigma) == (1, 1.0)
+    beyond = np.array([[np.nextafter(r, 1.0), 0.0]])
+    assert mx.mode_coverage(beyond, grid.centers, grid.sigma) == (0, 0.0)
 
 
 def test_mode_coverage_contract_errors():
