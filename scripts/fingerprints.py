@@ -30,7 +30,7 @@ import numpy as np
 
 from ufs_lab import cli
 from ufs_lab.attribution import compute_cam
-from ufs_lab.datasets import load_idx_images, normalize_images, synthetic_shapes, write_idx_images
+from ufs_lab.datasets import load_idx_images, synthetic_shapes, write_idx_images
 from ufs_lab.harness import (config_from_dict, load_checkpoint, load_config,
                              read_csv_without_wall_seconds, run_experiment, trainer_from_arrays,
                              trainer_to_arrays)
@@ -94,7 +94,7 @@ def cam_fingerprint(run_dir: Path) -> str:
         code = cli.main(["cam", "--checkpoint", str(checkpoint), "--input", str(idx),
                          "--out", str(run_dir / "cams"), "--run-id", "cam"])
     _, state = trainer_from_arrays(*load_checkpoint(checkpoint))
-    images = normalize_images(load_idx_images(idx))[:CAM_IMAGES]
+    images = load_idx_images(idx)[:CAM_IMAGES]
     digest = hashlib.sha256()
     for key, values in compute_cam(state, images).items():
         digest.update(key.encode() + values.tobytes())

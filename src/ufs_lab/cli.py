@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import compute_cam, save_attribution_maps
-from .datasets import load_idx_images, normalize_images
+from .datasets import load_idx_images
 from .errors import (ConfigError, ContractError, DimensionError, NumericError, ParseError,
                      UnsupportedArchitectureError)
 from .harness import (load_checkpoint, load_config, run_experiment, save_checkpoint,
@@ -25,7 +25,7 @@ def _load_samples(path: str) -> np.ndarray:
     """Point CSVs as (n, d) points, IDX files as normalized (n, 1, h, w) images."""
     p = Path(path)
     if p.suffix.lower() == ".idx" or p.read_bytes()[:2] == b"\x00\x00":
-        return normalize_images(load_idx_images(p))
+        return load_idx_images(p)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data": raised below
@@ -68,7 +68,7 @@ def _cmd_cam(args) -> int:
         raise ContractError(f"--limit must be >= 1, got {args.limit}")
     if args.upsample < 1:
         raise ContractError(f"--upsample must be >= 1, got {args.upsample}")
-    images = normalize_images(load_idx_images(args.input))[:args.limit]
+    images = load_idx_images(args.input)[:args.limit]
     if len(images) == 0:
         raise ParseError(f"{args.input}: IDX file holds no images")
     _, state = trainer_from_arrays(*load_checkpoint(args.checkpoint))
@@ -87,7 +87,7 @@ def _cmd_cam(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    images = normalize_images(load_idx_images(args.dataset))
+    images = load_idx_images(args.dataset)
     cfg = InstanceSelectionConfig(retention_ratio=args.retention,
                                   embedder_seed=args.seed,
                                   covariance_mode=args.cov_mode)

@@ -88,7 +88,8 @@ IDX_IMAGE_MAGIC = bytes([0x00, 0x00, 0x08, 0x03])
 
 
 def load_idx_images(path) -> Array:
-    """Read an IDX file of unsigned-byte images into a (n, h, w) uint8 array."""
+    """Read an IDX file of unsigned-byte images as the lab uses them: a
+    float64 (n, 1, h, w) stack, each byte v mapped to v / 127.5 - 1 in [-1, 1]."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise ParseError(f"{path}: truncated IDX header at byte 0")
@@ -106,7 +107,9 @@ def load_idx_images(path) -> Array:
         raise ParseError(
             f"{path}: payload length mismatch at byte 16: expected {expected} bytes, "
             f"found {len(raw) - 16}")
-    return np.frombuffer(raw, np.uint8, offset=16).reshape(n, h, w).copy()
+    images = np.frombuffer(raw, np.uint8, offset=16).reshape(n, 1, h, w) / 127.5
+    images -= 1.0
+    return images
 
 
 def write_idx_images(images: Array, path) -> None:
@@ -116,11 +119,6 @@ def write_idx_images(images: Array, path) -> None:
         raise ContractError(f"write_idx_images expects (n, h, w) uint8, got {arr.shape} {arr.dtype}")
     write_atomic(path, IDX_IMAGE_MAGIC + struct.pack(">III", *arr.shape),
                  np.ascontiguousarray(arr))
-
-
-def normalize_images(u8: Array) -> Array:
-    """uint8 (n, h, w) images to float64 (n, 1, h, w) in [-1, 1]."""
-    return (as_f64(u8) / 127.5 - 1.0)[:, None, :, :]
 
 
 # --- procedural shapes --------------------------------------------------------- #
@@ -162,7 +160,7 @@ def make_dataset(cfg: DatasetConfig, rng: SeededRng):
     if cfg.kind == "grid25":
         return PointMixture(grid_centers(), 0.05)
     if cfg.kind == "idx_images":
-        images = normalize_images(load_idx_images(cfg.path))
+        images = load_idx_images(cfg.path)
     else:  # synthetic_shapes
         images = synthetic_shapes(cfg.num_shapes, cfg.image_size, rng)
     if cfg.instance_selection is not None:

@@ -25,7 +25,6 @@ from . import selection as selection_mod
 from . import ufs as ufs_mod
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .numerics import (
-    WEIGHT_STD,
     AdamState,
     Array,
     Network,
@@ -408,5 +407,5 @@ def default_models(data_shape, rng: SeededRng):
         channels = 128
     else:
         raise ContractError(f"no default architecture for data shape {data_shape}")
-    disc = DiscriminatorNet(body, rng.normal((channels,), 0.0, WEIGHT_STD), np.zeros(1))
-    return gen, disc
+    head = Network.init([dense(channels, 1)], rng).theta  # [w | b]
+    return gen, DiscriminatorNet(body, head[:-1], head[-1:])

@@ -328,18 +328,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     def evaluate(iteration: int) -> tuple:
         """The cells of one evaluation row from frechet to hq_fraction, after
-        its samples dump and checkpoint are written."""
+        its samples dump and checkpoint are written. The pool is scored first,
+        so a pool the metrics refuse leaves neither file."""
         z = rng_eval.normal((cfg.eval_samples, state.gen.latent_dim))
         fake_pool = state.gen.sample(z)
         fake_points, _ = measure(fake_pool)
+        fr = frechet_distance(real_fit, fit_gaussian(fake_points), real_root)
+        mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
         if isinstance(dataset, PointMixture):
             covered, hq = mode_coverage(fake_pool, dataset.centers, dataset.sigma)
             _dump_points(fake_pool[:64], out / f"samples_{iteration:06d}.csv")
         else:
             covered, hq = math.nan, math.nan
             _dump_image_grid(fake_pool[:64], out / f"samples_{iteration:06d}.pgm")
-        fr = frechet_distance(real_fit, fit_gaussian(fake_points), real_root)
-        mm = manifold_metrics(real_points, fake_points, MANIFOLD_K, real_bounds)
         save_checkpoint(out / f"checkpoint_{iteration:06d}.ufsl",
                         *trainer_to_arrays(state, stored_cfg))
         return fr, mm.precision, mm.recall, mm.density, mm.coverage, covered, hq

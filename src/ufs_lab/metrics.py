@@ -48,8 +48,14 @@ HQ_SIGMAS = 3.0  # a high-quality sample lies within this many sigmas of its mod
 
 @dataclass
 class GaussianFit:
+    """A Gaussian's mean and covariance. The covariance is stored symmetrized,
+    (C + C.T) / 2, which is exactly symmetric, so every reader takes it as is."""
+
     mean: Array
     covariance: Array
+
+    def __post_init__(self):
+        self.covariance = (self.covariance + self.covariance.T) / 2.0
 
 
 @dataclass
@@ -61,7 +67,7 @@ class ManifoldMetrics:
 
 
 def fit_gaussian(samples: Array) -> GaussianFit:
-    """Sample mean and unbiased covariance, symmetrized."""
+    """Sample mean and unbiased covariance."""
     x = as_f64(samples)
     if x.ndim != 2:
         raise DimensionError(f"fit_gaussian expects (m, d), got {x.shape}")
@@ -71,7 +77,7 @@ def fit_gaussian(samples: Array) -> GaussianFit:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (m - 1)
-    return GaussianFit(mean, (cov + cov.T) / 2.0)
+    return GaussianFit(mean, cov)
 
 
 def _clip_psd(vals: Array, what: str) -> Array:
@@ -88,9 +94,9 @@ def _psd_eigvals(mat: Array) -> Array:
 
 
 def covariance_root(fit: GaussianFit) -> Array:
-    """Square root of a fit's symmetrized covariance, through its
-    eigendecomposition (tiny negative eigenvalues clipped, larger rejected)."""
-    vals, vecs = np.linalg.eigh((fit.covariance + fit.covariance.T) / 2.0)
+    """Square root of a fit's covariance, through its eigendecomposition
+    (tiny negative eigenvalues clipped, larger rejected)."""
+    vals, vecs = np.linalg.eigh(fit.covariance)
     return (vecs * np.sqrt(_clip_psd(vals, "covariance"))) @ vecs.T
 
 
@@ -108,8 +114,7 @@ def frechet_distance(a: GaussianFit, b: GaussianFit, root_a: Array | None = None
         raise ContractError(
             f"dimension mismatch: {a.mean.shape}/{a.covariance.shape} vs "
             f"{b.mean.shape}/{b.covariance.shape}")
-    cov_a = (a.covariance + a.covariance.T) / 2.0
-    cov_b = (b.covariance + b.covariance.T) / 2.0
+    cov_a, cov_b = a.covariance, b.covariance
     if root_a is None:
         root_a = covariance_root(a)
     elif root_a.shape != cov_a.shape:

@@ -7,7 +7,9 @@ cache. The backward pass runs only the input-gradient chain and returns a
 tape with it; param_grads turns (cache, tape) into the parameter gradients,
 flat in the param_views layout. A second-order helper differentiates
 through the input-gradient computation (needed when training against a
-gradient-norm penalty).
+gradient-norm penalty). Nothing checks a chain of specs ahead of time: each
+layer checks the array it is given, so a pass through a mismatched chain
+raises DimensionError at the first layer that does not fit.
 
 The passes write only into arrays they create. A bias add, an activation's
 product or a tanh writes in place into the fresh output of the pass's own
@@ -183,26 +185,6 @@ def tanh() -> LayerSpec:
 
 def sum_pool() -> LayerSpec:
     return LayerSpec("global_sum_pool")
-
-
-def check_specs(specs) -> None:
-    """Validate that consecutive layers produce/consume compatible shapes."""
-    state = None  # None (unknown yet) | ("vec", features) | ("img", channels)
-    for i, s in enumerate(specs):
-        if s.kind == "dense":
-            if state is not None and state != ("vec", s.in_features):
-                raise DimensionError(f"layer {i}: dense expects {s.in_features} features, chain carries {state}")
-            state = ("vec", s.out_features)
-        elif s.kind == "conv2d":
-            if state is not None and state != ("img", s.in_channels):
-                raise DimensionError(f"layer {i}: conv2d expects {s.in_channels} channels, chain carries {state}")
-            state = ("img", s.out_channels)
-        elif s.kind == "global_sum_pool":
-            if state is not None and state[0] != "img":
-                raise DimensionError(f"layer {i}: global_sum_pool needs a 4-d input, chain carries {state}")
-            if state is not None:
-                state = ("vec", state[1])
-        # activations keep the shape
 
 
 # --- primitive operations ------------------------------------------------ #
@@ -425,17 +407,6 @@ def param_views(specs, flat: Array) -> list:
     return views
 
 
-def init_params(specs, rng: SeededRng) -> Array:
-    """The flat parameter vector of specs: N(0, WEIGHT_STD^2) weights, zero
-    biases; draw order follows the spec list."""
-    check_specs(specs)
-    theta = np.zeros(param_size(specs))
-    for p in param_views(specs, theta):
-        if p:
-            p["W"][...] = rng.normal(p["W"].shape, 0.0, WEIGHT_STD)
-    return theta
-
-
 def forward_pass(specs, params, x):
     """Run the stack, returning (output, cache) with per-layer saved values.
 
@@ -567,17 +538,23 @@ def input_grad_param_grads(specs, params, cache, tape, v):
 class Network:
     """A sequential layer stack with one flat parameter vector theta; params
     holds its per-layer W and b views (param_views), which forward_pass and
-    backward_pass read."""
+    backward_pass read. Whether consecutive layers fit is checked by the
+    passes: the first forward pass through a mismatched chain raises
+    DimensionError."""
 
     def __init__(self, specs, theta: Array):
-        check_specs(specs)
         self.specs = list(specs)
         self.params = param_views(self.specs, theta)
         self.theta = theta
 
     @classmethod
     def init(cls, specs, rng: SeededRng) -> "Network":
-        return cls(specs, init_params(specs, rng))
+        """N(0, WEIGHT_STD^2) weights drawn in spec order, zero biases."""
+        net = cls(specs, np.zeros(param_size(specs)))
+        for p in net.params:
+            if p:
+                p["W"][...] = rng.normal(p["W"].shape, 0.0, WEIGHT_STD)
+        return net
 
 
 # --- optimizer ------------------------------------------------------------ #

@@ -339,6 +339,26 @@ def frechet_oracle(fit_a, fit_b):
     return float(diff @ diff + np.trace(fit_a.covariance + fit_b.covariance - 2.0 * prod_sqrt))
 
 
+def covariance_root_symmetrizing(cov):
+    """The square root of cov as covariance_root took it while a fit could
+    hold an asymmetric covariance: symmetrize, then eigh, tiny negative
+    eigenvalues clipped."""
+    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def frechet_distance_symmetrizing(mean_a, cov_a, mean_b, cov_b):
+    """frechet_distance of (mean, cov) pairs as it was taken while a fit could
+    hold an asymmetric covariance: each covariance symmetrized inside, the
+    product's eigenvalues through eigvalsh of its symmetrized form."""
+    root_a = covariance_root_symmetrizing(cov_a)
+    cov_a, cov_b = (cov_a + cov_a.T) / 2.0, (cov_b + cov_b.T) / 2.0
+    inner = root_a @ cov_b @ root_a
+    trace_sqrt = float(np.sqrt(np.clip(np.linalg.eigvalsh((inner + inner.T) / 2.0), 0.0, None)).sum())
+    diff = mean_a - mean_b
+    return max(float(diff @ diff) + float(np.trace(cov_a) + np.trace(cov_b)) - 2.0 * trace_sqrt, 0.0)
+
+
 # --- gradient checking ----------------------------------------------------- #
 
 

@@ -107,8 +107,7 @@ def test_eval_on_idx_files_measures_as_the_run_does(tmp_path, capsys):
              for name, seed in (("a", 1), ("b", 2))]
     assert cli.main(["eval", "--real", str(paths[0]), "--fake", str(paths[1]), "-k", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    (real, space), (fake, _) = (measure(ds.normalize_images(ds.load_idx_images(p)))
-                                for p in paths)
+    (real, space), (fake, _) = (measure(ds.load_idx_images(p)) for p in paths)
     assert out["space"] == space == "random_features"
     assert out["frechet"] == frechet_distance(fit_gaussian(real), fit_gaussian(fake))
 

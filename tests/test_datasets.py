@@ -66,9 +66,11 @@ def test_idx_round_trip(tmp_path):
     imgs = rng.integers(0, 256, (5, 6, 7)).astype(np.uint8)
     path = tmp_path / "imgs.idx"
     ds.write_idx_images(imgs, path)
-    assert np.array_equal(ds.load_idx_images(path), imgs)
+    loaded = ds.load_idx_images(path)
+    assert loaded.dtype == np.float64 and loaded.shape == (5, 1, 6, 7)
+    assert np.array_equal(loaded, imgs[:, None] / 127.5 - 1.0)
     ds.write_idx_images(imgs[:, ::2, ::-1], path)  # strided views are written in C order
-    assert np.array_equal(ds.load_idx_images(path), imgs[:, ::2, ::-1])
+    assert np.array_equal(ds.load_idx_images(path), imgs[:, None, ::2, ::-1] / 127.5 - 1.0)
 
 
 def test_failed_idx_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
@@ -90,7 +92,7 @@ def test_idx_normalization_range(tmp_path):
     imgs = np.array([[[0, 255]]], np.uint8)
     path = tmp_path / "imgs.idx"
     ds.write_idx_images(imgs, path)
-    norm = ds.normalize_images(ds.load_idx_images(path))
+    norm = ds.load_idx_images(path)
     assert norm.shape == (1, 1, 1, 2)
     assert norm[0, 0, 0, 0] == -1.0
     assert norm[0, 0, 0, 1] == 1.0

@@ -680,6 +680,35 @@ def test_run_with_a_nan_sample_in_an_evaluation_pool_aborts(tmp_path, monkeypatc
     assert not (result.out_dir / "checkpoint_000002.ufsl").exists()
 
 
+def test_image_run_with_a_nan_pixel_in_an_evaluation_pool_aborts(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, **{"dataset": {"kind": "synthetic_shapes", "image_size": 16,
+                                               "num_shapes": 32},
+                                   "train.batch_size": 4, "train.n_critic": 1,
+                                   "train.iterations": 2, "eval_every": 1, "eval_samples": 16})
+    windows = {"n": 0}
+    original = gan.GeneratorNet.sample
+
+    def one_nan_at_second_window(self, z, want_cache=False):
+        out = original(self, z, want_cache)
+        if len(z) == cfg.eval_samples:  # an evaluation pool, not a training batch
+            windows["n"] += 1
+            if windows["n"] == 2:
+                out[3, 0, 5, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(gan.GeneratorNet, "sample", one_nan_at_second_window)
+    result = harness.run_experiment(cfg)  # the samples dump would refuse the pixel
+    assert result.status == "nan_abort"
+    lines = result.metrics_path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert lines[-1].split(",")[3:10] == ["nan"] * 7
+    assert json.loads((result.out_dir / "summary.json").read_text())["status"] == "nan_abort"
+    assert (result.out_dir / "checkpoint_000000.ufsl").exists()
+    assert (result.out_dir / "samples_000000.pgm").exists()
+    assert not (result.out_dir / "samples_000001.pgm").exists()
+    assert not (result.out_dir / "checkpoint_000001.ufsl").exists()
+
+
 def test_run_critic_divergence_row_reads_nan_critic_loss(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, **{"train.iterations": 6, "eval_every": 2})
     calls = {"n": 0}

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ball_bounds_copyto, conv2d_forward_channels_last, conv2d_loop,
-                     distance_block_sqrt, frechet_oracle, knn_radii_sqrt, manifold_metrics_copyto,
-                     manifold_metrics_sqrt, mode_coverage_rows, pairwise_distances_copyto,
-                     prdc_loop, rel_err, sum_pool_loop)
+                     covariance_root_symmetrizing, distance_block_sqrt,
+                     frechet_distance_symmetrizing, frechet_oracle, knn_radii_sqrt,
+                     manifold_metrics_copyto, manifold_metrics_sqrt, mode_coverage_rows,
+                     pairwise_distances_copyto, prdc_loop, rel_err, sum_pool_loop)
 from ufs_lab import metrics as mx
 from ufs_lab.datasets import DatasetConfig, PointMixture, make_dataset, synthetic_shapes
 from ufs_lab.errors import ContractError, DimensionError, NumericError
@@ -106,6 +107,26 @@ def test_frechet_precomputed_root_gives_the_same_bits(dim, m, n):
     for scale in (0.5, 1.0, 3.0):
         fake = mx.fit_gaussian(rng.normal((n, dim), 0.1, scale))
         assert mx.frechet_distance(real, fake, root).hex() == mx.frechet_distance(real, fake).hex()
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_gaussian_fit_symmetrizes_once_and_readers_take_it_as_is(dim):
+    rng = SeededRng(40 + dim)
+    pairs = []
+    for _ in range(2):
+        x = rng.normal((dim, dim))
+        cov = x @ x.T + np.eye(dim) + 0.05 * rng.normal((dim, dim))  # PSD part, asymmetric noise
+        assert not np.array_equal(cov, cov.T)
+        pairs.append((rng.normal((dim,)), cov))
+    (mean_a, cov_a), (mean_b, cov_b) = pairs
+    a, b = mx.GaussianFit(mean_a, cov_a), mx.GaussianFit(mean_b, cov_b)
+    assert a.covariance.tobytes() == ((cov_a + cov_a.T) / 2.0).tobytes()
+    assert np.array_equal(a.covariance, a.covariance.T)
+    root = mx.covariance_root(a)
+    assert root.tobytes() == covariance_root_symmetrizing(cov_a).tobytes()
+    want = frechet_distance_symmetrizing(mean_a, cov_a, mean_b, cov_b)
+    assert mx.frechet_distance(a, b).hex() == want.hex()
+    assert mx.frechet_distance(a, b, root).hex() == want.hex()
 
 
 def test_frechet_root_shape_checked():

@@ -708,9 +708,9 @@ def test_network_theta_writes_show_in_the_forward_pass():
     assert not zero.any()
 
 
-def test_init_params_draws_weights_in_spec_order_into_one_vector():
+def test_network_init_draws_weights_in_spec_order_into_one_vector():
     specs = [nm.dense(2, 3), nm.leaky_relu(0.2), nm.dense(3, 1)]
-    theta = nm.init_params(specs, nm.SeededRng(4))
+    theta = nm.Network.init(specs, nm.SeededRng(4)).theta
     rng = nm.SeededRng(4)
     want = [rng.normal((3, 2), 0.0, nm.WEIGHT_STD), np.zeros(3),
             rng.normal((1, 3), 0.0, nm.WEIGHT_STD), np.zeros(1)]
@@ -731,9 +731,24 @@ def test_leaky_mask_is_bitwise_the_where_mask(h, slope):
     assert y.tobytes() == (h * want).tobytes()
 
 
-def test_check_specs_rejects_mismatched_chain():
+# Each chain's first layer takes an input of in_shape; a later layer does not
+# fit what the layer before it gives.
+MISMATCHED_CHAINS = {
+    "dense-dense-width": ([nm.dense(2, 4), nm.dense(5, 1)], (3, 2)),
+    "conv-conv-channels": ([nm.conv2d(1, 2, 3), nm.conv2d(3, 1, 1)], (3, 1, 5, 5)),
+    "dense-conv": ([nm.dense(2, 4), nm.conv2d(4, 1, 1)], (3, 2)),
+    "dense-pool": ([nm.dense(2, 4), nm.sum_pool()], (3, 2)),
+    "pool-pool": ([nm.conv2d(1, 2, 3), nm.sum_pool(), nm.sum_pool()], (3, 1, 5, 5)),
+    "pool-dense-width": ([nm.conv2d(1, 2, 3), nm.sum_pool(), nm.dense(3, 1)], (3, 1, 5, 5)),
+    "conv-dense": ([nm.conv2d(1, 2, 3), nm.leaky_relu(0.2), nm.dense(2, 1)], (3, 1, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("specs,in_shape", MISMATCHED_CHAINS.values(), ids=MISMATCHED_CHAINS)
+def test_first_forward_pass_rejects_mismatched_chain(specs, in_shape):
+    net = nm.Network.init(specs, nm.SeededRng(0))
     with pytest.raises(DimensionError):
-        nm.check_specs([nm.dense(2, 4), nm.dense(5, 1)])
+        nm.forward_pass(net.specs, net.params, np.ones(in_shape))
 
 
 # --- finite differences -------------------------------------------------------------- #
