@@ -267,7 +267,7 @@ class TrainerState:
     disc: DiscriminatorNet
     adam_g: AdamState
     adam_d: AdamState
-    stats: ufs_mod.FeatureStats | None = None  # None until the first critic step
+    stats: ufs_mod.FeatureStats | None = None  # None without UFS or before the first critic step
 
     @property
     def t(self) -> int:
@@ -294,10 +294,11 @@ def _current_lr(state: TrainerState) -> float:
     return ADAM_LR * max(LR_TAPER_FLOOR, 1.0 - (1.0 - LR_TAPER_FLOOR) * ramp)
 
 
-def train_discriminator_step(state: TrainerState, real_batch: Array, rng: SeededRng) -> float:
-    """One critic update. The suppression mask is never applied here; the
-    step only refreshes the feature statistics the mask will later use.
-    Raises NumericError on a non-finite loss, before anything is updated."""
+def train_discriminator_step(state: TrainerState, real_batch: Array, rng: SeededRng):
+    """One critic update: (loss, y_real, y_fake), the loss and the pooled
+    features of the step's real and fake batches. The suppression mask is
+    never applied here. Raises NumericError on a non-finite loss, before
+    anything is updated."""
     cfg = state.cfg
     d = state.disc
     z = rng.normal((cfg.batch_size, state.gen.latent_dim))
@@ -309,18 +310,34 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
         d, real_batch, fake, cfg.loss, x_hat)
     if not math.isfinite(loss):
         raise NumericError(f"critic loss diverged: {loss}")
-    # statistics use the head weights as they were during this forward pass
-    state.stats = ufs_mod.update_stats(d.w, diag["y_real"], diag["y_fake"])
     adam_step(state.adam_d, d.theta, grads, _current_lr(state))
+    return loss, diag["y_real"], diag["y_fake"]
+
+
+def train_critic(state: TrainerState, real_batches, rng: SeededRng) -> float:
+    """One critic step per real batch; returns the last step's loss.
+
+    Feature statistics exist exactly when the run has a UFS config and the
+    critic has stepped: with UFS, they are made once, from the last step's
+    features and its head weights as that step's forward pass saw them
+    (its Adam update moves w in place). Steps are called by their module
+    name, so a wrapper installed there sees each one.
+    """
+    for real in real_batches:
+        w = state.disc.w.copy()
+        loss, y_real, y_fake = train_discriminator_step(state, real, rng)
+    if state.cfg.ufs is not None:
+        state.stats = ufs_mod.update_stats(w, y_real, y_fake)
     return loss
 
 
 def generator_mask(state: TrainerState, features: Array) -> Array | None:
     """The (n, C) suppression mask the generator objective applies to these
     pooled critic features at the state's iteration (beta annealed), or None
-    when UFS is off or no critic step has made feature statistics yet."""
+    when there are no feature statistics: UFS is off, or the critic has
+    not stepped."""
     cfg = state.cfg
-    if cfg.ufs is None or state.stats is None:
+    if state.stats is None:
         return None
     return ufs_mod.suppression_mask(state.stats, state.disc.w, features, cfg.ufs,
                                     ufs_mod.anneal_beta(cfg.ufs, state.t, cfg.iterations))

@@ -187,6 +187,8 @@ def load_checkpoint(path) -> tuple:
         for name, shape in header.pop("arrays"):
             if min(shape, default=0) < 0:  # frombuffer would read a -1 as "the rest"
                 raise ValueError(f"array {name!r} has shape {shape}")
+            if name in arrays:  # a dict would keep only the last
+                raise ValueError(f"array {name!r} is named twice")
             arrays[name] = np.frombuffer(raw, np.float64, math.prod(shape), pos).reshape(shape)
             pos += arrays[name].nbytes
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
@@ -208,8 +210,8 @@ def _state_arrays(state: gan_mod.TrainerState) -> dict:
 
 
 # The header entries of a trainer checkpoint and the JSON type of each; the
-# integers are counters. The generator's Adam step and whether feature
-# statistics exist follow from them.
+# integers are counters. The generator's Adam step follows from them, and
+# whether feature statistics exist from them and the config's UFS block.
 TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": int,
                    "adam_d.step": int}
 _KIND_NAMES = {dict: "an object", list: "a list of integers", int: "a non-negative integer"}
@@ -219,10 +221,11 @@ def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
     """(arrays, header) of a trainer checkpoint: the state arrays, and the run's
     config as a dict (run_experiment drops out_dir), data shape and counters.
     Raises ContractError for a state whose statistics the header cannot imply:
-    they exist exactly when the critic has stepped."""
-    if (state.stats is None) != (state.adam_d.step == 0):
-        raise ContractError(f"inconsistent counters: critic Adam step {state.adam_d.step}, "
-                            f"feature statistics {'absent' if state.stats is None else 'present'}")
+    they exist exactly when the run has UFS and the critic has stepped."""
+    if (state.stats is None) != (state.cfg.ufs is None or state.adam_d.step == 0):
+        raise ContractError(f"inconsistent counters: UFS {'off' if state.cfg.ufs is None else 'on'},"
+                            f" critic Adam step {state.adam_d.step}, feature statistics "
+                            f"{'absent' if state.stats is None else 'present'}")
     header = {"run.config": config, "run.data_shape": list(state.gen.data_shape),
               "run.iteration": state.t, "adam_d.step": state.adam_d.step}
     return _state_arrays(state), header
@@ -246,7 +249,7 @@ def trainer_from_arrays(arrays: dict, header: dict):
         cfg.train, *gan_mod.default_models(header["run.data_shape"], SeededRng(0)))
     state.adam_g.step = header["run.iteration"]
     state.adam_d.step = header["adam_d.step"]
-    if state.adam_d.step > 0:  # filled below
+    if cfg.train.ufs is not None and state.adam_d.step > 0:  # filled below
         state.stats = ufs_mod.FeatureStats(*np.zeros((2, state.disc.feature_dim)))
     for name, live in _state_arrays(state).items():
         if name not in arrays:
@@ -356,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         try:
             batches = (dataset.sample(cfg.train.batch_size, rng_train)
                        for _ in range(cfg.train.n_critic))
-            l_d = [gan_mod.train_discriminator_step(state, real, rng_train) for real in batches][-1]
+            l_d = gan_mod.train_critic(state, batches, rng_train)
             l_g = gan_mod.train_generator_step(state, rng_train)
             if t % cfg.eval_every == 0 or t == cfg.train.iterations:
                 write_row(t, l_d, l_g, evaluate(t))

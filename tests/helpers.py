@@ -589,15 +589,17 @@ def adam_step_oracle(state, params, grads):
 
 
 def objective_state(rng, gen, d, mode, ufs_cfg, batch=5):
-    """Trainer state whose feature stats come from one seeded real/fake batch
-    pair, selecting 3 of `batch` samples by `mode` (None: uniform weights)."""
+    """Trainer state selecting 3 of `batch` samples by `mode` (None: uniform
+    weights) whose feature stats, with a UFS config, come from one seeded
+    real/fake batch pair."""
     selection = None if mode is None else SelectionConfig(mode, 3, 2)
     cfg = gan.TrainConfig(batch_size=batch, iterations=10, loss=gan.LossKind("hinge"),
                           ufs=ufs_cfg, selection=selection)
     state = gan.init_trainer(cfg, gen, d)
     y_real, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2)))
     y_fake, _ = nm.forward_pass(d.body.specs, d.body.params, rng.normal((8, 2), 0.5, 1.5))
-    state.stats = ufs.update_stats(d.w, y_real, y_fake)
+    if ufs_cfg is not None:
+        state.stats = ufs.update_stats(d.w, y_real, y_fake)
     return state
 
 

@@ -12,13 +12,14 @@ import functools
 import importlib
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import ufs_lab
 import ufs_lab.cli
-from ufs_lab import harness
+from ufs_lab import gan, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -148,3 +149,28 @@ def test_run_scripts_read_result_and_state_chains():
 @pytest.mark.parametrize("root, chain", RUN_CHAINS)
 def test_run_script_chain_resolves_on_a_run(ring8_run, root, chain):
     functools.reduce(getattr, chain.split("."), ring8_run[root])
+
+
+def test_bench_iteration_timer_spans_the_critic_steps(tmp_path, monkeypatch):
+    # Probe starts an iteration's timer at its first critic step, which it
+    # reaches through gan's module name; a loop that bypassed that name would
+    # time the generator step alone
+    original = gan.train_discriminator_step
+
+    def slow_step(*args, **kwargs):
+        time.sleep(0.005)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gan, "train_discriminator_step", slow_step)
+    cfg = harness.config_from_dict({
+        "dataset": {"kind": "ring8"}, "train": {"batch_size": 8, "n_critic": 2, "iterations": 3},
+        "eval_every": 3, "eval_samples": 16, "out_dir": str(tmp_path / "run")})
+    spans = load_spans()
+    probe, patches = spans.Probe(), spans.Patches()
+    probe.install(patches)
+    try:
+        harness.run_experiment(cfg)
+    finally:
+        patches.restore()
+    assert gan.train_discriminator_step is slow_step
+    assert len(probe.iter_s) == 3 and min(probe.iter_s) >= 0.010, probe.iter_s

@@ -337,7 +337,7 @@ def test_cam_negative_counter_checkpoint_one_line_error(tmp_path, capsys):
         "batch_size": 4, "n_critic": 1, "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.0}}})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
-    gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)
+    gan.train_critic(state, [rng.normal((4, 1, 16, 16))], rng)
     arrays, header = trainer_to_arrays(state, asdict(cfg))
     header.update({"run.iteration": -5, "adam_d.step": -3})
     save_checkpoint(tmp_path / "bad.ufsl", arrays, header)
@@ -467,7 +467,7 @@ def test_cam_runs_the_critic_body_once(tmp_path, capsys, monkeypatch, ufs_block)
     cfg = config_from_dict({"dataset": {"kind": "synthetic_shapes"}, "train": train})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
-    gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)  # fills the UFS stats
+    gan.train_critic(state, [rng.normal((4, 1, 16, 16))], rng)  # fills the UFS stats
     save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=3)
 
@@ -497,7 +497,7 @@ def test_cam_on_images_of_another_size_one_line_error(tmp_path, capsys, size):
         "batch_size": 4, "n_critic": 1, "ufs": {"alpha": 0.0, "beta": 1.0, "epsilon": 1.0}}})
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
-    gan.train_discriminator_step(state, rng.normal((4, 1, 16, 16)), rng)
+    gan.train_critic(state, [rng.normal((4, 1, 16, 16))], rng)
     save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
     shapes = ds.synthetic_shapes(3, size, SeededRng(2))
     ds.write_idx_images(np.clip((shapes[:, 0] + 1.0) * 127.5, 0, 255).astype(np.uint8),

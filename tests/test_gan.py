@@ -450,11 +450,31 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
             assert flat.tobytes() == b"".join(arr.tobytes() for arr in want)
 
 
-def test_discriminator_step_initializes_stats():
-    state, rng = make_trainer(loss=gan.LossKind("hinge"))
-    assert state.stats is None
-    gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
-    assert state.stats is not None
+def test_train_critic_makes_stats_only_with_ufs():
+    for ufs_cfg in (None, ufs.UfsConfig(0.0, 1.0, 1.0)):
+        state, rng = make_trainer(loss=gan.LossKind("hinge"), ufs=ufs_cfg)
+        assert state.stats is None
+        gan.train_critic(state, [rng.normal((8, 2))], rng)
+        assert (state.stats is None) == (ufs_cfg is None)
+
+
+def test_train_critic_stats_are_the_last_steps_means_at_its_head():
+    # the means of the last step's features, weighted by the head that step's
+    # forward pass saw, not by the head its Adam update left
+    ucfg = ufs.UfsConfig(0.0, 1.0, 1.0)
+    state, rng = make_trainer(loss=gan.LossKind("wgan_gp"), ufs=ucfg)
+    twin, twin_rng = make_trainer(loss=gan.LossKind("wgan_gp"), ufs=ucfg)
+    reals = [nm.SeededRng(6 + i).normal((8, 2)) for i in range(3)]
+    for real in reals[:-1]:
+        gan.train_discriminator_step(twin, real, twin_rng)
+    w = twin.disc.w.copy()
+    loss, y_real, y_fake = gan.train_discriminator_step(twin, reals[-1], twin_rng)
+    assert not np.array_equal(w, twin.disc.w)  # the last step moved the head
+    want = ufs.update_stats(w, y_real, y_fake)
+    assert gan.train_critic(state, iter(reals), rng) == loss
+    assert state.disc.theta.tobytes() == twin.disc.theta.tobytes()
+    assert state.stats.mu_real.tobytes() == want.mu_real.tobytes()
+    assert state.stats.mu_fake.tobytes() == want.mu_fake.tobytes()
 
 
 def test_discriminator_step_identical_with_and_without_ufs():
@@ -462,8 +482,8 @@ def test_discriminator_step_identical_with_and_without_ufs():
     state_a, rng_a = make_trainer(loss=gan.LossKind("wgan_gp"), ufs=None)
     state_b, rng_b = make_trainer(loss=gan.LossKind("wgan_gp"), ufs=ucfg)
     real = nm.SeededRng(5).normal((8, 2))
-    gan.train_discriminator_step(state_a, real, rng_a)
-    gan.train_discriminator_step(state_b, real, rng_b)
+    gan.train_critic(state_a, [real], rng_a)
+    gan.train_critic(state_b, [real], rng_b)
     assert np.array_equal(state_a.disc.theta, state_b.disc.theta)
 
 
@@ -478,7 +498,10 @@ def test_discriminator_step_loss_recomputes_from_logged_scores():
                                                        x_hat)
     recomputed = critic_value("wgan_gp", diag["real_scores"], diag["fake_scores"]) + diag["penalty"]
     assert value == recomputed and diag["penalty"] > 0.0
-    assert gan.train_discriminator_step(state, real, rng) == value
+    loss, y_real, y_fake = gan.train_discriminator_step(state, real, rng)
+    assert loss == value
+    assert y_real.tobytes() == diag["y_real"].tobytes()
+    assert y_fake.tobytes() == diag["y_fake"].tobytes()
 
 
 def test_generator_step_raises_on_nan_loss_before_adam():
@@ -524,7 +547,7 @@ def test_generator_mask_clips_at_the_annealed_beta():
 def test_generator_step_score_linearity_identity():
     # scores decompose as sum_c w_c S_c y_c + b for every sample
     state, rng = make_trainer(loss=gan.LossKind("hinge"), ufs=ufs.UfsConfig(0.5, 1.0, 1.5))
-    gan.train_discriminator_step(state, rng.normal((8, 2)), rng)
+    gan.train_critic(state, [rng.normal((8, 2))], rng)
     z = nm.SeededRng(77).normal((8, state.gen.latent_dim))
     fake = state.gen.sample(z)
     y_f, _ = nm.forward_pass(state.disc.body.specs, state.disc.body.params, fake)

@@ -238,7 +238,7 @@ def test_checkpoint_bytes_equal_the_joined_writer(tmp_path):
 
 
 def test_ring8_checkpoint_holds_eight_arrays_and_a_json_header(tmp_path):
-    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
+    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {"ufs": UFS}})
     state = trained_state((2,), cfg.train, steps=1)
     arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
     assert list(arrays) == ["gen", "disc", "adam_g.m", "adam_g.v", "adam_d.m", "adam_d.v",
@@ -313,11 +313,12 @@ def container(header: bytes, data: bytes = b"") -> bytes:
     (container(b'{"arrays": [[["a"], [1]]]}', bytes(8)), "corrupt checkpoint near byte"),
     (container(b'{"arrays": [["a", [1]]]}', bytes(9)), "data after the last array, from byte 44"),
     (container(b'{"arrays": []}', bytes(8)), "data after the last array, from byte 26"),
+    (container(b'{"arrays": [["a", [1]], ["a", [1]]]}', bytes(16)), "array 'a' is named twice"),
 ], ids=["data-cut-short", "0-d-data-missing", "last-array-cut-short", "header-not-json",
         "header-cut-short", "header-not-utf8", "no-arrays-table", "header-a-list",
         "header-a-string", "table-not-a-list", "entry-not-a-pair", "float-dim", "string-shape",
         "negative-dim", "negative-dim-pair", "unhashable-name", "trailing-byte",
-        "trailing-array"])
+        "trailing-array", "duplicate-name"])
 def test_load_checkpoint_rejects_malformed_files(tmp_path, raw, message):
     path = tmp_path / "bad.ufsl"
     path.write_bytes(raw)
@@ -340,8 +341,7 @@ def trained_state(data_shape, train: gan.TrainConfig, steps: int = 2):
     state = gan.init_trainer(train, *gan.default_models(data_shape, nm.SeededRng(1)))
     rng = nm.SeededRng(2)
     for _ in range(steps):
-        real = rng.normal((train.batch_size,) + tuple(data_shape))
-        gan.train_discriminator_step(state, real, rng)
+        gan.train_critic(state, [rng.normal((train.batch_size,) + tuple(data_shape))], rng)
         gan.train_generator_step(state, rng)
     return state
 
@@ -377,7 +377,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     params = []
     for s in (state, restored):
         rng = nm.SeededRng(5)
-        gan.train_discriminator_step(s, rng.normal((8, 2)), rng)
+        gan.train_critic(s, [rng.normal((8, 2))], rng)
         gan.train_generator_step(s, rng)
         params.append([s.gen.net.theta.tobytes(), s.disc.theta.tobytes()])
     assert params[0] == params[1]
@@ -513,30 +513,40 @@ def restored_counters_and_arrays(arrays, header):
 
 @pytest.mark.parametrize("steps", [0, 2])
 def test_checkpoint_with_the_implied_counters_restores_the_same_state(tmp_path, steps):
-    # the earlier writer also stored adam_g.step and stats.initialized, and the
-    # statistics arrays (zeros) before the first critic step; the reader ignores them
-    cfg = tiny_config(tmp_path)
-    state = trained_state((2,), cfg.train, steps)
-    arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
-    assert set(header) == {"run.config", "run.data_shape", "run.iteration", "adam_d.step"}
-    zeros = np.zeros(state.disc.feature_dim)
-    old_arrays = dict({"stats.mu_real": zeros, "stats.mu_fake": zeros}, **arrays)
-    old_header = dict(header, **{"adam_g.step": steps, "stats.initialized": steps > 0})
-    restored = restored_counters_and_arrays(arrays, header)
-    assert restored == restored_counters_and_arrays(old_arrays, old_header)
-    assert restored[0] == (steps, steps, steps, steps > 0)
-    assert len(restored[1]) == (6 if steps == 0 else 8)
+    # earlier writers also stored adam_g.step and stats.initialized, and the
+    # statistics arrays in every run (zeros before the first critic step);
+    # the reader ignores them
+    for ufs_block in (None, UFS):
+        cfg = tiny_config(tmp_path, **{"train.ufs": ufs_block})
+        state = trained_state((2,), cfg.train, steps)
+        arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
+        assert set(header) == {"run.config", "run.data_shape", "run.iteration", "adam_d.step"}
+        zeros = np.zeros(state.disc.feature_dim)
+        old_arrays = dict({"stats.mu_real": zeros, "stats.mu_fake": zeros}, **arrays)
+        old_header = dict(header, **{"adam_g.step": steps, "stats.initialized": steps > 0})
+        restored = restored_counters_and_arrays(arrays, header)
+        assert restored == restored_counters_and_arrays(old_arrays, old_header)
+        has_stats = ufs_block is not None and steps > 0
+        assert restored[0] == (steps, steps, steps, has_stats)
+        assert len(restored[1]) == (8 if has_stats else 6)
+
+
+def add_stats(state):
+    state.stats = ufs.update_stats(state.disc.w, np.ones((2, 64)), np.ones((2, 64)))
 
 
 # The iteration is the generator's Adam step, so the header cannot disagree
-# with it; what it cannot carry is statistics that disagree with the critic's step.
-@pytest.mark.parametrize("edit, message", [
-    (lambda s: setattr(s, "stats", ufs.update_stats(s.disc.w, np.ones((2, 64)), np.ones((2, 64)))),
-     "critic Adam step 0, feature statistics present"),
-    (lambda s: setattr(s.adam_d, "step", 1), "critic Adam step 1, feature statistics absent"),
-], ids=["stats-without-critic-step", "critic-step-without-stats"])
-def test_trainer_to_arrays_refuses_counters_the_header_cannot_carry(edit, message):
-    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
+# with it; what it cannot carry is statistics that disagree with the config's
+# UFS block or the critic's step.
+@pytest.mark.parametrize("train, edit, message", [
+    ({"ufs": UFS}, add_stats, "UFS on, critic Adam step 0, feature statistics present"),
+    ({"ufs": UFS}, lambda s: setattr(s.adam_d, "step", 1),
+     "UFS on, critic Adam step 1, feature statistics absent"),
+    ({}, lambda s: setattr(s.adam_d, "step", 1) or add_stats(s),
+     "UFS off, critic Adam step 1, feature statistics present"),
+], ids=["stats-without-critic-step", "critic-step-without-stats", "stats-without-ufs"])
+def test_trainer_to_arrays_refuses_counters_the_header_cannot_carry(train, edit, message):
+    cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": train})
     state = gan.init_trainer(cfg.train, *gan.default_models((2,), nm.SeededRng(0)))
     edit(state)
     with pytest.raises(ContractError, match=f"inconsistent counters: {message}"):
@@ -745,6 +755,27 @@ def test_exactly_n_critic_steps_per_generator_step(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.gan_mod, "train_generator_step", count_g)
     harness.run_experiment(cfg)
     assert counts == {"d": 12, "g": 3}
+
+
+@pytest.mark.parametrize("preset, made", [("ring8_baseline", 0), ("ring8_topk", 0),
+                                           ("ring8_ufs", 3), ("ring8_topk_ufs", 3)])
+def test_feature_statistics_are_made_once_per_iteration_only_in_ufs_runs(
+        tmp_path, monkeypatch, preset, made):
+    cfg = harness.load_config(CONFIG_DIR / f"{preset}.json", [
+        "train.n_critic=2", "train.iterations=3", "eval_every=1", "eval_samples=64",
+        f"out_dir={tmp_path / 'run'}"])
+    calls = []
+    original = ufs.update_stats
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ufs, "update_stats", counted)
+    result = harness.run_experiment(cfg)
+    assert result.status == "ok" and len(calls) == made
+    arrays = [len(harness.load_checkpoint(p)[0]) for p in sorted(result.out_dir.glob("checkpoint_*"))]
+    assert arrays == [6] + [8 if made else 6] * 3  # no statistics before the first critic step
 
 
 def test_real_side_bounded_once_per_run(tmp_path, monkeypatch):

@@ -482,11 +482,22 @@ def degraded_point_sets(kind, rng):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["ring8", "grid25"])
 def test_coverage_orders_degraded_point_sets(kind, seed):
-    real, fakes = degraded_point_sets(kind, SeededRng(seed))
+    rng = SeededRng(seed)
+    real, fakes = degraded_point_sets(kind, rng)
     real_bounds = mx.ball_bounds(real, mx.MANIFOLD_K)
     coverage = [mx.manifold_metrics(real, fake, mx.MANIFOLD_K, real_bounds).coverage
                 for fake in fakes]
     assert all(a > b for a, b in zip(coverage, coverage[1:])), coverage
+    if kind == "grid25":
+        # every point at the centre mode, where an untrained generator puts
+        # its samples: precision and hq_fraction read it as nearly perfect,
+        # coverage as worse than every fifth mode (though above the blob)
+        data = make_dataset(DatasetConfig(kind), rng)
+        centre = data.centers[~data.centers.any(axis=1)]
+        points = PointMixture(centre, data.sigma).sample(ORDERING_POINTS, rng)
+        mm = mx.manifold_metrics(real, points, mx.MANIFOLD_K, real_bounds)
+        _, hq = mx.mode_coverage(points, data.centers, data.sigma)
+        assert mm.coverage < coverage[2] and mm.precision >= 0.9 and hq >= 0.95, (mm, hq)
 
 
 # --- mode coverage --------------------------------------------------------------------- #

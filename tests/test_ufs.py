@@ -108,6 +108,26 @@ def test_ratio_negative_margin_keeps_sign():
     assert r[0, 0] == pytest.approx(1.0)  # (-1) / (-1)
 
 
+@pytest.mark.parametrize("closeness", [1.0, 1e-3])
+def test_half_zero_rule_on_the_batch_that_made_mu_fake(closeness):
+    # Over the fake batch whose features made mu_fake, a channel's ratios
+    # (mu_real - w y) / (mu_real - mu_fake) average exactly 1, however close
+    # fake is to real, when no entry is under the guard (gamma 0) and no
+    # margin is at DENOM_FLOOR. At epsilon = beta = 1 every entry at or
+    # beyond the average fake, ratio 1 or more, is zeroed: about half of them.
+    rng = SeededRng(0)
+    w, y_real = rng.normal((64,)), rng.normal((64, 64))
+    y_fake = y_real + closeness * rng.normal((64, 64), 0.5, 1.0)
+    stats = ufs.update_stats(w, y_real, y_fake)
+    assert np.abs(stats.mu_real - stats.mu_fake).min() > 100 * ufs.DENOM_FLOOR
+    cfg = ufs.UfsConfig(alpha=0.0, beta=1.0, epsilon=1.0, gamma=0.0)
+    ratios = ufs.compute_ratio(stats, ufs.weighted_features(w, y_fake), cfg)
+    assert np.abs(ratios.mean(axis=0) - 1.0).max() < 1e-12 / closeness  # rounding only
+    zeroed = ufs.suppression_mask(stats, w, y_fake, cfg, cfg.beta) == 0.0
+    assert np.array_equal(zeroed, ratios >= 1.0)
+    assert zeroed.any(axis=0).all() and 0.45 < zeroed.mean() < 0.55
+
+
 # --- compute_suppression -------------------------------------------------------------- #
 
 
