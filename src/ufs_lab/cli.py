@@ -78,8 +78,8 @@ def _cmd_cam(args) -> int:
                              f"checkpoint was trained on {state.gen.data_shape}")
     maps = compute_cam(state, images)
     if "cam_ufs" not in maps:
-        print("note: checkpoint has no UFS mask (UFS off, or taken before the first critic "
-              "step); writing plain maps only", file=sys.stderr)
+        print("note: checkpoint has no UFS mask (UFS off, or taken at iteration 0); "
+              "writing plain maps only", file=sys.stderr)
     run_id = args.run_id or Path(args.checkpoint).stem
     written = save_attribution_maps(maps, args.out, run_id, args.upsample)
     print(f"wrote {len(written)} heatmaps to {args.out}")

@@ -267,7 +267,7 @@ class TrainerState:
     disc: DiscriminatorNet
     adam_g: AdamState
     adam_d: AdamState
-    stats: ufs_mod.FeatureStats | None = None  # None without UFS or before the first critic step
+    stats: ufs_mod.FeatureStats | None = None  # None without UFS or until the critic steps
 
     @property
     def t(self) -> int:
@@ -315,14 +315,11 @@ def train_discriminator_step(state: TrainerState, real_batch: Array, rng: Seeded
 
 
 def train_critic(state: TrainerState, real_batches, rng: SeededRng) -> float:
-    """One critic step per real batch; returns the last step's loss.
-
-    Feature statistics exist exactly when the run has a UFS config and the
-    critic has stepped: with UFS, they are made once, from the last step's
-    features and its head weights as that step's forward pass saw them
-    (its Adam update moves w in place). Steps are called by their module
-    name, so a wrapper installed there sees each one.
-    """
+    """One critic step per real batch; returns the last step's loss. With a
+    UFS config, feature statistics are then made once, from the last step's
+    features and its head weights as that step's forward pass saw them (its
+    Adam update moves w in place). Steps are called by their module name, so
+    a wrapper installed there sees each one."""
     for real in real_batches:
         w = state.disc.w.copy()
         loss, y_real, y_fake = train_discriminator_step(state, real, rng)
@@ -334,8 +331,7 @@ def train_critic(state: TrainerState, real_batches, rng: SeededRng) -> float:
 def generator_mask(state: TrainerState, features: Array) -> Array | None:
     """The (n, C) suppression mask the generator objective applies to these
     pooled critic features at the state's iteration (beta annealed), or None
-    when there are no feature statistics: UFS is off, or the critic has
-    not stepped."""
+    without feature statistics: UFS off, or no critic step yet (iteration 0)."""
     cfg = state.cfg
     if state.stats is None:
         return None
@@ -390,8 +386,9 @@ POINT_LATENT_DIM = 8
 IMAGE_LATENT_DIM = 64
 
 
-def default_models(data_shape, rng: SeededRng):
-    """Small CPU-friendly generator/critic pair for 2-d points or 1-channel images.
+def default_specs(data_shape) -> tuple:
+    """(generator, critic body, critic head) layer specs of a small CPU-friendly
+    pair for 2-d points or 1-channel images. Nothing is allocated.
 
     Point tasks use leaky MLPs on both sides. Image critics downsample with
     three 3x3 stride-2 convolutions into 128 channels, so images need at
@@ -400,29 +397,32 @@ def default_models(data_shape, rng: SeededRng):
     """
     data_shape = tuple(data_shape)
     if data_shape == (2,):
-        gen = GeneratorNet(
-            Network.init([dense(POINT_LATENT_DIM, 64), leaky_relu(0.2),
-                          dense(64, 64), leaky_relu(0.2), dense(64, 2)], rng),
-            data_shape)
-        body = Network.init([dense(2, 64), leaky_relu(0.2),
-                             dense(64, 64), leaky_relu(0.2),
-                             dense(64, 64), leaky_relu(0.2)], rng)
+        gen = [dense(POINT_LATENT_DIM, 64), leaky_relu(0.2),
+               dense(64, 64), leaky_relu(0.2), dense(64, 2)]
+        body = [dense(2, 64), leaky_relu(0.2),
+                dense(64, 64), leaky_relu(0.2),
+                dense(64, 64), leaky_relu(0.2)]
         channels = 64
     elif len(data_shape) == 3 and data_shape[0] == 1:
         h, w = data_shape[1], data_shape[2]
         if min(h, w) < 15:
             raise ContractError(f"the default image critic needs at least 15x15 pixels, got {h}x{w}")
-        gen = GeneratorNet(
-            Network.init([dense(IMAGE_LATENT_DIM, 256), leaky_relu(0.2),
-                          dense(256, 256), leaky_relu(0.2),
-                          dense(256, h * w), tanh()], rng),
-            data_shape)
-        body = Network.init([conv2d(1, 32, 3, 2), leaky_relu(0.2),
-                             conv2d(32, 64, 3, 2), leaky_relu(0.2),
-                             conv2d(64, 128, 3, 2), leaky_relu(0.2),
-                             sum_pool()], rng)
+        gen = [dense(IMAGE_LATENT_DIM, 256), leaky_relu(0.2),
+               dense(256, 256), leaky_relu(0.2),
+               dense(256, h * w), tanh()]
+        body = [conv2d(1, 32, 3, 2), leaky_relu(0.2),
+                conv2d(32, 64, 3, 2), leaky_relu(0.2),
+                conv2d(64, 128, 3, 2), leaky_relu(0.2),
+                sum_pool()]
         channels = 128
     else:
         raise ContractError(f"no default architecture for data shape {data_shape}")
-    head = Network.init([dense(channels, 1)], rng).theta  # [w | b]
-    return gen, DiscriminatorNet(body, head[:-1], head[-1:])
+    return gen, body, [dense(channels, 1)]
+
+
+def default_models(data_shape, rng: SeededRng):
+    """The default_specs networks, their weights drawn in that order."""
+    gen_specs, body_specs, head_specs = default_specs(data_shape)
+    gen, body = Network.init(gen_specs, rng), Network.init(body_specs, rng)
+    head = Network.init(head_specs, rng).theta  # [w | b]
+    return GeneratorNet(gen, tuple(data_shape)), DiscriminatorNet(body, head[:-1], head[-1:])

@@ -3,7 +3,7 @@
 Everything written to disk is a deterministic function of (config, seed),
 except the wall_seconds column, which is deliberately kept last in the CSV
 so determinism checks can slice it off. A trainer checkpoint is a JSON
-header (the run's config, the data shape and the counters) plus the state
+header (the run's config, the data shape and the iteration) plus the state
 arrays; the reader rebuilds the models from the data shape. Checkpoints,
 sample dumps, the CSV and the summary are written atomically. Both sides of
 an evaluation are measured in the space metrics.measure picks, which
@@ -30,7 +30,7 @@ from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
 from .metrics import (MANIFOLD_K, MAX_SAMPLES, ball_bounds, covariance_root, fit_gaussian,
                       frechet_distance, manifold_metrics, measure, mode_coverage)
-from .numerics import Array, SeededRng, write_atomic
+from .numerics import Array, SeededRng, param_size, write_atomic
 
 
 @dataclass
@@ -209,34 +209,43 @@ def _state_arrays(state: gan_mod.TrainerState) -> dict:
     return named
 
 
-# The header entries of a trainer checkpoint and the JSON type of each; the
-# integers are counters. The generator's Adam step follows from them, and
-# whether feature statistics exist from them and the config's UFS block.
-TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": int,
-                   "adam_d.step": int}
+# The header entries of a trainer checkpoint and the JSON type of each.
+TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": int}
 _KIND_NAMES = {dict: "an object", list: "a list of integers", int: "a non-negative integer"}
+
+
+def _implied_by_iteration(state: gan_mod.TrainerState) -> tuple:
+    """(critic Adam step, whether feature statistics exist) after t whole iterations."""
+    return state.cfg.n_critic * state.t, state.cfg.ufs is not None and state.t > 0
 
 
 def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
     """(arrays, header) of a trainer checkpoint: the state arrays, and the run's
-    config as a dict (run_experiment drops out_dir), data shape and counters.
-    Raises ContractError for a state whose statistics the header cannot imply:
-    they exist exactly when the run has UFS and the critic has stepped."""
-    if (state.stats is None) != (state.cfg.ufs is None or state.adam_d.step == 0):
+    config as a dict (run_experiment drops out_dir), data shape and iteration.
+    Raises ContractError for a state that breaks _implied_by_iteration."""
+    if (state.adam_d.step, state.stats is not None) != _implied_by_iteration(state):
         raise ContractError(f"inconsistent counters: UFS {'off' if state.cfg.ufs is None else 'on'},"
-                            f" critic Adam step {state.adam_d.step}, feature statistics "
-                            f"{'absent' if state.stats is None else 'present'}")
+                            f" iteration {state.t}, critic Adam step {state.adam_d.step}, feature "
+                            f"statistics {'absent' if state.stats is None else 'present'}")
     header = {"run.config": config, "run.data_shape": list(state.gen.data_shape),
-              "run.iteration": state.t, "adam_d.step": state.adam_d.step}
+              "run.iteration": state.t}
     return _state_arrays(state), header
+
+
+def _check_array(arrays: dict, name: str, shape: tuple) -> None:
+    if name not in arrays:
+        raise ParseError(f"trainer checkpoint has no array {name!r}")
+    if arrays[name].shape != shape:
+        raise ParseError(f"{name}: expected shape {shape}, got {arrays[name].shape}")
 
 
 def trainer_from_arrays(arrays: dict, header: dict):
     """(ExperimentConfig, TrainerState) of a trainer checkpoint: gan.default_models
-    for the stored data shape, filled with the stored arrays. Raises ParseError
-    naming the first missing or mistyped header entry (a negative counter is
-    mistyped) or array. The config is decoded without looking for an
-    idx_images file: nothing here reads it."""
+    for the stored data shape, filled with the stored arrays, at the counters
+    the iteration implies. Raises ParseError naming the first missing or
+    mistyped header entry (a negative iteration is mistyped) or array, the
+    network lengths before any network is built. The config is decoded
+    without looking for an idx_images file: nothing here reads it."""
     for name, kind in TRAINER_ENTRIES.items():
         value = header.get(name)
         if (type(value) is not kind or kind is list and not all(type(d) is int for d in value)
@@ -245,17 +254,17 @@ def trainer_from_arrays(arrays: dict, header: dict):
             raise ParseError(f"not a trainer checkpoint: header entry {name!r} should be "
                              f"{_KIND_NAMES[kind]}, got {got}")
     cfg = _decode(ExperimentConfig, header["run.config"], "run.config")
+    gen_specs, body_specs, head_specs = gan_mod.default_specs(header["run.data_shape"])
+    _check_array(arrays, "gen", (param_size(gen_specs),))
+    _check_array(arrays, "disc", (param_size(body_specs) + param_size(head_specs),))
     state = gan_mod.init_trainer(
         cfg.train, *gan_mod.default_models(header["run.data_shape"], SeededRng(0)))
     state.adam_g.step = header["run.iteration"]
-    state.adam_d.step = header["adam_d.step"]
-    if cfg.train.ufs is not None and state.adam_d.step > 0:  # filled below
+    state.adam_d.step, has_stats = _implied_by_iteration(state)
+    if has_stats:  # filled below
         state.stats = ufs_mod.FeatureStats(*np.zeros((2, state.disc.feature_dim)))
     for name, live in _state_arrays(state).items():
-        if name not in arrays:
-            raise ParseError(f"trainer checkpoint has no array {name!r}")
-        if arrays[name].shape != live.shape:
-            raise ParseError(f"{name}: expected shape {live.shape}, got {arrays[name].shape}")
+        _check_array(arrays, name, live.shape)
         live[...] = arrays[name]
     return cfg, state
 

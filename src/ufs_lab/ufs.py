@@ -7,9 +7,13 @@ batches. During generator training each fake sample's weighted feature
 vector is compared channel by channel against those means: the
 distance from the real mean, expressed as a fraction of the real-fake
 margin, is turned into a piecewise-linear weight that scales the channel's
-contribution to the critic score. Channels that look real keep their full
-weight; channels that sit at or beyond the fake mean are attenuated (or
-zeroed, depending on the hyperparameters).
+contribution to the critic score. Channels at a ratio of alpha or below
+(with alpha = 0, at or past the real mean, seen from the fake one) keep the
+largest weight, epsilon - alpha; channels that sit at or beyond the fake
+mean are attenuated (or zeroed, depending on the hyperparameters).
+The entries that look most real, within gamma of the real mean, are the
+exception: they get NEAR_REAL_RATIO, the ratio at the fake mean, so the
+presets (alpha = 0, beta = epsilon = 1) give them weight 0.
 
 The weight for a channel with distance ratio r is
 

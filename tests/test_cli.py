@@ -338,14 +338,31 @@ def test_cam_negative_counter_checkpoint_one_line_error(tmp_path, capsys):
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
     gan.train_critic(state, [rng.normal((4, 1, 16, 16))], rng)
+    gan.train_generator_step(state, rng)
     arrays, header = trainer_to_arrays(state, asdict(cfg))
-    header.update({"run.iteration": -5, "adam_d.step": -3})
+    header["run.iteration"] = -5
     save_checkpoint(tmp_path / "bad.ufsl", arrays, header)
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
     assert cli.main(["cam", "--checkpoint", str(tmp_path / "bad.ufsl"),
                      "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
     err = assert_one_line_error(capsys, "ParseError")
     assert "header entry 'run.iteration' should be a non-negative integer, got -5" in err
+    assert not (tmp_path / "cams").exists()
+
+
+def test_cam_huge_data_shape_checkpoint_one_line_error(tmp_path, capsys):
+    # the generator this shape implies would take 18.7 TiB; it is refused
+    # before any network is built
+    cfg = config_from_dict({"dataset": {"kind": "ring8"}, "train": {}})
+    state = gan.init_trainer(cfg.train, *gan.default_models((2,), SeededRng(0)))
+    arrays, header = trainer_to_arrays(state, asdict(cfg))
+    header["run.data_shape"] = [1, 100000, 100000]
+    save_checkpoint(tmp_path / "huge.ufsl", arrays, header)
+    idx_path = write_shapes_idx(tmp_path / "a.idx", count=4)
+    assert cli.main(["cam", "--checkpoint", str(tmp_path / "huge.ufsl"),
+                     "--input", str(idx_path), "--out", str(tmp_path / "cams")]) == 2
+    err = assert_one_line_error(capsys, "ParseError")
+    assert "gen: expected shape (2570000082432,), got (4866,)" in err
     assert not (tmp_path / "cams").exists()
 
 
@@ -468,6 +485,7 @@ def test_cam_runs_the_critic_body_once(tmp_path, capsys, monkeypatch, ufs_block)
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
     gan.train_critic(state, [rng.normal((4, 1, 16, 16))], rng)  # fills the UFS stats
+    gan.train_generator_step(state, rng)  # ends the iteration
     save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
     idx_path = write_shapes_idx(tmp_path / "a.idx", count=3)
 
@@ -498,6 +516,7 @@ def test_cam_on_images_of_another_size_one_line_error(tmp_path, capsys, size):
     state = gan.init_trainer(cfg.train, *gan.default_models((1, 16, 16), SeededRng(0)))
     rng = SeededRng(1)
     gan.train_critic(state, [rng.normal((4, 1, 16, 16))], rng)
+    gan.train_generator_step(state, rng)
     save_checkpoint(tmp_path / "t.ufsl", *trainer_to_arrays(state, asdict(cfg)))
     shapes = ds.synthetic_shapes(3, size, SeededRng(2))
     ds.write_idx_images(np.clip((shapes[:, 0] + 1.0) * 127.5, 0, 255).astype(np.uint8),

@@ -245,7 +245,7 @@ def test_ring8_checkpoint_holds_eight_arrays_and_a_json_header(tmp_path):
                             "stats.mu_real", "stats.mu_fake"]
     assert arrays["gen"] is state.gen.net.theta and arrays["disc"] is state.disc.theta
     assert {k: v for k, v in header.items() if k != "run.config"} == {
-        "run.data_shape": [2], "run.iteration": 1, "adam_d.step": 1}
+        "run.data_shape": [2], "run.iteration": 1}
     path = tmp_path / "c.ufsl"
     harness.save_checkpoint(path, arrays, header)
     _, stored = harness.load_checkpoint(path)
@@ -256,7 +256,7 @@ def test_ring8_checkpoint_at_iteration_0_holds_6_arrays_and_no_stats(tmp_path):
     arrays, header = ring8_checkpoint()
     assert len(arrays) == 6 and not any(name.startswith("stats.") for name in arrays)
     assert {k: v for k, v in header.items() if k != "run.config"} == {
-        "run.data_shape": [2], "run.iteration": 0, "adam_d.step": 0}
+        "run.data_shape": [2], "run.iteration": 0}
     path = tmp_path / "c.ufsl"
     harness.save_checkpoint(path, arrays, header)
     _, state = harness.trainer_from_arrays(*harness.load_checkpoint(path))
@@ -337,11 +337,13 @@ def test_load_checkpoint_reads_well_formed_edge_cases(tmp_path):
 
 
 def trained_state(data_shape, train: gan.TrainConfig, steps: int = 2):
-    """A trainer state a few critic and generator steps into a run."""
+    """A trainer state `steps` whole iterations into a run: n_critic critic
+    steps, then a generator step, each."""
     state = gan.init_trainer(train, *gan.default_models(data_shape, nm.SeededRng(1)))
     rng = nm.SeededRng(2)
+    batch_shape = (train.batch_size,) + tuple(data_shape)
     for _ in range(steps):
-        gan.train_critic(state, [rng.normal((train.batch_size,) + tuple(data_shape))], rng)
+        gan.train_critic(state, (rng.normal(batch_shape) for _ in range(train.n_critic)), rng)
         gan.train_generator_step(state, rng)
     return state
 
@@ -364,7 +366,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
         assert arr.tobytes() == restored_arrays[name].tobytes(), name
     counters = [(s.t, s.adam_g.step, s.adam_d.step, s.stats is not None)
                 for s in (state, restored)]
-    assert counters == [(2, 2, 2, True)] * 2
+    assert counters == [(2, 2, 4, True)] * 2  # n_critic 2
     assert [type(c) for c in counters[1]] == [int, int, int, bool]
     # the loader fills the flat Adam moments in place
     for live, back in ((state.adam_g, restored.adam_g), (state.adam_d, restored.adam_d)):
@@ -477,17 +479,19 @@ def v3_config_bytes(header):
      r"adam_g.v: expected shape \(4866,\), got \(4865,\)"),
     (lambda a, h: h.update({"run.iteration": [1, 2]}), ParseError,
      r"header entry 'run.iteration' should be a non-negative integer, got \[1, 2\]"),
-    (lambda a, h: h.pop("adam_d.step"), ParseError,
-     "not a trainer checkpoint: header entry 'adam_d.step' should be a non-negative integer, "
+    (lambda a, h: h.pop("run.iteration"), ParseError,
+     "not a trainer checkpoint: header entry 'run.iteration' should be a non-negative integer, "
      "got no entry"),
-    (lambda a, h: h.update({"adam_d.step": 2.0}), ParseError,
-     "header entry 'adam_d.step' should be a non-negative integer, got 2.0"),
+    (lambda a, h: h.update({"run.iteration": 2.0}), ParseError,
+     "header entry 'run.iteration' should be a non-negative integer, got 2.0"),
     (lambda a, h: h.update({"run.iteration": -5}), ParseError,
      "header entry 'run.iteration' should be a non-negative integer, got -5"),
-    (lambda a, h: h.update({"adam_d.step": -3}), ParseError,
-     "header entry 'adam_d.step' should be a non-negative integer, got -3"),
     (lambda a, h: h.update({"run.data_shape": ["2"]}), ParseError,
      r"header entry 'run.data_shape' should be a list of integers, got \[\"2\"\]"),
+    (lambda a, h: h.update({"run.data_shape": [1, 100000, 100000]}), ParseError,
+     r"gen: expected shape \(2570000082432,\), got \(4866,\)"),
+    (lambda a, h: h.update({"run.data_shape": [1, 16, 16]}), ParseError,
+     r"gen: expected shape \(148224,\), got \(4866,\)"),
     (lambda a, h: h.update({"run.config": "{not json"}), ParseError,
      "header entry 'run.config' should be an object"),
     (lambda a, h: h.update({"run.config": v3_config_bytes(h)}), ParseError,
@@ -495,8 +499,8 @@ def v3_config_bytes(header):
     (lambda a, h: h.update({"run.config": {"dataset": {}}}), ConfigError,
      "missing key run.config.dataset.kind"),
 ], ids=["missing-array", "misshapen-array", "misshapen-adam-moment", "misshapen-counter",
-        "missing-counter", "float-counter", "negative-iteration", "negative-critic-step",
-        "data-shape-strings", "config-not-json",
+        "missing-counter", "float-counter", "negative-iteration",
+        "data-shape-strings", "huge-data-shape", "other-data-shape", "config-not-json",
         "config-as-bytes", "config-incomplete"])
 def test_trainer_from_arrays_names_the_bad_array(edit, error, message):
     arrays, header = ring8_checkpoint()
@@ -513,42 +517,51 @@ def restored_counters_and_arrays(arrays, header):
 
 @pytest.mark.parametrize("steps", [0, 2])
 def test_checkpoint_with_the_implied_counters_restores_the_same_state(tmp_path, steps):
-    # earlier writers also stored adam_g.step and stats.initialized, and the
-    # statistics arrays in every run (zeros before the first critic step);
-    # the reader ignores them
+    # earlier writers also stored adam_d.step, adam_g.step and
+    # stats.initialized, and the statistics arrays in every run (zeros before
+    # the first critic step); the reader ignores them
     for ufs_block in (None, UFS):
         cfg = tiny_config(tmp_path, **{"train.ufs": ufs_block})
         state = trained_state((2,), cfg.train, steps)
         arrays, header = harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
-        assert set(header) == {"run.config", "run.data_shape", "run.iteration", "adam_d.step"}
+        assert set(header) == {"run.config", "run.data_shape", "run.iteration"}
         zeros = np.zeros(state.disc.feature_dim)
-        old_arrays = dict({"stats.mu_real": zeros, "stats.mu_fake": zeros}, **arrays)
-        old_header = dict(header, **{"adam_g.step": steps, "stats.initialized": steps > 0})
+        old_path = tmp_path / "old.ufsl"
+        harness.save_checkpoint(old_path, dict({"stats.mu_real": zeros, "stats.mu_fake": zeros},
+                                               **arrays),
+                                dict(header, **{"adam_d.step": state.adam_d.step,
+                                                "adam_g.step": steps,
+                                                "stats.initialized": steps > 0}))
         restored = restored_counters_and_arrays(arrays, header)
-        assert restored == restored_counters_and_arrays(old_arrays, old_header)
+        assert restored == restored_counters_and_arrays(*harness.load_checkpoint(old_path))
         has_stats = ufs_block is not None and steps > 0
-        assert restored[0] == (steps, steps, steps, has_stats)
+        assert restored[0] == (steps, steps, 2 * steps, has_stats)  # n_critic 2
         assert len(restored[1]) == (8 if has_stats else 6)
 
 
-def add_stats(state):
-    state.stats = ufs.update_stats(state.disc.w, np.ones((2, 64)), np.ones((2, 64)))
-
-
-# The iteration is the generator's Adam step, so the header cannot disagree
-# with it; what it cannot carry is statistics that disagree with the config's
-# UFS block or the critic's step.
-@pytest.mark.parametrize("train, edit, message", [
-    ({"ufs": UFS}, add_stats, "UFS on, critic Adam step 0, feature statistics present"),
-    ({"ufs": UFS}, lambda s: setattr(s.adam_d, "step", 1),
-     "UFS on, critic Adam step 1, feature statistics absent"),
-    ({}, lambda s: setattr(s.adam_d, "step", 1) or add_stats(s),
-     "UFS off, critic Adam step 1, feature statistics present"),
-], ids=["stats-without-critic-step", "critic-step-without-stats", "stats-without-ufs"])
-def test_trainer_to_arrays_refuses_counters_the_header_cannot_carry(train, edit, message):
+# A checkpoint is taken after whole iterations: the critic has taken n_critic
+# steps per iteration, and feature statistics exist exactly when the config
+# has a UFS block and an iteration has run. Any other state is refused.
+@pytest.mark.parametrize("train, t, critic_steps, stats, message", [
+    ({"ufs": UFS}, 0, 0, True,
+     "UFS on, iteration 0, critic Adam step 0, feature statistics present"),
+    ({"ufs": UFS}, 1, 5, False,
+     "UFS on, iteration 1, critic Adam step 5, feature statistics absent"),
+    ({}, 1, 5, True, "UFS off, iteration 1, critic Adam step 5, feature statistics present"),
+    ({"ufs": UFS}, 0, 5, True,
+     "UFS on, iteration 0, critic Adam step 5, feature statistics present"),
+    ({}, 2, 2, False, "UFS off, iteration 2, critic Adam step 2, feature statistics absent"),
+    ({"ufs": UFS, "n_critic": 1}, 3, 4, True,
+     "UFS on, iteration 3, critic Adam step 4, feature statistics present"),
+], ids=["stats-without-critic-step", "critic-step-without-stats", "stats-without-ufs",
+        "stats-at-iteration-0", "one-critic-step-per-iteration", "critic-steps-past-the-iteration"])
+def test_trainer_to_arrays_refuses_counters_the_header_cannot_carry(
+        train, t, critic_steps, stats, message):
     cfg = harness.config_from_dict({"dataset": {"kind": "ring8"}, "train": train})
     state = gan.init_trainer(cfg.train, *gan.default_models((2,), nm.SeededRng(0)))
-    edit(state)
+    state.adam_g.step, state.adam_d.step = t, critic_steps
+    if stats:
+        state.stats = ufs.update_stats(state.disc.w, np.ones((2, 64)), np.ones((2, 64)))
     with pytest.raises(ContractError, match=f"inconsistent counters: {message}"):
         harness.trainer_to_arrays(state, dataclasses.asdict(cfg))
 
@@ -775,7 +788,42 @@ def test_feature_statistics_are_made_once_per_iteration_only_in_ufs_runs(
     result = harness.run_experiment(cfg)
     assert result.status == "ok" and len(calls) == made
     arrays = [len(harness.load_checkpoint(p)[0]) for p in sorted(result.out_dir.glob("checkpoint_*"))]
-    assert arrays == [6] + [8 if made else 6] * 3  # no statistics before the first critic step
+    assert arrays == [6] + [8 if made else 6] * 3  # no statistics at iteration 0
+
+
+@pytest.mark.parametrize("overrides", [
+    ["train.iterations=4", "eval_every=1"],
+    ['train.loss={"kind": "hinge"}', "train.n_critic=null", "train.ufs=null",
+     "train.iterations=5", "eval_every=2"],
+    ['dataset={"kind": "synthetic_shapes", "num_shapes": 32, "image_size": 16}',
+     "train.batch_size=4", "train.n_critic=2", "train.iterations=6", "eval_every=3",
+     "eval_samples=16"],
+], ids=["ring8_wgan_gp_ufs", "ring8_hinge", "shapes16_ufs"])
+def test_every_checkpoint_a_run_writes_holds_the_iteration_alone(tmp_path, monkeypatch, overrides):
+    cfg = harness.load_config(CONFIG_DIR / "ring8_ufs.json", ["eval_samples=64"] + overrides + [
+        f"out_dir={json.dumps(str(tmp_path / 'run'))}"])
+    live = []
+    original = harness.trainer_to_arrays
+
+    def recorded(state, config):
+        live.append((state.t, state.adam_d.step, state.stats is not None))
+        return original(state, config)
+
+    monkeypatch.setattr(harness, "trainer_to_arrays", recorded)
+    result = harness.run_experiment(cfg)
+    assert result.status == "ok"
+    paths = sorted(result.out_dir.glob("checkpoint_*"))
+    assert len(paths) == len(live) == len(result.records)
+    n_critic, ufs_on = cfg.train.n_critic, cfg.train.ufs is not None
+    for path, counters in zip(paths, live):
+        arrays, header = harness.load_checkpoint(path)
+        assert set(header) == {"run.config", "run.data_shape", "run.iteration"}
+        _, state = harness.trainer_from_arrays(arrays, header)
+        t = header["run.iteration"]
+        assert (state.t, state.adam_d.step, state.stats is not None) == counters
+        assert state.adam_d.step == n_critic * t
+        assert len(arrays) == (8 if ufs_on and t > 0 else 6)
+    assert [c[0] for c in live] == [r.iteration for r in result.records]
 
 
 def test_real_side_bounded_once_per_run(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from helpers import masked_scores, rel_err, worst_channel_weights
 from ufs_lab import ufs
 from ufs_lab.errors import ContractError, DimensionError
 from ufs_lab.numerics import SeededRng
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_stats(mu_real, mu_fake):
@@ -92,6 +97,19 @@ def test_ratio_near_real_guard():
     cfg = ufs.UfsConfig(alpha=0.0, beta=1.0, epsilon=1.0, gamma=1e-4)
     r = ufs.compute_ratio(stats, np.array([[2.0]]), cfg)
     assert r[0, 0] == 1.0  # distance 0 falls under the guard
+
+
+@pytest.mark.parametrize("preset", ["ring8_ufs", "ring8_topk_ufs"])
+def test_presets_zero_an_entry_under_the_near_real_guard(preset):
+    # NEAR_REAL_RATIO is the ratio at the fake mean, so at alpha = 0,
+    # beta = epsilon = 1 the entries that look most real are zeroed, while one
+    # just outside the guard, past the real mean, keeps its full weight
+    cfg = ufs.UfsConfig(**json.loads((CONFIG_DIR / f"{preset}.json").read_text())["train"]["ufs"])
+    assert (cfg.alpha, cfg.beta, cfg.epsilon) == (0.0, 1.0, 1.0)
+    stats = make_stats([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
+    features = np.array([[2.0, 2.0 + 0.5 * cfg.gamma, 2.0 + 2.0 * cfg.gamma]])
+    s = ufs.suppression_mask(stats, np.ones(3), features, cfg, cfg.beta)
+    assert s.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_ratio_denominator_floor():
