@@ -3,7 +3,8 @@
 
 Runs, one after another in a temporary directory: the four ring8 presets cut
 to 300 iterations (evaluation every 100 on 2000 samples), the ring8_topk_ufs
-preset on grid25 cut the same way, and one 20-iteration 16x16
+preset on grid25 cut the same way, the ring8_ufs preset with the hinge loss
+cut the same way (ring8_ufs_hinge), and one 20-iteration 16x16
 synthetic_shapes run with WGAN-GP, UFS and top-k at batch 16. For each
 run it prints the sha256 of the metrics CSV without its wall_seconds column
 and of the last samples dump, then, on a line of its own, the sha256 of the
@@ -110,6 +111,9 @@ def main():
         runs.append(("grid25", load_config(CONFIG_DIR / "ring8_topk_ufs.json",
                                            [f"out_dir={tmp}/grid25", 'dataset.kind="grid25"']
                                            + cut)))
+        runs.append(("ring8_ufs_hinge", load_config(CONFIG_DIR / "ring8_ufs.json",
+                                                    [f"out_dir={tmp}/ring8_ufs_hinge",
+                                                     'train.loss={"kind": "hinge"}'] + cut)))
         runs.append(("shapes16", config_from_dict(dict(SHAPES16, out_dir=f"{tmp}/shapes16"))))
         for name, cfg in runs:
             print(f"{name} {fingerprint(cfg)}", flush=True)

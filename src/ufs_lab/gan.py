@@ -1,16 +1,17 @@
-"""Generator/critic pair with a split feature body and linear scoring head.
+"""Generator/critic pair; the critic is one network ending in a linear head.
 
-The critic is split into (body, w, b), views of its one parameter vector:
-the body maps inputs to a per-sample feature vector, and the head is a
-single linear map from features to the scalar score. Keeping the split
-explicit is what lets generator training reweight individual feature
-channels before the score is formed, and lets attribution read the pre-pool
-feature map.
+The critic's specs end with its dense(C, 1) head. Its body (every layer but
+the head) maps inputs to a per-sample feature vector, and its head weights w
+and bias b are views of the head layer's parameters. Scoring features with
+the head apart from the body is what lets generator training reweight
+individual feature channels before the score is formed, and lets attribution
+read the pre-pool feature map.
 
 A critic step runs the body forward once over the stacked [real; fake; x_hat]
-rows and backward once per group: one weight-gradient GEMM over all the rows
-would sum in a different order. A conv body's row slices are bitwise each
-group's own forward; dense BLAS rows can differ at some row counts (8, 16).
+rows, scores each group on its own features, and runs the whole critic
+backward once per group: one weight-gradient GEMM over all the rows would sum
+in a different order. A conv body's row slices are bitwise each group's own
+forward; dense BLAS rows can differ at some row counts (8, 16).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .numerics import (
     input_grad_param_grads,
     leaky_relu,
     param_grads,
+    param_size,
     sum_pool,
     tanh,
 )
@@ -106,16 +108,17 @@ class GeneratorNet:
         return param_grads(self.net.specs, cache, tape)
 
 
-class DiscriminatorNet:
-    """The critic (body, w, b) as one parameter vector theta = [body | w | b]:
-    body.theta, w (C,) and b (1,) are views of it, so one Adam step moves
-    them all. The constructor copies the parts it is given into theta."""
+class DiscriminatorNet(Network):
+    """The critic: one Network whose last layer is its dense(C, 1) head, on
+    theta = [body | w | b] as given, without a copy. body is the Network of
+    every other layer on a leading view of theta; w (C,) and b (1,) are views
+    of the head's W and b. One Adam step on theta moves them all."""
 
-    def __init__(self, body: Network, w: Array, b: Array):
-        self.theta = np.concatenate([body.theta, w, b])
-        n = body.theta.size
-        self.body = Network(body.specs, self.theta[:n])
-        self.w, self.b = self.theta[n:-1], self.theta[-1:]
+    def __init__(self, specs, theta: Array):
+        super().__init__(specs, theta)
+        self.body = Network(self.specs[:-1], theta[:param_size(self.specs[:-1])])
+        head = self.params[-1]
+        self.w, self.b = head["W"][0], head["b"]
 
     @property
     def feature_dim(self) -> int:
@@ -123,8 +126,8 @@ class DiscriminatorNet:
 
 
 def score_from_features(d: DiscriminatorNet, features: Array) -> Array:
-    """Linear head applied per sample, to plain or masked features; bitwise
-    equal to a dense layer stacked on the body."""
+    """The head applied per sample to plain or masked features; bitwise what
+    the critic's forward pass through its head layer gives."""
     scores = features @ d.w.reshape(-1, 1)
     scores += d.b
     return scores[:, 0]
@@ -177,37 +180,34 @@ def interpolate_batches(real: Array, fake: Array, rng: SeededRng) -> Array:
 
 
 def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
-    """Two-sided gradient-norm penalty and its gradients: (value, flat body
-    grads, dw).
+    """Two-sided gradient-norm penalty and its gradients: (value, flat grads
+    laid out as d.theta).
 
-    `cache` is the body's forward cache at the interpolated points x_hat. The
-    gradients differentiate through the input-gradient computation
+    `cache` is the whole critic's forward cache at the interpolated points
+    x_hat. The gradients differentiate through the input-gradient computation
     (second-order backward, from the first pass's tape; that pass computes no
-    parameter gradients); biases receive none, since the input gradient of
-    a piecewise-linear critic does not depend on them. The head is linear, so
-    the score's gradient at the pooled features is w in every row, and dw is
-    ones @ q, where q is the second-order term carried up to the features.
+    parameter gradients); biases receive none, the head's included, since the
+    input gradient of a piecewise-linear critic does not depend on them.
     """
-    specs, params = d.body.specs, d.body.params
     n = len(cache[0])
-    ones = np.ones(n)
-    gx, tape = backward_pass(specs, params, cache, head_feature_grad(d.w, None, ones))
+    gx, tape = backward_pass(d.specs, d.params, cache, np.ones((n, 1)))
     axes = tuple(range(1, gx.ndim))
     norms = np.sqrt((gx * gx).sum(axis=axes))
     value = gp_lambda * float(_mean((norms - 1.0) ** 2))
     coef = gp_lambda * 2.0 * (norms - 1.0) / (n * np.maximum(norms, 1e-12))
     v = gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1))
-    pgrads, q = input_grad_param_grads(specs, params, cache, tape, v)
-    return value, pgrads, ones @ q
+    return value, input_grad_param_grads(d.specs, d.params, cache, tape, v)
 
 
 # --- objective gradients ------------------------------------------------------ #
 
 
 def _split_groups(y: Array, cache, lengths):
-    """(features, cache) per group of one forward pass over row-stacked groups."""
+    """(features, whole-critic cache) per group of one body forward pass over
+    row-stacked groups: the group's rows of each body cache entry, then its
+    features, the head's input."""
     bounds = list(accumulate(lengths, initial=0))
-    return [(y[lo:hi], [c[lo:hi] for c in cache])
+    return [(y[lo:hi], [c[lo:hi] for c in cache] + [y[lo:hi]])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -226,28 +226,19 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
         batches.append(as_f64(x_hat))
     if len({b.shape[1:] for b in batches}) > 1:
         raise DimensionError(f"critic batches differ in sample shape: {[b.shape for b in batches]}")
-    specs, params = d.body.specs, d.body.params
-    y, cache = forward_pass(specs, params, np.concatenate(batches))
+    y, cache = forward_pass(d.body.specs, d.body.params, np.concatenate(batches))
     (y_r, cache_r), (y_f, cache_f), *x_hat_group = _split_groups(y, cache, [len(b) for b in batches])
     s_r = score_from_features(d, y_r)
     s_f = score_from_features(d, y_f)
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
-    grads = np.empty_like(d.theta)  # [body | w | b]
-    body_grads, dw = grads[:d.body.theta.size], grads[d.body.theta.size:-1]
-    np.matmul(dr, y_r, out=dw)
-    dw += df @ y_f
-    grads[-1] = dr.sum() + df.sum()
-    _, tape_r = backward_pass(specs, params, cache_r, head_feature_grad(d.w, None, dr),
-                              input_grad=False)
-    _, tape_f = backward_pass(specs, params, cache_f, head_feature_grad(d.w, None, df),
-                              input_grad=False)
-    param_grads(specs, cache_r, tape_r, out=body_grads)
-    body_grads += param_grads(specs, cache_f, tape_f)
+    _, tape_r = backward_pass(d.specs, d.params, cache_r, dr[:, None], input_grad=False)
+    _, tape_f = backward_pass(d.specs, d.params, cache_f, df[:, None], input_grad=False)
+    grads = param_grads(d.specs, cache_r, tape_r)
+    grads += param_grads(d.specs, cache_f, tape_f)
     penalty = 0.0
     if x_hat_group:
-        penalty, pgrads, pw = penalty_with_grads(d, x_hat_group[0][1], loss.gp_lambda)
-        body_grads += pgrads
-        dw += pw
+        penalty, pgrads = penalty_with_grads(d, x_hat_group[0][1], loss.gp_lambda)
+        grads += pgrads
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
             "y_real": y_r, "y_fake": y_f}
     return value + penalty, grads, diag
@@ -387,8 +378,9 @@ IMAGE_LATENT_DIM = 64
 
 
 def default_specs(data_shape) -> tuple:
-    """(generator, critic body, critic head) layer specs of a small CPU-friendly
-    pair for 2-d points or 1-channel images. Nothing is allocated.
+    """(generator, critic) layer specs of a small CPU-friendly pair for 2-d
+    points or 1-channel images; the critic's end with its dense(C, 1) head.
+    Nothing is allocated.
 
     Point tasks use leaky MLPs on both sides. Image critics downsample with
     three 3x3 stride-2 convolutions into 128 channels, so images need at
@@ -417,12 +409,11 @@ def default_specs(data_shape) -> tuple:
         channels = 128
     else:
         raise ContractError(f"no default architecture for data shape {data_shape}")
-    return gen, body, [dense(channels, 1)]
+    return gen, body + [dense(channels, 1)]
 
 
 def default_models(data_shape, rng: SeededRng):
-    """The default_specs networks, their weights drawn in that order."""
-    gen_specs, body_specs, head_specs = default_specs(data_shape)
-    gen, body = Network.init(gen_specs, rng), Network.init(body_specs, rng)
-    head = Network.init(head_specs, rng).theta  # [w | b]
-    return GeneratorNet(gen, tuple(data_shape)), DiscriminatorNet(body, head[:-1], head[-1:])
+    """The default_specs networks, the generator's weights drawn first."""
+    gen_specs, critic_specs = default_specs(data_shape)
+    gen = GeneratorNet(Network.init(gen_specs, rng), tuple(data_shape))
+    return gen, DiscriminatorNet.init(critic_specs, rng)

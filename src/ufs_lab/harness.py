@@ -4,11 +4,12 @@ Everything written to disk is a deterministic function of (config, seed),
 except the wall_seconds column, which is deliberately kept last in the CSV
 so determinism checks can slice it off. A trainer checkpoint is a JSON
 header (the run's config, the data shape and the iteration) plus the state
-arrays; the reader rebuilds the models from the data shape. Checkpoints,
-sample dumps, the CSV and the summary are written atomically. Both sides of
-an evaluation are measured in the space metrics.measure picks, which
-summary.json names. A step that raises on a non-finite loss, or another
-numeric breakdown, ends the run with one diagnostic row.
+arrays; the reader builds the data shape's default networks on the stored
+network vectors, drawing nothing. Checkpoints, sample dumps, the CSV and
+the summary are written atomically. Both sides of an evaluation are
+measured in the space metrics.measure picks, which summary.json names. A
+step that raises on a non-finite loss, or another numeric breakdown, ends
+the run with one diagnostic row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
 from .metrics import (MANIFOLD_K, MAX_SAMPLES, ball_bounds, covariance_root, fit_gaussian,
                       frechet_distance, manifold_metrics, measure, mode_coverage)
-from .numerics import Array, SeededRng, param_size, write_atomic
+from .numerics import Array, Network, SeededRng, param_size, write_atomic
 
 
 @dataclass
@@ -200,7 +201,7 @@ def load_checkpoint(path) -> tuple:
 
 def _state_arrays(state: gan_mod.TrainerState) -> dict:
     """Every array of a trainer state under its checkpoint name. These are the
-    live arrays, so the reader fills a fresh state through them in place."""
+    live arrays, so the reader fills a restored state through them in place."""
     named = {"gen": state.gen.net.theta, "disc": state.disc.theta,
              "adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
              "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v}
@@ -240,12 +241,14 @@ def _check_array(arrays: dict, name: str, shape: tuple) -> None:
 
 
 def trainer_from_arrays(arrays: dict, header: dict):
-    """(ExperimentConfig, TrainerState) of a trainer checkpoint: gan.default_models
-    for the stored data shape, filled with the stored arrays, at the counters
-    the iteration implies. Raises ParseError naming the first missing or
-    mistyped header entry (a negative iteration is mistyped) or array, the
-    network lengths before any network is built. The config is decoded
-    without looking for an idx_images file: nothing here reads it."""
+    """(ExperimentConfig, TrainerState) of a trainer checkpoint: the
+    gan.default_specs networks of the stored data shape on the stored `gen`
+    and `disc` vectors themselves (no copy, nothing drawn), the other state
+    arrays copied in, at the counters the iteration implies. Raises
+    ParseError naming the first missing or mistyped header entry (a negative
+    iteration is mistyped) or array, the network lengths before any network
+    is built. The config is decoded without looking for an idx_images file:
+    nothing here reads it."""
     for name, kind in TRAINER_ENTRIES.items():
         value = header.get(name)
         if (type(value) is not kind or kind is list and not all(type(d) is int for d in value)
@@ -254,18 +257,20 @@ def trainer_from_arrays(arrays: dict, header: dict):
             raise ParseError(f"not a trainer checkpoint: header entry {name!r} should be "
                              f"{_KIND_NAMES[kind]}, got {got}")
     cfg = _decode(ExperimentConfig, header["run.config"], "run.config")
-    gen_specs, body_specs, head_specs = gan_mod.default_specs(header["run.data_shape"])
+    data_shape = tuple(header["run.data_shape"])
+    gen_specs, critic_specs = gan_mod.default_specs(data_shape)
     _check_array(arrays, "gen", (param_size(gen_specs),))
-    _check_array(arrays, "disc", (param_size(body_specs) + param_size(head_specs),))
-    state = gan_mod.init_trainer(
-        cfg.train, *gan_mod.default_models(header["run.data_shape"], SeededRng(0)))
+    _check_array(arrays, "disc", (param_size(critic_specs),))
+    state = gan_mod.init_trainer(cfg.train,
+                                 gan_mod.GeneratorNet(Network(gen_specs, arrays["gen"]), data_shape),
+                                 gan_mod.DiscriminatorNet(critic_specs, arrays["disc"]))
     state.adam_g.step = header["run.iteration"]
     state.adam_d.step, has_stats = _implied_by_iteration(state)
     if has_stats:  # filled below
         state.stats = ufs_mod.FeatureStats(*np.zeros((2, state.disc.feature_dim)))
     for name, live in _state_arrays(state).items():
         _check_array(arrays, name, live.shape)
-        live[...] = arrays[name]
+        live[...] = arrays[name]  # a no-op for gen and disc, which are the stored arrays
     return cfg, state
 
 

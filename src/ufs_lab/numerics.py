@@ -5,11 +5,12 @@ vector; param_views gives its per-layer W and b views, and the same layout
 holds the parameter gradients and Adam's moments. A forward pass returns a
 cache. The backward pass runs only the input-gradient chain and returns a
 tape with it; param_grads turns (cache, tape) into the parameter gradients,
-flat in the param_views layout. A second-order helper differentiates
-through the input-gradient computation (needed when training against a
-gradient-norm penalty). Nothing checks a chain of specs ahead of time: each
-layer checks the array it is given, so a pass through a mismatched chain
-raises DimensionError at the first layer that does not fit.
+flat in the param_views layout. A second-order pass differentiates
+through the input-gradient computation (for a gradient-norm penalty) and
+returns its parameter gradients in that layout too. Nothing checks a chain
+of specs ahead of time: each layer checks the array it is given, so a pass
+through a mismatched chain raises DimensionError at the first layer that
+does not fit.
 
 The passes write only into arrays they create. A bias add, an activation's
 product or a tanh writes in place into the fresh output of the pass's own
@@ -505,12 +506,11 @@ def input_grad_param_grads(specs, params, cache, tape, v):
 
     Backprop through the backward pass. Only valid for piecewise-linear
     activations (leaky_relu), whose masks have zero derivative almost
-    everywhere; tanh would add curvature terms and is rejected. Returns
-    (grads, q): grads is flat in the param_views layout (zero for biases),
-    and q is v carried forward to the stack's output, the term that a linear
-    layer on top of the stack contracts with its own upstream. The leaky
-    product writes in place into q once q is this pass's own; v, the cache
-    and the tape are never written.
+    everywhere; tanh would add curvature terms and is rejected. Returns the
+    gradients flat in the param_views layout (zero for biases). Each layer's
+    weight gradient contracts its tape entry with q, v carried forward to the
+    layer's input; the leaky product writes in place into q once q is this
+    pass's own; v, the cache and the tape are never written.
     """
     q = as_f64(v)
     fresh = False  # q is this pass's own
@@ -532,7 +532,7 @@ def input_grad_param_grads(specs, params, cache, tape, v):
         else:  # global_sum_pool
             q = global_sum_pool(q)
         fresh = True
-    return out, q
+    return out
 
 
 class Network:

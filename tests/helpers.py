@@ -8,10 +8,11 @@ are the forms the library's single np.dot gradients are checked against
 byte for byte. The sqrt-distance manifold metrics take a square root per
 pair and compare it with sqrt radii, independent of the library's squared
 distances and ball bounds. The
-stacked critic appends the linear head to the body as a dense layer, the
-form the library's split (body, w, b) head is checked against, and the
-per-group critic objective runs the body forward once per batch, the form
-the library's single forward over stacked batches is checked against.
+split-head critic objective writes the head's gradients out by hand and
+runs the body forward once per batch, and the split-head penalty carries
+w in every row to the features and contracts ones with the second-order
+term there: the forms the library's one-network critic, its head a dense
+layer, and its single forward over stacked batches are checked against.
 The one-sweep backward pass and the per-array Adam step are the forms the
 library's split backward and flat Adam are checked against bitwise, the
 allocating forward and second-order passes (a new array for every bias add,
@@ -400,20 +401,14 @@ def finite_diff_grad(f, x, h: float = 1e-5):
     return g
 
 
-# --- the critic as one stack ------------------------------------------------ #
+# --- the critic with its head split off -------------------------------------- #
 
 
-def critic_specs(d):
-    """The body's specs with the head appended as a dense layer: the
-    param_views layout of d.theta, [body | w | b]."""
-    return d.body.specs + [nm.dense(d.feature_dim, 1)]
-
-
-def stacked_critic(d):
-    """(specs, params) of the body with the head appended as a dense layer;
-    the parameters are views of d.theta."""
-    specs = critic_specs(d)
-    return specs, nm.param_views(specs, d.theta)
+def critic_from_parts(body, w, b):
+    """The critic with body `body` and head (w, b): a DiscriminatorNet on
+    [body | w | b], the head a dense(C, 1) layer appended to the body."""
+    return gan.DiscriminatorNet(body.specs + [nm.dense(len(w), 1)],
+                                np.concatenate([body.theta, w, b]))
 
 
 def param_arrays(specs, flat):
@@ -423,21 +418,40 @@ def param_arrays(specs, flat):
 
 
 def split_scores(d, x):
-    """Pooled features and scores of the split (body, w, b) critic."""
+    """Pooled features and scores of the critic, the head applied apart."""
     features, _ = nm.forward_pass(d.body.specs, d.body.params, x)
     return features, gan.score_from_features(d, features)
 
 
 def penalty_at(d, x_hat, gp_lambda):
-    """gan.penalty_with_grads on the body's own forward cache at x_hat."""
-    _, cache = nm.forward_pass(d.body.specs, d.body.params, x_hat)
+    """gan.penalty_with_grads on the whole critic's own forward cache at x_hat."""
+    _, cache = nm.forward_pass(d.specs, d.params, x_hat)
     return gan.penalty_with_grads(d, cache, gp_lambda)
 
 
+def penalty_split_head(d, x_hat, gp_lambda):
+    """The gradient-norm penalty with the head split off: (value, flat body
+    grads, dw). The score's gradient at the pooled features is w in every
+    row, and dw is ones @ q, where q is the allocating second-order pass's
+    term carried up to the features."""
+    specs, params = d.body.specs, d.body.params
+    _, cache = nm.forward_pass(specs, params, x_hat)
+    ones = np.ones(len(x_hat))
+    gx, tape = nm.backward_pass(specs, params, cache, gan.head_feature_grad(d.w, None, ones))
+    norms = np.sqrt((gx * gx).sum(axis=tuple(range(1, gx.ndim))))
+    value = gp_lambda * float(((norms - 1.0) ** 2).mean())
+    coef = gp_lambda * 2.0 * (norms - 1.0) / (len(x_hat) * np.maximum(norms, 1e-12))
+    pgrads, q = input_grad_param_grads_alloc(specs, params, cache, tape,
+                                             gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1)))
+    return value, pgrads, ones @ q
+
+
 def critic_objective_per_group(d, real, fake, loss, x_hat=None):
-    """The critic objective with one body forward per group (real, fake, x_hat):
-    the form the library's single forward over the stacked groups is checked
-    against bitwise. Returns what gan.discriminator_objective_grads does."""
+    """The critic objective with one body forward per group (real, fake, x_hat)
+    and the head's gradients written out by hand: the form the library's
+    single forward over the stacked groups and its whole-critic backward are
+    checked against bitwise. Returns what gan.discriminator_objective_grads
+    does."""
     specs, params = d.body.specs, d.body.params
     y_r, cache_r = nm.forward_pass(specs, params, real)
     y_f, cache_f = nm.forward_pass(specs, params, fake)
@@ -450,7 +464,7 @@ def critic_objective_per_group(d, real, fake, loss, x_hat=None):
     body_grads = flat_grads([{k: ga[k] + gb[k] for k in ga} for ga, gb in zip(grads_r, grads_f)])
     penalty = 0.0
     if loss.kind == "wgan_gp":
-        penalty, pgrads, pw = penalty_at(d, x_hat, loss.gp_lambda)
+        penalty, pgrads, pw = penalty_split_head(d, x_hat, loss.gp_lambda)
         body_grads = body_grads + pgrads
         dw = dw + pw
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
@@ -459,17 +473,12 @@ def critic_objective_per_group(d, real, fake, loss, x_hat=None):
 
 
 def penalty_stacked(d, x_hat, gp_lambda):
-    """Gradient-norm penalty value and its flat parameter gradients (head
-    last) through the stacked critic."""
-    specs, params = stacked_critic(d)
-    y, cache = nm.forward_pass(specs, params, x_hat)
-    gx, tape = nm.backward_pass(specs, params, cache, np.ones_like(y))
+    """The gradient-norm penalty's value through a forward and backward pass
+    of the whole critic."""
+    y, cache = nm.forward_pass(d.specs, d.params, x_hat)
+    gx, _ = nm.backward_pass(d.specs, d.params, cache, np.ones_like(y))
     norms = np.sqrt((gx * gx).sum(axis=tuple(range(1, gx.ndim))))
-    value = gp_lambda * float(((norms - 1.0) ** 2).mean())
-    coef = gp_lambda * 2.0 * (norms - 1.0) / (len(x_hat) * np.maximum(norms, 1e-12))
-    grads, _ = nm.input_grad_param_grads(specs, params, cache, tape,
-                                         gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1)))
-    return value, grads
+    return gp_lambda * float(((norms - 1.0) ** 2).mean())
 
 
 # --- the per-array training step ---------------------------------------------- #
@@ -615,7 +624,7 @@ def frozen_generator_loss(state, z, s, weights):
 def masked_scores(y, s, w, b):
     """Critic scores of the features y masked by s under the head (w, b), as
     the generator objective forms them."""
-    head = gan.DiscriminatorNet(nm.Network([], np.zeros(0)), w, b)  # an empty body
+    head = critic_from_parts(nm.Network([], np.zeros(0)), w, b)  # an empty body
     return gan.score_from_features(head, ufs.apply_suppression(y, s))
 
 
@@ -644,16 +653,16 @@ def small_mlp_disc(rng, in_dim=2, hidden=8, channels=6, scale=0.4):
     body = init_network(
         [nm.dense(in_dim, hidden), nm.leaky_relu(0.2), nm.dense(hidden, channels),
          nm.leaky_relu(0.2)], rng, scale)
-    return gan.DiscriminatorNet(body, rng.normal((channels,), 0.0, scale),
-                                rng.normal((1,), 0.0, scale))
+    return critic_from_parts(body, rng.normal((channels,), 0.0, scale),
+                             rng.normal((1,), 0.0, scale))
 
 
 def small_conv_disc(rng, channels=4, scale=0.4):
     body = init_network(
         [nm.conv2d(1, 3, 3, 2), nm.leaky_relu(0.2), nm.conv2d(3, channels, 3, 1),
          nm.leaky_relu(0.2), nm.sum_pool()], rng, scale)
-    return gan.DiscriminatorNet(body, rng.normal((channels,), 0.0, scale),
-                                rng.normal((1,), 0.0, scale))
+    return critic_from_parts(body, rng.normal((channels,), 0.0, scale),
+                             rng.normal((1,), 0.0, scale))
 
 
 def small_gen(rng, latent=4, out_dim=2, scale=0.4):

@@ -14,7 +14,6 @@ import pytest
 
 from helpers import (
     cam_state,
-    critic_specs,
     denman_beavers_sqrt,
     fd_param_grads,
     frozen_generator_loss,
@@ -100,15 +99,15 @@ def test_acceptance_gradient_suite():
                 s_r, s_f = gan.score_from_features(d, y_r), gan.score_from_features(d, y_f)
                 return gan.critic_loss(kind, s_r, s_f)[0]
 
-            check(param_arrays(critic_specs(d), grads),
-                  fd_param_grads(d_loss, param_arrays(critic_specs(d), d.theta)))
+            check(param_arrays(d.specs, grads),
+                  fd_param_grads(d_loss, param_arrays(d.specs, d.theta)))
 
         # gradient penalty parameter gradients (biases, the head's too, get none)
         x_hat = rng.normal((4, 2))
-        _, pgrads, pw = penalty_at(d, x_hat, 10.0)
-        check(param_arrays(critic_specs(d), np.concatenate([pgrads, pw, np.zeros(1)])),
-              fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0],
-                             param_arrays(critic_specs(d), d.theta)))
+        _, pgrads = penalty_at(d, x_hat, 10.0)
+        check(param_arrays(d.specs, pgrads),
+              fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0),
+                             param_arrays(d.specs, d.theta)))
 
         # the generator objective training runs: mask from seeded feature
         # stats, weights from top-k and random-k selection, both held fixed

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import cam_state, init_network, small_conv_disc, small_mlp_disc, split_scores
+from helpers import (cam_state, critic_from_parts, init_network, small_conv_disc,
+                     small_mlp_disc, split_scores)
 from ufs_lab import attribution as attr
 from ufs_lab import gan
 from ufs_lab import numerics as nm
@@ -11,7 +12,7 @@ from ufs_lab.errors import ContractError, ParseError, UnsupportedArchitectureErr
 def single_channel_disc():
     """Identity conv body: features equal the input map."""
     body = nm.Network([nm.conv2d(1, 1, 1, 1), nm.sum_pool()], np.array([1.0, 0.0]))
-    return gan.DiscriminatorNet(body, np.array([1.0]), np.array([0.5]))
+    return critic_from_parts(body, np.array([1.0]), np.array([0.5]))
 
 
 def supply_mask(monkeypatch, s):
@@ -59,7 +60,7 @@ def test_cam_sums_to_score_minus_bias():
 def test_cam_translation_equivariance_interior():
     rng = nm.SeededRng(4)
     body = init_network([nm.conv2d(1, 3, 3, 1), nm.leaky_relu(0.2), nm.sum_pool()], rng, 0.5)
-    d = gan.DiscriminatorNet(body, rng.normal((3,)), np.zeros(1))
+    d = critic_from_parts(body, rng.normal((3,)), np.zeros(1))
     base = rng.normal((1, 1, 10, 10))
     shifted = np.roll(base, 1, axis=3)
     cam_a = attr.compute_cam(cam_state(d), base)["cam"]

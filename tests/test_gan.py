@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (AdamOracle, adam_step_oracle, critic_objective_per_group, critic_specs,
+from helpers import (AdamOracle, adam_step_oracle, critic_from_parts, critic_objective_per_group,
                      fd_param_grads, finite_diff_grad, frozen_generator_loss, grad_close,
-                     init_network, objective_state, param_arrays, penalty_at, penalty_stacked,
-                     small_conv_disc, small_gen, small_mlp_disc, split_scores, stacked_critic)
+                     init_network, objective_state, param_arrays, penalty_at, penalty_split_head,
+                     penalty_stacked, small_conv_disc, small_gen, small_mlp_disc, split_scores)
 from ufs_lab import gan, ufs
 from ufs_lab import numerics as nm
 from ufs_lab.errors import ConfigError, ContractError, DimensionError, NumericError
@@ -26,7 +26,7 @@ def test_forward_split_ones_head_sums_features():
 def test_forward_split_zero_input_linear_body():
     rng = nm.SeededRng(2)
     body = init_network([nm.dense(2, 4), nm.dense(4, 3)], rng, 0.5)
-    d = gan.DiscriminatorNet(body, rng.normal((3,)), np.array([1.25]))
+    d = critic_from_parts(body, rng.normal((3,)), np.array([1.25]))
     features, scores = split_scores(d, np.zeros((4, 2)))
     assert np.array_equal(features, np.zeros((4, 3)))
     assert np.allclose(scores, 1.25)
@@ -37,7 +37,7 @@ def test_forward_split_matches_stacked_network_exactly():
     d = small_mlp_disc(rng)
     x = rng.normal((6, 2))
     _, scores = split_scores(d, x)
-    stacked, _ = nm.forward_pass(*stacked_critic(d), x)
+    stacked, _ = nm.forward_pass(d.specs, d.params, x)
     assert np.array_equal(scores, stacked[:, 0])
 
 
@@ -109,32 +109,31 @@ def test_critic_loss_rejects_unknown_kind():
 def test_penalty_linear_discriminator_closed_form():
     rng = nm.SeededRng(7)
     body = init_network([nm.dense(2, 4)], rng, 0.5)
-    d = gan.DiscriminatorNet(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
+    d = critic_from_parts(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
     a = body.params[0]["W"].T @ d.w
     expected = 10.0 * (np.linalg.norm(a) - 1.0) ** 2
     x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
-    got, _, _ = penalty_at(d, x_hat, 10.0)
+    got, _ = penalty_at(d, x_hat, 10.0)
     assert abs(got - expected) < 1e-12
 
 
 def test_penalty_unit_gradient_is_zero():
     rng = nm.SeededRng(8)
     body = init_network([nm.dense(2, 4)], rng, 0.5)
-    d = gan.DiscriminatorNet(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
+    d = critic_from_parts(body, rng.normal((4,), 0.0, 0.5), np.zeros(1))
     a = body.params[0]["W"].T @ d.w
     d.w /= np.linalg.norm(a)  # rescale so the input gradient has unit norm
     x_hat = gan.interpolate_batches(rng.normal((8, 2)), rng.normal((8, 2)), rng)
-    got, pgrads, pw = penalty_at(d, x_hat, 10.0)
+    got, pgrads = penalty_at(d, x_hat, 10.0)
     assert got < 1e-20
-    w_grad = nm.param_views(body.specs, pgrads)[0]["W"]
-    assert np.abs(pw).max() < 1e-9 and np.abs(w_grad).max() < 1e-9
+    assert np.abs(pgrads).max() < 1e-9  # the body's W, the head's w and the zero biases
 
 
 def test_penalty_input_gradient_matches_finite_differences():
     rng = nm.SeededRng(9)
     d = small_mlp_disc(rng)
     x = rng.normal((4, 2))
-    specs, params = stacked_critic(d)
+    specs, params = d.specs, d.params
     y, cache = nm.forward_pass(specs, params, x)
     gx, _ = nm.backward_pass(specs, params, cache, np.ones_like(y))
 
@@ -151,11 +150,11 @@ def test_penalty_param_grads_match_finite_differences(make_disc):
     d = make_disc(rng)
     shape = (4, 2) if make_disc is small_mlp_disc else (3, 1, 9, 9)
     x_hat = rng.normal(shape)
-    _, pgrads, pw = penalty_at(d, x_hat, 10.0)
+    _, pgrads = penalty_at(d, x_hat, 10.0)
     # biases get no penalty gradient, the head's included
-    got = param_arrays(critic_specs(d), np.concatenate([pgrads, pw, np.zeros(1)]))
-    fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0)[0],
-                        param_arrays(critic_specs(d), d.theta))
+    got = param_arrays(d.specs, pgrads)
+    fd = fd_param_grads(lambda: penalty_stacked(d, x_hat, 10.0),
+                        param_arrays(d.specs, d.theta))
     for g, want in zip(got, fd):
         assert grad_close(g, want)
 
@@ -165,11 +164,11 @@ def test_penalty_split_head_matches_stacked_oracle_bitwise(make_disc):
     rng = nm.SeededRng(16)
     d = make_disc(rng)
     x_hat = rng.normal((4, 2) if make_disc is small_mlp_disc else (3, 1, 9, 9))
-    value, pgrads, pw = penalty_at(d, x_hat, 10.0)
-    want_value, want = penalty_stacked(d, x_hat, 10.0)
+    value, pgrads = penalty_at(d, x_hat, 10.0)
+    want_value, want_body, want_w = penalty_split_head(d, x_hat, 10.0)
     assert value == want_value
-    # the stacked flat gradient ends with the head's bias, which gets none
-    assert np.concatenate([pgrads, pw]).tobytes() == want[:-1].tobytes()
+    # the split form gives the head's bias no gradient at all; the library a zero
+    assert pgrads.tobytes() == np.concatenate([want_body, want_w, [0.0]]).tobytes()
 
 
 # --- full critic objective ------------------------------------------------------------ #
@@ -194,12 +193,12 @@ def test_discriminator_objective_grads_match_finite_differences(kind, gp_lambda)
         s_f = gan.score_from_features(d, y_f)
         base = critic_value(kind, s_r, s_f)
         if kind == "wgan_gp":
-            base += penalty_stacked(d, x_hat, loss_cfg.gp_lambda)[0]
+            base += penalty_stacked(d, x_hat, loss_cfg.gp_lambda)
         return base
 
     assert abs(loss_value() - value) < 1e-12
-    fd = fd_param_grads(loss_value, param_arrays(critic_specs(d), d.theta))
-    for got, want in zip(param_arrays(critic_specs(d), grads), fd, strict=True):
+    fd = fd_param_grads(loss_value, param_arrays(d.specs, d.theta))
+    for got, want in zip(param_arrays(d.specs, grads), fd, strict=True):
         assert grad_close(got, want)
 
 
@@ -273,8 +272,8 @@ def test_split_groups_gives_each_group_its_own_forward_cache():
     batches = [rng.normal((n, 1, 9, 9)) for n in (3, 5, 2)]
     y, cache = nm.forward_pass(specs, params, np.concatenate(batches))
     for (y_g, cache_g), batch in zip(gan._split_groups(y, cache, [3, 5, 2]), batches, strict=True):
-        want_y, want_cache = nm.forward_pass(specs, params, batch)
-        assert y_g.tobytes() == want_y.tobytes()
+        _, want_cache = nm.forward_pass(d.specs, d.params, batch)  # the whole critic's
+        assert y_g.tobytes() == want_cache[-1].tobytes()  # the head's input
         for got, want in zip(cache_g, want_cache, strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -430,7 +429,7 @@ def test_flat_adam_matches_per_array_oracle_bitwise(data_shape):
     state = gan.init_trainer(gan.TrainConfig(iterations=24), gen, disc)
     rng = nm.SeededRng(23)
     for specs, theta, adam in ((gen.net.specs, gen.net.theta, state.adam_g),
-                               (critic_specs(disc), disc.theta, state.adam_d)):
+                               (disc.specs, disc.theta, state.adam_d)):
         params = param_arrays(specs, theta)
         ref_params = [p.copy() for p in params]
         oracle = AdamOracle.for_params(ref_params, gan.ADAM_LR, nm.ADAM_B1, nm.ADAM_B2)

@@ -353,12 +353,19 @@ def restore(state, cfg, path):
     return harness.trainer_from_arrays(*harness.load_checkpoint(path))
 
 
-def test_trainer_checkpoint_round_trip(tmp_path):
+def test_trainer_checkpoint_round_trip(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, **{"train.iterations": 6, "train.ufs": dict(
         UFS, beta_anneal={"beta_end": 0.5}),
         "train.selection": {"mode": "top", "k_start": 8, "k_end": 4}})
-    state = trained_state((2,), cfg.train)
-    _, restored = restore(state, cfg, tmp_path / "t.ufsl")
+    state, untrained = trained_state((2,), cfg.train), trained_state((2,), cfg.train, steps=0)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a restore drew from a random stream")
+
+    with monkeypatch.context() as patched:  # the networks are built on the stored vectors
+        patched.setattr(nm.SeededRng, "normal", no_draws)
+        _, restored = restore(state, cfg, tmp_path / "t.ufsl")
+        _, fresh = restore(untrained, cfg, tmp_path / "f.ufsl")
 
     live_arrays, restored_arrays = harness._state_arrays(state), harness._state_arrays(restored)
     assert list(live_arrays) == list(restored_arrays)
@@ -372,7 +379,6 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     for live, back in ((state.adam_g, restored.adam_g), (state.adam_d, restored.adam_d)):
         assert np.any(live.m != 0.0) and np.any(live.v != 0.0)
         assert live.m.tobytes() == back.m.tobytes() and live.v.tobytes() == back.v.tobytes()
-    _, fresh = restore(trained_state((2,), cfg.train, steps=0), cfg, tmp_path / "f.ufsl")
     assert (fresh.t, fresh.adam_d.step, fresh.stats) == (0, 0, None)
 
     # the next critic and generator steps are the same steps

@@ -528,7 +528,7 @@ def test_no_nan_from_finite_inputs():
 def test_split_backward_matches_one_sweep_oracle_bitwise(data_shape, batch):
     rng = nm.SeededRng(11)
     gen, disc = gan.default_models(data_shape, rng)
-    for net, x in ((disc.body, rng.normal((batch,) + data_shape)),
+    for net, x in ((disc, rng.normal((batch,) + data_shape)),
                    (gen.net, rng.normal((batch, gen.latent_dim)))):
         y, cache = nm.forward_pass(net.specs, net.params, x)
         upstream = rng.normal(y.shape)
@@ -584,10 +584,8 @@ def assert_passes_match_alloc_and_keep_their_inputs(specs, params, x, rng):
         with pytest.raises(UnsupportedArchitectureError):
             nm.input_grad_param_grads(specs, params, cache, tape, v)
     else:
-        want_pg, want_q = input_grad_param_grads_alloc(specs, params, cache, tape, v)
-        pg, q = nm.input_grad_param_grads(specs, params, cache, tape, v)
-        assert_same_bytes(pg, want_pg)
-        assert_same_bytes(q, want_q)
+        want_pg, _ = input_grad_param_grads_alloc(specs, params, cache, tape, v)
+        assert_same_bytes(nm.input_grad_param_grads(specs, params, cache, tape, v), want_pg)
     assert v.tobytes() == v_bytes
     assert snapshot(cache) == cache_bytes and snapshot(tape) == tape_bytes
     assert x.tobytes() == x_bytes and upstream.tobytes() == upstream_bytes
@@ -600,10 +598,10 @@ def test_in_place_passes_match_allocating_forms_on_the_default_models(data_shape
     # at the shapes16 batch and its stacked step (and its tanh generator)
     rng = nm.SeededRng(rows)
     gen, disc = gan.default_models(data_shape, rng)
-    for net in (disc.body, gen.net):
+    for net in (disc, gen.net):
         # weights large enough that both leaky branches and tanh's curve show
         params = [{k: rng.normal(a.shape, 0.0, 0.5) for k, a in p.items()} for p in net.params]
-        x = rng.normal((rows,) + (data_shape if net is disc.body else (gen.latent_dim,)))
+        x = rng.normal((rows,) + (data_shape if net is disc else (gen.latent_dim,)))
         assert_passes_match_alloc_and_keep_their_inputs(net.specs, params, x, rng)
 
 
