@@ -9,9 +9,10 @@ read the pre-pool feature map.
 
 A critic step runs the body forward once over the stacked [real; fake; x_hat]
 rows, scores each group on its own features, and runs the whole critic
-backward once per group: one weight-gradient GEMM over all the rows would sum
-in a different order. A conv body's row slices are bitwise each group's own
-forward; dense BLAS rows can differ at some row counts (8, 16).
+backward once over all the rows. Weight gradients are taken per group from
+its rows, real before fake: one GEMM over all the rows would sum in another
+order. A conv body's row slices are bitwise each group's own passes; dense
+BLAS rows can differ at some row counts (8, 16).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class GeneratorNet:
 
     def backward(self, cache, upstream: Array) -> Array:
         upstream = upstream.reshape(len(upstream), -1)
-        _, tape = backward_pass(self.net.specs, self.net.params, cache, upstream, input_grad=False)
+        _, tape = backward_pass(self.net.specs, self.net.params, cache, upstream)
         return param_grads(self.net.specs, cache, tape)
 
 
@@ -179,22 +180,21 @@ def interpolate_batches(real: Array, fake: Array, rng: SeededRng) -> Array:
     return x_hat
 
 
-def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
+def penalty_with_grads(d: DiscriminatorNet, cache, tape, gx: Array, gp_lambda: float):
     """Two-sided gradient-norm penalty and its gradients: (value, flat grads
     laid out as d.theta).
 
     `cache` is the whole critic's forward cache at the interpolated points
-    x_hat. The gradients differentiate through the input-gradient computation
-    (second-order backward, from the first pass's tape; that pass computes no
-    parameter gradients); biases receive none, the head's included, since the
-    input gradient of a piecewise-linear critic does not depend on them.
+    x_hat, and `tape` and `gx` are the tape and input gradient of its backward
+    pass from a score gradient of one per row; a critic step passes the x_hat
+    rows of its one backward pass. The gradients differentiate through the
+    input-gradient computation (second-order backward, from that tape); biases
+    receive none, the head's included, since the input gradient of a
+    piecewise-linear critic does not depend on them.
     """
-    n = len(cache[0])
-    gx, tape = backward_pass(d.specs, d.params, cache, np.ones((n, 1)))
-    axes = tuple(range(1, gx.ndim))
-    norms = np.sqrt((gx * gx).sum(axis=axes))
+    norms = np.sqrt((gx * gx).sum(axis=tuple(range(1, gx.ndim))))
     value = gp_lambda * float(_mean((norms - 1.0) ** 2))
-    coef = gp_lambda * 2.0 * (norms - 1.0) / (n * np.maximum(norms, 1e-12))
+    coef = gp_lambda * 2.0 * (norms - 1.0) / (len(gx) * np.maximum(norms, 1e-12))
     v = gx * coef.reshape((-1,) + (1,) * (gx.ndim - 1))
     return value, input_grad_param_grads(d.specs, d.params, cache, tape, v)
 
@@ -202,13 +202,13 @@ def penalty_with_grads(d: DiscriminatorNet, cache, gp_lambda: float):
 # --- objective gradients ------------------------------------------------------ #
 
 
-def _split_groups(y: Array, cache, lengths):
-    """(features, whole-critic cache) per group of one body forward pass over
-    row-stacked groups: the group's rows of each body cache entry, then its
-    features, the head's input."""
+def _split_groups(cache, tape, dx: Array, lengths):
+    """(cache, tape, input gradient) per group of one whole-critic forward and
+    backward pass over row-stacked groups: the group's rows of each entry,
+    a tape's None entries kept."""
     bounds = list(accumulate(lengths, initial=0))
-    return [(y[lo:hi], [c[lo:hi] for c in cache] + [y[lo:hi]])
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [([c[lo:hi] for c in cache], [None if t is None else t[lo:hi] for t in tape],
+             dx[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_batch: Array,
@@ -226,18 +226,22 @@ def discriminator_objective_grads(d: DiscriminatorNet, real_batch: Array, fake_b
         batches.append(as_f64(x_hat))
     if len({b.shape[1:] for b in batches}) > 1:
         raise DimensionError(f"critic batches differ in sample shape: {[b.shape for b in batches]}")
+    lengths = [len(b) for b in batches]
+    nr, nf = lengths[:2]
     y, cache = forward_pass(d.body.specs, d.body.params, np.concatenate(batches))
-    (y_r, cache_r), (y_f, cache_f), *x_hat_group = _split_groups(y, cache, [len(b) for b in batches])
-    s_r = score_from_features(d, y_r)
-    s_f = score_from_features(d, y_f)
+    cache.append(y)  # the head's input: now the whole critic's cache
+    y_r, y_f = y[:nr], y[nr:nr + nf]
+    s_r, s_f = score_from_features(d, y_r), score_from_features(d, y_f)
     value, dr, df = critic_loss(loss.kind, s_r, s_f)
-    _, tape_r = backward_pass(d.specs, d.params, cache_r, dr[:, None], input_grad=False)
-    _, tape_f = backward_pass(d.specs, d.params, cache_f, df[:, None], input_grad=False)
+    upstream = np.ones((len(y), 1))  # ones at the x_hat rows: the penalty's score gradient
+    upstream[:nr, 0], upstream[nr:nr + nf, 0] = dr, df
+    dx, tape = backward_pass(d.specs, d.params, cache, upstream)
+    (cache_r, tape_r, _), (cache_f, tape_f, _), *x_hat_rows = _split_groups(cache, tape, dx, lengths)
     grads = param_grads(d.specs, cache_r, tape_r)
     grads += param_grads(d.specs, cache_f, tape_f)
     penalty = 0.0
-    if x_hat_group:
-        penalty, pgrads = penalty_with_grads(d, x_hat_group[0][1], loss.gp_lambda)
+    if x_hat_rows:
+        penalty, pgrads = penalty_with_grads(d, *x_hat_rows[0], loss.gp_lambda)
         grads += pgrads
     diag = {"real_scores": s_r, "fake_scores": s_f, "penalty": penalty,
             "y_real": y_r, "y_fake": y_f}

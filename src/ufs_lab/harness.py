@@ -31,7 +31,7 @@ from .datasets import DatasetConfig, PointMixture, make_dataset
 from .errors import ConfigError, ContractError, ParseError
 from .metrics import (MANIFOLD_K, MAX_SAMPLES, ball_bounds, covariance_root, fit_gaussian,
                       frechet_distance, manifold_metrics, measure, mode_coverage)
-from .numerics import Array, Network, SeededRng, param_size, write_atomic
+from .numerics import AdamState, Array, Network, SeededRng, param_size, write_atomic
 
 
 @dataclass
@@ -200,8 +200,8 @@ def load_checkpoint(path) -> tuple:
 
 
 def _state_arrays(state: gan_mod.TrainerState) -> dict:
-    """Every array of a trainer state under its checkpoint name. These are the
-    live arrays, so the reader fills a restored state through them in place."""
+    """Every array of a trainer state under its checkpoint name: the live
+    arrays, which trainer_from_arrays builds a restored state on."""
     named = {"gen": state.gen.net.theta, "disc": state.disc.theta,
              "adam_g.m": state.adam_g.m, "adam_g.v": state.adam_g.v,
              "adam_d.m": state.adam_d.m, "adam_d.v": state.adam_d.v}
@@ -215,16 +215,16 @@ TRAINER_ENTRIES = {"run.config": dict, "run.data_shape": list, "run.iteration": 
 _KIND_NAMES = {dict: "an object", list: "a list of integers", int: "a non-negative integer"}
 
 
-def _implied_by_iteration(state: gan_mod.TrainerState) -> tuple:
+def _implied_by_iteration(cfg: gan_mod.TrainConfig, t: int) -> tuple:
     """(critic Adam step, whether feature statistics exist) after t whole iterations."""
-    return state.cfg.n_critic * state.t, state.cfg.ufs is not None and state.t > 0
+    return cfg.n_critic * t, cfg.ufs is not None and t > 0
 
 
 def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
     """(arrays, header) of a trainer checkpoint: the state arrays, and the run's
     config as a dict (run_experiment drops out_dir), data shape and iteration.
     Raises ContractError for a state that breaks _implied_by_iteration."""
-    if (state.adam_d.step, state.stats is not None) != _implied_by_iteration(state):
+    if (state.adam_d.step, state.stats is not None) != _implied_by_iteration(state.cfg, state.t):
         raise ContractError(f"inconsistent counters: UFS {'off' if state.cfg.ufs is None else 'on'},"
                             f" iteration {state.t}, critic Adam step {state.adam_d.step}, feature "
                             f"statistics {'absent' if state.stats is None else 'present'}")
@@ -233,18 +233,20 @@ def trainer_to_arrays(state: gan_mod.TrainerState, config: dict) -> tuple:
     return _state_arrays(state), header
 
 
-def _check_array(arrays: dict, name: str, shape: tuple) -> None:
+def _check_array(arrays: dict, name: str, shape: tuple) -> Array:
+    """arrays[name], once it is there at this shape."""
     if name not in arrays:
         raise ParseError(f"trainer checkpoint has no array {name!r}")
     if arrays[name].shape != shape:
         raise ParseError(f"{name}: expected shape {shape}, got {arrays[name].shape}")
+    return arrays[name]
 
 
 def trainer_from_arrays(arrays: dict, header: dict):
     """(ExperimentConfig, TrainerState) of a trainer checkpoint: the
-    gan.default_specs networks of the stored data shape on the stored `gen`
-    and `disc` vectors themselves (no copy, nothing drawn), the other state
-    arrays copied in, at the counters the iteration implies. Raises
+    gan.default_specs networks of the stored data shape, their Adam moments
+    and the feature statistics, each on the stored arrays themselves (no
+    copy, nothing drawn), at the counters the iteration implies. Raises
     ParseError naming the first missing or mistyped header entry (a negative
     iteration is mistyped) or array, the network lengths before any network
     is built. The config is decoded without looking for an idx_images file:
@@ -259,19 +261,19 @@ def trainer_from_arrays(arrays: dict, header: dict):
     cfg = _decode(ExperimentConfig, header["run.config"], "run.config")
     data_shape = tuple(header["run.data_shape"])
     gen_specs, critic_specs = gan_mod.default_specs(data_shape)
-    _check_array(arrays, "gen", (param_size(gen_specs),))
-    _check_array(arrays, "disc", (param_size(critic_specs),))
-    state = gan_mod.init_trainer(cfg.train,
-                                 gan_mod.GeneratorNet(Network(gen_specs, arrays["gen"]), data_shape),
-                                 gan_mod.DiscriminatorNet(critic_specs, arrays["disc"]))
-    state.adam_g.step = header["run.iteration"]
-    state.adam_d.step, has_stats = _implied_by_iteration(state)
-    if has_stats:  # filled below
-        state.stats = ufs_mod.FeatureStats(*np.zeros((2, state.disc.feature_dim)))
-    for name, live in _state_arrays(state).items():
-        _check_array(arrays, name, live.shape)
-        live[...] = arrays[name]  # a no-op for gen and disc, which are the stored arrays
-    return cfg, state
+    g, d = (param_size(gen_specs),), (param_size(critic_specs),)
+    gen_theta, disc_theta = _check_array(arrays, "gen", g), _check_array(arrays, "disc", d)
+    gen = gan_mod.GeneratorNet(Network(gen_specs, gen_theta), data_shape)
+    disc = gan_mod.DiscriminatorNet(critic_specs, disc_theta)
+    t = header["run.iteration"]
+    d_step, has_stats = _implied_by_iteration(cfg.train, t)
+    adam_g = AdamState(_check_array(arrays, "adam_g.m", g), _check_array(arrays, "adam_g.v", g), t)
+    adam_d = AdamState(_check_array(arrays, "adam_d.m", d), _check_array(arrays, "adam_d.v", d),
+                       d_step)
+    c = (disc.feature_dim,)
+    stats = ufs_mod.FeatureStats(_check_array(arrays, "stats.mu_real", c),
+                                 _check_array(arrays, "stats.mu_fake", c)) if has_stats else None
+    return cfg, gan_mod.TrainerState(cfg.train, gen, disc, adam_g, adam_d, stats)
 
 
 # --- metrics CSV -------------------------------------------------------------------- #

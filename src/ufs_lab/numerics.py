@@ -444,34 +444,28 @@ def forward_pass(specs, params, x):
     return h, cache
 
 
-def backward_pass(specs, params, cache, upstream, input_grad: bool = True):
+def backward_pass(specs, params, cache, upstream):
     """Reverse-order chain rule for the input gradient; returns (dx, tape).
 
     The tape records the upstream gradient reaching each parametric layer
-    (None elsewhere), for param_grads and input_grad_param_grads. With
-    input_grad=False the chain stops at the lowest parametric layer's tape
-    entry and dx is None, for callers that need only parameter gradients.
-    An activation's product writes in place into the input gradient of the
-    layer above it; upstream, the cache and the tape are never written.
+    (None elsewhere), for param_grads and input_grad_param_grads. Each row of
+    dx and of the tape depends on its own row alone: a caller takes the rows
+    it needs, or discards dx. An activation's product writes in place into
+    the input gradient of the layer above it; upstream, the cache and the
+    tape are never written.
     """
     g = as_f64(upstream)
     fresh = False  # g is a gradient this pass made and has not taped
     tape = [None] * len(specs)
-    lowest = -1 if input_grad else next(
-        (i for i, s in enumerate(specs) if s.kind in ("dense", "conv2d")), -1)
     for i in range(len(specs) - 1, -1, -1):
         s, p, c = specs[i], params[i], cache[i]
         if s.kind == "dense":
             if g.ndim != 2 or g.shape[1] != s.out_features:
                 raise DimensionError(f"layer {i}: upstream shape {g.shape} does not match dense output")
             tape[i] = g
-            if i == lowest:
-                break
             g = g @ p["W"]
         elif s.kind == "conv2d":
             tape[i] = g
-            if i == lowest:
-                break
             g = conv2d_input_grad(g, p["W"], c.shape, s.stride)
         elif s.kind == "leaky_relu":
             g = np.multiply(g, c, out=g if fresh else None)
@@ -482,15 +476,14 @@ def backward_pass(specs, params, cache, upstream, input_grad: bool = True):
         else:  # global_sum_pool
             g = np.broadcast_to(g[:, :, None, None], c.shape).copy()
         fresh = True
-    return (g if input_grad else None), tape
+    return g, tape
 
 
-def param_grads(specs, cache, tape, out=None) -> Array:
+def param_grads(specs, cache, tape) -> Array:
     """Parameter gradients from a forward cache and its backward tape, as one
-    flat vector in the param_views layout: written into out when given
-    (returned), else into a new vector. Each layer's gradients go straight
-    into their views."""
-    out = np.empty(param_size(specs)) if out is None else out
+    new flat vector in the param_views layout. Each layer's gradients go
+    straight into their views."""
+    out = np.empty(param_size(specs))
     for s, c, g, p in zip(specs, cache, tape, param_views(specs, out)):
         if s.kind == "dense":
             np.matmul(g.T, c, out=p["W"])

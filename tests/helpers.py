@@ -424,9 +424,11 @@ def split_scores(d, x):
 
 
 def penalty_at(d, x_hat, gp_lambda):
-    """gan.penalty_with_grads on the whole critic's own forward cache at x_hat."""
-    _, cache = nm.forward_pass(d.specs, d.params, x_hat)
-    return gan.penalty_with_grads(d, cache, gp_lambda)
+    """gan.penalty_with_grads on the whole critic's own forward cache at x_hat
+    and its own backward pass from a score gradient of one per row."""
+    y, cache = nm.forward_pass(d.specs, d.params, x_hat)
+    gx, tape = nm.backward_pass(d.specs, d.params, cache, np.ones_like(y))
+    return gan.penalty_with_grads(d, cache, tape, gx, gp_lambda)
 
 
 def penalty_split_head(d, x_hat, gp_lambda):

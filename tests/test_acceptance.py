@@ -89,15 +89,17 @@ def test_acceptance_gradient_suite():
         d = small_mlp_disc(rng)
         real, fake = rng.normal((5, 2)), rng.normal((5, 2))
         x_hat = gan.interpolate_batches(real, fake, rng)
-        for kind, gp_lambda in (("wgan_gp", 0.0), ("hinge", None)):  # the score losses alone
+        # (the score losses alone, and with the penalty the step adds)
+        for kind, gp_lambda in (("wgan_gp", 0.0), ("wgan_gp", 10.0), ("hinge", None)):
             loss_cfg = gan.LossKind(kind, gp_lambda)
             _, grads, _ = gan.discriminator_objective_grads(d, real, fake, loss_cfg, x_hat)
 
-            def d_loss(kind=kind):
+            def d_loss(kind=kind, gp_lambda=gp_lambda):
                 y_r, _ = nm.forward_pass(d.body.specs, d.body.params, real)
                 y_f, _ = nm.forward_pass(d.body.specs, d.body.params, fake)
                 s_r, s_f = gan.score_from_features(d, y_r), gan.score_from_features(d, y_f)
-                return gan.critic_loss(kind, s_r, s_f)[0]
+                value = gan.critic_loss(kind, s_r, s_f)[0]
+                return value + penalty_stacked(d, x_hat, gp_lambda) if gp_lambda else value
 
             check(param_arrays(d.specs, grads),
                   fd_param_grads(d_loss, param_arrays(d.specs, d.theta)))

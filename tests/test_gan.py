@@ -265,36 +265,51 @@ def test_critic_step_joins_only_its_stacked_batches(monkeypatch):
     assert joined == [[(64, 2)] * 3]
 
 
-def test_split_groups_gives_each_group_its_own_forward_cache():
+def test_split_groups_gives_each_group_its_own_passes():
     rng = nm.SeededRng(21)
     d = small_conv_disc(rng)
-    specs, params = d.body.specs, d.body.params
     batches = [rng.normal((n, 1, 9, 9)) for n in (3, 5, 2)]
-    y, cache = nm.forward_pass(specs, params, np.concatenate(batches))
-    for (y_g, cache_g), batch in zip(gan._split_groups(y, cache, [3, 5, 2]), batches, strict=True):
+    y, cache = nm.forward_pass(d.specs, d.params, np.concatenate(batches))
+    dx, tape = nm.backward_pass(d.specs, d.params, cache, rng.normal(y.shape))
+    groups = gan._split_groups(cache, tape, dx, [3, 5, 2])
+    lo = 0
+    for (cache_g, tape_g, dx_g), batch in zip(groups, batches, strict=True):
+        rows = slice(lo, lo + len(batch))
+        lo += len(batch)
         _, want_cache = nm.forward_pass(d.specs, d.params, batch)  # the whole critic's
-        assert y_g.tobytes() == want_cache[-1].tobytes()  # the head's input
-        for got, want in zip(cache_g, want_cache, strict=True):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want_dx, want_tape = nm.backward_pass(d.specs, d.params, want_cache,
+                                              tape[-1][rows])  # the group's own upstream
+        assert dx_g.shape == want_dx.shape and dx_g.tobytes() == want_dx.tobytes()
+        for got, want in zip(cache_g + tape_g, want_cache + want_tape, strict=True):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_critic_objective_skips_the_real_and_fake_input_grads(monkeypatch):
-    # only the penalty needs the gradient at the critic's input; the real and
-    # fake backward passes stop at the first conv layer's tape entry
-    calls = []
-    input_grad = nm.conv2d_input_grad
+@pytest.mark.parametrize("kind", ["wgan_gp", "hinge"])
+def test_critic_objective_runs_one_backward_pass_over_all_its_rows(monkeypatch, kind):
+    # the penalty reads its x_hat rows from the step's one backward pass; each
+    # conv layer's input gradient runs once, over every stacked row
+    passes, conv_rows = [], []
+    backward_pass, input_grad = gan.backward_pass, nm.conv2d_input_grad
 
-    def counted(*args):
-        calls.append(args[2])
+    def counted_pass(specs, params, cache, upstream):
+        passes.append(len(upstream))
+        return backward_pass(specs, params, cache, upstream)
+
+    def counted_input_grad(*args):
+        conv_rows.append(args[2][0])
         return input_grad(*args)
 
-    monkeypatch.setattr(nm, "conv2d_input_grad", counted)
+    monkeypatch.setattr(gan, "backward_pass", counted_pass)
+    monkeypatch.setattr(nm, "conv2d_input_grad", counted_input_grad)
     rng = nm.SeededRng(22)
     d = small_conv_disc(rng)
-    real, fake = rng.normal((2, 1, 9, 9)), rng.normal((2, 1, 9, 9))
-    x_hat = gan.interpolate_batches(real, fake, rng)
-    gan.discriminator_objective_grads(d, real, fake, gan.LossKind("wgan_gp"), x_hat)
-    assert sorted(shape[1] for shape in calls) == [1, 3, 3, 3]  # penalty: both layers
+    real, fake = rng.normal((2, 1, 9, 9)), rng.normal((3, 1, 9, 9))
+    x_hat = rng.normal((4, 1, 9, 9)) if kind == "wgan_gp" else None
+    gan.discriminator_objective_grads(d, real, fake, gan.LossKind(kind), x_hat)
+    rows = 9 if kind == "wgan_gp" else 5
+    assert passes == [rows] and conv_rows == [rows, rows]  # two conv layers
 
 
 def forbid_forward(monkeypatch):

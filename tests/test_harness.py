@@ -362,9 +362,12 @@ def test_trainer_checkpoint_round_trip(tmp_path, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("a restore drew from a random stream")
 
+    path = tmp_path / "t.ufsl"
+    harness.save_checkpoint(path, *harness.trainer_to_arrays(state, dataclasses.asdict(cfg)))
+    loaded, header = harness.load_checkpoint(path)
     with monkeypatch.context() as patched:  # the networks are built on the stored vectors
         patched.setattr(nm.SeededRng, "normal", no_draws)
-        _, restored = restore(state, cfg, tmp_path / "t.ufsl")
+        _, restored = harness.trainer_from_arrays(loaded, header)
         _, fresh = restore(untrained, cfg, tmp_path / "f.ufsl")
 
     live_arrays, restored_arrays = harness._state_arrays(state), harness._state_arrays(restored)
@@ -375,7 +378,8 @@ def test_trainer_checkpoint_round_trip(tmp_path, monkeypatch):
                 for s in (state, restored)]
     assert counters == [(2, 2, 4, True)] * 2  # n_critic 2
     assert [type(c) for c in counters[1]] == [int, int, int, bool]
-    # the loader fills the flat Adam moments in place
+    # the restored state holds the loaded arrays themselves
+    assert all(arr is loaded[name] for name, arr in restored_arrays.items())
     for live, back in ((state.adam_g, restored.adam_g), (state.adam_d, restored.adam_d)):
         assert np.any(live.m != 0.0) and np.any(live.v != 0.0)
         assert live.m.tobytes() == back.m.tobytes() and live.v.tobytes() == back.v.tobytes()

@@ -536,10 +536,6 @@ def test_split_backward_matches_one_sweep_oracle_bitwise(data_shape, batch):
         want_grads, want_dx = backward_pass_oracle(net.specs, net.params, cache, upstream)
         assert dx.tobytes() == want_dx.tobytes()
         assert nm.param_grads(net.specs, cache, tape).tobytes() == flat_grads(want_grads).tobytes()
-        # a caller that discards the input gradient gets the same parameter gradients
-        no_dx, tape = nm.backward_pass(net.specs, net.params, cache, upstream, input_grad=False)
-        assert no_dx is None
-        assert nm.param_grads(net.specs, cache, tape).tobytes() == flat_grads(want_grads).tobytes()
 
 
 # --- in-place passes: bitwise the allocating forms, inputs untouched ------------------ #
@@ -572,10 +568,7 @@ def assert_passes_match_alloc_and_keep_their_inputs(specs, params, x, rng):
     assert_same_bytes(dx, want_dx)
     assert upstream.tobytes() == upstream_bytes
     tape_bytes = snapshot(tape)
-    _, tape_no_dx = nm.backward_pass(specs, params, cache, upstream, input_grad=False)
-    assert upstream.tobytes() == upstream_bytes
-    for t in (tape, tape_no_dx):
-        assert_same_bytes(nm.param_grads(specs, cache, t), flat_grads(want_grads))
+    assert_same_bytes(nm.param_grads(specs, cache, tape), flat_grads(want_grads))
     assert snapshot(cache) == cache_bytes and snapshot(tape) == tape_bytes
 
     v = rng.normal(x.shape)
@@ -653,22 +646,6 @@ def test_in_place_passes_match_allocating_forms_on_any_stack(stack, seed):
         if "b" in p:
             p["b"] = rng.normal(p["b"].shape, 0.0, 0.5)
     assert_passes_match_alloc_and_keep_their_inputs(specs, params, rng.normal(shape), rng)
-
-
-def test_param_grads_writes_into_out_and_refuses_a_strided_one():
-    rng = nm.SeededRng(19)
-    net = init_network([nm.dense(3, 5), nm.leaky_relu(0.2), nm.dense(5, 2)], rng, 0.5)
-    y, cache = nm.forward_pass(net.specs, net.params, rng.normal((6, 3)))
-    _, tape = nm.backward_pass(net.specs, net.params, cache, rng.normal(y.shape))
-    want = nm.param_grads(net.specs, cache, tape)
-    buf = np.full(want.size + 3, 7.0)
-    out = buf[1:1 + want.size]  # at an offset, as a slice of a larger vector
-    assert nm.param_grads(net.specs, cache, tape, out=out) is out
-    assert_same_bytes(out, want)
-    assert buf[0] == buf[-1] == buf[-2] == 7.0
-    for bad in (np.empty(want.size + 1), np.empty(2 * want.size)[::2], np.empty(want.size, np.float32)):
-        with pytest.raises(ContractError):
-            nm.param_grads(net.specs, cache, tape, out=bad)
 
 
 def test_param_views_lay_out_each_layer_in_spec_order():
